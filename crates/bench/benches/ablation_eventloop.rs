@@ -1,5 +1,4 @@
-//! B16 — serving-architecture ablation: the event loop vs the
-//! thread-per-session reference under connection-scale load.
+//! B16 — the event-loop server under connection-scale load.
 //!
 //! The driver is itself a readiness-driven multiplexer (the vendored
 //! `mio` shim, the same poller the server uses): it holds *all* sessions
@@ -8,19 +7,14 @@
 //! client threads polluting the measurement. A *wave* pushes a fixed
 //! request total through however many sessions exist; sessions beyond
 //! the request count stay connected but idle, which is exactly the
-//! saturation axis:
+//! saturation axis. The event loop parks an idle session as one
+//! registered fd — no thread, no timer, no syscall until bytes arrive.
 //!
-//! * **event mode** parks an idle session as one registered fd — no
-//!   thread, no timer, no syscall until bytes arrive;
-//! * **threaded mode** pays a parked thread whose socket read wakes
-//!   every 25 ms to check drain/idle deadlines, so idle sessions burn a
-//!   growing share of the host CPU (on the single-core CI runner this
-//!   is the dominant term at the 1k-session end).
-//!
-//! Criterion reports wave latency at the low and high ends per mode.
+//! Criterion reports wave latency at the low and high ends.
 //! `BENCH_B16_CURVE=1` skips criterion and emits one JSON line per
-//! (mode, sessions) point — throughput and p50/p99 per-request latency —
-//! which `BENCH_B16.json` records as the saturation curve.
+//! sessions point — throughput and p50/p99 per-request latency — the
+//! saturation curve `BENCH_B16.json` records. (That file also holds rows
+//! for a thread-per-session server that no longer exists.)
 //!
 //! Requests are `Ping` frames: B15 already prices evaluation over the
 //! wire; B16 isolates what the *serving architecture* adds per request
@@ -28,7 +22,7 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use idl::Engine;
-use idl_server::{protocol, serve, ServeMode, ServerConfig, ServerHandle};
+use idl_server::{protocol, serve, ServerConfig, ServerHandle};
 use mio::unix::SourceFd;
 use mio::{Events, Interest, Poll, Token};
 use std::hint::black_box;
@@ -40,9 +34,8 @@ use std::time::{Duration, Instant};
 /// Requests per measured wave (spread round-robin over the sessions).
 const WAVE_OPS: usize = 2048;
 
-fn start_server(mode: ServeMode) -> ServerHandle {
+fn start_server() -> ServerHandle {
     let cfg = ServerConfig {
-        mode,
         max_sessions: 2048,
         request_timeout: Duration::ZERO,
         ..ServerConfig::default()
@@ -214,48 +207,41 @@ fn measure(driver: &mut Driver, ops: usize) -> (f64, Duration, Duration) {
 
 fn bench_eventloop(c: &mut Criterion) {
     let mut group = c.benchmark_group("B16_eventloop");
-    for mode in [ServeMode::Event, ServeMode::Threaded] {
-        for sessions in [64usize, 1024] {
-            let handle = start_server(mode);
-            let mut driver = Driver::connect(handle.local_addr(), sessions);
-            driver.wave(WAVE_OPS); // warm every session once
-            group
-                .bench_function(BenchmarkId::new(format!("{mode}"), format!("s{sessions}")), |b| {
-                    b.iter(|| black_box(driver.wave(WAVE_OPS).len()))
-                });
-            drop(driver);
-            let stats = handle.shutdown();
-            assert_eq!(stats.errors, 0, "bench load must be error-free");
-        }
+    for sessions in [64usize, 1024] {
+        let handle = start_server();
+        let mut driver = Driver::connect(handle.local_addr(), sessions);
+        driver.wave(WAVE_OPS); // warm every session once
+        group.bench_function(BenchmarkId::new("event", format!("s{sessions}")), |b| {
+            b.iter(|| black_box(driver.wave(WAVE_OPS).len()))
+        });
+        drop(driver);
+        let stats = handle.shutdown();
+        assert_eq!(stats.errors, 0, "bench load must be error-free");
     }
     group.finish();
 }
 
 /// The saturation curve behind `BENCH_B16.json`: one JSON line per
-/// (mode, sessions) point, throughput and per-request percentiles.
+/// sessions point, throughput and per-request percentiles.
 fn run_curve() {
     println!("[");
-    let mut first = true;
-    for mode in [ServeMode::Event, ServeMode::Threaded] {
-        for sessions in [8usize, 64, 256, 512, 1024] {
-            let handle = start_server(mode);
-            let mut driver = Driver::connect(handle.local_addr(), sessions);
-            driver.wave(WAVE_OPS); // warm-up wave
-            let (rps, p50, p99) = measure(&mut driver, WAVE_OPS);
-            if !first {
-                println!(",");
-            }
-            first = false;
-            print!(
-                "  {{\"mode\": \"{mode}\", \"sessions\": {sessions}, \"wave_ops\": {WAVE_OPS}, \
-                 \"throughput_rps\": {rps:.0}, \"p50_us\": {}, \"p99_us\": {}}}",
-                p50.as_micros(),
-                p99.as_micros()
-            );
-            drop(driver);
-            let stats = handle.shutdown();
-            assert_eq!(stats.errors, 0, "curve load must be error-free");
+    for (i, sessions) in [8usize, 64, 256, 512, 1024].into_iter().enumerate() {
+        let handle = start_server();
+        let mut driver = Driver::connect(handle.local_addr(), sessions);
+        driver.wave(WAVE_OPS); // warm-up wave
+        let (rps, p50, p99) = measure(&mut driver, WAVE_OPS);
+        if i > 0 {
+            println!(",");
         }
+        print!(
+            "  {{\"mode\": \"event\", \"sessions\": {sessions}, \"wave_ops\": {WAVE_OPS}, \
+             \"throughput_rps\": {rps:.0}, \"p50_us\": {}, \"p99_us\": {}}}",
+            p50.as_micros(),
+            p99.as_micros()
+        );
+        drop(driver);
+        let stats = handle.shutdown();
+        assert_eq!(stats.errors, 0, "curve load must be error-free");
     }
     println!("\n]");
 }

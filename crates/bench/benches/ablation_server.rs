@@ -11,7 +11,7 @@
 //!   round trip;
 //! * `query/clients_8` — eight concurrent sessions issuing the same
 //!   total number of queries: reads evaluate against the published
-//!   snapshot without the writer lock, so on a multi-core host
+//!   snapshot without waiting on the writer, so on a multi-core host
 //!   wall-clock should *drop* with sessions, not serialize (on a
 //!   single-core runner expect parity with `clients_1`, which is
 //!   itself the non-trivial result: no lock convoy, no slowdown);
@@ -20,9 +20,8 @@
 //!   snapshot each), so the 8-session speed-up here is bounded by the
 //!   write fraction.
 //!
-//! The server runs with `request_timeout = 0` (inline evaluation, no
-//! watchdog thread) so the measurement isolates protocol + concurrency
-//! cost. Updates re-insert existing facts (set semantics make them
+//! The server runs with `request_timeout = 0` (no queued-request
+//! deadline) so the measurement isolates protocol + concurrency cost. Updates re-insert existing facts (set semantics make them
 //! no-ops on the universe), keeping the workload constant-size across
 //! iterations.
 

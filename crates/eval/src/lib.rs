@@ -50,9 +50,7 @@ pub use error::{EvalError, EvalResult};
 pub use maintain::{diff_update, MaintainOutcome, MaintainedViews, UpdateDelta, ViewSupport};
 pub use physical::{CompiledItems, PhysOp};
 pub use program::{ProgramKey, ProgramRegistry};
-pub use query::{
-    default_compile, default_maintain, default_semi_naive, default_threads, EvalOptions, Evaluator,
-};
+pub use query::{default_threads, EvalOptions, Evaluator};
 pub use request::{run_request, run_request_cached, RequestOutcome};
 pub use rules::{FixpointStats, MaintenanceStats, PredPat, RuleEngine, RuleSetError, StratumStats};
 pub use subst::{AnswerSet, Subst};

@@ -76,15 +76,18 @@ pub struct EvalOptions {
 }
 
 impl Default for EvalOptions {
+    /// The production configuration: indexes, reordering, compiled
+    /// plans, semi-naive fixpoint, write-path maintenance, and
+    /// [`default_threads`] fixpoint workers.
     fn default() -> Self {
         EvalOptions {
             use_indexes: true,
             reorder: true,
-            compile: default_compile(),
+            compile: true,
             max_results: None,
             threads: default_threads(),
-            semi_naive: default_semi_naive(),
-            maintain: default_maintain(),
+            semi_naive: true,
+            maintain: true,
         }
     }
 }
@@ -141,45 +144,6 @@ pub fn default_threads() -> usize {
         }
     }
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// The default for [`EvalOptions::compile`]: `true`, unless the
-/// `IDL_NO_COMPILE` environment variable is set to something other than
-/// `""`/`0` (how CI exercises the tree-walk reference interpreter).
-pub fn default_compile() -> bool {
-    match std::env::var("IDL_NO_COMPILE") {
-        Ok(v) => {
-            let v = v.trim();
-            v.is_empty() || v == "0"
-        }
-        Err(_) => true,
-    }
-}
-
-/// The default for [`EvalOptions::semi_naive`]: `true`, unless the
-/// `IDL_NAIVE_FIXPOINT` environment variable is set to something other
-/// than `""`/`0` (how CI pins the naive reference fixpoint).
-pub fn default_semi_naive() -> bool {
-    match std::env::var("IDL_NAIVE_FIXPOINT") {
-        Ok(v) => {
-            let v = v.trim();
-            v.is_empty() || v == "0"
-        }
-        Err(_) => true,
-    }
-}
-
-/// The default for [`EvalOptions::maintain`]: `true`, unless the
-/// `IDL_NO_MAINTENANCE` environment variable is set to something other
-/// than `""`/`0` (how CI pins the refresh-the-world reference mode).
-pub fn default_maintain() -> bool {
-    match std::env::var("IDL_NO_MAINTENANCE") {
-        Ok(v) => {
-            let v = v.trim();
-            v.is_empty() || v == "0"
-        }
-        Err(_) => true,
-    }
 }
 
 /// Where in the stored universe the walk currently is (for index probes).

@@ -26,8 +26,8 @@
 //! iteration *k−1*, and an eligible rule re-runs as `(Δ ⋈ full)` plan
 //! variants over just the new rows instead of the full body. The naive
 //! re-run-everything mode stays reachable via
-//! [`EvalOptions::semi_naive`] / `IDL_NAIVE_FIXPOINT=1` as the reference
-//! for the differential battery and the B8/B11 ablation benches.
+//! [`EvalOptions::semi_naive`] as the reference for the differential
+//! battery and the B8/B11 ablation benches.
 
 use crate::compile::{compile_items, PlanCache};
 use crate::delta::{DeltaLog, DeltaSink, DeltaTable};
@@ -1455,8 +1455,7 @@ mod tests {
     }
 
     /// Pinned options for the delta-scheduling counter tests: one worker
-    /// (no sharding), compiled plans (delta variants exist), semi-naive on
-    /// regardless of the `IDL_NAIVE_FIXPOINT` CI leg.
+    /// (no sharding), compiled plans (delta variants exist), semi-naive on.
     fn semi_opts() -> EvalOptions {
         EvalOptions::default().with_threads(1).with_compile(true).with_semi_naive(true)
     }

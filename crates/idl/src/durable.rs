@@ -146,27 +146,21 @@ pub struct DurabilityOptions {
 }
 
 impl Default for DurabilityOptions {
+    /// Fsync always, framed log, binary snapshots, auto delta
+    /// checkpoints, mem storage.
     fn default() -> Self {
-        // IDL_CODEC=json keeps the whole durable path on the legacy
-        // encoding (the CI compatibility leg and the B17 ablation);
-        // IDL_STORAGE=paged[:N] routes it through the paged backend.
-        let codec =
-            std::env::var("IDL_CODEC").ok().and_then(|s| s.parse().ok()).unwrap_or_default();
-        let storage =
-            std::env::var("IDL_STORAGE").ok().and_then(|s| s.parse().ok()).unwrap_or_default();
         DurabilityOptions {
             sync: SyncPolicy::Always,
             format: LogFormat::Framed,
-            codec,
+            codec: SnapshotCodec::Binary,
             checkpoint: CheckpointPolicy::default(),
-            storage,
+            storage: StorageSpec::Mem,
         }
     }
 }
 
 impl DurabilityOptions {
-    /// A builder seeded from [`DurabilityOptions::default`] (which reads
-    /// the `IDL_CODEC`/`IDL_STORAGE` environment overrides).
+    /// A builder seeded from [`DurabilityOptions::default`].
     pub fn builder() -> DurabilityOptionsBuilder {
         DurabilityOptionsBuilder { opts: DurabilityOptions::default() }
     }
@@ -287,6 +281,10 @@ impl DurableEngine {
     /// log session opens and the tail replays (skipping records the
     /// recovered state already covers, truncating any torn tail,
     /// migrating a legacy line-format log to framed when asked).
+    ///
+    /// A directory whose checkpoint belongs to the other storage backend
+    /// is refused before anything is touched: opening it would start
+    /// from an empty base and silently drop the checkpointed data.
     pub fn open_with_vfs(
         dir: impl Into<PathBuf>,
         vfs: Arc<dyn Vfs>,
@@ -294,6 +292,7 @@ impl DurableEngine {
         setup: impl FnOnce(&mut Engine) -> Result<(), EngineError>,
     ) -> Result<Self, EngineError> {
         let dir = dir.into();
+        Self::refuse_foreign_layout(vfs.as_ref(), &dir, opts.storage)?;
         let sync = opts.sync == SyncPolicy::Always;
         let mut stats = DurabilityStats::default();
         vfs.create_dir_all(&dir)
@@ -387,6 +386,27 @@ impl DurableEngine {
             poisoned: None,
             stats,
         })
+    }
+
+    /// Errors when `dir` holds the other backend's checkpoint: a mem
+    /// snapshot with no page file under `Paged`, or a page file under
+    /// `Mem`.
+    fn refuse_foreign_layout(
+        vfs: &dyn Vfs,
+        dir: &Path,
+        spec: StorageSpec,
+    ) -> Result<(), EngineError> {
+        let snapshot = vfs.exists(&dir.join("universe.json"));
+        let pages = vfs.exists(&dir.join("pages.idb"));
+        let found = match spec {
+            StorageSpec::Paged { .. } if snapshot && !pages => "mem (universe.json)",
+            StorageSpec::Mem if pages => "paged (pages.idb)",
+            _ => return Ok(()),
+        };
+        Err(EngineError::Storage(format!(
+            "{} holds a {found} checkpoint; refusing to open it with {spec} storage",
+            dir.display()
+        )))
     }
 
     /// The durability directory this engine is rooted at.
@@ -1143,17 +1163,13 @@ mod tests {
 
     #[test]
     fn checkpoints_default_to_binary_snapshots() {
-        // The subject here is the *default codec*; the IDL_CODEC
-        // override legitimately changes it, so this test only runs
-        // unset. Storage is pinned to mem — the snapshot file under
-        // inspection only exists on that backend.
-        if std::env::var_os("IDL_CODEC").is_some() {
-            return;
-        }
-        let mem_default =
-            || DurabilityOptions { storage: StorageSpec::Mem, ..DurabilityOptions::default() };
         let open_mem = |dir: &std::path::Path| {
-            DurableEngine::open_with_vfs(dir, Arc::new(RealVfs::new()), mem_default(), |_| Ok(()))
+            DurableEngine::open_with_vfs(
+                dir,
+                Arc::new(RealVfs::new()),
+                DurabilityOptions::default(),
+                |_| Ok(()),
+            )
         };
         let dir = fresh_dir("binary-ckpt");
         {
@@ -1173,10 +1189,44 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Every file under `/d` with its bytes, in path order.
+    fn dir_image(vfs: &SimVfs) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files = vfs.list_dir(Path::new("/d")).unwrap();
+        files.sort();
+        files.into_iter().map(|p| (p.clone(), vfs.read(&p).unwrap())).collect()
+    }
+
+    #[test]
+    fn opening_the_other_backends_directory_is_refused() {
+        let mem = DurabilityOptions { storage: StorageSpec::Mem, ..DurabilityOptions::default() };
+        let paged = DurabilityOptions {
+            storage: StorageSpec::Paged { pool_pages: 16 },
+            ..DurabilityOptions::default()
+        };
+        for (written, foreign, layout) in [(mem, paged, "universe.json"), (paged, mem, "pages.idb")]
+        {
+            let vfs = Arc::new(SimVfs::new(FaultPlan::none(41)));
+            {
+                let mut d = sim_open(&vfs, written).unwrap();
+                d.update("?.euter.r+(.date=3/3/85, .stkCode=zz, .clsPrice=7)").unwrap();
+                d.checkpoint().unwrap();
+                d.update("?.euter.r+(.date=3/4/85, .stkCode=zz, .clsPrice=8)").unwrap();
+            }
+            let before = dir_image(&vfs);
+            let Err(err) = sim_open(&vfs, foreign) else {
+                panic!("{} opened a directory holding {layout}", foreign.storage)
+            };
+            assert!(err.to_string().contains(layout), "{err}");
+            assert_eq!(dir_image(&vfs), before, "a refused open creates or changes no file");
+            let mut d = sim_open(&vfs, written).unwrap();
+            let quotes = d.query("?.euter.r(.stkCode=zz, .clsPrice=P)").unwrap();
+            assert_eq!(quotes.len(), 2, "the owning backend still sees every quote");
+        }
+    }
+
     // Tests below assert snapshot-file and codec-specific artifacts
     // that only the mem backend produces, so they pin both the codec
-    // and the storage backend instead of inheriting the IDL_CODEC- /
-    // IDL_STORAGE-sensitive defaults.
+    // and the storage backend.
     fn json_opts() -> DurabilityOptions {
         DurabilityOptions {
             codec: SnapshotCodec::Json,

@@ -99,9 +99,8 @@ impl EngineOptionsBuilder {
         self
     }
 
-    /// Relation-granularity semi-naive fixpoints (on by default). An
-    /// explicit choice here overrides the `IDL_NAIVE_FIXPOINT` environment
-    /// knob, which only steers the [`EvalOptions`] default.
+    /// Relation-granularity semi-naive fixpoints (on by default; off is
+    /// the naive re-run-everything reference mode).
     pub fn semi_naive(mut self, on: bool) -> Self {
         self.engine.semi_naive = on;
         self.engine.eval = self.engine.eval.with_semi_naive(on);
@@ -117,10 +116,8 @@ impl EngineOptionsBuilder {
 
     /// Write-path incremental view maintenance (on by default): update
     /// requests drive their own row deltas into the maintained views
-    /// instead of marking the world stale. An explicit choice here
-    /// overrides the `IDL_NO_MAINTENANCE=1` environment knob, which only
-    /// steers the [`EvalOptions`] default — that knob is the
-    /// refresh-the-world differential reference mode.
+    /// instead of marking the world stale. Off is the refresh-the-world
+    /// differential reference mode.
     pub fn maintain(mut self, on: bool) -> Self {
         self.engine.eval = self.engine.eval.with_maintain(on);
         self
@@ -1185,8 +1182,7 @@ mod tests {
     #[test]
     fn rule_bodies_compile_once_per_refresh() {
         let mut e = engine();
-        // Pin compile on so the counters are meaningful even when the
-        // suite runs under IDL_NO_COMPILE=1.
+        // Plan counters only move on the compiled path.
         e.set_options(EngineOptions::builder().compile(true).build());
         e.add_rules(UNIFIED).unwrap();
         e.add_rules(".dbO.S(.date=D,.clsPrice=P) <- .dbI.p(.date=D,.stk=S,.clsPrice=P) ;").unwrap();
@@ -1306,10 +1302,8 @@ mod tests {
     #[test]
     fn schematic_delta_invalidates_only_overlapping_plans() {
         let mut e = engine();
-        // Pin compile + semi-naive so the schematic counters are live
-        // under the IDL_NO_COMPILE / IDL_NAIVE_FIXPOINT CI legs too, and
-        // maintenance off: this test exercises the refresh path's
-        // schematic-delta accounting.
+        // Compiled semi-naive with maintenance off: this test exercises
+        // the refresh path's schematic-delta accounting.
         e.set_options(
             EngineOptions::builder().compile(true).semi_naive(true).maintain(false).build(),
         );

@@ -22,14 +22,15 @@
 //! * `--fsync always|off` — log/snapshot fsync policy under `--durable`
 //!   (default `always`; `off` is the unsafe ablation mode).
 //! * `--codec json|binary` — snapshot encoding under `--durable`
-//!   (default `binary`, or the `IDL_CODEC` environment knob; a JSON
-//!   directory migrates to binary on open when binary is in effect).
+//!   (default `binary`; a JSON directory migrates to binary on open
+//!   when binary is in effect).
 //! * `--storage mem|paged[:N]` — checkpoint storage backend under
-//!   `--durable` (default `mem`, or the `IDL_STORAGE` environment
-//!   knob): `mem` keeps the universe in memory and checkpoints to
-//!   snapshot + delta-chain files; `paged` commits into a single
-//!   shadow-paged file of slotted pages and B-trees, fronted by a
-//!   buffer pool of `N` pages (default 1024).
+//!   `--durable` (default `mem`): `mem` keeps the universe in memory
+//!   and checkpoints to snapshot + delta-chain files; `paged` commits
+//!   into a single shadow-paged file of slotted pages and B-trees,
+//!   fronted by a buffer pool of `N` pages (default 1024). A directory
+//!   holding the other backend's checkpoint is refused, not opened
+//!   empty.
 //! * `--pool-pages N` — buffer-pool capacity for `--storage paged`
 //!   (shorthand for `--storage paged:N`).
 //! * `--checkpoint [auto|full]` — after all scripts ran, write a
@@ -42,7 +43,7 @@
 //! * `--explain` — pretty-print the compiled physical plan for each
 //!   request instead of executing.
 //! * `--no-compile` — execute with the tree-walk reference interpreter
-//!   instead of compiled plans (what `IDL_NO_COMPILE=1` does in CI).
+//!   instead of compiled plans.
 //! * `--threads N` — fixpoint worker threads for view materialisation
 //!   (default: available parallelism; `1` forces the sequential path).
 //! * `--stats` — after all scripts ran, print the statistics of the last
@@ -56,12 +57,14 @@
 //!
 //! # `idl serve`
 //!
-//! Serves the configured engine over TCP to concurrent sessions (see
-//! the `idl-server` crate): prints the bound address, then runs until a
-//! client sends `Shutdown`. Extra flags: `--addr HOST:PORT` (default
-//! `127.0.0.1:0` = ephemeral), `--max-sessions N`, `--max-frame BYTES`,
-//! `--request-timeout SECS` (`0` disables deadlines),
-//! `--no-remote-shutdown`.
+//! Serves the configured engine over TCP to concurrent sessions on the
+//! `idl-server` event loop (unix only): prints the bound address, then
+//! runs until a client sends `Shutdown`. Extra flags: `--addr HOST:PORT`
+//! (default `127.0.0.1:0` = ephemeral), `--max-sessions N`,
+//! `--max-frame BYTES`, `--request-timeout SECS` (how long a request may
+//! queue before it is answered `E-TIMEOUT`; `0` disables the deadline),
+//! `--no-remote-shutdown`, `--workers N`, `--session-queue N`,
+//! `--pending-queue N`, `--group-commit N`.
 //!
 //! # `idl connect ADDR`
 //!
@@ -81,7 +84,7 @@ use idl::{
     Backend, CheckpointPolicy, DurabilityStats, DurableEngine, Engine, EngineOptions, FaultPlan,
     Outcome, RealVfs, SimVfs, SnapshotCodec, StorageSpec, SyncPolicy, Vfs,
 };
-use idl_server::{serve, Client, ServeMode, ServerConfig};
+use idl_server::{serve, Client, ServerConfig};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -109,7 +112,6 @@ struct Cli {
     scripts: Vec<PathBuf>,
     // `serve` extras
     addr: String,
-    serve_mode: ServeMode,
     max_sessions: usize,
     max_frame: u32,
     request_timeout: Duration,
@@ -149,7 +151,6 @@ impl Default for Cli {
             inline: Vec::new(),
             scripts: Vec::new(),
             addr: server.addr,
-            serve_mode: server.mode,
             max_sessions: server.max_sessions,
             max_frame: server.max_frame,
             request_timeout: server.request_timeout,
@@ -247,10 +248,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<(Mode, Cli), String>
                 cli.threads = Some(n);
             }
             "--addr" => cli.addr = args.next().ok_or("--addr needs host:port")?,
-            "--serve-mode" => {
-                let m = args.next().ok_or("--serve-mode needs threaded|event")?;
-                cli.serve_mode = m.parse()?;
-            }
             "--workers" => {
                 let n = args.next().ok_or("--workers needs a count (0 = one per core)")?;
                 cli.workers =
@@ -313,7 +310,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<(Mode, Cli), String>
                      [--sql] [--analyze] [--explain] [--no-compile] [--stats] [--threads N] \
                      [-e STMT] [script.idl ...]\n\
                      \x20      idl serve [engine flags] [--addr HOST:PORT] \
-                     [--serve-mode threaded|event] [--max-sessions N] [--max-frame BYTES] \
+                     [--max-sessions N] [--max-frame BYTES] \
                      [--request-timeout SECS] [--no-remote-shutdown] [--workers N] \
                      [--session-queue N] [--pending-queue N] [--group-commit N]\n\
                      \x20      idl connect ADDR [-e STMT] [script.idl ...] [--ping] [--refresh] \
@@ -536,7 +533,6 @@ fn run_server(cli: Cli) -> Result<(), String> {
     let backend = build_backend(&cli)?;
     let config = ServerConfig {
         addr: cli.addr.clone(),
-        mode: cli.serve_mode,
         max_sessions: cli.max_sessions,
         max_frame: cli.max_frame,
         request_timeout: cli.request_timeout,
@@ -548,7 +544,7 @@ fn run_server(cli: Cli) -> Result<(), String> {
         ..ServerConfig::default()
     };
     let handle = serve(backend, config).map_err(|e| format!("cannot start server: {e}"))?;
-    println!("idl-server listening on {} ({} mode)", handle.local_addr(), cli.serve_mode);
+    println!("idl-server listening on {}", handle.local_addr());
     let stats = handle.wait();
     println!(
         "-- served {} requests over {} sessions ({} reads, {} writes, {} errors, p50 {}us, p99 {}us)",

@@ -132,7 +132,7 @@ enum Entry {
         resp: Box<Reply>,
         /// Whether this answers a parsed request (counts toward the
         /// request counters) or a framing-level error (counts only as a
-        /// rejected frame, mirroring the threaded path).
+        /// rejected frame).
         is_request: bool,
     },
 }
@@ -182,6 +182,7 @@ impl Session {
 pub(crate) fn spawn(
     listener: TcpListener,
     shared: Arc<Shared>,
+    backend: Box<dyn Backend + Send>,
 ) -> Result<Vec<JoinHandle<()>>, ServerError> {
     listener.set_nonblocking(true)?;
     let poll = Poll::new()?;
@@ -229,13 +230,13 @@ pub(crate) fn spawn(
     threads.push(
         std::thread::Builder::new()
             .name("idl-writer".into())
-            .spawn(move || write_worker(shared, write_rx, mail))?,
+            .spawn(move || write_worker(shared, write_rx, mail, backend))?,
     );
     Ok(threads)
 }
 
 /// Read-pool worker: snapshot queries and universe dumps, evaluated
-/// against the published snapshot without the writer lock.
+/// against the published snapshot without waiting on the writer.
 fn read_worker(shared: Arc<Shared>, rx: Arc<Mutex<mpsc::Receiver<Job>>>, mail: Arc<Mailbox>) {
     loop {
         // Holding the lock while blocked in recv() is the standard
@@ -247,8 +248,10 @@ fn read_worker(shared: Arc<Shared>, rx: Arc<Mutex<mpsc::Receiver<Job>>>, mail: A
         let Ok(job) = job else { break };
         let resp = match &job.req {
             WireRequest::Query { src } => {
-                let snap = shared.published();
-                Reply::Wire(server::answer(server::query_snapshot(&snap, src, &shared)))
+                Reply::Wire(match shared.published().query_cached(src, Some(&shared.plan_cache)) {
+                    Ok(a) => WireResponse::Answers(a),
+                    Err(e) => WireResponse::from_error(&e),
+                })
             }
             WireRequest::DumpUniverse => {
                 // O(1) copy-on-write handle clone; the reactor encodes
@@ -262,9 +265,15 @@ fn read_worker(shared: Arc<Shared>, rx: Arc<Mutex<mpsc::Receiver<Job>>>, mail: A
     }
 }
 
-/// The single write thread: drains its queue, group-commits coalesced
-/// updates, republishes, then posts the whole batch's completions.
-fn write_worker(shared: Arc<Shared>, rx: mpsc::Receiver<Job>, mail: Arc<Mailbox>) {
+/// The single write thread: owns the backend, drains its queue,
+/// group-commits coalesced updates, republishes, then posts the whole
+/// batch's completions.
+fn write_worker(
+    shared: Arc<Shared>,
+    rx: mpsc::Receiver<Job>,
+    mail: Arc<Mailbox>,
+    mut backend: Box<dyn Backend + Send>,
+) {
     while let Ok(first) = rx.recv() {
         let mut batch = vec![first];
         while batch.len() < shared.cfg.group_commit.max(1) {
@@ -274,76 +283,60 @@ fn write_worker(shared: Arc<Shared>, rx: mpsc::Receiver<Job>, mail: Arc<Mailbox>
             }
         }
         let mut out: Vec<Completion> = Vec::with_capacity(batch.len());
-        match shared.lock_writer() {
-            None => {
-                for job in &batch {
-                    out.push(Completion {
-                        token: job.token,
-                        generation: job.generation,
-                        resp: Reply::Wire(WireResponse::server_error(
-                            E_TIMEOUT,
-                            format!("writer busy for over {:?}", shared.cfg.request_timeout),
-                        )),
-                    });
-                }
-            }
-            Some(mut guard) => {
-                let backend: &mut dyn Backend = &mut **guard;
-                // Coalesce every Update in the batch into one group
-                // commit. Batch members are from distinct sessions (each
-                // session runs at most one request), so reordering
-                // relative to the non-update members is unobservable.
-                let update_idx: Vec<usize> = batch
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, j)| matches!(j.req, WireRequest::Update { .. }))
-                    .map(|(i, _)| i)
-                    .collect();
-                if !update_idx.is_empty() {
-                    let srcs: Vec<String> = update_idx
-                        .iter()
-                        .map(|&i| match &batch[i].req {
-                            WireRequest::Update { src } => src.clone(),
-                            _ => unreachable!("filtered to updates"),
-                        })
-                        .collect();
-                    let results = backend.update_group(&srcs);
-                    ServerStats::bump(&shared.stats.group_commits, 1);
-                    ServerStats::bump(&shared.stats.group_commit_records, srcs.len() as u64);
-                    for (&i, result) in update_idx.iter().zip(results) {
-                        let resp = Reply::Wire(match result {
-                            Ok(o) => WireResponse::Outcomes(vec![o]),
-                            Err(e) => WireResponse::from_error(&e),
-                        });
-                        out.push(Completion {
-                            token: batch[i].token,
-                            generation: batch[i].generation,
-                            resp,
-                        });
-                    }
-                }
-                for job in &batch {
-                    let resp = Reply::Wire(match &job.req {
-                        WireRequest::Update { .. } => continue, // group-committed above
-                        WireRequest::Execute { src } => match backend.execute(src) {
-                            Ok(o) => WireResponse::Outcomes(o),
-                            Err(e) => WireResponse::from_error(&e),
-                        },
-                        WireRequest::RefreshViews => match backend.refresh_views() {
-                            Ok(s) => WireResponse::Refreshed(protocol::EngineStatsWire::from(&s)),
-                            Err(e) => WireResponse::from_error(&e),
-                        },
-                        _ => WireResponse::server_error(E_PROTO, "not a write request"),
-                    });
-                    out.push(Completion { token: job.token, generation: job.generation, resp });
-                }
-                // Republish before any ack leaves: a session's next
-                // pipelined query dispatches only after its completion,
-                // so it evaluates against a snapshot containing its
-                // write (read-your-writes).
-                let _ = shared.republish(backend);
+        // Coalesce every Update in the batch into one group commit.
+        // Batch members are from distinct sessions (each session runs at
+        // most one request), so reordering relative to the non-update
+        // members is unobservable.
+        let update_idx: Vec<usize> = batch
+            .iter()
+            .enumerate()
+            .filter(|(_, j)| matches!(j.req, WireRequest::Update { .. }))
+            .map(|(i, _)| i)
+            .collect();
+        if !update_idx.is_empty() {
+            let srcs: Vec<String> = update_idx
+                .iter()
+                .map(|&i| match &batch[i].req {
+                    WireRequest::Update { src } => src.clone(),
+                    _ => unreachable!("filtered to updates"),
+                })
+                .collect();
+            let results = backend.update_group(&srcs);
+            ServerStats::bump(&shared.stats.group_commits, 1);
+            ServerStats::bump(&shared.stats.group_commit_records, srcs.len() as u64);
+            for (&i, result) in update_idx.iter().zip(results) {
+                let resp = Reply::Wire(match result {
+                    Ok(o) => WireResponse::Outcomes(vec![o]),
+                    Err(e) => WireResponse::from_error(&e),
+                });
+                out.push(Completion {
+                    token: batch[i].token,
+                    generation: batch[i].generation,
+                    resp,
+                });
             }
         }
+        for job in &batch {
+            let resp = Reply::Wire(match &job.req {
+                WireRequest::Update { .. } => continue, // group-committed above
+                WireRequest::Execute { src } => match backend.execute(src) {
+                    Ok(o) => WireResponse::Outcomes(o),
+                    Err(e) => WireResponse::from_error(&e),
+                },
+                WireRequest::RefreshViews => match backend.refresh_views() {
+                    Ok(s) => WireResponse::Refreshed(protocol::EngineStatsWire::from(&s)),
+                    Err(e) => WireResponse::from_error(&e),
+                },
+                _ => WireResponse::server_error(E_PROTO, "not a write request"),
+            });
+            out.push(Completion { token: job.token, generation: job.generation, resp });
+        }
+        // Republish before any ack leaves: a session's next pipelined
+        // query dispatches only after its completion, so it evaluates
+        // against a snapshot containing its write (read-your-writes). A
+        // failed republish (a poisoned durable backend refusing to
+        // snapshot) keeps the previous snapshot published.
+        let _ = shared.republish(backend.as_mut());
         mail.post(out);
     }
 }
@@ -444,8 +437,7 @@ impl Reactor {
         ServerStats::bump(&self.shared.stats.sessions_opened, 1);
         self.shared.stats.sessions_active.fetch_add(1, Ordering::SeqCst);
         // The greeting waits for the client's magic (parsed in
-        // `parse_frames`), so it can match the negotiated version —
-        // the same read-first contract as the threaded mode.
+        // `parse_frames`), so it can match the negotiated version.
         let session = Session {
             stream,
             id: self.session_seq,
@@ -558,8 +550,7 @@ impl Reactor {
                 }
                 let head = &buf[..MAGIC.len()];
                 if head != MAGIC && head != MAGIC_V2 {
-                    // Not a protocol peer: hang up (threaded mode closes
-                    // silently on a bad handshake too).
+                    // Not a protocol peer: hang up silently.
                     session.read_closed = true;
                     session.queue.clear();
                     session.out_buf.clear();
@@ -571,9 +562,8 @@ impl Reactor {
                 session.binary = head == MAGIC_V2;
                 // Greeting: echo the negotiated magic plus one frame —
                 // Pong for v1 peers (byte-identical to pre-codec
-                // releases), Hello advertising codecs for v2 peers
-                // (the same admission contract as the threaded mode;
-                // greeting bytes are uncounted there too).
+                // releases), Hello advertising codecs for v2 peers.
+                // Greeting bytes are not counted.
                 let (echo, greeting): (&[u8], WireResponse) = if session.binary {
                     (MAGIC_V2, server::hello())
                 } else {
@@ -776,8 +766,7 @@ impl Reactor {
             WireRequest::Shutdown => {
                 if self.shared.cfg.allow_remote_shutdown {
                     if let Some(session) = self.slots.get_mut(idx).and_then(Option::as_mut) {
-                        // Anything pipelined after Shutdown is dropped
-                        // (the threaded loop breaks there too).
+                        // Anything pipelined after Shutdown is dropped.
                         self.pending_total -= session
                             .queue
                             .iter()
@@ -973,7 +962,7 @@ impl Reactor {
                 && !session.read_closed
                 && session.last_activity.elapsed() > idle_timeout
             {
-                // Idle: close quietly, like the threaded loop.
+                // Idle: close quietly.
                 ServerStats::bump(&self.shared.stats.sessions_reaped, 1);
                 self.close(idx);
                 continue;

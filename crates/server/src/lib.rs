@@ -17,21 +17,23 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! Built on `std::net` only — no async runtime. Two serving
-//! architectures share one semantics ([`ServeMode`]): a readiness-driven
-//! event loop (the default — nonblocking sockets behind a vendored
-//! poller, per-session pipelining, group-committed writes) and the
-//! thread-per-session reference mode (`IDL_SERVE_THREADED=1`). Reads
-//! evaluate against published O(1) copy-on-write snapshots without
-//! taking the writer lock; writes serialize through the single engine
-//! (and its durability layer). See [`server`] for the concurrency
-//! discipline, `event` for the event loop, and [`protocol`] for the
-//! wire format.
+//! Built on `std::net` only — no async runtime. One readiness-driven
+//! event loop serves every session: nonblocking sockets behind a
+//! vendored poller, per-session pipelining, group-committed writes.
+//! Reads evaluate against published O(1) copy-on-write snapshots without
+//! waiting on the writer; writes serialize through the single write
+//! thread that owns the engine (and its durability layer). See
+//! [`server`] for the concurrency discipline, `event` for the event
+//! loop, and [`protocol`] for the wire format.
+//!
+//! Unix only: the poller is `epoll`/`poll(2)`.
 
 #![warn(missing_docs)]
 
+#[cfg(not(unix))]
+compile_error!("idl-server is unix-only: its event loop polls raw file descriptors");
+
 pub mod client;
-#[cfg(unix)]
 mod event;
 pub mod protocol;
 pub mod server;

@@ -57,7 +57,8 @@ pub const FRAME_HEADER: usize = 8;
 pub const E_FRAME: &str = "E-FRAME";
 /// Server-level error code: frame exceeds the negotiated size cap.
 pub const E_TOO_LARGE: &str = "E-TOO-LARGE";
-/// Server-level error code: request or writer-lock deadline exceeded.
+/// Server-level error code: a request waited in its session's queue past
+/// the request deadline and was answered without running.
 pub const E_TIMEOUT: &str = "E-TIMEOUT";
 /// Server-level error code: session limit reached.
 pub const E_BUSY: &str = "E-BUSY";
@@ -66,7 +67,7 @@ pub const E_PROTO: &str = "E-PROTO";
 /// Server-level error code: server is draining and refuses new work.
 pub const E_SHUTDOWN: &str = "E-SHUTDOWN";
 /// Server-level error code: the request was load-shed at the global
-/// pending-queue cap (event mode admission control); retry later.
+/// pending-queue cap (admission control); retry later.
 pub const E_OVERLOAD: &str = "E-OVERLOAD";
 
 /// One client request frame.
@@ -80,7 +81,7 @@ pub enum WireRequest {
         src: String,
     },
     /// Evaluate one pure-query request against the published snapshot
-    /// (never takes the writer lock; proceeds during view refreshes).
+    /// (never waits on the writer; proceeds during view refreshes).
     Query {
         /// IDL source text of exactly one request.
         src: String,
@@ -423,7 +424,7 @@ pub fn read_frame(
 /// `read_exact` that survives read-timeout ticks: on `WouldBlock` /
 /// `TimedOut` it consults `on_wait` and resumes where it left off, so a
 /// frame trickling in across several ticks is reassembled correctly.
-pub(crate) fn read_exact_retry(
+fn read_exact_retry(
     r: &mut impl Read,
     buf: &mut [u8],
     mid_frame: bool,

@@ -1,5 +1,6 @@
-//! The threaded TCP server: accept loop, session threads, and the
-//! published-snapshot concurrency discipline.
+//! Server configuration, lifecycle and the published-snapshot
+//! concurrency discipline. The sockets themselves are driven by the
+//! event loop in `event`.
 //!
 //! # Concurrency model
 //!
@@ -12,10 +13,9 @@
 //!   throughput scales with sessions and a slow view refresh never
 //!   stalls a read. Snapshots are O(1) copy-on-write handle clones of
 //!   the universe, so publishing is cheap no matter the data size.
-//! * **Writes serialize through a single writer.** `Execute`, `Update`
-//!   and `RefreshViews` take the writer mutex (with a deadline — a
-//!   stuck writer yields `E-TIMEOUT` frames, not hung sessions), apply
-//!   the mutation (through the durability layer when the backend is a
+//! * **Writes serialize through a single writer.** One write thread owns
+//!   the backend: `Execute`, `Update` and `RefreshViews` apply the
+//!   mutation there (through the durability layer when the backend is a
 //!   `DurableEngine`), refresh views, and publish a fresh snapshot.
 //!
 //! A session that sends a corrupt or oversized frame is closed with an
@@ -25,8 +25,7 @@
 //! `E-POISONED` error frames.
 
 use crate::protocol::{
-    self, EngineStatsWire, FrameError, SessionStatsWire, StatsReply, StorageStatsWire, WireRequest,
-    WireResponse, E_BUSY, E_FRAME, E_PROTO, E_TIMEOUT, E_TOO_LARGE, MAGIC, MAGIC_V2,
+    self, EngineStatsWire, StorageStatsWire, WireResponse, E_BUSY, E_PROTO, E_TOO_LARGE, MAGIC,
 };
 use crate::stats::{ServerStats, ServerStatsSnapshot};
 use idl::{Backend, EngineError, EngineSnapshot, PlanCache, Value};
@@ -34,60 +33,27 @@ use idl_storage::codec;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// How often a blocked socket read wakes to check drain/idle deadlines.
-const POLL: Duration = Duration::from_millis(25);
+/// Write deadline for the over-capacity greeting (a peer that stops
+/// draining its receive buffer cannot pin the reactor).
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Socket write deadline (a peer that stops draining its receive buffer
-/// cannot pin a session thread forever).
-pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Abort reasons surfaced through [`FrameError::Aborted`].
-const ABORT_DRAIN: &str = "server draining";
-const ABORT_IDLE: &str = "idle timeout";
-
-/// Which serving architecture [`serve`] runs.
+/// Which serving architecture [`serve`] runs. The event loop is the
+/// only one; the enum stays so configurations and reports can name it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServeMode {
-    /// One blocking thread per session (the PR 5 reference mode): simple,
-    /// byte-identical semantics, a thread + stack per idle client.
-    Threaded,
     /// A readiness-driven event loop (reactor + worker pool): thousands
     /// of idle sessions cost one poller, requests pipeline per session,
     /// and concurrent updates coalesce into group commits.
     Event,
 }
 
-impl Default for ServeMode {
-    /// Event unless `IDL_SERVE_THREADED=1` selects the reference mode.
-    fn default() -> Self {
-        match std::env::var("IDL_SERVE_THREADED") {
-            Ok(v) if v == "1" => ServeMode::Threaded,
-            _ => ServeMode::Event,
-        }
-    }
-}
-
-impl std::str::FromStr for ServeMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "threaded" => Ok(ServeMode::Threaded),
-            "event" => Ok(ServeMode::Event),
-            other => Err(format!("unknown serve mode '{other}' (expected threaded|event)")),
-        }
-    }
-}
-
 impl std::fmt::Display for ServeMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            ServeMode::Threaded => "threaded",
             ServeMode::Event => "event",
         })
     }
@@ -98,8 +64,7 @@ impl std::fmt::Display for ServeMode {
 pub struct ServerConfig {
     /// Listen address; use port 0 for an ephemeral port.
     pub addr: String,
-    /// Serving architecture (defaults to [`ServeMode::Event`];
-    /// `IDL_SERVE_THREADED=1` flips the default to the reference mode).
+    /// Serving architecture (always [`ServeMode::Event`]).
     pub mode: ServeMode,
     /// Concurrent-session cap; further connects get `E-BUSY`.
     pub max_sessions: usize,
@@ -107,23 +72,25 @@ pub struct ServerConfig {
     pub max_frame: u32,
     /// Close a session after this long without a request.
     pub idle_timeout: Duration,
-    /// Deadline for one request (snapshot evaluation, or waiting for the
-    /// writer lock). Zero disables the deadline.
+    /// How long a request may wait in its session's queue before it is
+    /// dispatched; one still queued past it is answered `E-TIMEOUT`
+    /// without running. A dispatched request runs to completion. Zero
+    /// disables the deadline.
     pub request_timeout: Duration,
     /// How long [`ServerHandle::shutdown`] waits for sessions to finish.
     pub drain_timeout: Duration,
     /// Whether a client `Shutdown` frame may stop the server.
     pub allow_remote_shutdown: bool,
-    /// Event mode: read-worker threads executing snapshot queries
+    /// Read-worker threads executing snapshot queries
     /// (0 = one per available core, at least 2).
     pub workers: usize,
-    /// Event mode: pipelined requests one session may have outstanding
+    /// Pipelined requests one session may have outstanding
     /// before the server stops reading its socket (TCP backpressure).
     pub session_queue: usize,
-    /// Event mode: queued-request cap across all sessions; past it new
+    /// Queued-request cap across all sessions; past it new
     /// requests are answered with in-order `E-OVERLOAD` load-shed frames.
     pub pending_queue: usize,
-    /// Event mode: most updates coalesced into one group commit (one
+    /// Most updates coalesced into one group commit (one
     /// log append + one fsync acknowledging the whole batch).
     pub group_commit: usize,
 }
@@ -132,7 +99,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
-            mode: ServeMode::default(),
+            mode: ServeMode::Event,
             max_sessions: 64,
             max_frame: protocol::DEFAULT_MAX_FRAME,
             idle_timeout: Duration::from_secs(300),
@@ -179,17 +146,14 @@ impl From<EngineError> for ServerError {
     }
 }
 
-/// State shared between the accept loop, session threads and the handle.
+/// State shared between the reactor, the worker threads and the handle.
 pub(crate) struct Shared {
     pub(crate) cfg: ServerConfig,
-    pub(crate) local_addr: SocketAddr,
-    /// The single writer. Every mutation goes through here.
-    pub(crate) writer: Mutex<Box<dyn Backend + Send>>,
     /// The read snapshot sessions evaluate against; swapped (never
     /// mutated in place) by the writer after each acknowledged change.
     pub(crate) published: RwLock<Arc<EngineSnapshot>>,
     /// Summary of the engine's last materialisation, captured at publish
-    /// time so `Stats` never needs the writer lock.
+    /// time so `Stats` never waits on the writer.
     pub(crate) engine_stats: Mutex<EngineStatsWire>,
     /// Storage-backend telemetry of a durable backend (`None` without
     /// durability), captured at publish time like `engine_stats`.
@@ -229,32 +193,9 @@ impl Shared {
         Arc::clone(&self.published.read().unwrap_or_else(|p| p.into_inner()))
     }
 
-    /// Acquires the writer lock within the request deadline.
-    pub(crate) fn lock_writer(&self) -> Option<MutexGuard<'_, Box<dyn Backend + Send>>> {
-        if self.cfg.request_timeout.is_zero() {
-            return Some(self.writer.lock().unwrap_or_else(|p| p.into_inner()));
-        }
-        let deadline = Instant::now() + self.cfg.request_timeout;
-        loop {
-            match self.writer.try_lock() {
-                Ok(g) => return Some(g),
-                Err(std::sync::TryLockError::Poisoned(p)) => return Some(p.into_inner()),
-                Err(std::sync::TryLockError::WouldBlock) => {
-                    if Instant::now() >= deadline {
-                        return None;
-                    }
-                    std::thread::sleep(Duration::from_micros(500));
-                }
-            }
-        }
-    }
-
+    /// Starts a drain; the reactor notices on its next poll tick.
     pub(crate) fn begin_drain(&self) {
-        if !self.shutdown.swap(true, Ordering::SeqCst) {
-            // Wake the accept loop out of its blocking accept() (the
-            // event reactor notices via its poll tick).
-            let _ = TcpStream::connect(self.local_addr);
-        }
+        self.shutdown.store(true, Ordering::SeqCst);
     }
 }
 
@@ -271,12 +212,13 @@ pub(crate) fn storage_stats_wire(backend: &dyn Backend) -> Option<StorageStatsWi
 pub struct ServerHandle {
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
+    local_addr: SocketAddr,
 }
 
 impl ServerHandle {
     /// The bound address (with the ephemeral port resolved).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
+        self.local_addr
     }
 
     /// Point-in-time global counters.
@@ -306,16 +248,12 @@ impl ServerHandle {
         self.shared.server_stats()
     }
 
+    /// The reactor closes every session before it exits, so once the
+    /// threads are joined no session is left.
     fn drain_and_join(&mut self) {
         self.shared.begin_drain();
         for h in self.threads.drain(..) {
             let _ = h.join();
-        }
-        let deadline = Instant::now() + self.shared.cfg.drain_timeout;
-        while self.shared.stats.sessions_active.load(Ordering::SeqCst) > 0
-            && Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(2));
         }
     }
 }
@@ -326,8 +264,8 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Starts serving `backend` on `cfg.addr`, in the architecture
-/// [`ServerConfig::mode`] selects.
+/// Starts serving `backend` on `cfg.addr`. The write thread takes
+/// ownership of the backend.
 ///
 /// Takes the initial snapshot (materialising views) before accepting
 /// connections, so the first read never waits on the writer.
@@ -340,11 +278,8 @@ pub fn serve(
     let storage_stats = storage_stats_wire(backend.as_mut());
     let listener = TcpListener::bind(&cfg.addr)?;
     let local_addr = listener.local_addr()?;
-    let mode = cfg.mode;
     let shared = Arc::new(Shared {
         cfg,
-        local_addr,
-        writer: Mutex::new(backend),
         published: RwLock::new(Arc::new(initial)),
         engine_stats: Mutex::new(engine_stats),
         storage_stats: Mutex::new(storage_stats),
@@ -352,53 +287,8 @@ pub fn serve(
         stats: ServerStats::default(),
         shutdown: AtomicBool::new(false),
     });
-    let threads = match mode {
-        #[cfg(unix)]
-        ServeMode::Event => crate::event::spawn(listener, Arc::clone(&shared))?,
-        #[cfg(not(unix))]
-        ServeMode::Event => spawn_threaded(listener, Arc::clone(&shared))?,
-        ServeMode::Threaded => spawn_threaded(listener, Arc::clone(&shared))?,
-    };
-    Ok(ServerHandle { shared, threads })
-}
-
-fn spawn_threaded(
-    listener: TcpListener,
-    shared: Arc<Shared>,
-) -> Result<Vec<JoinHandle<()>>, ServerError> {
-    let accept = std::thread::Builder::new()
-        .name("idl-accept".into())
-        .spawn(move || accept_loop(listener, shared))?;
-    Ok(vec![accept])
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let mut session_seq = 0u64;
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let active = shared.stats.sessions_active.load(Ordering::SeqCst);
-        if active as usize >= shared.cfg.max_sessions {
-            ServerStats::bump(&shared.stats.sessions_rejected, 1);
-            reject_busy(stream, &shared);
-            continue;
-        }
-        session_seq += 1;
-        ServerStats::bump(&shared.stats.sessions_opened, 1);
-        shared.stats.sessions_active.fetch_add(1, Ordering::SeqCst);
-        let session_shared = Arc::clone(&shared);
-        let id = session_seq;
-        let spawned =
-            std::thread::Builder::new().name(format!("idl-session-{id}")).spawn(move || {
-                run_session(&session_shared, stream, id);
-                session_shared.stats.sessions_active.fetch_sub(1, Ordering::SeqCst);
-            });
-        if spawned.is_err() {
-            shared.stats.sessions_active.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
+    let threads = crate::event::spawn(listener, Arc::clone(&shared), backend)?;
+    Ok(ServerHandle { shared, threads, local_addr })
 }
 
 /// Over-capacity connection: complete the handshake, explain, hang up.
@@ -412,132 +302,6 @@ pub(crate) fn reject_busy(mut stream: TcpStream, shared: &Shared) {
         format!("session limit ({}) reached", shared.cfg.max_sessions),
     );
     let _ = protocol::send(&mut stream, &resp, shared.cfg.max_frame);
-}
-
-/// Per-session mutable state (counters reported via `Stats`).
-struct Session {
-    id: u64,
-    /// Whether the peer negotiated the v2 handshake (binary universes).
-    binary: bool,
-    requests: u64,
-    errors: u64,
-    bytes_in: u64,
-    bytes_out: u64,
-}
-
-fn run_session(shared: &Arc<Shared>, mut stream: TcpStream, id: u64) {
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(POLL)).ok();
-    stream.set_write_timeout(Some(WRITE_TIMEOUT)).ok();
-    let last_activity = Instant::now();
-    // Handshake: the peer must present its magic before anything else,
-    // so the greeting can match the negotiated protocol version.
-    let mut magic = [0u8; MAGIC.len()];
-    {
-        let mut on_wait = wait_fn(shared, &last_activity);
-        if protocol::read_exact_retry(&mut stream, &mut magic, false, &mut on_wait).is_err() {
-            return;
-        }
-    }
-    let binary = match &magic {
-        m if m == MAGIC => false,
-        m if m == MAGIC_V2 => true,
-        _ => return,
-    };
-    // Greeting: the echoed magic plus one frame, so connecting clients
-    // learn synchronously whether they were admitted (the over-capacity
-    // path greets with an E-BUSY error instead). v1 peers get the exact
-    // pre-codec bytes; v2 peers get a Hello advertising the codecs.
-    let (echo, greeting) = if binary { (MAGIC_V2, hello()) } else { (MAGIC, WireResponse::Pong) };
-    if stream.write_all(echo).is_err()
-        || protocol::send(&mut stream, &greeting, shared.cfg.max_frame).is_err()
-    {
-        return;
-    }
-    let mut last_activity = Instant::now();
-    let mut sess = Session { id, binary, requests: 0, errors: 0, bytes_in: 0, bytes_out: 0 };
-    loop {
-        let frame = {
-            let mut on_wait = wait_fn(shared, &last_activity);
-            protocol::read_frame(&mut stream, shared.cfg.max_frame, &mut on_wait)
-        };
-        last_activity = Instant::now();
-        let payload = match frame {
-            Ok(p) => p,
-            Err(FrameError::Closed) => break,
-            Err(FrameError::Aborted(ABORT_DRAIN)) => {
-                respond(&mut stream, &WireResponse::ShuttingDown, shared, &mut sess);
-                break;
-            }
-            Err(FrameError::Aborted(_)) => {
-                // idle deadline: close quietly, counted for the reaper
-                ServerStats::bump(&shared.stats.sessions_reaped, 1);
-                break;
-            }
-            Err(FrameError::TooLarge { declared, max }) => {
-                ServerStats::bump(&shared.stats.frames_rejected, 1);
-                let resp = WireResponse::server_error(
-                    E_TOO_LARGE,
-                    format!("frame of {declared} bytes exceeds the {max}-byte cap"),
-                );
-                respond(&mut stream, &resp, shared, &mut sess);
-                break; // the oversized payload was never read; resync is impossible
-            }
-            Err(e @ FrameError::BadCrc { .. }) => {
-                ServerStats::bump(&shared.stats.frames_rejected, 1);
-                respond(
-                    &mut stream,
-                    &WireResponse::server_error(E_FRAME, e.to_string()),
-                    shared,
-                    &mut sess,
-                );
-                break;
-            }
-            Err(FrameError::Io(_)) => break,
-        };
-        sess.bytes_in += (protocol::FRAME_HEADER + payload.len()) as u64;
-        ServerStats::bump(&shared.stats.bytes_in, (protocol::FRAME_HEADER + payload.len()) as u64);
-        let req = match std::str::from_utf8(&payload)
-            .map_err(|e| e.to_string())
-            .and_then(|s| serde_json::from_str::<WireRequest>(s).map_err(|e| e.to_string()))
-        {
-            Ok(req) => req,
-            Err(why) => {
-                ServerStats::bump(&shared.stats.frames_rejected, 1);
-                let resp =
-                    WireResponse::server_error(E_PROTO, format!("unreadable request: {why}"));
-                respond(&mut stream, &resp, shared, &mut sess);
-                continue; // the frame boundary is intact; the session survives
-            }
-        };
-        let is_shutdown = matches!(req, WireRequest::Shutdown);
-        let started = Instant::now();
-        let reply = dispatch(shared, req, &sess);
-        shared.stats.latency.record(started.elapsed().as_micros() as u64);
-        sess.requests += 1;
-        ServerStats::bump(&shared.stats.requests, 1);
-        respond_reply(&mut stream, &reply, shared, &mut sess);
-        if is_shutdown && matches!(reply, Reply::Wire(WireResponse::ShuttingDown)) {
-            shared.begin_drain();
-            break;
-        }
-    }
-}
-
-/// Builds the read-wait callback checking drain and idle deadlines.
-fn wait_fn<'a>(
-    shared: &'a Arc<Shared>,
-    last_activity: &'a Instant,
-) -> impl FnMut(bool) -> Option<&'static str> + 'a {
-    move |_mid_frame| {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            Some(ABORT_DRAIN)
-        } else if last_activity.elapsed() > shared.cfg.idle_timeout {
-            Some(ABORT_IDLE)
-        } else {
-            None
-        }
-    }
 }
 
 /// The v2 greeting frame: which universe codecs this server speaks.
@@ -626,180 +390,4 @@ pub(crate) fn encode_universe(
         ));
     }
     Ok(text.into_bytes())
-}
-
-/// Writes one answered request, encoding `Universe` replies in the
-/// session's negotiated codec.
-fn respond_reply(stream: &mut TcpStream, reply: &Reply, shared: &Shared, sess: &mut Session) {
-    match reply {
-        Reply::Wire(resp) => respond(stream, resp, shared, sess),
-        Reply::Universe(value) => match encode_universe(value, sess.binary, shared.cfg.max_frame) {
-            Ok(payload) => {
-                if protocol::write_frame(stream, &payload, shared.cfg.max_frame).is_ok() {
-                    let sent = (protocol::FRAME_HEADER + payload.len()) as u64;
-                    sess.bytes_out += sent;
-                    ServerStats::bump(&shared.stats.bytes_out, sent);
-                }
-            }
-            Err(resp) => respond(stream, &resp, shared, sess),
-        },
-    }
-}
-
-/// Serializes and writes one response frame, tracking counters. A
-/// response too large for the frame cap degrades to an error frame.
-fn respond(stream: &mut TcpStream, resp: &WireResponse, shared: &Shared, sess: &mut Session) {
-    if matches!(resp, WireResponse::Error { .. }) {
-        sess.errors += 1;
-        ServerStats::bump(&shared.stats.errors, 1);
-        if matches!(resp, WireResponse::Error { code, .. } if code == E_TIMEOUT) {
-            ServerStats::bump(&shared.stats.timeouts, 1);
-        }
-    }
-    let sent = match protocol::send(stream, resp, shared.cfg.max_frame) {
-        Ok(n) => n,
-        Err(FrameError::TooLarge { declared, max }) => {
-            let fallback = WireResponse::server_error(
-                E_TOO_LARGE,
-                format!("response of {declared} bytes exceeds the {max}-byte cap"),
-            );
-            sess.errors += 1;
-            ServerStats::bump(&shared.stats.errors, 1);
-            protocol::send(stream, &fallback, shared.cfg.max_frame).unwrap_or(0)
-        }
-        Err(_) => 0,
-    };
-    sess.bytes_out += sent as u64;
-    ServerStats::bump(&shared.stats.bytes_out, sent as u64);
-}
-
-fn dispatch(shared: &Arc<Shared>, req: WireRequest, sess: &Session) -> Reply {
-    Reply::Wire(match req {
-        WireRequest::Ping => {
-            ServerStats::bump(&shared.stats.reads, 1);
-            WireResponse::Pong
-        }
-        WireRequest::Query { src } => {
-            ServerStats::bump(&shared.stats.reads, 1);
-            snapshot_query(shared, src)
-        }
-        WireRequest::DumpUniverse => {
-            ServerStats::bump(&shared.stats.reads, 1);
-            // O(1) copy-on-write handle clone; encoding happens at the
-            // write site, in the session's negotiated codec.
-            return Reply::Universe(shared.published().store().universe().clone());
-        }
-        WireRequest::Stats => {
-            ServerStats::bump(&shared.stats.reads, 1);
-            WireResponse::Stats(Box::new(StatsReply {
-                server: shared.server_stats(),
-                session: SessionStatsWire {
-                    session_id: sess.id,
-                    requests: sess.requests,
-                    errors: sess.errors,
-                    bytes_in: sess.bytes_in,
-                    bytes_out: sess.bytes_out,
-                },
-                engine: shared.engine_stats.lock().unwrap_or_else(|p| p.into_inner()).clone(),
-                storage: shared.storage_stats(),
-            }))
-        }
-        WireRequest::Execute { src } => {
-            ServerStats::bump(&shared.stats.writes, 1);
-            with_writer(shared, |b| b.execute(&src).map(WireResponse::Outcomes))
-        }
-        WireRequest::Update { src } => {
-            ServerStats::bump(&shared.stats.writes, 1);
-            with_writer(shared, |b| b.update(&src).map(|o| WireResponse::Outcomes(vec![o])))
-        }
-        WireRequest::RefreshViews => {
-            ServerStats::bump(&shared.stats.writes, 1);
-            with_writer(shared, |b| {
-                b.refresh_views().map(|s| WireResponse::Refreshed(EngineStatsWire::from(&s)))
-            })
-        }
-        WireRequest::Shutdown => {
-            if shared.cfg.allow_remote_shutdown {
-                WireResponse::ShuttingDown
-            } else {
-                WireResponse::from_error(&EngineError::Usage(
-                    "remote shutdown is disabled on this server".into(),
-                ))
-            }
-        }
-    })
-}
-
-/// Runs a mutating operation under the writer lock, then republishes
-/// the read snapshot.
-///
-/// Republication happens even when the operation errors: a
-/// multi-statement `Execute` stops at the first failure but earlier
-/// statements have already been applied (and logged), and readers must
-/// see them. If republication itself fails — a poisoned durable backend
-/// refusing to snapshot — the previous snapshot stays published, so
-/// reads keep serving the last fully-acknowledged state.
-fn with_writer(
-    shared: &Arc<Shared>,
-    op: impl FnOnce(&mut dyn Backend) -> Result<WireResponse, EngineError>,
-) -> WireResponse {
-    let Some(mut guard) = shared.lock_writer() else {
-        return WireResponse::server_error(
-            E_TIMEOUT,
-            format!("writer busy for over {:?}", shared.cfg.request_timeout),
-        );
-    };
-    let backend: &mut dyn Backend = &mut **guard;
-    let result = op(backend);
-    let _ = shared.republish(backend);
-    match result {
-        Ok(resp) => resp,
-        Err(e) => WireResponse::from_error(&e),
-    }
-}
-
-/// Evaluates one query against the published snapshot, off-thread when
-/// a request deadline is configured.
-///
-/// On timeout the worker is abandoned, not killed: it holds its own
-/// `Arc` of the snapshot and a transient plan-cache lock, finishes
-/// harmlessly, and its result is dropped with the channel.
-fn snapshot_query(shared: &Arc<Shared>, src: String) -> WireResponse {
-    let snap = shared.published();
-    if shared.cfg.request_timeout.is_zero() {
-        return answer(query_snapshot(&snap, &src, shared));
-    }
-    let (tx, rx) = mpsc::channel();
-    let worker_shared = Arc::clone(shared);
-    let worker_snap = Arc::clone(&snap);
-    let worker_src = src.clone();
-    let spawned = std::thread::Builder::new().name("idl-query".into()).spawn(move || {
-        let _ = tx.send(query_snapshot(&worker_snap, &worker_src, &worker_shared));
-    });
-    if spawned.is_err() {
-        // Could not spawn a watchdog thread: fall back to inline evaluation.
-        return answer(query_snapshot(&snap, &src, shared));
-    }
-    match rx.recv_timeout(shared.cfg.request_timeout) {
-        Ok(result) => answer(result),
-        Err(_) => WireResponse::server_error(
-            E_TIMEOUT,
-            format!("query exceeded the {:?} deadline", shared.cfg.request_timeout),
-        ),
-    }
-}
-
-pub(crate) fn query_snapshot(
-    snap: &EngineSnapshot,
-    src: &str,
-    shared: &Shared,
-) -> Result<idl::AnswerSet, EngineError> {
-    snap.query_cached(src, Some(&shared.plan_cache))
-}
-
-pub(crate) fn answer(result: Result<idl::AnswerSet, EngineError>) -> WireResponse {
-    match result {
-        Ok(a) => WireResponse::Answers(a),
-        Err(e) => WireResponse::from_error(&e),
-    }
 }

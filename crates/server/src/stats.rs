@@ -78,7 +78,8 @@ pub struct ServerStats {
     pub writes: AtomicU64,
     /// Requests answered with an error frame.
     pub errors: AtomicU64,
-    /// Requests that hit the per-request or writer-lock deadline.
+    /// Requests answered `E-TIMEOUT` after queueing past the request
+    /// deadline.
     pub timeouts: AtomicU64,
     /// Frames rejected before dispatch (CRC, size cap, bad JSON).
     pub frames_rejected: AtomicU64,
@@ -87,18 +88,18 @@ pub struct ServerStats {
     /// Framing + payload bytes sent.
     pub bytes_out: AtomicU64,
     /// Requests answered with an in-order `E-OVERLOAD` load-shed frame
-    /// at the global pending-queue cap (event mode).
+    /// at the global pending-queue cap.
     pub load_shed: AtomicU64,
     /// Sessions closed by the idle reaper.
     pub sessions_reaped: AtomicU64,
     /// Coalesced write batches committed through the group-commit path
-    /// (event mode; one log append + one fsync per batch).
+    /// (one log append + one fsync per batch).
     pub group_commits: AtomicU64,
     /// Updates acknowledged through those batches. Fsyncs saved by
     /// coalescing is `group_commit_records - group_commits`.
     pub group_commit_records: AtomicU64,
     /// High-water mark of requests queued across all sessions awaiting
-    /// dispatch (event mode).
+    /// dispatch.
     pub queue_depth_peak: AtomicU64,
     /// Request latency window.
     pub latency: LatencyRing,
@@ -177,7 +178,7 @@ pub struct ServerStatsSnapshot {
     pub bytes_in: u64,
     /// Bytes sent.
     pub bytes_out: u64,
-    /// In-order `E-OVERLOAD` load-shed answers (event mode). Optional on
+    /// In-order `E-OVERLOAD` load-shed answers. Optional on
     /// the wire: replies from servers predating the event loop decode
     /// as zero, and older clients ignore the field.
     #[serde(default)]
@@ -185,7 +186,7 @@ pub struct ServerStatsSnapshot {
     /// Sessions closed by the idle reaper.
     #[serde(default)]
     pub sessions_reaped: u64,
-    /// Coalesced write batches committed (event mode).
+    /// Coalesced write batches committed.
     #[serde(default)]
     pub group_commits: u64,
     /// Updates acknowledged through coalesced batches.

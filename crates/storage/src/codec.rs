@@ -89,7 +89,7 @@ pub enum SnapshotCodec {
     #[default]
     Binary,
     /// The legacy JSON wrapper (`{"format":2,…}`); kept fully writable for
-    /// the `IDL_CODEC=json` ablation/compatibility leg.
+    /// `--codec json` and the codec ablation.
     Json,
 }
 

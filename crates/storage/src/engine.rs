@@ -28,9 +28,8 @@
 //! a rewrite). [`recover`](StorageEngine::recover) returns the universe
 //! the artifacts cover plus the op-log LSN to replay from.
 //!
-//! Backend choice is a [`StorageSpec`]: `DurabilityOptions` builders,
-//! the `idl --storage` flag, and the `IDL_STORAGE` environment variable
-//! all parse into one.
+//! Backend choice is a [`StorageSpec`]: `DurabilityOptions` builders
+//! and the `idl --storage` flag both produce one.
 
 use crate::btree;
 use crate::buffer_pool::{BufferPool, BufferPoolStats, Pager};

@@ -94,8 +94,7 @@ fn open_opts(
 
 /// Default options with the storage backend pinned to mem: the
 /// delta-chain and snapshot-migration legs assert mem-only artifacts
-/// (base snapshot + delta files), so they must not inherit an
-/// `IDL_STORAGE=paged` matrix default. The paged backend has its own
+/// (base snapshot + delta files). The paged backend has its own
 /// every-fault-site leg below.
 fn mem_default() -> DurabilityOptions {
     DurabilityOptions { storage: StorageSpec::Mem, ..DurabilityOptions::default() }
@@ -462,9 +461,8 @@ fn group_commit_crash_battery_acks_all_or_prefix() {
     }
 }
 
-/// Like [`open`], but with an explicit snapshot codec (bypassing the
-/// `IDL_CODEC` environment default — the migration leg needs to script
-/// a JSON era followed by a binary era regardless of the CI matrix).
+/// Like [`open`], but with an explicit snapshot codec (the migration leg
+/// scripts a JSON era followed by a binary era).
 fn open_codec(vfs: &Arc<SimVfs>, codec: SnapshotCodec) -> Result<DurableEngine, EngineError> {
     let v: Arc<dyn Vfs> = Arc::clone(vfs) as Arc<dyn Vfs>;
     let opts = DurabilityOptions { codec, ..mem_default() };

@@ -154,87 +154,115 @@ fn error_messages_name_the_problem() {
 // ---------------------------------------------------------------------
 
 mod recovery_edges {
-    use idl::{Backend, DurableEngine, Engine};
+    use idl::{Backend, DurableEngine, Engine, EngineError, EngineOptions, StorageSpec};
     use idl_storage::oplog;
     use idl_storage::{CommitSeal, MemStorage, RealVfs, StorageEngine, Store, Vfs};
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
     use std::sync::Arc;
 
-    fn fresh_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("idl-recovery-{name}-{}", std::process::id()));
+    /// The storage backends every leg runs over; the paged pool is small
+    /// enough that eviction runs inside the tests.
+    const STORAGE: [StorageSpec; 2] = [StorageSpec::Mem, StorageSpec::Paged { pool_pages: 16 }];
+
+    fn fresh_dir(name: &str, storage: StorageSpec) -> PathBuf {
+        let dir = std::env::temp_dir()
+            .join(format!("idl-recovery-{name}-{storage}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
 
+    fn open_with(
+        dir: &Path,
+        storage: StorageSpec,
+        setup: impl FnOnce(&mut Engine) -> Result<(), EngineError>,
+    ) -> DurableEngine {
+        let opts = EngineOptions::builder().storage(storage).durability();
+        DurableEngine::open_with_vfs(dir, Arc::new(RealVfs::new()), opts, setup).unwrap()
+    }
+
+    fn open(dir: &Path, storage: StorageSpec) -> DurableEngine {
+        open_with(dir, storage, |_| Ok(()))
+    }
+
     #[test]
     fn empty_log_file_opens_cleanly() {
-        let dir = fresh_dir("empty-log");
-        std::fs::write(dir.join("ops.idl"), b"").unwrap();
-        let mut d = DurableEngine::open(&dir).unwrap();
-        assert_eq!(d.log_len().unwrap(), 0);
-        assert_eq!(d.durability_stats().records_recovered, 0);
-        d.update("?.db.r+(.a=1)").unwrap();
-        assert_eq!(d.log_len().unwrap(), 1);
-        std::fs::remove_dir_all(&dir).ok();
+        for storage in STORAGE {
+            let dir = fresh_dir("empty-log", storage);
+            std::fs::write(dir.join("ops.idl"), b"").unwrap();
+            let mut d = open(&dir, storage);
+            assert_eq!(d.log_len().unwrap(), 0);
+            assert_eq!(d.durability_stats().records_recovered, 0);
+            d.update("?.db.r+(.a=1)").unwrap();
+            assert_eq!(d.log_len().unwrap(), 1);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
     fn log_only_recovery_without_a_snapshot() {
-        let dir = fresh_dir("log-only");
-        {
-            let mut d = DurableEngine::open(&dir).unwrap();
-            d.update("?.db.r+(.a=1)").unwrap();
-            d.update("?.db.r+(.a=2)").unwrap();
+        for storage in STORAGE {
+            let dir = fresh_dir("log-only", storage);
+            {
+                let mut d = open(&dir, storage);
+                d.update("?.db.r+(.a=1)").unwrap();
+                d.update("?.db.r+(.a=2)").unwrap();
+            }
+            assert!(!dir.join("universe.json").exists(), "no checkpoint ran");
+            assert!(!dir.join("pages.idb").exists(), "no checkpoint ran");
+            let mut d = open(&dir, storage);
+            assert_eq!(d.query("?.db.r(.a=X)").unwrap().column("X").len(), 2);
+            std::fs::remove_dir_all(&dir).ok();
         }
-        assert!(!dir.join("universe.json").exists(), "no checkpoint ran");
-        let mut d = DurableEngine::open(&dir).unwrap();
-        assert_eq!(d.query("?.db.r(.a=X)").unwrap().column("X").len(), 2);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn snapshot_only_recovery_without_a_log() {
-        let dir = fresh_dir("snap-only");
-        {
-            let mut d = DurableEngine::open(&dir).unwrap();
-            d.update("?.db.r+(.a=1)").unwrap();
-            d.checkpoint().unwrap();
+        for storage in STORAGE {
+            let dir = fresh_dir("snap-only", storage);
+            {
+                let mut d = open(&dir, storage);
+                d.update("?.db.r+(.a=1)").unwrap();
+                d.checkpoint().unwrap();
+            }
+            std::fs::remove_file(dir.join("ops.idl")).unwrap();
+            let mut d = open(&dir, storage);
+            assert!(d.query("?.db.r(.a=1)").unwrap().is_true(), "{storage}");
+            d.update("?.db.r+(.a=2)").unwrap();
+            assert_eq!(d.log_len().unwrap(), 1, "a fresh log accepts appends");
+            std::fs::remove_dir_all(&dir).ok();
         }
-        std::fs::remove_file(dir.join("ops.idl")).unwrap();
-        let mut d = DurableEngine::open(&dir).unwrap();
-        assert!(d.query("?.db.r(.a=1)").unwrap().is_true());
-        d.update("?.db.r+(.a=2)").unwrap();
-        assert_eq!(d.log_len().unwrap(), 1, "a fresh log accepts appends");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn duplicate_lsns_replay_at_most_once() {
         // A non-idempotent program call duplicated in the log (the
         // crash-mid-rewrite shape): LSNs bound replay to once each.
-        let dir = fresh_dir("dup-lsn");
         let stmts = [
             (1u64, "?.dbU.bump(.k = a)"),
             (1u64, "?.dbU.bump(.k = a)"), // duplicated record
             (2u64, "?.dbU.bump(.k = b)"),
         ];
-        std::fs::write(dir.join("ops.idl"), oplog::encode_log(stmts)).unwrap();
         let setup = |e: &mut Engine| e.execute(".dbU.bump(.k=K) -> .db.hits+(.k=K) ;").map(|_| ());
-        let mut d = DurableEngine::open_with(&dir, setup).unwrap();
-        let stats = d.durability_stats();
-        assert_eq!(stats.records_recovered, 2);
-        assert_eq!(stats.records_skipped, 1);
-        assert_eq!(d.query("?.db.hits(.k=K)").unwrap().len(), 2);
-        std::fs::remove_dir_all(&dir).ok();
+        for storage in STORAGE {
+            let dir = fresh_dir("dup-lsn", storage);
+            std::fs::write(dir.join("ops.idl"), oplog::encode_log(stmts)).unwrap();
+            let mut d = open_with(&dir, storage, setup);
+            let stats = d.durability_stats();
+            assert_eq!(stats.records_recovered, 2);
+            assert_eq!(stats.records_skipped, 1);
+            assert_eq!(d.query("?.db.hits(.k=K)").unwrap().len(), 2);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
     fn snapshot_lsn_skips_covered_records() {
         // Snapshot at LSN 2 plus a stale pre-rotation log with LSNs 1..3:
         // only record 3 replays (the crash-between-checkpoint-renames
-        // window).
-        let dir = fresh_dir("covered");
+        // window). The snapshot is written through MemStorage, so this
+        // leg is mem-only.
+        let dir = fresh_dir("covered", StorageSpec::Mem);
         let mut covered = Store::new();
         covered
             .insert("db", "r", idl_object::tuple! { a: 1i64 })
@@ -249,15 +277,7 @@ mod recovery_edges {
         let stale =
             [(1u64, "?.db.r+(.a = 1)"), (2u64, "?.db.r+(.a = 2)"), (3u64, "?.db.r+(.a = 3)")];
         std::fs::write(dir.join("ops.idl"), oplog::encode_log(stale)).unwrap();
-        // the snapshot above was written through MemStorage, so the
-        // reopen pins the mem backend (an IDL_STORAGE=paged default
-        // would look for a page file instead)
-        let opts = idl::DurabilityOptions {
-            storage: idl::StorageSpec::Mem,
-            ..idl::DurabilityOptions::default()
-        };
-        let mut d =
-            DurableEngine::open_with_vfs(&dir, Arc::new(RealVfs::new()), opts, |_| Ok(())).unwrap();
+        let mut d = open(&dir, StorageSpec::Mem);
         let stats = d.durability_stats();
         assert_eq!(stats.records_skipped, 2);
         assert_eq!(stats.records_recovered, 1);
@@ -270,32 +290,36 @@ mod recovery_edges {
     fn paper_update_programs_recover_through_open() {
         // §5 direct decrees and §7 update programs logged as calls,
         // replayed through `open_with` with the mapping reinstalled.
-        let dir = fresh_dir("paper-programs");
         let setup = |e: &mut Engine| idl::transparency::install_two_level_mapping(e);
-        {
-            let mut d = DurableEngine::open_with(&dir, setup).unwrap();
-            d.update("?.euter.r+(.date=3/3/85, .stkCode=hp, .clsPrice=50)").unwrap();
-            d.update("?.dbU.insStk(.stk=sun, .date=3/6/85, .price=30)").unwrap();
-            d.update("?.dbE.r+(.date=3/7/85, .stkCode=newco, .clsPrice=9)").unwrap();
-            d.update("?.dbU.delStk(.stk=hp, .date=3/3/85)").unwrap();
+        for storage in STORAGE {
+            let dir = fresh_dir("paper-programs", storage);
+            {
+                let mut d = open_with(&dir, storage, setup);
+                d.update("?.euter.r+(.date=3/3/85, .stkCode=hp, .clsPrice=50)").unwrap();
+                d.update("?.dbU.insStk(.stk=sun, .date=3/6/85, .price=30)").unwrap();
+                d.update("?.dbE.r+(.date=3/7/85, .stkCode=newco, .clsPrice=9)").unwrap();
+                d.update("?.dbU.delStk(.stk=hp, .date=3/3/85)").unwrap();
+            }
+            let mut d = open_with(&dir, storage, setup);
+            assert!(d.query("?.euter.r(.stkCode=sun)").unwrap().is_true());
+            assert!(d.query("?.ource.sun(.clsPrice=30)").unwrap().is_true());
+            assert!(d.query("?.dbE.r(.stkCode=newco)").unwrap().is_true());
+            assert!(!d.query("?.euter.r(.stkCode=hp)").unwrap().is_true());
+            std::fs::remove_dir_all(&dir).ok();
         }
-        let mut d = DurableEngine::open_with(&dir, setup).unwrap();
-        assert!(d.query("?.euter.r(.stkCode=sun)").unwrap().is_true());
-        assert!(d.query("?.ource.sun(.clsPrice=30)").unwrap().is_true());
-        assert!(d.query("?.dbE.r(.stkCode=newco)").unwrap().is_true());
-        assert!(!d.query("?.euter.r(.stkCode=hp)").unwrap().is_true());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn legacy_line_log_accepted_and_migrated() {
-        let dir = fresh_dir("legacy");
-        std::fs::write(dir.join("ops.idl"), "?.db.r+(.a=1)\n?.db.r+(.a=2)\n").unwrap();
-        let mut d = DurableEngine::open(&dir).unwrap();
-        assert!(d.durability_stats().migrated_legacy);
-        assert_eq!(d.query("?.db.r(.a=X)").unwrap().column("X").len(), 2);
-        let bytes = std::fs::read(dir.join("ops.idl")).unwrap();
-        assert!(bytes.starts_with(oplog::MAGIC), "rewritten in the framed format");
-        std::fs::remove_dir_all(&dir).ok();
+        for storage in STORAGE {
+            let dir = fresh_dir("legacy", storage);
+            std::fs::write(dir.join("ops.idl"), "?.db.r+(.a=1)\n?.db.r+(.a=2)\n").unwrap();
+            let mut d = open(&dir, storage);
+            assert!(d.durability_stats().migrated_legacy);
+            assert_eq!(d.query("?.db.r(.a=X)").unwrap().column("X").len(), 2);
+            let bytes = std::fs::read(dir.join("ops.idl")).unwrap();
+            assert!(bytes.starts_with(oplog::MAGIC), "rewritten in the framed format");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

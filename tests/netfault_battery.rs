@@ -17,13 +17,12 @@
 //! schedule's message embeds its seed, so reproduction is one env var.
 
 use idl::Engine;
-use idl_server::{protocol, serve, Client, ServeMode, ServerConfig, ServerHandle};
+use idl_server::{protocol, serve, Client, ServerConfig, ServerHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-const EVENT_SCHEDULES: u64 = 64;
-const THREADED_SCHEDULES: u64 = 16;
+const SCHEDULES: u64 = 64;
 
 const RULES: &str = ".v.all(.c=C, .k=K) <- .db.r(.c=C, .k=K) ;";
 
@@ -52,11 +51,10 @@ impl Rng {
     }
 }
 
-fn serve_stock(mode: ServeMode) -> ServerHandle {
+fn serve_stock() -> ServerHandle {
     let mut engine = Engine::new();
     engine.add_rules(RULES).unwrap();
     let cfg = ServerConfig {
-        mode,
         max_frame: 1 << 20,
         // Short enough that an abandoned mid-frame socket cannot outlive
         // the test run, long enough to never reap the honest session.
@@ -175,12 +173,13 @@ fn run_fault_schedule(addr: SocketAddr, seed: u64) {
     }
 }
 
-fn seeded_faults_stay_isolated(mode: ServeMode, schedules: u64) {
-    let handle = serve_stock(mode);
+#[test]
+fn event_mode_survives_64_seeded_fault_schedules() {
+    let handle = serve_stock();
     let addr = handle.local_addr();
     let mut honest = Client::connect(addr).expect("honest client connects");
 
-    for i in 0..schedules {
+    for i in 0..SCHEDULES {
         let seed = (0x5EED_0000 + i) ^ base_seed();
         run_fault_schedule(addr, seed);
         // The honest session keeps its full service level after every
@@ -188,11 +187,11 @@ fn seeded_faults_stay_isolated(mode: ServeMode, schedules: u64) {
         // base and view in one snapshot.
         let out = honest
             .update(&format!("?.db.r+(.c=1, .k={i})"))
-            .unwrap_or_else(|e| panic!("schedule seed {seed} ({mode}): honest update: {e}"));
+            .unwrap_or_else(|e| panic!("schedule seed {seed}: honest update: {e}"));
         assert_eq!(out.stats().unwrap().inserted, 1, "schedule seed {seed}");
         let answers = honest
             .query("?.db.r(.c=1, .k=K), .v.all(.c=1, .k=K)")
-            .unwrap_or_else(|e| panic!("schedule seed {seed} ({mode}): honest query: {e}"));
+            .unwrap_or_else(|e| panic!("schedule seed {seed}: honest query: {e}"));
         assert_eq!(answers.len(), (i + 1) as usize, "schedule seed {seed} read-your-writes");
     }
 
@@ -201,27 +200,17 @@ fn seeded_faults_stay_isolated(mode: ServeMode, schedules: u64) {
     let served = Client::connect(addr).unwrap().dump_universe().unwrap();
     let mut oracle = Engine::new();
     oracle.add_rules(RULES).unwrap();
-    for i in 0..schedules {
+    for i in 0..SCHEDULES {
         oracle.update(&format!("?.db.r+(.c=1, .k={i})")).unwrap();
     }
     oracle.refresh_views().unwrap();
-    assert_eq!(served, oracle.universe_json().unwrap(), "{mode}: faulted state diverged");
+    assert_eq!(served, oracle.universe_json().unwrap(), "faulted state diverged");
 
     drop(honest);
     let stats = handle.shutdown();
-    assert_eq!(stats.sessions_active, 0, "{mode}: sessions leaked");
+    assert_eq!(stats.sessions_active, 0, "sessions leaked");
     // Roughly one schedule in six writes garbage framing; demand that a
     // healthy share of those was rejected (not an exact count — a peer
     // that resets before the reactor reads may retract its bytes).
-    assert!(stats.frames_rejected >= schedules / 8, "{mode}: no frame ever rejected?");
-}
-
-#[test]
-fn event_mode_survives_64_seeded_fault_schedules() {
-    seeded_faults_stay_isolated(ServeMode::Event, EVENT_SCHEDULES);
-}
-
-#[test]
-fn threaded_mode_survives_seeded_fault_schedules() {
-    seeded_faults_stay_isolated(ServeMode::Threaded, THREADED_SCHEDULES);
+    assert!(stats.frames_rejected >= SCHEDULES / 8, "no frame ever rejected?");
 }

@@ -6,7 +6,7 @@
 //!
 //! * the naive reference schedule (re-run every rule every iteration, one
 //!   worker, tree-walk interpreter — reachable via
-//!   [`EvalOptions::with_semi_naive`] or `IDL_NAIVE_FIXPOINT=1`)
+//!   [`EvalOptions::with_semi_naive`])
 //!   materialises, on hundreds of random universes, **byte-identical**
 //!   universes to semi-naive runs at {1, 2, 4, 8} threads, compiled and
 //!   tree-walk — for a wide single-stratum recursive program and for a

@@ -17,15 +17,17 @@
 //!   backend answers with clean `E-POISONED` frames while reads keep
 //!   serving the last acknowledged snapshot.
 //!
-//! The fixpoint worker count follows `IDL_TEST_THREADS` (the CI matrix
-//! runs 1 and 4), exercising the server over both the sequential and
-//! parallel refresh paths.
+//! The durable legs run over both storage backends. The fixpoint worker
+//! count follows `IDL_TEST_THREADS` (the CI matrix runs 1 and 4),
+//! exercising the server over both the sequential and parallel refresh
+//! paths.
 
-use idl::{Backend, DurableEngine, Engine, EngineOptions, FaultPlan, SimVfs, Vfs};
-use idl_server::{
-    protocol, serve, Client, ServeMode, ServerConfig, ServerHandle, ServerStatsSnapshot,
-    WireRequest, WireResponse,
+use idl::{
+    AnswerSet, Backend, DurabilityOptions, DurableEngine, Engine, EngineError, EngineOptions,
+    EngineSnapshot, FaultPlan, FixpointStats, Outcome, RealVfs, SimVfs, StorageSpec, Vfs,
 };
+use idl_eval::analyze::BindingIssue;
+use idl_server::{protocol, serve, Client, ServerConfig, ServerHandle, WireRequest, WireResponse};
 use idl_storage::codec;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -175,6 +177,90 @@ fn snapshot_reads_proceed_while_a_refresh_is_in_flight() {
     handle.shutdown();
 }
 
+/// An engine whose `refresh_views` sleeps first: a writer request slow
+/// by construction, whatever the build profile or host.
+struct SlowRefresh(Engine);
+
+impl Backend for SlowRefresh {
+    fn refresh_views(&mut self) -> Result<FixpointStats, EngineError> {
+        std::thread::sleep(Duration::from_millis(300));
+        self.0.refresh_views()
+    }
+    fn execute(&mut self, src: &str) -> Result<Vec<Outcome>, EngineError> {
+        self.0.execute(src)
+    }
+    fn query(&mut self, src: &str) -> Result<AnswerSet, EngineError> {
+        self.0.query(src)
+    }
+    fn update(&mut self, src: &str) -> Result<Outcome, EngineError> {
+        Backend::update(&mut self.0, src)
+    }
+    fn execute_sql(&mut self, src: &str) -> Result<Outcome, EngineError> {
+        self.0.execute_sql(src)
+    }
+    fn stats(&self) -> &FixpointStats {
+        Backend::stats(&self.0)
+    }
+    fn snapshot(&mut self) -> Result<EngineSnapshot, EngineError> {
+        self.0.snapshot()
+    }
+    fn options(&self) -> EngineOptions {
+        self.0.options()
+    }
+    fn set_options(&mut self, options: EngineOptions) {
+        self.0.set_options(options)
+    }
+    fn checkpoint(&mut self) -> Result<Outcome, EngineError> {
+        Backend::checkpoint(&mut self.0)
+    }
+    fn is_durable(&self) -> bool {
+        false
+    }
+    fn is_poisoned(&self) -> bool {
+        false
+    }
+    fn analyze(&self, src: &str) -> Result<Vec<BindingIssue>, EngineError> {
+        self.0.analyze(src)
+    }
+    fn explain(&self, src: &str) -> Result<String, EngineError> {
+        self.0.explain(src)
+    }
+    fn universe_json(&self) -> Result<String, EngineError> {
+        self.0.universe_json()
+    }
+    fn save_snapshot(&self, path: &std::path::Path) -> Result<(), EngineError> {
+        self.0.save_snapshot(path)
+    }
+}
+
+#[test]
+fn queued_request_past_its_deadline_is_answered_timeout_in_order() {
+    let mut engine = Engine::new();
+    engine.execute("?.db.r+(.c=1, .k=1)").unwrap();
+    let cfg =
+        ServerConfig { request_timeout: Duration::from_millis(50), ..ServerConfig::default() };
+    let handle = serve(Box::new(SlowRefresh(engine)), cfg).unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    // The refresh runs on the write thread; the query pipelined behind it
+    // waits in the session queue past its deadline and is answered
+    // without running.
+    client.send_request(&WireRequest::RefreshViews).unwrap();
+    client.send_request(&WireRequest::Query { src: "?.db.r(.c=1, .k=K)".into() }).unwrap();
+    match client.read_reply().unwrap() {
+        WireResponse::Refreshed(_) => {}
+        other => panic!("expected the refresh's reply first, got {other:?}"),
+    }
+    match client.read_reply().unwrap() {
+        WireResponse::Error { code, .. } => assert_eq!(code, protocol::E_TIMEOUT),
+        other => panic!("expected E-TIMEOUT for the queued query, got {other:?}"),
+    }
+    // The session survives and serves a normal query.
+    assert!(client.query("?.db.r(.c=1, .k=K)").unwrap().is_true());
+    drop(client);
+    let final_stats = handle.shutdown();
+    assert_eq!(final_stats.timeouts, 1);
+}
+
 #[test]
 fn concurrent_reads_stay_on_published_snapshot_during_seminaive_refresh() {
     // The same slow-refresh shape as above, plus an oracle replica per
@@ -293,7 +379,7 @@ fn pipelined_requests_answer_in_order_with_read_your_writes() {
         |e| {
             e.add_rules(RULES).unwrap();
         },
-        ServerConfig { mode: ServeMode::Event, ..ServerConfig::default() },
+        ServerConfig::default(),
     );
     let mut client = Client::connect(handle.local_addr()).unwrap();
 
@@ -331,17 +417,18 @@ fn pipelined_requests_answer_in_order_with_read_your_writes() {
     assert_eq!(final_stats.errors, 0);
 }
 
-/// Pipelined-writer oracle leg, shared by both serve modes: every client
-/// bursts its whole update workload down the pipe before collecting a
-/// single ack, so concurrent updates pile up at the writer (in event
-/// mode, coalescing into group commits). The final universe must still
-/// be byte-identical to the single-threaded oracle.
-fn pipelined_writers_match_oracle(mode: ServeMode) -> ServerStatsSnapshot {
+/// Pipelined-writer oracle leg: every client bursts its whole update
+/// workload down the pipe before collecting a single ack, so concurrent
+/// updates pile up at the writer and coalesce into group commits. The
+/// final universe must still be byte-identical to the single-threaded
+/// oracle.
+#[test]
+fn pipelined_writers_match_oracle_in_event_mode() {
     let handle = serve_engine(
         |e| {
             e.add_rules(RULES).unwrap();
         },
-        ServerConfig { mode, ..ServerConfig::default() },
+        ServerConfig::default(),
     );
     let addr = handle.local_addr();
 
@@ -386,22 +473,12 @@ fn pipelined_writers_match_oracle(mode: ServeMode) -> ServerStatsSnapshot {
         }
     }
     oracle.refresh_views().unwrap();
-    assert_eq!(
-        served,
-        oracle.universe_json().unwrap(),
-        "pipelined {mode} state diverged from oracle"
-    );
+    assert_eq!(served, oracle.universe_json().unwrap(), "pipelined state diverged from oracle");
 
-    let final_stats = handle.shutdown();
-    assert_eq!(final_stats.errors, 0);
-    assert_eq!(final_stats.sessions_active, 0);
-    assert!(final_stats.writes >= (CLIENTS * OPS_PER_CLIENT) as u64);
-    final_stats
-}
-
-#[test]
-fn pipelined_writers_match_oracle_in_event_mode() {
-    let stats = pipelined_writers_match_oracle(ServeMode::Event);
+    let stats = handle.shutdown();
+    assert_eq!(stats.errors, 0);
+    assert_eq!(stats.sessions_active, 0);
+    assert!(stats.writes >= (CLIENTS * OPS_PER_CLIENT) as u64);
     // Every update travelled through the group-commit path; the batch
     // count tells how much coalescing the schedule happened to yield.
     assert_eq!(stats.group_commit_records, (CLIENTS * OPS_PER_CLIENT) as u64);
@@ -410,15 +487,8 @@ fn pipelined_writers_match_oracle_in_event_mode() {
 }
 
 #[test]
-fn pipelined_writers_match_oracle_in_threaded_mode() {
-    let stats = pipelined_writers_match_oracle(ServeMode::Threaded);
-    // The reference mode has no write batching at all.
-    assert_eq!(stats.group_commits, 0);
-}
-
-#[test]
 fn oversized_response_degrades_to_error_frame_in_event_mode() {
-    let cfg = ServerConfig { mode: ServeMode::Event, max_frame: 1024, ..ServerConfig::default() };
+    let cfg = ServerConfig { max_frame: 1024, ..ServerConfig::default() };
     let handle = serve_engine(
         |e| {
             let mut src = String::new();
@@ -443,11 +513,7 @@ fn oversized_response_degrades_to_error_frame_in_event_mode() {
 
 #[test]
 fn idle_sessions_are_reaped_in_event_mode() {
-    let cfg = ServerConfig {
-        mode: ServeMode::Event,
-        idle_timeout: Duration::from_millis(150),
-        ..ServerConfig::default()
-    };
+    let cfg = ServerConfig { idle_timeout: Duration::from_millis(150), ..ServerConfig::default() };
     let handle = serve_engine(
         |e| {
             e.add_rules(RULES).unwrap();
@@ -542,12 +608,13 @@ fn disconnects_and_oversized_frames_do_not_poison_other_sessions() {
 /// byte, what it saw before the binary codec existed — the v1 magic
 /// echoed, the exact `"Pong"` greeting frame, and `DumpUniverse`
 /// replies as plain JSON with no binary marker.
-fn v1_clients_see_the_legacy_wire_bytes(mode: ServeMode) {
+#[test]
+fn v1_clients_see_the_legacy_wire_bytes_in_event_mode() {
     let handle = serve_engine(
         |e| {
             e.execute("?.db.r+(.a=1) ; ?.db.r+(.a=2)").unwrap();
         },
-        ServerConfig { mode, ..ServerConfig::default() },
+        ServerConfig::default(),
     );
     let addr = handle.local_addr();
     let mut oracle = Engine::new();
@@ -579,25 +646,16 @@ fn v1_clients_see_the_legacy_wire_bytes(mode: ServeMode) {
     handle.shutdown();
 }
 
-#[test]
-fn v1_clients_see_the_legacy_wire_bytes_in_threaded_mode() {
-    v1_clients_see_the_legacy_wire_bytes(ServeMode::Threaded);
-}
-
-#[test]
-fn v1_clients_see_the_legacy_wire_bytes_in_event_mode() {
-    v1_clients_see_the_legacy_wire_bytes(ServeMode::Event);
-}
-
 /// v2 negotiation: the server echoes the v2 magic, greets with `Hello`
 /// advertising both codecs, and ships `DumpUniverse` as a marker-tagged
 /// binary frame that decodes to the same universe a v1 session gets.
-fn v2_handshake_negotiates_binary_universes(mode: ServeMode) {
+#[test]
+fn v2_handshake_negotiates_binary_universes_in_event_mode() {
     let handle = serve_engine(
         |e| {
             e.execute("?.db.r+(.a=1) ; ?.db.r+(.a=2)").unwrap();
         },
-        ServerConfig { mode, ..ServerConfig::default() },
+        ServerConfig::default(),
     );
     let addr = handle.local_addr();
 
@@ -632,20 +690,11 @@ fn v2_handshake_negotiates_binary_universes(mode: ServeMode) {
     handle.shutdown();
 }
 
-#[test]
-fn v2_handshake_negotiates_binary_universes_in_threaded_mode() {
-    v2_handshake_negotiates_binary_universes(ServeMode::Threaded);
-}
-
-#[test]
-fn v2_handshake_negotiates_binary_universes_in_event_mode() {
-    v2_handshake_negotiates_binary_universes(ServeMode::Event);
-}
-
 /// The frame cap squeezes out a JSON dump but not the binary one: a v1
 /// session degrades to `E-TOO-LARGE` (hinting at the binary codec and
 /// surviving), while a v2 session retries nothing — its dump simply fits.
-fn oversized_json_universe_fits_in_binary(mode: ServeMode) {
+#[test]
+fn oversized_json_universe_fits_in_binary_in_event_mode() {
     const MAX: u32 = 8192;
     // one long atom repeated across rows: the codec interns it once,
     // JSON repeats it 200 times
@@ -674,7 +723,7 @@ fn oversized_json_universe_fits_in_binary(mode: ServeMode) {
         |e| {
             e.execute(&src).unwrap();
         },
-        ServerConfig { mode, max_frame: MAX, ..ServerConfig::default() },
+        ServerConfig { max_frame: MAX, ..ServerConfig::default() },
     );
     let addr = handle.local_addr();
 
@@ -690,35 +739,41 @@ fn oversized_json_universe_fits_in_binary(mode: ServeMode) {
     handle.shutdown();
 }
 
-#[test]
-fn oversized_json_universe_fits_in_binary_in_threaded_mode() {
-    oversized_json_universe_fits_in_binary(ServeMode::Threaded);
-}
+/// The storage backends every durable leg runs over; the paged pool is
+/// small enough that eviction runs inside the tests.
+const STORAGE: [StorageSpec; 2] = [StorageSpec::Mem, StorageSpec::Paged { pool_pages: 16 }];
 
-#[test]
-fn oversized_json_universe_fits_in_binary_in_event_mode() {
-    oversized_json_universe_fits_in_binary(ServeMode::Event);
+fn durability(storage: StorageSpec) -> DurabilityOptions {
+    EngineOptions::builder().storage(storage).durability()
 }
 
 #[test]
 fn durable_backend_survives_a_server_restart() {
-    let dir = std::env::temp_dir().join(format!("idl-server-durable-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    for storage in STORAGE {
+        let dir = std::env::temp_dir()
+            .join(format!("idl-server-durable-{storage}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = |dir: &std::path::Path| {
+            DurableEngine::open_with_vfs(dir, Arc::new(RealVfs::new()), durability(storage), |_| {
+                Ok(())
+            })
+            .unwrap()
+        };
 
-    let backend = DurableEngine::open(&dir).unwrap();
-    let handle = serve(Box::new(backend), ServerConfig::default()).unwrap();
-    {
-        let mut client = Client::connect(handle.local_addr()).unwrap();
-        client.update("?.db.r+(.a=1)").unwrap();
-        client.update("?.db.r+(.a=2)").unwrap();
-        assert!(client.query("?.db.r(.a=2)").unwrap().is_true());
+        let handle = serve(Box::new(open(&dir)), ServerConfig::default()).unwrap();
+        {
+            let mut client = Client::connect(handle.local_addr()).unwrap();
+            client.update("?.db.r+(.a=1)").unwrap();
+            client.update("?.db.r+(.a=2)").unwrap();
+            assert!(client.query("?.db.r(.a=2)").unwrap().is_true());
+        }
+        handle.shutdown();
+
+        // reopen the directory: both logged updates replay
+        let mut reopened = open(&dir);
+        assert_eq!(reopened.query("?.db.r(.a=X)").unwrap().len(), 2, "{storage}");
+        std::fs::remove_dir_all(&dir).ok();
     }
-    handle.shutdown();
-
-    // reopen the directory: both logged updates replay
-    let mut reopened = DurableEngine::open(&dir).unwrap();
-    assert_eq!(reopened.query("?.db.r(.a=X)").unwrap().len(), 2);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -729,10 +784,8 @@ fn paged_backend_serves_and_reports_pool_stats_over_the_wire() {
     let open = |dir: &std::path::Path| {
         DurableEngine::open_with_vfs(
             dir.to_path_buf(),
-            Arc::new(idl::RealVfs::new()),
-            EngineOptions::builder()
-                .storage(idl::StorageSpec::Paged { pool_pages: 8 })
-                .durability(),
+            Arc::new(RealVfs::new()),
+            durability(StorageSpec::Paged { pool_pages: 8 }),
             |_| Ok(()),
         )
         .unwrap()
@@ -768,47 +821,38 @@ fn paged_backend_serves_and_reports_pool_stats_over_the_wire() {
 
 #[test]
 fn poisoned_durable_backend_answers_with_clean_error_frames() {
-    // fault-free probe run to find the op index of the second update's
-    // log append (same technique as the crash battery)
-    let target = {
-        let probe = Arc::new(SimVfs::new(FaultPlan::none(17)));
-        let v: Arc<dyn Vfs> = Arc::clone(&probe) as Arc<dyn Vfs>;
-        let mut p = DurableEngine::open_with_vfs(
-            "/served",
-            v,
-            EngineOptions::builder().durability(),
-            |_| Ok(()),
-        )
-        .unwrap();
-        p.update("?.db.r+(.a=1)").unwrap();
-        probe.op_count() + 1
-    };
-    let vfs = Arc::new(SimVfs::new(FaultPlan::none(17).with_enospc_at(target)));
-    let v: Arc<dyn Vfs> = Arc::clone(&vfs) as Arc<dyn Vfs>;
-    let backend =
-        DurableEngine::open_with_vfs("/served", v, EngineOptions::builder().durability(), |_| {
-            Ok(())
-        })
-        .unwrap();
+    for storage in STORAGE {
+        let open = |vfs: &Arc<SimVfs>| {
+            let v: Arc<dyn Vfs> = Arc::clone(vfs) as Arc<dyn Vfs>;
+            DurableEngine::open_with_vfs("/served", v, durability(storage), |_| Ok(())).unwrap()
+        };
+        // fault-free probe run to find the op index of the second
+        // update's log append (same technique as the crash battery)
+        let target = {
+            let probe = Arc::new(SimVfs::new(FaultPlan::none(17)));
+            open(&probe).update("?.db.r+(.a=1)").unwrap();
+            probe.op_count() + 1
+        };
+        let vfs = Arc::new(SimVfs::new(FaultPlan::none(17).with_enospc_at(target)));
+        let handle = serve(Box::new(open(&vfs)), ServerConfig::default()).unwrap();
+        let mut client = Client::connect(handle.local_addr()).unwrap();
+        client.update("?.db.r+(.a=1)").unwrap();
 
-    let handle = serve(Box::new(backend), ServerConfig::default()).unwrap();
-    let mut client = Client::connect(handle.local_addr()).unwrap();
-    client.update("?.db.r+(.a=1)").unwrap();
+        // the armed fault fires on this append: the update fails cleanly …
+        let err = client.update("?.db.r+(.a=2)").unwrap_err();
+        assert!(err.code().is_some(), "{storage}: expected an engine error frame, got {err}");
 
-    // the armed fault fires on this append: the update fails cleanly …
-    let err = client.update("?.db.r+(.a=2)").unwrap_err();
-    assert!(err.code().is_some(), "expected an engine error frame, got {err}");
+        // … the engine is now poisoned: writes report E-POISONED …
+        let err = client.update("?.db.r+(.a=3)").unwrap_err();
+        assert_eq!(err.code(), Some("E-POISONED"), "{storage}: {err}");
 
-    // … the engine is now poisoned: writes report E-POISONED …
-    let err = client.update("?.db.r+(.a=3)").unwrap_err();
-    assert_eq!(err.code(), Some("E-POISONED"), "{err}");
+        // … and reads keep serving the last acknowledged snapshot.
+        assert!(client.query("?.db.r(.a=1)").unwrap().is_true());
+        assert!(!client.query("?.db.r(.a=2)").unwrap().is_true());
+        client.ping().unwrap();
 
-    // … and reads keep serving the last acknowledged snapshot.
-    assert!(client.query("?.db.r(.a=1)").unwrap().is_true());
-    assert!(!client.query("?.db.r(.a=2)").unwrap().is_true());
-    client.ping().unwrap();
-
-    let final_stats = handle.shutdown();
-    assert_eq!(final_stats.sessions_active, 0);
-    assert!(final_stats.errors >= 2);
+        let final_stats = handle.shutdown();
+        assert_eq!(final_stats.sessions_active, 0);
+        assert!(final_stats.errors >= 2);
+    }
 }
