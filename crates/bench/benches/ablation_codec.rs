@@ -1,32 +1,21 @@
-//! B17 — codec ablation: what the binary codec and delta checkpoints
-//! buy on the durable write path.
+//! B17 — checkpoint ablation: what in-place checkpoints buy on the
+//! durable write path.
 //!
-//! Two groups, both over the 40×150 stock universe on a [`SimVfs`] (no
-//! device latency — the numbers isolate encoding and replay work):
+//! One update then `checkpoint()` over the 40×150 stock universe on a
+//! [`SimVfs`] (no device latency — the numbers isolate encoding and
+//! page-file work), under two policies:
 //!
-//! * **Checkpoint latency** — one small update then `checkpoint()`,
-//!   under three configurations:
-//!   - `full_json`    — the legacy wrapper, whole universe per
-//!     checkpoint (the pre-codec behaviour);
-//!   - `full_binary`  — binary codec, `CheckpointPolicy::Full` (the
-//!     encoding win alone);
-//!   - `delta_binary` — binary codec, auto policy with an effectively
-//!     unbounded chain (the steady-state delta: only the dirtied
-//!     relation is encoded).
-//! * **Recovery vs chain length** — `DurableEngine::open` against a
-//!   directory holding a binary base, a delta chain of {0, 4, 8}
-//!   members, and a one-record log tail. The chain replay is the price
-//!   delta checkpoints charge at open; it should stay small next to the
-//!   base decode.
+//! * `full`  — `CheckpointPolicy::Full`: every checkpoint rewrites the
+//!   whole page file;
+//! * `delta` — the auto policy: only the dirtied relation's B-tree is
+//!   edited in place.
 //!
-//! Expected shape: `full_binary` beats `full_json` by the encode ratio
-//! (the universe dominates), `delta_binary` beats both by orders of
-//! magnitude (work proportional to the dirty slot, not the universe),
-//! and recovery grows mildly with chain length.
+//! Expected shape: `delta` beats `full` by orders of magnitude (work
+//! proportional to the dirty slot, not the universe).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use idl::durable::{CheckpointPolicy, DurabilityOptions, DurableEngine, SyncPolicy};
-use idl::{Engine, FaultPlan, SimVfs, SnapshotCodec, Vfs};
+use idl::{FaultPlan, SimVfs, Vfs};
 use idl_bench::stock_engine;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -35,15 +24,12 @@ use std::time::Duration;
 const STOCKS: usize = 40;
 const DAYS: usize = 150;
 
-fn opts(codec: SnapshotCodec, checkpoint: CheckpointPolicy) -> DurabilityOptions {
-    DurabilityOptions { codec, checkpoint, sync: SyncPolicy::Never, ..DurabilityOptions::default() }
-}
-
 /// An open durable engine over a fresh in-memory vfs, seeded with the
 /// stock universe and a full base checkpoint already on disk.
-fn seeded(codec: SnapshotCodec, checkpoint: CheckpointPolicy) -> DurableEngine {
+fn seeded(checkpoint: CheckpointPolicy) -> DurableEngine {
     let vfs: Arc<dyn Vfs> = Arc::new(SimVfs::new(FaultPlan::none(0)));
-    let mut d = DurableEngine::open_with_vfs("/b17", vfs, opts(codec, checkpoint), |e| {
+    let opts = DurabilityOptions { checkpoint, sync: SyncPolicy::Never, ..Default::default() };
+    let mut d = DurableEngine::open_with_vfs("/b17", vfs, opts, |e| {
         *e = stock_engine(STOCKS, DAYS);
         Ok(())
     })
@@ -56,67 +42,16 @@ fn seeded(codec: SnapshotCodec, checkpoint: CheckpointPolicy) -> DurableEngine {
 fn bench_checkpoint(c: &mut Criterion) {
     let label = format!("{STOCKS}stk_x_{DAYS}d");
     let mut group = c.benchmark_group("B17_codec_checkpoint");
-    let modes: &[(&str, SnapshotCodec, CheckpointPolicy)] = &[
-        ("full_json", SnapshotCodec::Json, CheckpointPolicy::Full),
-        ("full_binary", SnapshotCodec::Binary, CheckpointPolicy::Full),
-        // a chain cap no run ever reaches: every measured checkpoint is
-        // a steady-state delta, never a fold-back into a full base
-        ("delta_binary", SnapshotCodec::Binary, CheckpointPolicy::Auto { max_chain: 1 << 30 }),
-    ];
-    for &(name, codec, policy) in modes {
+    let modes: &[(&str, CheckpointPolicy)] =
+        &[("full", CheckpointPolicy::Full), ("delta", CheckpointPolicy::default())];
+    for &(name, policy) in modes {
         group.bench_function(BenchmarkId::new(name, &label), |b| {
-            let mut d = seeded(codec, policy);
+            let mut d = seeded(policy);
             let mut i = 0u64;
             b.iter(|| {
                 i += 1;
                 d.update(&format!("?.db.touch+(.k={i})")).expect("update");
                 black_box(d.checkpoint().expect("checkpoint"))
-            })
-        });
-    }
-    group.finish();
-}
-
-/// A vfs holding base + `chain` deltas + a one-record log tail.
-fn chained_vfs(chain: usize) -> Arc<SimVfs> {
-    let vfs = Arc::new(SimVfs::new(FaultPlan::none(0)));
-    let v: Arc<dyn Vfs> = Arc::clone(&vfs) as Arc<dyn Vfs>;
-    let policy = CheckpointPolicy::Auto { max_chain: chain.max(1) };
-    let mut d = DurableEngine::open_with_vfs("/b17", v, opts(SnapshotCodec::Binary, policy), |e| {
-        *e = stock_engine(STOCKS, DAYS);
-        Ok(())
-    })
-    .expect("durable engine opens");
-    d.update("?.db.touch+(.k=0)").expect("seed update");
-    d.checkpoint().expect("base checkpoint");
-    for i in 1..=chain {
-        d.update(&format!("?.db.touch+(.k={i})")).expect("chain update");
-        d.checkpoint().expect("delta checkpoint");
-    }
-    assert_eq!(d.durability_stats().chain_len as usize, chain, "chain built as planned");
-    d.update("?.db.touch+(.k=999)").expect("tail update");
-    drop(d);
-    vfs
-}
-
-fn bench_recovery(c: &mut Criterion) {
-    let mut group = c.benchmark_group("B17_codec_recovery");
-    for chain in [0usize, 4, 8] {
-        let vfs = chained_vfs(chain);
-        group.bench_function(BenchmarkId::new("open", format!("chain{chain}")), |b| {
-            b.iter(|| {
-                let v: Arc<dyn Vfs> = Arc::clone(&vfs) as Arc<dyn Vfs>;
-                let d = DurableEngine::open_with_vfs(
-                    "/b17",
-                    v,
-                    opts(SnapshotCodec::Binary, CheckpointPolicy::default()),
-                    |_: &mut Engine| Ok(()),
-                )
-                .expect("recovery opens");
-                let stats = d.durability_stats();
-                assert_eq!(stats.chain_len as usize, chain, "whole chain adopted");
-                assert_eq!(stats.records_recovered, 1, "only the tail replays");
-                black_box(stats.chain_len)
             })
         });
     }
@@ -129,6 +64,6 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(1500));
-    targets = bench_checkpoint, bench_recovery
+    targets = bench_checkpoint
 }
 criterion_main!(benches);

@@ -1,30 +1,26 @@
 //! B13 — durability ablation: what crash safety costs per update.
 //!
 //! Drives batches of mutating requests through [`DurableEngine`] on the
-//! real file system under the four log configurations:
+//! real file system under the two sync policies:
 //!
 //! * `framed_fsync`   — CRC-framed records, fsync before every ack (the
 //!   crash-safe default; pays one `fsync` per mutation);
 //! * `framed_nosync`  — framed records, no fsync (OS-buffered appends:
 //!   isolates the framing/CRC cost from the sync cost);
-//! * `legacy_fsync`   — the pre-framing line format with fsyncs (the cost
-//!   of the old encoding under the new sync-before-ack discipline);
-//! * `legacy_nosync`  — line format, no fsync (closest to the seed
-//!   repo's original `writeln!+flush` behaviour);
 //!
 //! plus an `in_memory` baseline (plain [`Engine`], no durability at all).
 //! A second group measures **recovery**: `DurableEngine::open` replaying
-//! a log of `RECOVER_RECORDS` records, framed vs legacy.
+//! a log of `RECOVER_RECORDS` records.
 //!
-//! Expected shape: `framed_nosync` ≈ `legacy_nosync` (framing adds a CRC
-//! and 16 header bytes per record — noise next to evaluation), both a
-//! small constant over `in_memory`; the `*_fsync` modes are dominated by
-//! device sync latency, which is the honest price of zero acked-update
-//! loss. Recovery is linear in log length for both formats.
+//! Expected shape: `framed_nosync` is a small constant over `in_memory`
+//! (framing adds a CRC and 17 header bytes per record — noise next to
+//! evaluation); `framed_fsync` is dominated by device sync latency, which
+//! is the honest price of zero acked-update loss. Recovery is linear in
+//! log length.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use idl::durable::{DurableEngine, SyncPolicy};
-use idl::{Engine, LogFormat};
+use idl::Engine;
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,15 +45,11 @@ fn batch_statements(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("?.db.r+(.a={i}, .b={})", i * 7 % 101)).collect()
 }
 
-const MODES: &[(&str, LogFormat, SyncPolicy)] = &[
-    ("framed_fsync", LogFormat::Framed, SyncPolicy::Always),
-    ("framed_nosync", LogFormat::Framed, SyncPolicy::Never),
-    ("legacy_fsync", LogFormat::LegacyLines, SyncPolicy::Always),
-    ("legacy_nosync", LogFormat::LegacyLines, SyncPolicy::Never),
-];
+const MODES: &[(&str, SyncPolicy)] =
+    &[("framed_fsync", SyncPolicy::Always), ("framed_nosync", SyncPolicy::Never)];
 
-fn open_mode(dir: PathBuf, format: LogFormat, sync: SyncPolicy) -> DurableEngine {
-    let opts = idl::EngineOptions::builder().log_format(format).sync(sync).durability();
+fn open_mode(dir: PathBuf, sync: SyncPolicy) -> DurableEngine {
+    let opts = idl::EngineOptions::builder().sync(sync).durability();
     DurableEngine::open_with_vfs(dir, std::sync::Arc::new(idl::RealVfs::new()), opts, |_| Ok(()))
         .expect("open durable engine")
 }
@@ -65,10 +57,10 @@ fn open_mode(dir: PathBuf, format: LogFormat, sync: SyncPolicy) -> DurableEngine
 fn bench_updates(c: &mut Criterion) {
     let stmts = batch_statements(BATCH);
     let mut group = c.benchmark_group("B13_durability_update");
-    for &(name, format, sync) in MODES {
+    for &(name, sync) in MODES {
         group.bench_function(BenchmarkId::new("batch", name), |b| {
             b.iter_batched(
-                || open_mode(fresh_dir(), format, sync),
+                || open_mode(fresh_dir(), sync),
                 |mut d| {
                     for s in &stmts {
                         d.update(s).expect("durable update");
@@ -97,24 +89,22 @@ fn bench_updates(c: &mut Criterion) {
 fn bench_recovery(c: &mut Criterion) {
     let stmts = batch_statements(RECOVER_RECORDS);
     let mut group = c.benchmark_group("B13_durability_recovery");
-    for &(name, format) in &[("framed", LogFormat::Framed), ("legacy", LogFormat::LegacyLines)] {
-        // build one long log, replay it per iteration
-        let dir = fresh_dir();
-        {
-            let mut d = open_mode(dir.clone(), format, SyncPolicy::Never);
-            for s in &stmts {
-                d.update(s).expect("seed update");
-            }
+    // build one long log, replay it per iteration
+    let dir = fresh_dir();
+    {
+        let mut d = open_mode(dir.clone(), SyncPolicy::Never);
+        for s in &stmts {
+            d.update(s).expect("seed update");
         }
-        group.bench_function(BenchmarkId::new("replay_512", name), |b| {
-            b.iter(|| {
-                let d = open_mode(dir.clone(), format, SyncPolicy::Never);
-                let stats = d.durability_stats();
-                assert_eq!(stats.records_recovered as usize, RECOVER_RECORDS);
-                black_box(stats.records_recovered)
-            })
-        });
     }
+    group.bench_function(BenchmarkId::new("replay_512", "framed"), |b| {
+        b.iter(|| {
+            let d = open_mode(dir.clone(), SyncPolicy::Never);
+            let stats = d.durability_stats();
+            assert_eq!(stats.records_recovered as usize, RECOVER_RECORDS);
+            black_box(stats.records_recovered)
+        })
+    });
     group.finish();
     std::fs::remove_dir_all(bench_root()).ok();
 }

@@ -2,29 +2,29 @@
 //!
 //! Builds one checkpointed universe (40 relations, ~50 rows each) whose
 //! page file is far larger than the small pools, then measures three
-//! things across `--storage` backends and pool sizes:
+//! things across pool sizes:
 //!
 //! * `B18_paged_query` — a §4 battery query through the *engine* on a
 //!   recovered instance. Queries always run against the in-memory
-//!   universe, so the paged backend must price-match the mem backend
-//!   here (the ISSUE acceptance bound is 2×); the pool only shapes the
-//!   write/recovery path, never steady-state evaluation.
-//! * `B18_paged_scan` — reading every relation straight off the storage
-//!   backend (`storage_read_relation`), which *does* go through the
-//!   buffer pool. A pool smaller than the file re-faults pages every
-//!   round (perpetually cold: misses + evictions each scan); a pool that
-//!   holds the whole file serves round two onward from memory (warm).
-//!   The pool-size axis is the cold→warm curve.
+//!   universe, so a durable engine must price-match a plain in-memory
+//!   [`Engine`] here; the pool only shapes the write/recovery path,
+//!   never steady-state evaluation.
+//! * `B18_paged_scan` — reading every relation straight off the page
+//!   file (`storage_read_relation`), which *does* go through the buffer
+//!   pool. A pool smaller than the file re-faults pages every round
+//!   (perpetually cold: misses + evictions each scan); a pool that holds
+//!   the whole file serves round two onward from memory (warm). The
+//!   pool-size axis is the cold→warm curve.
 //! * `B18_paged_recovery` — `DurableEngine::open` replaying the same
-//!   checkpoint: page-file catalog walk vs snapshot decode.
+//!   checkpoint: the page-file catalog walk.
 //!
-//! Differential asserts ride along: every backend recovers the same
-//! universe bytes, the tiny pool demonstrably evicts, and the big pool's
-//! steady-state scan is all hits.
+//! Differential asserts ride along: every pool size recovers the bytes
+//! an in-memory engine holds after the same updates, the tiny pool
+//! demonstrably evicts, and the big pool's steady-state scan is all hits.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use idl::durable::DurableEngine;
-use idl::{Backend, StorageSpec};
+use idl::{Backend, Engine, StorageSpec};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,24 +54,26 @@ fn spec_name(spec: StorageSpec) -> String {
 }
 
 fn open(dir: PathBuf, spec: StorageSpec) -> DurableEngine {
-    let opts = idl::EngineOptions::builder().storage(spec).durability();
+    let opts = idl::DurabilityOptions { storage: spec, ..Default::default() };
     DurableEngine::open_with_vfs(dir, std::sync::Arc::new(idl::RealVfs::new()), opts, |_| Ok(()))
         .expect("open durable engine")
 }
 
+/// The benchmark universe's updates.
+fn updates() -> impl Iterator<Item = String> {
+    (0..DBS).flat_map(|db| {
+        (0..RELS).flat_map(move |rel| {
+            (0..ROWS).map(move |i| format!("?.d{db}.r{rel}+(.a={i}, .b=\"row-{db}-{rel}-{i:04}\")"))
+        })
+    })
+}
+
 /// Populates `dir` with the benchmark universe and a full checkpoint,
-/// so reopen cost is the storage backend's recovery path, not log replay.
+/// so reopen cost is the page file's recovery path, not log replay.
 fn build_universe(dir: PathBuf, spec: StorageSpec) -> PathBuf {
     let mut d = open(dir.clone(), spec);
-    for db in 0..DBS {
-        for rel in 0..RELS {
-            let stmts: Vec<String> = (0..ROWS)
-                .map(|i| format!("?.d{db}.r{rel}+(.a={i}, .b=\"row-{db}-{rel}-{i:04}\")"))
-                .collect();
-            for s in &stmts {
-                d.update(s).expect("populate");
-            }
-        }
+    for s in updates() {
+        d.update(&s).expect("populate");
     }
     d.checkpoint_full().expect("checkpoint");
     dir
@@ -93,23 +95,25 @@ fn scan_storage(d: &mut DurableEngine) -> usize {
 }
 
 fn bench_paged(c: &mut Criterion) {
-    let mem_dir = build_universe(fresh_dir(), StorageSpec::Mem);
+    let mut in_memory = Engine::new();
+    for s in updates() {
+        in_memory.update(&s).expect("populate in memory");
+    }
     let paged_dirs: Vec<(usize, PathBuf)> = POOLS
         .iter()
         .map(|&pool| (pool, build_universe(fresh_dir(), StorageSpec::Paged { pool_pages: pool })))
         .collect();
 
-    // differential assert: every backend recovers the same bytes, and
-    // the page file really does dwarf the small pools
-    let mem_universe =
-        open(mem_dir.clone(), StorageSpec::Mem).universe_json().expect("mem universe");
+    // differential assert: every pool size recovers the in-memory
+    // engine's bytes, and the page file really does dwarf the small pools
+    let want = in_memory.universe_json().expect("in-memory universe");
     for &(pool, ref dir) in &paged_dirs {
         let spec = StorageSpec::Paged { pool_pages: pool };
         let mut d = open(dir.clone(), spec);
         assert_eq!(
             d.universe_json().expect("paged universe"),
-            mem_universe,
-            "paged:{pool} recovered different bytes than mem"
+            want,
+            "paged:{pool} recovered different bytes than the in-memory engine"
         );
         let stats = d.durability_stats();
         assert!(
@@ -124,15 +128,12 @@ fn bench_paged(c: &mut Criterion) {
         }
     }
 
-    // Warm engine-query latency: paged must price-match mem (≤2×).
+    // Warm engine-query latency: durable must price-match in-memory.
     let query = "?.d0.r3(.a>40, .b=Y)";
     let mut group = c.benchmark_group("B18_paged_query");
-    {
-        let mut d = open(mem_dir.clone(), StorageSpec::Mem);
-        group.bench_function(BenchmarkId::new("warm", "mem"), |b| {
-            b.iter(|| black_box(d.query(query).expect("query").len()))
-        });
-    }
+    group.bench_function(BenchmarkId::new("warm", "in_memory"), |b| {
+        b.iter(|| black_box(in_memory.query(query).expect("query").len()))
+    });
     for &(pool, ref dir) in &paged_dirs {
         let spec = StorageSpec::Paged { pool_pages: pool };
         let mut d = open(dir.clone(), spec);
@@ -163,12 +164,6 @@ fn bench_paged(c: &mut Criterion) {
 
     // Recovery: reopening the checkpointed directory.
     let mut group = c.benchmark_group("B18_paged_recovery");
-    group.bench_function(BenchmarkId::new("open", "mem"), |b| {
-        b.iter(|| {
-            let d = open(mem_dir.clone(), StorageSpec::Mem);
-            black_box(d.last_lsn())
-        })
-    });
     for &(pool, ref dir) in &paged_dirs {
         let spec = StorageSpec::Paged { pool_pages: pool };
         group.bench_function(BenchmarkId::new("open", spec_name(spec)), |b| {

@@ -91,8 +91,8 @@ pub trait Backend {
     /// Replaces the engine options.
     fn set_options(&mut self, options: EngineOptions);
 
-    /// Writes a durable checkpoint (snapshot + log rotation). Errors with
-    /// `E-USAGE` on a backend without durability.
+    /// Writes a durable checkpoint (page-file commit + log rotation).
+    /// Errors with `E-USAGE` on a backend without durability.
     fn checkpoint(&mut self) -> Result<Outcome, EngineError>;
 
     /// Whether mutations are durably logged.

@@ -1,17 +1,18 @@
-//! Durability: snapshot + operation log, routed through a [`Vfs`].
+//! Durability: page-file checkpoints + operation log, routed through a
+//! [`Vfs`].
 //!
-//! The storage layer persists point-in-time JSON snapshots
-//! ([`idl_storage::persist`]); this module adds the other half of the
-//! classic recipe — an **append-only operation log**. Every successful
-//! *mutating* request is appended in canonical IDL surface syntax, and
-//! recovery is snapshot + replay:
+//! The storage layer commits point-in-time checkpoints of the universe
+//! into a shadow-paged page file ([`idl_storage::PagedStorage`]); this
+//! module adds the other half of the classic recipe — an **append-only
+//! operation log**. Every successful *mutating* request is appended in
+//! canonical IDL surface syntax, and recovery is checkpoint + replay:
 //!
 //! ```no_run
 //! use idl::durable::DurableEngine;
 //! let mut d = DurableEngine::open("./stocks")?;
 //! d.execute(idl::transparency::standard_update_programs())?;       // code: in-memory only
 //! d.update("?.dbU.insStk(.stk=hp, .date=3/3/85, .price=50)")?;  // logged
-//! d.checkpoint()?;                                // snapshot + rotate log
+//! d.checkpoint()?;                                // commit + rotate log
 //! # Ok::<(), idl::EngineError>(())
 //! ```
 //!
@@ -29,8 +30,8 @@
 //!   framing ([`idl_storage::oplog`]); recovery truncates a torn tail
 //!   instead of failing or replaying garbage, so an unacknowledged update
 //!   is atomically absent;
-//! * **atomic snapshots** — checkpoints write through the
-//!   write→fsync(file)→rename→fsync(dir) discipline, and the snapshot
+//! * **atomic checkpoints** — a checkpoint syncs its data pages before
+//!   a CRC-sealed meta slot flips to them, and the committed state
 //!   records the log LSN it covers, so a crash anywhere inside
 //!   [`DurableEngine::checkpoint`] replays each record at most once;
 //! * **fail-stop on log errors** — if an append or sync fails (`ENOSPC`,
@@ -39,9 +40,10 @@
 //!   acknowledge, so further durable work is refused until a fresh
 //!   [`DurableEngine::open`] rebuilds state from disk.
 //!
-//! Logs written by older builds in the line-per-statement format are
-//! detected and migrated to the framed format on open (atomically, via a
-//! temp file and rename).
+//! Directories written by older builds are migrated on open: a
+//! line-per-statement log to the framed format (atomically, via a temp
+//! file and rename), and snapshot + delta-chain checkpoints into the page
+//! file (see [`idl_storage::engine`]).
 //!
 //! Rules and update programs are *code*: they are not logged, and the
 //! application reinstalls them after `open` (the same policy as snapshot
@@ -54,7 +56,7 @@ use crate::outcome::Outcome;
 use idl_lang::{parse_program, parse_statement, Statement};
 use idl_object::Name;
 use idl_storage::codec::{DeltaEntry, SnapshotCodec};
-use idl_storage::engine::{open_storage, CommitKind, CommitSeal, StorageEngine, StorageSpec};
+use idl_storage::engine::{CommitKind, CommitSeal, PagedStorage, StorageSpec, DEFAULT_POOL_PAGES};
 use idl_storage::journal::ChangeScope;
 use idl_storage::oplog::{self, DurabilityStats, LogFormat};
 use idl_storage::session::Session;
@@ -68,7 +70,7 @@ use std::sync::Arc;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SyncPolicy {
     /// Fsync the log before acknowledging every mutating request, and
-    /// fsync through the snapshot rename protocol. The crash-safe default.
+    /// fsync every checkpoint commit. The crash-safe default.
     Always,
     /// Never fsync (the OS flushes when it pleases). For ablations and
     /// bulk loads; a crash may lose acknowledged updates.
@@ -87,19 +89,20 @@ impl std::str::FromStr for SyncPolicy {
     }
 }
 
-/// How [`DurableEngine::checkpoint`] decides between a full snapshot and
-/// an incremental delta.
+/// How [`DurableEngine::checkpoint`] decides between rewriting the page
+/// file and editing it in place.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CheckpointPolicy {
-    /// Write a delta checkpoint (only the relations/databases dirtied
-    /// since the last checkpoint) while the chain stays under `max_chain`;
-    /// compact to a full snapshot when it would grow past that, when the
-    /// universe was mutated unscoped, or when the base is not binary.
+    /// Edit only the relations/databases dirtied since the last
+    /// checkpoint in place; rewrite the whole file when there is no base
+    /// yet or the universe was mutated unscoped.
     Auto {
-        /// Chain-length cap before the next checkpoint compacts.
+        /// The delta-chain cap of snapshot-era directories. The page file
+        /// keeps no chain, so only 0 (every checkpoint full) differs from
+        /// any other value.
         max_chain: usize,
     },
-    /// Every checkpoint writes a full snapshot (and clears any chain).
+    /// Every checkpoint rewrites the whole page file.
     Full,
 }
 
@@ -121,40 +124,33 @@ impl std::str::FromStr for CheckpointPolicy {
     }
 }
 
-/// Durability knobs for [`DurableEngine::open_with_vfs`].
+/// Durability knobs for [`DurableEngine::open_with_vfs`]. `format` and
+/// `codec` each have a single value; they stay because the benchmark
+/// package builds this struct by literal.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct DurabilityOptions {
-    /// Fsync policy for the log and snapshots.
+    /// Fsync policy for the log and checkpoints.
     pub sync: SyncPolicy,
-    /// Preferred on-disk log format for fresh logs (an existing framed
-    /// log is never downgraded; an existing legacy log is migrated when
-    /// this is [`LogFormat::Framed`]).
+    /// Log format (framed; a legacy line log is migrated on open).
     pub format: LogFormat,
-    /// Snapshot encoding checkpoints are written in. Binary by default;
-    /// an existing JSON directory is migrated to binary on open. Opening
-    /// with `Json` never rewrites a binary base on open — the next
-    /// checkpoint simply writes JSON (and clears any delta chain).
-    /// Ignored by the paged backend, which always writes page formats.
+    /// Checkpoint encoding (binary, inside the page file).
     pub codec: SnapshotCodec,
-    /// Full-vs-delta checkpoint policy (deltas need the binary codec).
+    /// Full-vs-in-place checkpoint policy.
     pub checkpoint: CheckpointPolicy,
-    /// Storage backend checkpoints commit through: the in-memory
-    /// snapshot+delta-chain representation ([`StorageSpec::Mem`], the
-    /// default) or the paged file with a buffer pool
-    /// ([`StorageSpec::Paged`]).
+    /// The page file's buffer-pool size.
     pub storage: StorageSpec,
 }
 
 impl Default for DurabilityOptions {
-    /// Fsync always, framed log, binary snapshots, auto delta
-    /// checkpoints, mem storage.
+    /// Fsync always, auto in-place checkpoints, a
+    /// [`DEFAULT_POOL_PAGES`]-page buffer pool.
     fn default() -> Self {
         DurabilityOptions {
             sync: SyncPolicy::Always,
             format: LogFormat::Framed,
             codec: SnapshotCodec::Binary,
             checkpoint: CheckpointPolicy::default(),
-            storage: StorageSpec::Mem,
+            storage: StorageSpec::Paged { pool_pages: DEFAULT_POOL_PAGES },
         }
     }
 }
@@ -167,7 +163,7 @@ impl DurabilityOptions {
 }
 
 /// Fluent construction for [`DurabilityOptions`]:
-/// `DurabilityOptions::builder().storage(StorageSpec::paged()).build()`.
+/// `DurabilityOptions::builder().sync(SyncPolicy::Never).build()`.
 #[derive(Clone, Copy, Debug)]
 pub struct DurabilityOptionsBuilder {
     opts: DurabilityOptions,
@@ -180,27 +176,9 @@ impl DurabilityOptionsBuilder {
         self
     }
 
-    /// Sets the preferred log format for fresh logs.
-    pub fn format(mut self, format: LogFormat) -> Self {
-        self.opts.format = format;
-        self
-    }
-
-    /// Sets the snapshot codec (mem backend only).
-    pub fn codec(mut self, codec: SnapshotCodec) -> Self {
-        self.opts.codec = codec;
-        self
-    }
-
-    /// Sets the full-vs-delta checkpoint policy.
+    /// Sets the full-vs-in-place checkpoint policy.
     pub fn checkpoint(mut self, checkpoint: CheckpointPolicy) -> Self {
         self.opts.checkpoint = checkpoint;
-        self
-    }
-
-    /// Sets the storage backend.
-    pub fn storage(mut self, storage: StorageSpec) -> Self {
-        self.opts.storage = storage;
         self
     }
 
@@ -214,25 +192,24 @@ fn storage_err(ctx: &str, e: impl std::fmt::Display) -> EngineError {
     EngineError::Storage(format!("{ctx}: {e}"))
 }
 
-/// An [`Engine`] wrapped with snapshot + operation-log durability rooted
-/// at a directory, with all I/O routed through a [`Vfs`]. Checkpoints
-/// commit through a pluggable [`StorageEngine`] (snapshot+delta files or
-/// a paged file, per [`DurabilityOptions::storage`]); log appends go
-/// through a [`Session`].
+/// An [`Engine`] wrapped with checkpoint + operation-log durability
+/// rooted at a directory, with all I/O routed through a [`Vfs`].
+/// Checkpoints commit into a [`PagedStorage`]; log appends go through a
+/// [`Session`].
 pub struct DurableEngine {
     engine: Engine,
     dir: PathBuf,
     vfs: Arc<dyn Vfs>,
     opts: DurabilityOptions,
-    /// Checkpoint representation (mem or paged; see [`StorageSpec`]).
-    storage: Box<dyn StorageEngine>,
+    /// The page file checkpoints commit into.
+    storage: PagedStorage,
     /// The operation log: append/sync/rotate/truncate, LSN numbering.
     log: Session,
-    /// LSN covered by the newest checkpoint artifact.
+    /// LSN covered by the newest checkpoint.
     ckpt_lsn: u64,
-    /// Store journal version covered by the newest checkpoint artifact;
+    /// Store journal version covered by the newest checkpoint;
     /// `changes_since(ckpt_version)` is exactly what the next delta must
-    /// record. 0 at open: the artifacts on disk predate every in-process
+    /// record. 0 at open: the page file predates every in-process
     /// mutation (setup and replay included), and the store journal is
     /// never truncated outside its own tests.
     ckpt_version: u64,
@@ -241,31 +218,19 @@ pub struct DurableEngine {
 }
 
 impl DurableEngine {
-    #[cfg(test)]
-    fn snapshot_path(dir: &Path) -> PathBuf {
-        dir.join("universe.json")
-    }
-
     fn log_path_in(dir: &Path) -> PathBuf {
         dir.join("ops.idl")
     }
 
-    fn codec_hint(snapshot_codec: SnapshotCodec) -> u32 {
-        match snapshot_codec {
-            SnapshotCodec::Json => oplog::CODEC_HINT_JSON,
-            SnapshotCodec::Binary => oplog::CODEC_HINT_BINARY,
-        }
-    }
-
     /// Opens (or creates) a durable engine at `dir` on the real file
-    /// system: loads the snapshot if present and replays the operation
+    /// system: loads the checkpoint if present and replays the operation
     /// log.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, EngineError> {
         Self::open_with(dir, |_| Ok(()))
     }
 
     /// Like [`DurableEngine::open`], running `setup` (typically rule and
-    /// update-program installation) after the snapshot loads but *before*
+    /// update-program installation) after the checkpoint loads but *before*
     /// the log replays — logged program calls then resolve correctly.
     pub fn open_with(
         dir: impl Into<PathBuf>,
@@ -275,16 +240,15 @@ impl DurableEngine {
     }
 
     /// The fully general open: explicit [`Vfs`] (real or simulated) and
-    /// [`DurabilityOptions`]. Recovery order: the storage backend
-    /// recovers its committed universe (sweeping stale temp files and
-    /// replaying/migrating its own artifacts), `setup` runs, then the
-    /// log session opens and the tail replays (skipping records the
-    /// recovered state already covers, truncating any torn tail,
-    /// migrating a legacy line-format log to framed when asked).
+    /// [`DurabilityOptions`]. Recovery order: the page file recovers its
+    /// committed universe (sweeping stale temp files and migrating a
+    /// snapshot-era directory first), `setup` runs, then the log session
+    /// opens and the tail replays (skipping records the recovered state
+    /// already covers, truncating any torn tail, migrating a legacy
+    /// line-format log to framed).
     ///
-    /// A directory whose checkpoint belongs to the other storage backend
-    /// is refused before anything is touched: opening it would start
-    /// from an empty base and silently drop the checkpointed data.
+    /// A directory holding both `universe.json` and `pages.idb` is
+    /// refused before anything is touched: either file may be the newer.
     pub fn open_with_vfs(
         dir: impl Into<PathBuf>,
         vfs: Arc<dyn Vfs>,
@@ -292,17 +256,15 @@ impl DurableEngine {
         setup: impl FnOnce(&mut Engine) -> Result<(), EngineError>,
     ) -> Result<Self, EngineError> {
         let dir = dir.into();
-        Self::refuse_foreign_layout(vfs.as_ref(), &dir, opts.storage)?;
         let sync = opts.sync == SyncPolicy::Always;
         let mut stats = DurabilityStats::default();
         vfs.create_dir_all(&dir)
             .map_err(|e| storage_err(&format!("create {}", dir.display()), e))?;
 
-        stats.codec = opts.codec;
-        let mut storage = open_storage(opts.storage, Arc::clone(&vfs), &dir, opts.codec, sync);
+        let StorageSpec::Paged { pool_pages } = opts.storage;
+        let mut storage = PagedStorage::new(Arc::clone(&vfs), &dir, pool_pages);
         let recovered = storage.recover()?;
         stats.stale_temps_removed = recovered.stale_temps_removed;
-        stats.chain_len = recovered.chain_len;
         stats.migrated_snapshot = recovered.migrated_snapshot;
         stats.snapshot_bytes_written += recovered.migration_bytes;
         let snap_lsn = recovered.lsn;
@@ -324,14 +286,8 @@ impl DurableEngine {
             }
         }
 
-        let (log, opened) = Session::open(
-            Arc::clone(&vfs),
-            Self::log_path_in(&dir),
-            opts.format,
-            Self::codec_hint(opts.codec),
-            sync,
-            snap_lsn,
-        )?;
+        let (log, opened) =
+            Session::open(Arc::clone(&vfs), Self::log_path_in(&dir), sync, snap_lsn)?;
         stats.migrated_legacy = opened.migrated_legacy;
         stats.torn_bytes_truncated = opened.torn_bytes_truncated;
         let mut lsn = snap_lsn;
@@ -339,20 +295,20 @@ impl DurableEngine {
             if rec.lsn <= lsn {
                 // The checkpoint state (or an earlier duplicate) already
                 // contains this record — the crash-mid-checkpoint
-                // window, where the artifact committed but the log had
-                // not yet rotated.
+                // window, where the commit landed but the log had not
+                // yet rotated.
                 stats.records_skipped += 1;
                 continue;
             }
             if rec.lsn > lsn + 1 {
                 // The records between `lsn` and this one are nowhere:
-                // not in a checkpoint artifact, not in the log. That
-                // only happens when a disk dropped the fsync of a
-                // checkpoint artifact the log rotation then trusted.
+                // not in the checkpoint, not in the log. That only
+                // happens when a disk dropped the fsync of a checkpoint
+                // the log rotation then trusted.
                 // Refuse to assemble a gapped history — report it.
                 return Err(EngineError::Storage(format!(
                     "recovery gap: log record lsn {} follows state covered to lsn {} — \
-                     a checkpoint artifact is missing (unsynced or lost)",
+                     a checkpoint is missing (unsynced or lost)",
                     rec.lsn, lsn
                 )));
             }
@@ -388,27 +344,6 @@ impl DurableEngine {
         })
     }
 
-    /// Errors when `dir` holds the other backend's checkpoint: a mem
-    /// snapshot with no page file under `Paged`, or a page file under
-    /// `Mem`.
-    fn refuse_foreign_layout(
-        vfs: &dyn Vfs,
-        dir: &Path,
-        spec: StorageSpec,
-    ) -> Result<(), EngineError> {
-        let snapshot = vfs.exists(&dir.join("universe.json"));
-        let pages = vfs.exists(&dir.join("pages.idb"));
-        let found = match spec {
-            StorageSpec::Paged { .. } if snapshot && !pages => "mem (universe.json)",
-            StorageSpec::Mem if pages => "paged (pages.idb)",
-            _ => return Ok(()),
-        };
-        Err(EngineError::Storage(format!(
-            "{} holds a {found} checkpoint; refusing to open it with {spec} storage",
-            dir.display()
-        )))
-    }
-
     /// The durability directory this engine is rooted at.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -425,23 +360,23 @@ impl DurableEngine {
         self.log.lsn()
     }
 
-    /// The storage backend this engine commits checkpoints through.
+    /// The checkpoint storage this engine was opened with.
     pub fn storage_spec(&self) -> StorageSpec {
         self.storage.spec()
     }
 
     /// Durability counters (appends, syncs, recovery work at last open),
-    /// with the storage backend's buffer-pool counters merged in.
+    /// with the page file's buffer-pool counters merged in.
     pub fn durability_stats(&self) -> DurabilityStats {
         let mut stats = self.stats;
-        stats.pool = self.storage.pool_stats();
+        stats.pool = Some(self.storage.pool_stats());
         stats.storage_pages = self.storage.file_pages();
         stats
     }
 
-    /// Reads one relation's committed value straight off the storage
-    /// backend, bypassing the in-memory engine (diagnostics; for the
-    /// paged backend this exercises the buffer pool).
+    /// Reads one relation's committed value straight off the page file,
+    /// bypassing the in-memory engine (diagnostics; this exercises the
+    /// buffer pool).
     pub fn storage_read_relation(
         &mut self,
         db: &str,
@@ -477,7 +412,7 @@ impl DurableEngine {
 
     /// Appends one record and — under [`SyncPolicy::Always`] — fsyncs it
     /// *before* the caller acknowledges the mutation. `flags` tags the
-    /// record (legacy line logs cannot carry them and drop the tag).
+    /// record.
     fn log_record(&mut self, canonical: &str, flags: u8) -> Result<(), EngineError> {
         match self.log.append(flags, canonical) {
             Ok(bytes) => {
@@ -634,7 +569,7 @@ impl DurableEngine {
     }
 
     /// Collects the post-images (or tombstones) of every database/relation
-    /// dirtied since the last checkpoint artifact, from the store's change
+    /// dirtied since the last checkpoint, from the store's change
     /// journal. `None` means a delta cannot represent the changes (an
     /// unscoped universe mutation, e.g. a rollback) and the checkpoint
     /// must be full.
@@ -690,19 +625,19 @@ impl DurableEngine {
         Some(entries)
     }
 
-    /// Checkpoints under the configured [`CheckpointPolicy`]: an
-    /// incremental delta (only the slots dirtied since the last artifact)
-    /// when the policy, codec, and chain length allow; a full snapshot
-    /// otherwise. Either way the log rotates empty afterwards — recovery
-    /// is base + delta chain + log tail, each step individually atomic,
-    /// and replay skips records the artifacts cover, so a crash anywhere
-    /// in between is safe.
+    /// Checkpoints under the configured [`CheckpointPolicy`]: an in-place
+    /// commit of only the slots dirtied since the last checkpoint when
+    /// the policy allows, a full rewrite of the page file otherwise.
+    /// Either way the log rotates empty afterwards — recovery is page
+    /// file + log tail, each step individually atomic, and replay skips
+    /// records the page file covers, so a crash anywhere in between is
+    /// safe.
     pub fn checkpoint(&mut self) -> Result<Outcome, EngineError> {
         self.do_checkpoint(false)
     }
 
-    /// Forces a full-snapshot checkpoint, compacting any delta chain
-    /// (the `--checkpoint full` escape hatch).
+    /// Forces a checkpoint that rewrites the whole page file (the
+    /// `--checkpoint full` escape hatch).
     pub fn checkpoint_full(&mut self) -> Result<Outcome, EngineError> {
         self.do_checkpoint(true)
     }
@@ -711,9 +646,9 @@ impl DurableEngine {
         self.check_poisoned()?;
         let sync = self.opts.sync == SyncPolicy::Always;
         // Persist the maintenance state only when the views actually
-        // match the universe being snapshotted — adopting stale support
+        // match the universe being committed — adopting stale support
         // counts at the next open would claim freshness the data lacks.
-        // The newest artifact wins on recovery, so the blob (or its
+        // The newest commit wins on recovery, so the blob (or its
         // absence) rides every checkpoint.
         let state = if self.engine.views_fresh_now() {
             serde_json::to_string(self.engine.maintained_views()).ok()
@@ -726,7 +661,7 @@ impl DurableEngine {
             CheckpointPolicy::Full => 0,
         };
         let seal = CommitSeal { lsn: self.log.lsn(), maintenance: state, sync };
-        let delta_ok = !force_full && self.storage.can_delta(max_chain);
+        let delta_ok = !force_full && max_chain > 0 && self.storage.can_delta();
         // `delta_entries` is None when the journal recorded an unscoped
         // universe mutation — only a full commit can represent that.
         let info = match if delta_ok { self.delta_entries() } else { None } {
@@ -745,10 +680,9 @@ impl DurableEngine {
             CommitKind::Full => self.stats.full_checkpoints += 1,
         }
         self.stats.snapshot_bytes_written += info.bytes_written;
-        self.stats.chain_len = info.chain_len;
         self.ckpt_lsn = seal.lsn;
         self.ckpt_version = store_version;
-        self.log.rotate(Self::codec_hint(self.opts.codec))?;
+        self.log.rotate()?;
         Ok(Outcome::Checkpointed { lsn: seal.lsn })
     }
 
@@ -849,7 +783,8 @@ impl Backend for DurableEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idl_storage::persist;
+    use idl_object::Value;
+    use idl_storage::codec::{self, DeltaBlob};
     use idl_storage::vfs::{FaultPlan, SimVfs};
 
     fn fresh_dir(name: &str) -> PathBuf {
@@ -1161,34 +1096,6 @@ mod tests {
         assert!(!d.query("?.db.r(.a=X)").unwrap().is_true(), "unacked group not resurrected");
     }
 
-    #[test]
-    fn checkpoints_default_to_binary_snapshots() {
-        let open_mem = |dir: &std::path::Path| {
-            DurableEngine::open_with_vfs(
-                dir,
-                Arc::new(RealVfs::new()),
-                DurabilityOptions::default(),
-                |_| Ok(()),
-            )
-        };
-        let dir = fresh_dir("binary-ckpt");
-        {
-            let mut d = open_mem(&dir).unwrap();
-            d.update("?.db.r+(.a=1)").unwrap();
-            d.checkpoint().unwrap();
-        }
-        let bytes = std::fs::read(dir.join("universe.json")).unwrap();
-        assert!(bytes.starts_with(idl_storage::codec::SNAPSHOT_MAGIC));
-        let log = std::fs::read(dir.join("ops.idl")).unwrap();
-        let recovered = oplog::decode_log(&log).unwrap();
-        assert_eq!(recovered.version, oplog::FORMAT_VERSION);
-        assert_eq!(recovered.codec_hint, oplog::CODEC_HINT_BINARY);
-        let mut d = open_mem(&dir).unwrap();
-        assert!(d.query("?.db.r(.a=1)").unwrap().is_true());
-        assert_eq!(d.durability_stats().codec, SnapshotCodec::Binary);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// Every file under `/d` with its bytes, in path order.
     fn dir_image(vfs: &SimVfs) -> Vec<(PathBuf, Vec<u8>)> {
         let mut files = vfs.list_dir(Path::new("/d")).unwrap();
@@ -1196,204 +1103,160 @@ mod tests {
         files.into_iter().map(|p| (p.clone(), vfs.read(&p).unwrap())).collect()
     }
 
-    #[test]
-    fn opening_the_other_backends_directory_is_refused() {
-        let mem = DurabilityOptions { storage: StorageSpec::Mem, ..DurabilityOptions::default() };
-        let paged = DurabilityOptions {
-            storage: StorageSpec::Paged { pool_pages: 16 },
-            ..DurabilityOptions::default()
-        };
-        for (written, foreign, layout) in [(mem, paged, "universe.json"), (paged, mem, "pages.idb")]
-        {
-            let vfs = Arc::new(SimVfs::new(FaultPlan::none(41)));
-            {
-                let mut d = sim_open(&vfs, written).unwrap();
-                d.update("?.euter.r+(.date=3/3/85, .stkCode=zz, .clsPrice=7)").unwrap();
-                d.checkpoint().unwrap();
-                d.update("?.euter.r+(.date=3/4/85, .stkCode=zz, .clsPrice=8)").unwrap();
-            }
-            let before = dir_image(&vfs);
-            let Err(err) = sim_open(&vfs, foreign) else {
-                panic!("{} opened a directory holding {layout}", foreign.storage)
-            };
-            assert!(err.to_string().contains(layout), "{err}");
-            assert_eq!(dir_image(&vfs), before, "a refused open creates or changes no file");
-            let mut d = sim_open(&vfs, written).unwrap();
-            let quotes = d.query("?.euter.r(.stkCode=zz, .clsPrice=P)").unwrap();
-            assert_eq!(quotes.len(), 2, "the owning backend still sees every quote");
-        }
-    }
-
-    // Tests below assert snapshot-file and codec-specific artifacts
-    // that only the mem backend produces, so they pin both the codec
-    // and the storage backend.
-    fn json_opts() -> DurabilityOptions {
-        DurabilityOptions {
-            codec: SnapshotCodec::Json,
-            storage: StorageSpec::Mem,
-            ..DurabilityOptions::default()
-        }
-    }
-
-    fn bin_opts() -> DurabilityOptions {
-        DurabilityOptions {
-            codec: SnapshotCodec::Binary,
-            storage: StorageSpec::Mem,
-            ..DurabilityOptions::default()
-        }
+    /// The names of the files under `/d`, in order.
+    fn file_names(vfs: &SimVfs) -> Vec<String> {
+        let files = dir_image(vfs).into_iter();
+        files.map(|(p, _)| p.file_name().unwrap().to_string_lossy().into_owned()).collect()
     }
 
     #[test]
-    fn second_checkpoint_is_a_delta_and_recovery_replays_the_chain() {
-        let vfs = Arc::new(SimVfs::new(FaultPlan::none(31)));
-        {
-            let mut d = sim_open(&vfs, bin_opts()).unwrap();
-            d.update("?.db.r+(.a=1)").unwrap();
-            for i in 0..50 {
-                d.update(&format!("?.bulk.rows+(.k={i}, .payload=somelongatomvalue{i})")).unwrap();
-            }
-            d.checkpoint().unwrap(); // full: no base yet
-            assert_eq!(d.durability_stats().full_checkpoints, 1);
-            d.update("?.db.r+(.a=2)").unwrap();
-            d.update("?.other.s+(.b=1)").unwrap();
-            d.checkpoint().unwrap(); // delta 1
-            d.update("?.db.r-(.a=1)").unwrap();
-            d.checkpoint().unwrap(); // delta 2
-            let stats = d.durability_stats();
-            assert_eq!(stats.delta_checkpoints, 2);
-            assert_eq!(stats.chain_len, 2);
-            assert!(vfs.exists(Path::new("/d/universe.delta.1")));
-            assert!(vfs.exists(Path::new("/d/universe.delta.2")));
-            // the deltas only carry the dirtied slots, not the universe
-            let base = vfs.read(Path::new("/d/universe.json")).unwrap();
-            let d2 = vfs.read(Path::new("/d/universe.delta.2")).unwrap();
-            assert!(d2.len() < base.len());
-            d.update("?.tail.t+(.c=9)").unwrap(); // rides the log tail
-        }
-        let mut d = sim_open(&vfs, bin_opts()).unwrap();
-        assert_eq!(d.durability_stats().chain_len, 2, "chain adopted at open");
-        assert!(!d.query("?.db.r(.a=1)").unwrap().is_true(), "delta-2 delete applied");
-        assert!(d.query("?.db.r(.a=2)").unwrap().is_true());
-        assert!(d.query("?.other.s(.b=1)").unwrap().is_true());
-        assert!(d.query("?.tail.t(.c=9)").unwrap().is_true(), "log tail replayed on top");
-        assert_eq!(d.durability_stats().records_recovered, 1, "only the tail replays");
-    }
-
-    #[test]
-    fn chain_compacts_at_the_cap_and_on_demand() {
-        let vfs = Arc::new(SimVfs::new(FaultPlan::none(32)));
-        let opts =
-            DurabilityOptions { checkpoint: CheckpointPolicy::Auto { max_chain: 2 }, ..bin_opts() };
-        let mut d = sim_open(&vfs, opts).unwrap();
-        d.update("?.db.r+(.a=0)").unwrap();
-        d.checkpoint().unwrap(); // full
-        for i in 1..=2 {
+    fn checkpoints_edit_the_page_file_in_place_unless_asked_for_full() {
+        let vfs = Arc::new(SimVfs::new(FaultPlan::none(40)));
+        let mut d = sim_open(&vfs, DurabilityOptions::default()).unwrap();
+        for i in 0..3 {
             d.update(&format!("?.db.r+(.a={i})")).unwrap();
-            d.checkpoint().unwrap(); // deltas 1, 2
+            d.checkpoint().unwrap(); // full (no base yet), then in place
         }
-        assert_eq!(d.durability_stats().chain_len, 2);
-        d.update("?.db.r+(.a=3)").unwrap();
-        d.checkpoint().unwrap(); // chain at cap: compacts to a new full
-        let stats = d.durability_stats();
-        assert_eq!(stats.full_checkpoints, 2);
-        assert_eq!(stats.chain_len, 0);
-        assert!(!vfs.exists(Path::new("/d/universe.delta.1")), "chain swept");
-        // explicit full compaction regardless of chain headroom
-        d.update("?.db.r+(.a=4)").unwrap();
-        d.checkpoint().unwrap(); // delta again (fresh chain)
-        assert_eq!(d.durability_stats().chain_len, 1);
         d.checkpoint_full().unwrap();
-        assert_eq!(d.durability_stats().chain_len, 0);
-        assert!(!vfs.exists(Path::new("/d/universe.delta.1")));
-        // policy Full never writes deltas
-        let vfs2 = Arc::new(SimVfs::new(FaultPlan::none(33)));
-        let opts2 = DurabilityOptions { checkpoint: CheckpointPolicy::Full, ..bin_opts() };
-        let mut d2 = sim_open(&vfs2, opts2).unwrap();
-        d2.update("?.db.r+(.a=1)").unwrap();
-        d2.checkpoint().unwrap();
-        d2.update("?.db.r+(.a=2)").unwrap();
-        d2.checkpoint().unwrap();
-        let stats = d2.durability_stats();
-        assert_eq!((stats.full_checkpoints, stats.delta_checkpoints), (2, 0));
-    }
-
-    #[test]
-    fn lost_chain_member_reports_recovery_gap() {
-        // A lying disk can lose a delta the log rotation already
-        // trusted; recovery must refuse to assemble the gapped history
-        // (base + log tail skipping the delta's updates), not silently
-        // serve a non-prefix state.
-        let vfs = Arc::new(SimVfs::new(FaultPlan::none(37)));
-        let opts = bin_opts();
-        {
-            let mut d = sim_open(&vfs, opts).unwrap();
-            d.update("?.db.r+(.a=1)").unwrap();
-            d.checkpoint().unwrap(); // full base, covers lsn 1
-            d.update("?.db.r+(.a=2)").unwrap();
-            d.checkpoint().unwrap(); // delta 1, covers lsn 2
-            d.update("?.db.r+(.a=3)").unwrap(); // lsn 3, log tail
-            assert_eq!(d.durability_stats().chain_len, 1);
-        }
-        vfs.remove_file(Path::new("/d/universe.delta.1")).unwrap();
-        let Err(err) = sim_open(&vfs, opts) else { panic!("gapped history must not open") };
-        assert!(
-            err.to_string().contains("recovery gap"),
-            "expected a recovery-gap report, got: {err}"
-        );
-    }
-
-    #[test]
-    fn json_snapshot_dir_migrates_to_binary_on_open() {
-        let vfs = Arc::new(SimVfs::new(FaultPlan::none(34)));
-        {
-            let mut d = sim_open(&vfs, json_opts()).unwrap();
-            d.update("?.db.r+(.a=1)").unwrap();
-            d.checkpoint().unwrap();
-            d.update("?.db.r+(.a=2)").unwrap(); // in the log tail
-            let bytes = vfs.read(Path::new("/d/universe.json")).unwrap();
-            assert!(bytes.starts_with(b"{"), "json codec writes the JSON wrapper");
-            assert_eq!(d.durability_stats().codec, SnapshotCodec::Json);
-        }
-        // reopen with the binary codec: one-shot migration
-        let mut d = sim_open(&vfs, bin_opts()).unwrap();
         let stats = d.durability_stats();
-        assert!(stats.migrated_snapshot);
-        assert_eq!(d.query("?.db.r(.a=X)").unwrap().column("X").len(), 2);
-        let bytes = vfs.read(Path::new("/d/universe.json")).unwrap();
-        assert!(bytes.starts_with(idl_storage::codec::SNAPSHOT_MAGIC));
-        // and the migrated base supports delta checkpoints immediately
-        d.update("?.db.r+(.a=3)").unwrap();
-        d.checkpoint().unwrap();
-        assert_eq!(d.durability_stats().delta_checkpoints, 1);
+        assert_eq!((stats.full_checkpoints, stats.delta_checkpoints), (2, 2));
         drop(d);
-        let mut d = sim_open(&vfs, bin_opts()).unwrap();
-        assert!(!d.durability_stats().migrated_snapshot, "migration is one-shot");
+        assert_eq!(file_names(&vfs), ["ops.idl", "pages.idb"]);
+        let log = oplog::decode_log(&vfs.read(Path::new("/d/ops.idl")).unwrap()).unwrap();
+        assert_eq!(log.version, oplog::FORMAT_VERSION);
+        assert_eq!(log.codec_hint, oplog::CODEC_HINT_BINARY);
+        // the Full policy never edits in place
+        let opts = DurabilityOptions { checkpoint: CheckpointPolicy::Full, ..Default::default() };
+        let mut d = sim_open(&vfs, opts).unwrap();
         assert_eq!(d.query("?.db.r(.a=X)").unwrap().column("X").len(), 3);
+        d.update("?.db.r+(.a=9)").unwrap();
+        d.checkpoint().unwrap();
+        let stats = d.durability_stats();
+        assert_eq!((stats.full_checkpoints, stats.delta_checkpoints), (1, 0));
     }
 
     #[test]
-    fn opening_binary_dir_with_json_codec_keeps_working() {
-        let vfs = Arc::new(SimVfs::new(FaultPlan::none(35)));
+    fn a_log_that_skips_lsns_reports_a_recovery_gap() {
+        // A lying disk can lose a checkpoint the log rotation already
+        // trusted, leaving a log that starts past what the page file
+        // covers. Recovery must refuse to assemble the gapped history,
+        // not silently serve a non-prefix state.
+        let vfs = Arc::new(SimVfs::new(FaultPlan::none(37)));
+        vfs.create_dir_all(Path::new("/d")).unwrap();
+        vfs.write(Path::new("/d/ops.idl"), &oplog::encode_log([(2, "?.db.r+(.a=2)")])).unwrap();
+        let Err(err) = sim_open(&vfs, DurabilityOptions::default()) else {
+            panic!("gapped history must not open")
+        };
+        assert!(err.to_string().contains("recovery gap"), "{err}");
+    }
+
+    /// The updates a snapshot-era directory holds: the first two in its
+    /// base snapshot, the rest in delta files and the log tail.
+    const ERA_UPDATES: [&str; 5] =
+        ["?.db.r+(.a=1)", "?.gone.t+(.b=1)", "?.db.r+(.a=2)", "?.gone.t-(.b=1)", "?.db.r+(.a=3)"];
+
+    /// The universe after the first `n` [`ERA_UPDATES`].
+    fn era_universe(n: usize) -> Value {
+        let mut e = Engine::new();
+        for u in &ERA_UPDATES[..n] {
+            e.update(u).unwrap();
+        }
+        e.store().universe().clone()
+    }
+
+    /// How a snapshot-era directory's base snapshot is encoded.
+    #[derive(Clone, Copy, Debug)]
+    enum Base {
+        BareJson,
+        JsonWrapper,
+        BinaryWithChain,
+    }
+
+    /// Writes the directory an older build left: a `base` snapshot of
+    /// the first two updates, a two-delta chain after a binary base, and
+    /// the remaining updates in the log (a line log after a bare
+    /// universe, which records no LSN).
+    fn forge_snapshot_era(vfs: &SimVfs, base: Base) {
+        let dir = Path::new("/d");
+        vfs.create_dir_all(dir).unwrap();
+        let json = serde_json::to_string(&era_universe(2)).unwrap();
+        let framed = |from: usize| {
+            oplog::encode_log((from..ERA_UPDATES.len()).map(|i| (i as u64 + 1, ERA_UPDATES[i])))
+        };
+        let (snapshot, log) = match base {
+            Base::BareJson => {
+                let lines: String = ERA_UPDATES[2..].iter().map(|u| format!("{u}\n")).collect();
+                (json.into_bytes(), lines.into_bytes())
+            }
+            Base::JsonWrapper => {
+                let wrapper =
+                    format!(r#"{{"format":2,"lsn":2,"universe":{json},"maintenance":null}}"#);
+                (wrapper.into_bytes(), framed(2))
+            }
+            Base::BinaryWithChain => {
+                for seq in 1..=2u64 {
+                    let universe = era_universe(seq as usize + 2);
+                    let entries = universe.as_tuple().unwrap().iter();
+                    let entries = entries.map(|(db, v)| DeltaEntry::PutDatabase {
+                        db: db.clone(),
+                        value: v.clone(),
+                    });
+                    let delta = DeltaBlob {
+                        gen: 1,
+                        seq,
+                        prev_lsn: seq + 1,
+                        lsn: seq + 2,
+                        maintenance: None,
+                        entries: entries.collect(),
+                    };
+                    let path = dir.join(format!("universe.delta.{seq}"));
+                    vfs.write(&path, &codec::encode_delta(&delta)).unwrap();
+                }
+                (codec::encode_snapshot(&era_universe(2), 1, 2, None), framed(4))
+            }
+        };
+        vfs.write(&dir.join("universe.json"), &snapshot).unwrap();
+        vfs.write(&dir.join("ops.idl"), &log).unwrap();
+    }
+
+    #[test]
+    fn snapshot_era_directories_migrate_into_the_page_file_once() {
+        let want = Engine::from_universe(era_universe(ERA_UPDATES.len()))
+            .unwrap()
+            .universe_json()
+            .unwrap();
+        for base in [Base::BareJson, Base::JsonWrapper, Base::BinaryWithChain] {
+            let vfs = Arc::new(SimVfs::new(FaultPlan::none(42)));
+            forge_snapshot_era(&vfs, base);
+            let d = sim_open(&vfs, DurabilityOptions::default()).unwrap();
+            assert!(d.durability_stats().migrated_snapshot, "{base:?}");
+            assert_eq!(d.universe_json().unwrap(), want, "{base:?}");
+            drop(d);
+            assert_eq!(file_names(&vfs), ["ops.idl", "pages.idb"], "{base:?}");
+            let d = sim_open(&vfs, DurabilityOptions::default()).unwrap();
+            assert!(!d.durability_stats().migrated_snapshot, "{base:?}: migration is one-shot");
+            assert_eq!(d.universe_json().unwrap(), want, "{base:?}");
+        }
+    }
+
+    #[test]
+    fn a_snapshot_beside_a_page_file_is_refused_untouched() {
+        let vfs = Arc::new(SimVfs::new(FaultPlan::none(41)));
         {
-            let mut d = sim_open(&vfs, bin_opts()).unwrap();
+            let mut d = sim_open(&vfs, DurabilityOptions::default()).unwrap();
             d.update("?.db.r+(.a=1)").unwrap();
             d.checkpoint().unwrap();
             d.update("?.db.r+(.a=2)").unwrap();
-            d.checkpoint().unwrap(); // delta 1
-            assert_eq!(d.durability_stats().chain_len, 1);
         }
-        // no downgrade on open; the next checkpoint writes JSON and
-        // clears the chain
-        let mut d = sim_open(&vfs, json_opts()).unwrap();
-        assert_eq!(d.query("?.db.r(.a=X)").unwrap().column("X").len(), 2);
-        d.update("?.db.r+(.a=3)").unwrap();
-        d.checkpoint().unwrap();
-        assert_eq!(d.durability_stats().delta_checkpoints, 0);
-        assert!(vfs.read(Path::new("/d/universe.json")).unwrap().starts_with(b"{"));
-        assert!(!vfs.exists(Path::new("/d/universe.delta.1")), "chain cleared");
-        drop(d);
-        let mut d = sim_open(&vfs, json_opts()).unwrap();
-        assert_eq!(d.query("?.db.r(.a=X)").unwrap().column("X").len(), 3);
+        vfs.write(Path::new("/d/universe.json"), b"{}").unwrap();
+        // a stale temp file too: the refusal comes before the sweep
+        vfs.write(Path::new("/d/ops.idl.1.0.tmp"), b"torn").unwrap();
+        let before = dir_image(&vfs);
+        let Err(err) = sim_open(&vfs, DurabilityOptions::default()) else {
+            panic!("a directory holding both layouts opened")
+        };
+        assert!(err.to_string().contains("universe.json"), "{err}");
+        assert_eq!(dir_image(&vfs), before, "a refused open creates or changes no file");
     }
 
     #[test]
@@ -1413,48 +1276,11 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // forges a legacy on-disk layout by hand
-    fn stale_deltas_from_an_older_generation_are_ignored_and_swept() {
-        let vfs = Arc::new(SimVfs::new(FaultPlan::none(37)));
-        {
-            let mut d = sim_open(&vfs, DurabilityOptions::default()).unwrap();
-            d.update("?.db.r+(.a=1)").unwrap();
-            d.checkpoint().unwrap();
-            d.update("?.db.r+(.a=2)").unwrap();
-            d.checkpoint().unwrap(); // delta 1 (gen 1)
-        }
-        // simulate the crash window of a later full checkpoint: the new
-        // base (gen 2) renamed into place but the chain sweep never ran
-        {
-            let mut d = sim_open(&vfs, DurabilityOptions::default()).unwrap();
-            d.update("?.db.r+(.a=3)").unwrap();
-            let entries = d.delta_entries().unwrap();
-            assert!(!entries.is_empty());
-            persist::save_snapshot_vfs_codec(
-                d.vfs.as_ref(),
-                d.engine.store(),
-                &DurableEngine::snapshot_path(Path::new("/d")),
-                SnapshotCodec::Binary,
-                2,
-                d.last_lsn(),
-                true,
-                None,
-            )
-            .unwrap();
-            // delta 1 still on disk, now stale (gen 1 != 2)
-        }
-        let mut d = sim_open(&vfs, DurabilityOptions::default()).unwrap();
-        assert_eq!(d.durability_stats().chain_len, 0, "stale delta rejected");
-        assert!(!vfs.exists(Path::new("/d/universe.delta.1")), "stale delta swept");
-        assert_eq!(d.query("?.db.r(.a=X)").unwrap().column("X").len(), 3);
-    }
-
-    #[test]
-    fn maintenance_state_rides_the_newest_chain_artifact() {
+    fn maintenance_state_rides_the_newest_commit() {
         let vfs = Arc::new(SimVfs::new(FaultPlan::none(38)));
         let open = |vfs: &Arc<SimVfs>| {
             let v: Arc<dyn Vfs> = Arc::clone(vfs) as Arc<dyn Vfs>;
-            DurableEngine::open_with_vfs("/d", v, bin_opts(), install_view)
+            DurableEngine::open_with_vfs("/d", v, DurabilityOptions::default(), install_view)
         };
         {
             let mut d = open(&vfs).unwrap();
@@ -1462,13 +1288,13 @@ mod tests {
             d.checkpoint().unwrap(); // full, views stale: no blob
             d.query("?.v.all(.x=X)").unwrap(); // materialise
             d.update("?.db.r+(.a=2)").unwrap(); // maintained
-            d.checkpoint().unwrap(); // delta 1 carries the blob
+            d.checkpoint().unwrap(); // in place, carries the blob
             assert_eq!(d.durability_stats().delta_checkpoints, 1);
         }
         let d = open(&vfs).unwrap();
         assert!(
             d.durability_stats().maintenance_state_adopted,
-            "state from the newest delta adopted"
+            "state from the newest commit adopted"
         );
     }
 

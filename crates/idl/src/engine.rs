@@ -123,43 +123,22 @@ impl EngineOptionsBuilder {
         self
     }
 
-    /// Log/snapshot fsync policy for durable backends (the CLI's
+    /// Log/checkpoint fsync policy for durable backends (the CLI's
     /// `--fsync`).
     pub fn sync(mut self, sync: crate::durable::SyncPolicy) -> Self {
         self.durability.sync = sync;
         self
     }
 
-    /// Preferred on-disk log format for durable backends.
-    pub fn log_format(mut self, format: idl_storage::LogFormat) -> Self {
-        self.durability.format = format;
-        self
-    }
-
-    /// Snapshot encoding for durable backends (the CLI's `--codec`).
-    pub fn codec(mut self, codec: idl_storage::codec::SnapshotCodec) -> Self {
-        self.durability.codec = codec;
-        self
-    }
-
-    /// Full-vs-delta checkpoint policy for durable backends (the CLI's
+    /// Full-vs-in-place checkpoint policy for durable backends (the CLI's
     /// `--checkpoint full`).
     pub fn checkpoint_policy(mut self, policy: crate::durable::CheckpointPolicy) -> Self {
         self.durability.checkpoint = policy;
         self
     }
 
-    /// Storage backend for durable backends (the CLI's `--storage`):
-    /// the in-memory engine with snapshot/delta checkpoint files
-    /// (default) or the paged engine — slotted pages, B-trees and a
-    /// buffer pool over one page file.
-    pub fn storage(mut self, spec: idl_storage::StorageSpec) -> Self {
-        self.durability.storage = spec;
-        self
-    }
-
-    /// Buffer-pool capacity in pages (the CLI's `--pool-pages`);
-    /// selects the paged storage backend.
+    /// Buffer-pool capacity in pages of a durable backend's page file
+    /// (the CLI's `--pool-pages`).
     pub fn pool_pages(mut self, pages: usize) -> Self {
         self.durability.storage = idl_storage::StorageSpec::Paged { pool_pages: pages };
         self

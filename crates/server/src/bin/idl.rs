@@ -16,28 +16,19 @@
 //! * `--stock` — preload the paper's miniature stock universe.
 //! * `--mapping` — install the paper's two-level mapping (views + programs).
 //! * `--durable DIR` — run against a crash-safe [`DurableEngine`] rooted
-//!   at `DIR` (snapshot + checksummed operation log); mutating requests
-//!   are logged and fsynced before their outcome prints. With
-//!   `--mapping`, the mapping installs before the log replays.
-//! * `--fsync always|off` — log/snapshot fsync policy under `--durable`
+//!   at `DIR` (page-file checkpoints + checksummed operation log);
+//!   mutating requests are logged and fsynced before their outcome
+//!   prints. With `--mapping`, the mapping installs before the log
+//!   replays. A directory older builds checkpointed as `universe.json`
+//!   (+ delta files) is migrated into the page file on open.
+//! * `--fsync always|off` — log/checkpoint fsync policy under `--durable`
 //!   (default `always`; `off` is the unsafe ablation mode).
-//! * `--codec json|binary` — snapshot encoding under `--durable`
-//!   (default `binary`; a JSON directory migrates to binary on open
-//!   when binary is in effect).
-//! * `--storage mem|paged[:N]` — checkpoint storage backend under
-//!   `--durable` (default `mem`): `mem` keeps the universe in memory
-//!   and checkpoints to snapshot + delta-chain files; `paged` commits
-//!   into a single shadow-paged file of slotted pages and B-trees,
-//!   fronted by a buffer pool of `N` pages (default 1024). A directory
-//!   holding the other backend's checkpoint is refused, not opened
-//!   empty.
-//! * `--pool-pages N` — buffer-pool capacity for `--storage paged`
-//!   (shorthand for `--storage paged:N`).
+//! * `--pool-pages N` — buffer-pool capacity of the page file under
+//!   `--durable`, in 4 KiB pages (default 1024).
 //! * `--checkpoint [auto|full]` — after all scripts ran, write a
 //!   checkpoint and rotate the log (requires `--durable`; may be the
-//!   only action). Bare or `auto` lets the engine write an incremental
-//!   delta when it can; `full` forces a full snapshot, compacting any
-//!   delta chain.
+//!   only action). Bare or `auto` edits only the changed relations in
+//!   place when it can; `full` rewrites the whole page file.
 //! * `--sql` — treat `-e` input / script lines as the SQL-sugar dialect.
 //! * `--analyze` — run static binding analysis instead of executing.
 //! * `--explain` — pretty-print the compiled physical plan for each
@@ -51,8 +42,8 @@
 //!   plan-cache traffic, per-stratum telemetry, and the structural-sharing
 //!   counters (O(1) clones, copy-on-write breaks, pointer-equality hits,
 //!   sharing hit rate). Under `--durable` the durability counters
-//!   follow: log appends/syncs, checkpoints, recovery work, and — on
-//!   the paged backend — the buffer-pool hit/miss/eviction telemetry.
+//!   follow: log appends/syncs, checkpoints, recovery work, and the
+//!   buffer-pool hit/miss/eviction telemetry.
 //! * `-e STMT` — execute one statement from the command line.
 //!
 //! # `idl serve`
@@ -82,7 +73,7 @@
 
 use idl::{
     Backend, CheckpointPolicy, DurabilityStats, DurableEngine, Engine, EngineOptions, FaultPlan,
-    Outcome, RealVfs, SimVfs, SnapshotCodec, StorageSpec, SyncPolicy, Vfs,
+    Outcome, RealVfs, SimVfs, SyncPolicy, Vfs,
 };
 use idl_server::{serve, Client, ServerConfig};
 use std::path::{Path, PathBuf};
@@ -95,8 +86,6 @@ struct Cli {
     save: Option<PathBuf>,
     durable: Option<PathBuf>,
     fsync: SyncPolicy,
-    codec: Option<SnapshotCodec>,
-    storage: Option<StorageSpec>,
     pool_pages: Option<usize>,
     checkpoint: bool,
     checkpoint_policy: Option<CheckpointPolicy>,
@@ -135,8 +124,6 @@ impl Default for Cli {
             save: None,
             durable: None,
             fsync: SyncPolicy::Always,
-            codec: None,
-            storage: None,
             pool_pages: None,
             checkpoint: false,
             checkpoint_policy: None,
@@ -202,14 +189,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<(Mode, Cli), String>
                 let mode = args.next().ok_or("--fsync needs always|off")?;
                 cli.fsync = mode.parse()?;
             }
-            "--codec" => {
-                let c = args.next().ok_or("--codec needs json|binary")?;
-                cli.codec = Some(c.parse()?);
-            }
-            "--storage" => {
-                let s = args.next().ok_or("--storage needs mem|paged[:N]")?;
-                cli.storage = Some(s.parse().map_err(|e| format!("--storage: {e}"))?);
-            }
             "--pool-pages" => {
                 let n = args.next().ok_or("--pool-pages needs a page count")?;
                 let n: usize = n
@@ -222,9 +201,9 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<(Mode, Cli), String>
             }
             "--checkpoint" => {
                 cli.checkpoint = true;
-                // Optional bare value: `--checkpoint full` compacts any
-                // delta chain, `--checkpoint auto` (= bare `--checkpoint`)
-                // lets the engine pick delta vs full.
+                // Optional bare value: `--checkpoint full` rewrites the
+                // page file, `--checkpoint auto` (= bare `--checkpoint`)
+                // lets the engine pick in-place vs full.
                 if let Some(policy) = args.peek().and_then(|next| next.parse().ok()) {
                     cli.checkpoint_policy = Some(policy);
                     args.next();
@@ -305,7 +284,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<(Mode, Cli), String>
             "--help" | "-h" => {
                 println!(
                     "usage: idl [--snapshot F] [--save F] [--durable DIR] [--fsync always|off] \
-                     [--codec json|binary] [--storage mem|paged[:N]] [--pool-pages N] \
+                     [--pool-pages N] \
                      [--checkpoint [auto|full]] [--stock] [--mapping] \
                      [--sql] [--analyze] [--explain] [--no-compile] [--stats] [--threads N] \
                      [-e STMT] [script.idl ...]\n\
@@ -340,18 +319,9 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<(Mode, Cli), String>
         if cli.fsync != SyncPolicy::Always {
             return Err("--fsync requires --durable".into());
         }
-        if cli.codec.is_some() {
-            return Err("--codec requires --durable".into());
-        }
-        if cli.storage.is_some() {
-            return Err("--storage requires --durable".into());
-        }
         if cli.pool_pages.is_some() {
             return Err("--pool-pages requires --durable".into());
         }
-    }
-    if cli.pool_pages.is_some() && matches!(cli.storage, Some(StorageSpec::Mem)) {
-        return Err("--pool-pages needs the paged backend (--storage paged)".into());
     }
     Ok((mode, cli))
 }
@@ -378,18 +348,10 @@ fn open_durable(cli: &Cli, dir: &Path) -> Result<DurableEngine, String> {
         Err(_) => Arc::new(RealVfs::new()),
     };
     let mut builder = EngineOptions::builder().sync(cli.fsync);
-    if let Some(codec) = cli.codec {
-        builder = builder.codec(codec);
-    }
     if let Some(policy) = cli.checkpoint_policy {
         builder = builder.checkpoint_policy(policy);
     }
-    if let Some(spec) = cli.storage {
-        builder = builder.storage(spec);
-    }
     if let Some(pages) = cli.pool_pages {
-        // `--pool-pages N` alone selects the paged backend outright;
-        // combined with `--storage paged[:M]` the explicit count wins.
         builder = builder.pool_pages(pages);
     }
     let opts = builder.durability();
@@ -673,24 +635,24 @@ fn print_durability_stats(d: &DurabilityStats) {
         d.records_recovered, d.records_skipped, d.torn_bytes_truncated
     );
     println!(
-        "   checkpoints:    {} full, {} delta ({}B written, chain length {}, codec {:?})",
-        d.full_checkpoints, d.delta_checkpoints, d.snapshot_bytes_written, d.chain_len, d.codec
+        "   checkpoints:    {} full, {} in place ({}B written{})",
+        d.full_checkpoints,
+        d.delta_checkpoints,
+        d.snapshot_bytes_written,
+        if d.migrated_snapshot { "; snapshot directory migrated at open" } else { "" }
     );
-    match &d.pool {
-        Some(p) => {
-            println!("   storage:        paged, {} pages in the page file", d.storage_pages);
-            let total = p.hits + p.misses;
-            let rate = if total == 0 { 0.0 } else { p.hits as f64 / total as f64 * 100.0 };
-            println!(
-                "   buffer pool:    {}/{} pages resident, {} hits / {} misses ({rate:.1}% hit rate)",
-                p.resident, p.capacity, p.hits, p.misses
-            );
-            println!(
-                "   buffer pool:    {} evictions, {} dirty write-backs",
-                p.evictions, p.dirty_writebacks
-            );
-        }
-        None => println!("   storage:        mem (snapshot + delta chain; no buffer pool)"),
+    println!("   storage:        {} pages in the page file", d.storage_pages);
+    if let Some(p) = &d.pool {
+        let total = p.hits + p.misses;
+        let rate = if total == 0 { 0.0 } else { p.hits as f64 / total as f64 * 100.0 };
+        println!(
+            "   buffer pool:    {}/{} pages resident, {} hits / {} misses ({rate:.1}% hit rate)",
+            p.resident, p.capacity, p.hits, p.misses
+        );
+        println!(
+            "   buffer pool:    {} evictions, {} dirty write-backs",
+            p.evictions, p.dirty_writebacks
+        );
     }
 }
 

@@ -272,18 +272,20 @@ pub struct StatsReply {
 /// `idl_storage::DurabilityStats` / `idl_storage::BufferPoolStats`).
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct StorageStatsWire {
-    /// The configured backend, as its spec string (`mem` / `paged:N`).
+    /// The configured storage, as its spec string (`paged:N`; older
+    /// servers may also report `mem`).
     pub backend: String,
-    /// Page-file size in pages (0 on the mem backend).
+    /// Page-file size in pages (0 from an older server's mem backend).
     pub pages: u64,
     /// Delta checkpoints written since open.
     pub delta_checkpoints: u64,
     /// Full checkpoints written since open.
     pub full_checkpoints: u64,
-    /// Current delta-chain length (mem backend; 0 on paged).
+    /// Delta-chain length: always 0 from this build (only an older
+    /// server's mem backend kept a chain).
     pub chain_len: u64,
-    /// Buffer-pool counters (`None` on the mem backend — no page file
-    /// to cache).
+    /// Buffer-pool counters (`None` from an older server's mem backend —
+    /// no page file to cache).
     #[serde(default)]
     pub pool: Option<BufferPoolStatsWire>,
 }

@@ -203,8 +203,8 @@ impl Shared {
 /// frame (`None` without durability).
 pub(crate) fn storage_stats_wire(backend: &dyn Backend) -> Option<StorageStatsWire> {
     let stats = backend.durability_stats()?;
-    let spec = backend.storage_spec().unwrap_or_default();
-    Some(StorageStatsWire::from_stats(spec.to_string(), &stats))
+    let spec = backend.storage_spec().map(|s| s.to_string()).unwrap_or_default();
+    Some(StorageStatsWire::from_stats(spec, &stats))
 }
 
 /// A running server. Dropping the handle initiates a drain; call

@@ -19,7 +19,8 @@
 //! * [`DELTA_MAGIC`] — an incremental delta checkpoint
 //!   (`gen | seq | prev_lsn | lsn | maintenance | name table | entries`),
 //!   recording only the databases/relations dirtied since the previous
-//!   checkpoint in the chain (see `idl::durable`);
+//!   checkpoint in the chain — written by older builds, now read only to
+//!   migrate their directories (see [`crate::engine`]);
 //! * [`VALUE_MAGIC`] — a bare value (the server's negotiated binary
 //!   `DumpUniverse` payload).
 //!
@@ -82,36 +83,13 @@ pub const CODEC_VERSION: u64 = 3;
 /// value that ever lived as JSON is far inside this bound.)
 const MAX_DEPTH: usize = 512;
 
-/// Which encoding snapshots are written in.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+/// The encoding checkpoints are written in: this module's, inside the
+/// page file. It has one variant because `DurabilityOptions::codec` and
+/// the benchmark package name it; JSON snapshots are only read.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SnapshotCodec {
-    /// The binary containers of this module. The default.
-    #[default]
+    /// The binary encoding of this module.
     Binary,
-    /// The legacy JSON wrapper (`{"format":2,…}`); kept fully writable for
-    /// `--codec json` and the codec ablation.
-    Json,
-}
-
-impl std::fmt::Display for SnapshotCodec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotCodec::Binary => write!(f, "binary"),
-            SnapshotCodec::Json => write!(f, "json"),
-        }
-    }
-}
-
-impl std::str::FromStr for SnapshotCodec {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "binary" | "bin" => Ok(SnapshotCodec::Binary),
-            "json" => Ok(SnapshotCodec::Json),
-            other => Err(format!("unknown codec '{other}' (expected json|binary)")),
-        }
-    }
 }
 
 /// One entry of a delta checkpoint: the post-image (or tombstone) of a

@@ -1,43 +1,53 @@
-//! The pluggable storage API: [`StorageEngine`] and its two backends.
+//! The checkpoint store of a durable directory: [`PagedStorage`].
 //!
 //! The durable engine (in the `idl` crate) separates *what* must persist
 //! — the universe at each checkpoint, plus the op-log tail — from *how*
-//! it is represented on disk. This module owns the "how" behind one
-//! trait:
+//! it is represented on disk. This module owns the "how": a single page
+//! file (`pages.idb`) holding a catalog B-tree, per-relation row B-trees,
+//! and a blob heap, fronted by a fixed-capacity buffer pool
+//! ([`crate::buffer_pool`]) with SIEVE eviction. Commits are
+//! shadow-paged: modified pages go to fresh page ids, and a
+//! double-buffered meta page (slots 0/1, alternating by commit epoch)
+//! flips the root atomically *after* the data pages sync — the
+//! write-back order that makes torn commits fall back to the previous
+//! epoch.
 //!
-//! * [`MemStorage`] — the original representation: the whole universe in
-//!   RAM, checkpoints written as atomic snapshot files
-//!   (`universe.json`) extended by an incremental delta chain
-//!   (`universe.delta.N`), exactly the artifacts the pre-trait free
-//!   functions in [`crate::persist`] produced.
-//! * [`PagedStorage`] — a paged representation: a single page file
-//!   (`pages.idb`) holding a catalog B-tree, per-relation row B-trees,
-//!   and a blob heap, fronted by a fixed-capacity buffer pool
-//!   ([`crate::buffer_pool`]) with SIEVE eviction. Commits are
-//!   shadow-paged: modified pages go to fresh page ids, and a
-//!   double-buffered meta page (slots 0/1, alternating by commit epoch)
-//!   flips the root atomically *after* the data pages sync — the
-//!   write-back order that makes torn commits fall back to the previous
-//!   epoch.
+//! [`apply_full`](PagedStorage::apply_full) persists the whole universe;
+//! [`apply_delta`](PagedStorage::apply_delta) persists only the
+//! databases/relations dirtied since the previous checkpoint, as B-tree
+//! edits against the live file. [`recover`](PagedStorage::recover)
+//! returns the universe the page file covers plus the op-log LSN to
+//! replay from.
 //!
-//! Both backends speak the same checkpoint vocabulary as the delta
-//! chain: [`apply_full`](StorageEngine::apply_full) persists the whole
-//! universe, [`apply_delta`](StorageEngine::apply_delta) persists only
-//! the databases/relations dirtied since the previous checkpoint (for
-//! the paged backend that means B-tree edits against the live file, not
-//! a rewrite). [`recover`](StorageEngine::recover) returns the universe
-//! the artifacts cover plus the op-log LSN to replay from.
+//! # Snapshot-era directories
 //!
-//! Backend choice is a [`StorageSpec`]: `DurabilityOptions` builders
-//! and the `idl --storage` flag both produce one.
+//! Older builds checkpointed into `universe.json` — a bare JSON universe,
+//! the JSON wrapper, or an `IDLSNAP3` binary snapshot — extended by a
+//! `universe.delta.N` chain. `recover` reads such a directory once and
+//! migrates it into the page file at the same covered LSN with the same
+//! maintenance blob, crash-safely at every file-system operation:
+//!
+//! 1. commit the recovered universe to `pages.idb.migrating` and sync it
+//!    (the side name must not end in `.tmp`, which the stale-temp sweep
+//!    would remove once finished);
+//! 2. remove `universe.json`, sync the directory;
+//! 3. remove the delta files, sync the directory;
+//! 4. rename the side file to `pages.idb`, sync the directory.
+//!
+//! A crash before step 2 is durable leaves `universe.json`, so the next
+//! open migrates again; after it, the side file without `universe.json`
+//! means "finish steps 3–4". `universe.json` beside `pages.idb` never
+//! arises from this protocol (it comes from builds that let one
+//! directory hold both representations), and is refused without touching
+//! any file.
 
 use crate::btree;
 use crate::buffer_pool::{BufferPool, BufferPoolStats, Pager};
-use crate::codec::{self, DeltaBlob, DeltaEntry, SnapshotCodec};
+use crate::codec::{self, DeltaEntry};
 use crate::error::{StorageError, StorageResult};
 use crate::heap;
 use crate::page::{self, BlobRef, Meta, PageId, PageRef, PAGE_SIZE};
-use crate::persist;
+use crate::persist::{self, io_err};
 use crate::store::Store;
 use crate::vfs::Vfs;
 use idl_object::{Name, Value};
@@ -45,15 +55,24 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Default buffer-pool capacity for the paged backend, in pages (4 MiB).
+/// Default buffer-pool capacity, in pages (4 MiB).
 pub const DEFAULT_POOL_PAGES: usize = 1024;
 
-/// Which storage backend a durable directory uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+/// The page file.
+const PAGE_FILE: &str = "pages.idb";
+/// Where a snapshot-era directory's universe is committed before it
+/// becomes the page file.
+const MIGRATING_FILE: &str = "pages.idb.migrating";
+/// The snapshot-era base checkpoint.
+const SNAPSHOT_FILE: &str = "universe.json";
+/// Prefix of the snapshot-era delta files (`universe.delta.<seq>`).
+const DELTA_PREFIX: &str = "universe.delta.";
+
+/// How a durable directory stores its checkpoints: the page file with a
+/// buffer pool of `pool_pages` pages. It has one variant because
+/// `DurabilityOptions::storage` and the benchmark package name it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StorageSpec {
-    /// In-memory universe, snapshot + delta-chain checkpoint files.
-    #[default]
-    Mem,
     /// Slotted-page file with B-trees and a buffer pool.
     Paged {
         /// Buffer-pool capacity in pages.
@@ -61,36 +80,10 @@ pub enum StorageSpec {
     },
 }
 
-impl StorageSpec {
-    /// The paged spec with the default pool size.
-    pub fn paged() -> StorageSpec {
-        StorageSpec::Paged { pool_pages: DEFAULT_POOL_PAGES }
-    }
-}
-
 impl std::fmt::Display for StorageSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StorageSpec::Mem => write!(f, "mem"),
             StorageSpec::Paged { pool_pages } => write!(f, "paged:{pool_pages}"),
-        }
-    }
-}
-
-impl std::str::FromStr for StorageSpec {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "mem" | "memory" => Ok(StorageSpec::Mem),
-            "paged" => Ok(StorageSpec::paged()),
-            other => match other.strip_prefix("paged:") {
-                Some(n) => match n.parse::<usize>() {
-                    Ok(pages) if pages > 0 => Ok(StorageSpec::Paged { pool_pages: pages }),
-                    _ => Err(format!("bad pool size '{n}' (expected a positive page count)")),
-                },
-                None => Err(format!("unknown storage '{other}' (expected mem|paged|paged:N)")),
-            },
         }
     }
 }
@@ -111,7 +104,7 @@ pub struct CommitSeal {
 /// How a commit was persisted.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CommitKind {
-    /// Incrementally (delta file, or in-place B-tree edits).
+    /// Incrementally, as in-place B-tree edits.
     Delta,
     /// As a full rewrite of the universe.
     Full,
@@ -122,320 +115,28 @@ pub enum CommitKind {
 pub struct CommitInfo {
     /// Delta or full.
     pub kind: CommitKind,
-    /// Bytes written to checkpoint artifacts by this commit.
+    /// Bytes written to the page file by this commit.
     pub bytes_written: u64,
-    /// Delta-chain length after the commit (always 0 for paged storage,
-    /// which has no chain to compact).
-    pub chain_len: u64,
 }
 
-/// What [`StorageEngine::recover`] found.
+/// What [`PagedStorage::recover`] found.
 #[derive(Clone, Debug, Default)]
 pub struct RecoveredState {
-    /// The universe the checkpoint artifacts cover (`None` = no base
-    /// state on disk; start empty and replay the whole log).
+    /// The universe the page file covers (`None` = no base state on
+    /// disk; start empty and replay the whole log).
     pub universe: Option<Value>,
     /// Op-log LSN the recovered state covers.
     pub lsn: u64,
-    /// Maintenance-state blob of the newest artifact.
+    /// Maintenance-state blob of the newest commit.
     pub maintenance: Option<String>,
-    /// Delta-chain length adopted (0 for paged storage).
-    pub chain_len: u64,
     /// Stale temp files swept from the directory.
     pub stale_temps_removed: u64,
-    /// Whether a legacy JSON snapshot was migrated to binary.
+    /// Whether a snapshot-era directory was migrated into the page file.
     pub migrated_snapshot: bool,
     /// Bytes written by that migration.
     pub migration_bytes: u64,
 }
 
-/// A checkpoint representation: where committed universes live between
-/// runs of the durable engine. See the module docs for the two backends.
-pub trait StorageEngine: Send {
-    /// The spec this backend was opened with.
-    fn spec(&self) -> StorageSpec;
-
-    /// Loads (or initialises) the on-disk state. Called once, before any
-    /// commit or read.
-    fn recover(&mut self) -> StorageResult<RecoveredState>;
-
-    /// Whether the next checkpoint may be incremental. `max_chain` is
-    /// the policy bound on delta-chain length (0 forces full
-    /// checkpoints; the paged backend has no chain and only needs it to
-    /// be nonzero).
-    fn can_delta(&self, max_chain: usize) -> bool;
-
-    /// Commits the databases/relations dirtied since the previous
-    /// checkpoint. Only valid when [`can_delta`](Self::can_delta) said
-    /// so. On error nothing is committed.
-    fn apply_delta(
-        &mut self,
-        entries: &[DeltaEntry],
-        seal: &CommitSeal,
-    ) -> StorageResult<CommitInfo>;
-
-    /// Commits the whole universe. On error nothing is committed.
-    fn apply_full(&mut self, store: &Store, seal: &CommitSeal) -> StorageResult<CommitInfo>;
-
-    /// Reads one relation's committed value back from storage (`None` =
-    /// the database or relation does not exist in the committed state).
-    /// For the paged backend this is a page-file read through the buffer
-    /// pool; for the mem backend it reads the retained in-RAM image.
-    fn read_relation(&mut self, db: &str, rel: &str) -> StorageResult<Option<Value>>;
-
-    /// Buffer-pool counters (`None` for backends without a pool).
-    fn pool_stats(&self) -> Option<BufferPoolStats>;
-
-    /// Logical size of the page file in pages (0 for backends without
-    /// one) — with [`BufferPoolStats::capacity`] this is how "the data
-    /// outgrew the pool" becomes observable.
-    fn file_pages(&self) -> u64 {
-        0
-    }
-}
-
-/// Opens the backend named by `spec` rooted at `dir` (nothing is read
-/// until [`StorageEngine::recover`]). `codec` and `sync` govern how the
-/// mem backend writes snapshots; the paged backend always writes its
-/// binary page formats.
-pub fn open_storage(
-    spec: StorageSpec,
-    vfs: Arc<dyn Vfs>,
-    dir: &Path,
-    codec: SnapshotCodec,
-    sync: bool,
-) -> Box<dyn StorageEngine> {
-    match spec {
-        StorageSpec::Mem => Box::new(MemStorage::new(vfs, dir, codec, sync)),
-        StorageSpec::Paged { pool_pages } => Box::new(PagedStorage::new(vfs, dir, pool_pages)),
-    }
-}
-
-// =================================================================== mem
-
-/// The snapshot + delta-chain backend (see module docs).
-pub struct MemStorage {
-    vfs: Arc<dyn Vfs>,
-    dir: PathBuf,
-    /// Codec full snapshots are written in.
-    codec: SnapshotCodec,
-    sync: bool,
-    /// Codec of the base snapshot currently on disk.
-    disk_codec: SnapshotCodec,
-    has_base: bool,
-    gen: u64,
-    chain_len: u64,
-    /// LSN covered by the newest artifact (a delta's `prev_lsn`).
-    ckpt_lsn: u64,
-    /// Copy-on-write image of the committed universe, kept for
-    /// [`StorageEngine::read_relation`] (shares interiors with the live
-    /// store until either side mutates — O(1) to retain).
-    universe: Value,
-}
-
-impl MemStorage {
-    /// A mem backend rooted at `dir`; call `recover` before use.
-    pub fn new(
-        vfs: Arc<dyn Vfs>,
-        dir: impl Into<PathBuf>,
-        codec: SnapshotCodec,
-        sync: bool,
-    ) -> MemStorage {
-        MemStorage {
-            vfs,
-            dir: dir.into(),
-            codec,
-            sync,
-            disk_codec: codec,
-            has_base: false,
-            gen: 0,
-            chain_len: 0,
-            ckpt_lsn: 0,
-            universe: Value::empty_tuple(),
-        }
-    }
-
-    fn snapshot_path(&self) -> PathBuf {
-        self.dir.join("universe.json")
-    }
-
-    fn delta_path(&self, seq: u64) -> PathBuf {
-        self.dir.join(format!("universe.delta.{seq}"))
-    }
-
-    /// Best-effort removal of delta files from `from_seq` upward (stale
-    /// chain members from an older generation or a cleared chain).
-    fn sweep_deltas(&self, from_seq: u64) {
-        let mut k = from_seq;
-        while self.vfs.exists(&self.delta_path(k)) {
-            if self.vfs.remove_file(&self.delta_path(k)).is_err() {
-                break;
-            }
-            k += 1;
-        }
-    }
-
-    fn apply_entries(universe: &mut Value, entries: &[DeltaEntry]) {
-        for e in entries {
-            let Some(t) = universe.as_tuple_mut() else { return };
-            match e {
-                DeltaEntry::DropDatabase { db } => {
-                    t.remove(db.as_str());
-                }
-                DeltaEntry::PutDatabase { db, value } => {
-                    t.insert(db.clone(), value.clone());
-                }
-                DeltaEntry::DropRelation { db, rel } => {
-                    if let Some(dbt) = t.get_mut(db.as_str()).and_then(|v| v.as_tuple_mut()) {
-                        dbt.remove(rel.as_str());
-                    }
-                }
-                DeltaEntry::PutRelation { db, rel, value } => {
-                    if let Some(dbt) = t.get_mut(db.as_str()).and_then(|v| v.as_tuple_mut()) {
-                        dbt.insert(rel.clone(), value.clone());
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[allow(deprecated)] // the backends are what the deprecated free functions became
-impl StorageEngine for MemStorage {
-    fn spec(&self) -> StorageSpec {
-        StorageSpec::Mem
-    }
-
-    fn recover(&mut self) -> StorageResult<RecoveredState> {
-        let mut out = RecoveredState {
-            stale_temps_removed: persist::clean_stale_temps(self.vfs.as_ref(), &self.dir)?,
-            ..RecoveredState::default()
-        };
-        let snap = self.snapshot_path();
-        if !self.vfs.exists(&snap) {
-            self.has_base = false;
-            return Ok(out);
-        }
-        self.has_base = true;
-        let (store, meta) = persist::load_snapshot_vfs_meta(self.vfs.as_ref(), &snap)?;
-        self.gen = meta.gen;
-        self.disk_codec = meta.codec;
-        let mut covered = meta.lsn;
-        let mut maint = meta.maintenance;
-        // Replay the delta chain: universe.delta.1, .2, … as long as each
-        // member links to what came before (same generation, consecutive
-        // seq, prev_lsn = the LSN covered so far). A member failing any
-        // of those is a stale leftover — a crash window between a full
-        // checkpoint and its chain sweep — and ends the chain.
-        let mut universe = store.universe().clone();
-        self.chain_len = 0;
-        if meta.codec == SnapshotCodec::Binary {
-            loop {
-                let path = self.delta_path(self.chain_len + 1);
-                if !self.vfs.exists(&path) {
-                    break;
-                }
-                let Ok(delta) = persist::load_delta_vfs(self.vfs.as_ref(), &path) else { break };
-                if delta.gen != self.gen
-                    || delta.seq != self.chain_len + 1
-                    || delta.prev_lsn != covered
-                {
-                    break;
-                }
-                codec::apply_delta(&mut universe, &delta)?;
-                covered = delta.lsn;
-                maint = delta.maintenance;
-                self.chain_len += 1;
-            }
-        }
-        self.sweep_deltas(self.chain_len + 1);
-        if self.codec == SnapshotCodec::Binary && meta.codec == SnapshotCodec::Json {
-            // One-shot migration: re-save the recovered checkpoint state
-            // (base + any impossible chain — JSON bases have none) as a
-            // binary base covering the same LSN, before the log tail
-            // replays. A crash mid-write leaves the old JSON base intact
-            // (atomic rename), so migration simply re-runs at the next
-            // open.
-            self.gen = 1;
-            let bytes = codec::encode_snapshot(&universe, self.gen, covered, maint.as_deref());
-            persist::write_atomic(self.vfs.as_ref(), &snap, &bytes, self.sync)?;
-            self.disk_codec = SnapshotCodec::Binary;
-            out.migrated_snapshot = true;
-            out.migration_bytes = bytes.len() as u64;
-        }
-        self.ckpt_lsn = covered;
-        self.universe = universe.clone();
-        out.universe = Some(universe);
-        out.lsn = covered;
-        out.maintenance = maint;
-        out.chain_len = self.chain_len;
-        Ok(out)
-    }
-
-    fn can_delta(&self, max_chain: usize) -> bool {
-        self.has_base
-            && self.codec == SnapshotCodec::Binary
-            && self.disk_codec == SnapshotCodec::Binary
-            && (self.chain_len as usize) < max_chain
-    }
-
-    fn apply_delta(
-        &mut self,
-        entries: &[DeltaEntry],
-        seal: &CommitSeal,
-    ) -> StorageResult<CommitInfo> {
-        let seq = self.chain_len + 1;
-        let blob = DeltaBlob {
-            gen: self.gen,
-            seq,
-            prev_lsn: self.ckpt_lsn,
-            lsn: seal.lsn,
-            maintenance: seal.maintenance.clone(),
-            entries: entries.to_vec(),
-        };
-        let bytes =
-            persist::save_delta_vfs(self.vfs.as_ref(), &self.delta_path(seq), &blob, seal.sync)?;
-        self.chain_len = seq;
-        self.ckpt_lsn = seal.lsn;
-        Self::apply_entries(&mut self.universe, entries);
-        Ok(CommitInfo { kind: CommitKind::Delta, bytes_written: bytes, chain_len: self.chain_len })
-    }
-
-    fn apply_full(&mut self, store: &Store, seal: &CommitSeal) -> StorageResult<CommitInfo> {
-        // The new base gets a fresh generation, so any chain member
-        // surviving a crash before the sweep below is rejected (and
-        // removed) at the next open.
-        let bytes = persist::save_snapshot_vfs_codec(
-            self.vfs.as_ref(),
-            store,
-            &self.snapshot_path(),
-            self.codec,
-            self.gen + 1,
-            seal.lsn,
-            seal.sync,
-            seal.maintenance.clone(),
-        )?;
-        self.gen += 1;
-        self.has_base = true;
-        self.disk_codec = self.codec;
-        self.sweep_deltas(1);
-        self.chain_len = 0;
-        self.ckpt_lsn = seal.lsn;
-        self.universe = store.universe().clone();
-        Ok(CommitInfo { kind: CommitKind::Full, bytes_written: bytes, chain_len: 0 })
-    }
-
-    fn read_relation(&mut self, db: &str, rel: &str) -> StorageResult<Option<Value>> {
-        Ok(self.universe.attr(db).and_then(|d| d.attr(rel)).cloned())
-    }
-
-    fn pool_stats(&self) -> Option<BufferPoolStats> {
-        None
-    }
-}
-
-// ================================================================= paged
-//
 // Catalog key encoding (byte-ordered so a database's entry sorts
 // immediately before its relations'):
 //
@@ -616,7 +317,7 @@ fn decode_db_val(v: &[u8]) -> StorageResult<DbVal> {
     }
 }
 
-/// The paged backend (see module docs): catalog + row B-trees + blob
+/// The checkpoint store (see module docs): catalog + row B-trees + blob
 /// heap in `pages.idb`, shadow-paged commits behind a buffer pool.
 pub struct PagedStorage {
     vfs: Arc<dyn Vfs>,
@@ -634,10 +335,14 @@ pub struct PagedStorage {
 }
 
 impl PagedStorage {
-    /// A paged backend rooted at `dir`; call `recover` before use.
+    /// The checkpoint store of `dir`; call `recover` before use.
     pub fn new(vfs: Arc<dyn Vfs>, dir: impl Into<PathBuf>, pool_pages: usize) -> PagedStorage {
-        let dir = dir.into();
-        let path = dir.join("pages.idb");
+        Self::at(vfs, dir.into(), PAGE_FILE, pool_pages)
+    }
+
+    /// A store over the page file `file` inside `dir`.
+    fn at(vfs: Arc<dyn Vfs>, dir: PathBuf, file: &str, pool_pages: usize) -> PagedStorage {
+        let path = dir.join(file);
         let pool = BufferPool::new(Arc::clone(&vfs), path.clone(), pool_pages);
         PagedStorage {
             vfs,
@@ -1059,7 +764,7 @@ impl PagedStorage {
         self.put_db(catalog, db, &dbv)
     }
 
-    /// The body of [`StorageEngine::apply_delta`] (wrapped for abort).
+    /// The body of [`PagedStorage::apply_delta`] (wrapped for abort).
     fn delta_txn(&mut self, entries: &[DeltaEntry], seal: &CommitSeal) -> StorageResult<u64> {
         let mut catalog = self.meta.catalog;
         for e in entries {
@@ -1080,7 +785,7 @@ impl PagedStorage {
         self.finish_commit(catalog, seal)
     }
 
-    /// The body of [`StorageEngine::apply_full`] (wrapped for abort):
+    /// The body of a full commit (wrapped for abort):
     /// frees every committed page and rebuilds the file's trees from the
     /// live universe with bulk-packed leaves.
     fn full_txn(&mut self, universe: &Value, seal: &CommitSeal) -> StorageResult<(u64, bool)> {
@@ -1173,17 +878,35 @@ impl PagedStorage {
     }
 }
 
-#[allow(deprecated)] // the backends are what the deprecated free functions became
-impl StorageEngine for PagedStorage {
-    fn spec(&self) -> StorageSpec {
+/// The public face of the checkpoint store.
+impl PagedStorage {
+    /// The spec this store was opened with.
+    pub fn spec(&self) -> StorageSpec {
         StorageSpec::Paged { pool_pages: self.pool_pages }
     }
 
-    fn recover(&mut self) -> StorageResult<RecoveredState> {
+    /// Loads (or initialises) the on-disk state, migrating a
+    /// snapshot-era directory first (see module docs). Called once,
+    /// before any commit or read.
+    pub fn recover(&mut self) -> StorageResult<RecoveredState> {
+        let has_snapshot = self.vfs.exists(&self.dir.join(SNAPSHOT_FILE));
+        if has_snapshot && self.vfs.exists(&self.path) {
+            return Err(StorageError::Persist(format!(
+                "{} holds both {SNAPSHOT_FILE} and {PAGE_FILE}; refusing to choose between them",
+                self.dir.display()
+            )));
+        }
         let mut out = RecoveredState {
             stale_temps_removed: persist::clean_stale_temps(self.vfs.as_ref(), &self.dir)?,
             ..RecoveredState::default()
         };
+        if has_snapshot {
+            out.migration_bytes = self.migrate_snapshot()?;
+            out.migrated_snapshot = true;
+        } else if self.vfs.exists(&self.dir.join(MIGRATING_FILE)) {
+            self.finish_migration()?;
+            out.migrated_snapshot = true;
+        }
         self.has_base = false;
         self.universe_blob = false;
         self.meta = Meta { page_count: page::META_SLOTS, ..Meta::default() };
@@ -1216,25 +939,28 @@ impl StorageEngine for PagedStorage {
         Ok(out)
     }
 
-    fn can_delta(&self, max_chain: usize) -> bool {
-        self.has_base && !self.universe_blob && max_chain > 0
+    /// Whether the next checkpoint may be incremental: there is a
+    /// committed base, and it is tuple-shaped.
+    pub fn can_delta(&self) -> bool {
+        self.has_base && !self.universe_blob
     }
 
-    fn apply_delta(
+    /// Commits the databases/relations dirtied since the previous
+    /// checkpoint. Only valid when [`can_delta`](Self::can_delta) said
+    /// so. On error nothing is committed.
+    pub fn apply_delta(
         &mut self,
         entries: &[DeltaEntry],
         seal: &CommitSeal,
     ) -> StorageResult<CommitInfo> {
-        if !self.has_base || self.universe_blob {
+        if !self.can_delta() {
             return Err(StorageError::Persist(
                 "paged storage cannot apply a delta without a tuple-shaped base".into(),
             ));
         }
         self.pager.begin(seal.lsn);
         match self.delta_txn(entries, seal) {
-            Ok(bytes) => {
-                Ok(CommitInfo { kind: CommitKind::Delta, bytes_written: bytes, chain_len: 0 })
-            }
+            Ok(bytes) => Ok(CommitInfo { kind: CommitKind::Delta, bytes_written: bytes }),
             Err(e) => {
                 self.pager.abort();
                 Err(e)
@@ -1242,12 +968,17 @@ impl StorageEngine for PagedStorage {
         }
     }
 
-    fn apply_full(&mut self, store: &Store, seal: &CommitSeal) -> StorageResult<CommitInfo> {
+    /// Commits the whole universe. On error nothing is committed.
+    pub fn apply_full(&mut self, store: &Store, seal: &CommitSeal) -> StorageResult<CommitInfo> {
+        self.commit_full(store.universe(), seal)
+    }
+
+    fn commit_full(&mut self, universe: &Value, seal: &CommitSeal) -> StorageResult<CommitInfo> {
         self.pager.begin(seal.lsn);
-        match self.full_txn(store.universe(), seal) {
+        match self.full_txn(universe, seal) {
             Ok((bytes, blob)) => {
                 self.universe_blob = blob;
-                Ok(CommitInfo { kind: CommitKind::Full, bytes_written: bytes, chain_len: 0 })
+                Ok(CommitInfo { kind: CommitKind::Full, bytes_written: bytes })
             }
             Err(e) => {
                 self.pager.abort();
@@ -1256,7 +987,10 @@ impl StorageEngine for PagedStorage {
         }
     }
 
-    fn read_relation(&mut self, db: &str, rel: &str) -> StorageResult<Option<Value>> {
+    /// Reads one relation's committed value back from the page file,
+    /// through the buffer pool (`None` = the database or relation does
+    /// not exist in the committed state).
+    pub fn read_relation(&mut self, db: &str, rel: &str) -> StorageResult<Option<Value>> {
         if !self.has_base {
             return Ok(None);
         }
@@ -1286,12 +1020,88 @@ impl StorageEngine for PagedStorage {
         }
     }
 
-    fn pool_stats(&self) -> Option<BufferPoolStats> {
-        Some(self.pager.pool_stats())
+    /// Buffer-pool counters.
+    pub fn pool_stats(&self) -> BufferPoolStats {
+        self.pager.pool_stats()
     }
 
-    fn file_pages(&self) -> u64 {
+    /// Logical size of the page file in pages — with
+    /// [`BufferPoolStats::capacity`] this is how "the data outgrew the
+    /// pool" becomes observable.
+    pub fn file_pages(&self) -> u64 {
         self.pager.page_count()
+    }
+
+    /// Steps 1–2 of the migration (see module docs), then 3–4; returns
+    /// the bytes the page-file commit wrote.
+    fn migrate_snapshot(&mut self) -> StorageResult<u64> {
+        let (universe, lsn, maintenance) = self.load_snapshot_era()?;
+        let side = self.dir.join(MIGRATING_FILE);
+        if self.vfs.exists(&side) {
+            // left by a migration that crashed before step 2 was durable
+            self.vfs.remove_file(&side).map_err(|e| io_err("remove unfinished migration", e))?;
+        }
+        let mut target = PagedStorage::at(
+            Arc::clone(&self.vfs),
+            self.dir.clone(),
+            MIGRATING_FILE,
+            self.pool_pages,
+        );
+        let info = target.commit_full(&universe, &CommitSeal { lsn, maintenance, sync: true })?;
+        self.vfs
+            .remove_file(&self.dir.join(SNAPSHOT_FILE))
+            .map_err(|e| io_err("remove migrated snapshot", e))?;
+        self.sync_dir()?;
+        self.finish_migration()?;
+        Ok(info.bytes_written)
+    }
+
+    /// Steps 3–4 of the migration: drop the delta files, then promote
+    /// the side file to the page file.
+    fn finish_migration(&self) -> StorageResult<()> {
+        let files = self.vfs.list_dir(&self.dir).map_err(|e| io_err("list directory", e))?;
+        for path in files {
+            let name = path.file_name().map(|n| n.to_string_lossy()).unwrap_or_default();
+            if name.starts_with(DELTA_PREFIX) {
+                self.vfs.remove_file(&path).map_err(|e| io_err("remove migrated delta", e))?;
+            }
+        }
+        self.sync_dir()?;
+        self.vfs
+            .rename(&self.dir.join(MIGRATING_FILE), &self.path)
+            .map_err(|e| io_err("promote migrated page file", e))?;
+        self.sync_dir()
+    }
+
+    fn sync_dir(&self) -> StorageResult<()> {
+        self.vfs.sync_dir(&self.dir).map_err(|e| io_err("sync directory", e))
+    }
+
+    /// The universe, covered LSN and maintenance blob of a snapshot-era
+    /// directory: its base snapshot extended by the longest valid prefix
+    /// of its delta chain. A member must carry the base's generation, the
+    /// next `seq`, and `prev_lsn` equal to the LSN covered so far; one
+    /// that does not is a leftover of a crashed compaction and ends the
+    /// chain.
+    fn load_snapshot_era(&self) -> StorageResult<(Value, u64, Option<String>)> {
+        let vfs = self.vfs.as_ref();
+        let (store, meta) = persist::load_snapshot_vfs_meta(vfs, &self.dir.join(SNAPSHOT_FILE))?;
+        let mut universe = store.universe().clone();
+        let (mut lsn, mut maintenance) = (meta.lsn, meta.maintenance);
+        for seq in 1.. {
+            let path = self.dir.join(format!("{DELTA_PREFIX}{seq}"));
+            if !vfs.exists(&path) {
+                break;
+            }
+            let Ok(delta) = persist::load_delta_vfs(vfs, &path) else { break };
+            if delta.gen != meta.gen || delta.seq != seq || delta.prev_lsn != lsn {
+                break;
+            }
+            codec::apply_delta(&mut universe, &delta)?;
+            lsn = delta.lsn;
+            maintenance = delta.maintenance;
+        }
+        Ok((universe, lsn, maintenance))
     }
 }
 
@@ -1319,15 +1129,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_parses_and_displays() {
-        assert_eq!("mem".parse::<StorageSpec>().unwrap(), StorageSpec::Mem);
-        assert_eq!("paged".parse::<StorageSpec>().unwrap(), StorageSpec::paged());
-        assert_eq!(
-            "paged:32".parse::<StorageSpec>().unwrap(),
-            StorageSpec::Paged { pool_pages: 32 }
-        );
-        assert!("paged:0".parse::<StorageSpec>().is_err());
-        assert!("disk".parse::<StorageSpec>().is_err());
+    fn spec_displays_its_pool_size() {
         assert_eq!(StorageSpec::Paged { pool_pages: 8 }.to_string(), "paged:8");
     }
 
@@ -1390,7 +1192,7 @@ mod tests {
             DeltaEntry::PutRelation { db: Name::new("alpha"), rel: Name::new("r"), value: rv },
             DeltaEntry::DropDatabase { db: Name::new("beta") },
         ];
-        assert!(p.can_delta(8));
+        assert!(p.can_delta());
         let info = p.apply_delta(&entries, &seal(2)).unwrap();
         assert_eq!(info.kind, CommitKind::Delta);
 
@@ -1421,7 +1223,7 @@ mod tests {
         let mut p = paged(&vfs, 4); // pool far smaller than the relation
         p.recover().unwrap();
         p.apply_full(&store, &seal(1)).unwrap();
-        let stats = p.pool_stats().unwrap();
+        let stats = p.pool_stats();
         assert!(stats.evictions > 0, "a 4-page pool must evict: {stats:?}");
         assert!(p.file_pages() > 4, "the page file outgrew the pool");
 
@@ -1500,12 +1302,10 @@ mod tests {
         let mut p = paged(&vfs, 16);
         p.recover().unwrap();
         // a store can only hold tuple universes; build the blob case via
-        // a raw full_txn of an atom universe
-        p.pager.begin(1);
-        let (_, blob) = p.full_txn(&Value::int(42), &seal(1)).unwrap();
-        p.universe_blob = blob;
-        assert!(blob);
-        assert!(!p.can_delta(8));
+        // a raw commit of an atom universe
+        p.commit_full(&Value::int(42), &seal(1)).unwrap();
+        assert!(p.universe_blob);
+        assert!(!p.can_delta());
         let mut p2 = paged(&vfs, 16);
         let rec = p2.recover().unwrap();
         assert_eq!(rec.universe, Some(Value::int(42)));
@@ -1543,33 +1343,5 @@ mod tests {
         let rec = p2.recover().unwrap();
         assert_eq!(rec.universe.as_ref(), Some(store2.universe()));
         assert_eq!(rec.lsn, 2);
-    }
-
-    #[test]
-    fn mem_storage_round_trips_with_deltas() {
-        let vfs = Arc::new(SimVfs::new(FaultPlan::none(18)));
-        vfs.create_dir_all(Path::new("/m")).unwrap();
-        let store = store_ab();
-        let mut m =
-            MemStorage::new(Arc::clone(&vfs) as Arc<dyn Vfs>, "/m", SnapshotCodec::Binary, true);
-        let rec = m.recover().unwrap();
-        assert!(rec.universe.is_none());
-        assert!(!m.can_delta(8), "no base yet");
-        m.apply_full(&store, &seal(3)).unwrap();
-        assert!(m.can_delta(8));
-        let entries = vec![DeltaEntry::DropDatabase { db: Name::new("beta") }];
-        let info = m.apply_delta(&entries, &seal(4)).unwrap();
-        assert_eq!(info.chain_len, 1);
-        assert_eq!(m.read_relation("beta", "q").unwrap(), None);
-        assert!(m.read_relation("alpha", "r").unwrap().is_some());
-
-        let mut m2 =
-            MemStorage::new(Arc::clone(&vfs) as Arc<dyn Vfs>, "/m", SnapshotCodec::Binary, true);
-        let rec = m2.recover().unwrap();
-        assert_eq!(rec.lsn, 4);
-        assert_eq!(rec.chain_len, 1);
-        let u = rec.universe.unwrap();
-        assert!(u.attr("beta").is_none());
-        assert!(u.attr("alpha").is_some());
     }
 }

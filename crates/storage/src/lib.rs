@@ -13,8 +13,10 @@
 //! * **transactions** with snapshot-based rollback — [`txn`];
 //! * a coarse **change journal** driving incremental view refresh —
 //!   [`journal`];
-//! * **persistence** as JSON snapshots — [`persist`] — written with the
-//!   crash-safe write→fsync→rename→fsync(dir) discipline;
+//! * **checkpoints** in a shadow-paged page file behind a buffer pool —
+//!   [`engine::PagedStorage`] — which also migrates directories written
+//!   as snapshot files by older builds ([`persist`] reads those formats
+//!   and owns the crash-safe write→fsync→rename→fsync(dir) protocol);
 //! * a **virtual file system** — [`vfs`] — routing all durability I/O so
 //!   it can run against the real disk or a deterministic fault-injecting
 //!   simulation ([`vfs::SimVfs`]);
@@ -49,7 +51,7 @@ pub mod txn;
 pub mod vfs;
 
 pub use buffer_pool::BufferPoolStats;
-pub use engine::{CommitSeal, MemStorage, PagedStorage, StorageEngine, StorageSpec};
+pub use engine::{CommitSeal, PagedStorage, StorageSpec};
 pub use error::StorageError;
 pub use index::IndexKind;
 pub use journal::{ChangeRecord, ChangeScope};

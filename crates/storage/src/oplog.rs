@@ -12,8 +12,9 @@
 //!
 //! The `codec` header field (v4+) records which snapshot encoding the
 //! directory's checkpoints pair with ([`CODEC_HINT_JSON`] /
-//! [`CODEC_HINT_BINARY`]); it is diagnostic — recovery sniffs the
-//! snapshot file itself — but makes a durable directory self-describing.
+//! [`CODEC_HINT_BINARY`]). It is diagnostic — recovery reads the
+//! checkpoint files themselves — and every log this build writes says
+//! binary.
 //!
 //! * `len` counts the LSN, flags and payload, so a record occupies
 //!   `8 + len` bytes on disk (format-2 records have no flags byte and
@@ -81,13 +82,13 @@ pub fn header_len(version: u32) -> u64 {
 /// Per-record header bytes (`len` + `crc`).
 const RECORD_HEADER: usize = 8;
 
-/// How the bytes of a log file were framed.
+/// The format this build writes logs in. It has one variant because
+/// `DurabilityOptions::format` and the benchmark package name it; the
+/// pre-framing line format is only read ([`RecoveredLog::legacy_lines`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum LogFormat {
     /// Length-prefixed, CRC-32C-checksummed, LSN-stamped records.
     Framed,
-    /// The pre-framing format: one statement per line, `%` comments.
-    LegacyLines,
 }
 
 /// One decoded log record.
@@ -109,8 +110,9 @@ pub struct Record {
 pub struct RecoveredLog {
     /// Valid records, in log order.
     pub records: Vec<Record>,
-    /// Format the file was found in.
-    pub format: LogFormat,
+    /// Whether the file is in the pre-framing format: one statement per
+    /// line, `%` comments.
+    pub legacy_lines: bool,
     /// Framing version found in the header (legacy line logs report 1).
     /// The durable engine rewrites pre-current framed logs on open, so
     /// appends always use the current record layout.
@@ -165,39 +167,33 @@ pub struct DurabilityStats {
     /// Records committed through coalesced groups since open. The
     /// fsyncs saved by batching is `group_commit_records - group_commits`.
     pub group_commit_records: u64,
-    /// Snapshot codec this engine writes checkpoints in.
-    pub codec: crate::codec::SnapshotCodec,
-    /// Incremental delta checkpoints written since open.
+    /// Incremental (in-place) checkpoints written since open.
     pub delta_checkpoints: u64,
-    /// Full snapshot checkpoints written since open.
+    /// Full-rewrite checkpoints written since open.
     pub full_checkpoints: u64,
-    /// Current delta-chain length (deltas the next recovery replays on
-    /// top of the base snapshot before the op-log tail).
+    /// Length of the snapshot-era delta chain recovery replays: always 0,
+    /// since the page file has none. Kept because the benchmark package
+    /// reports it.
     pub chain_len: u64,
-    /// Checkpoint bytes written since open (snapshots plus deltas).
+    /// Page-file bytes written by checkpoints since open (and by a
+    /// migration at open).
     pub snapshot_bytes_written: u64,
-    /// Whether the last open migrated a legacy JSON snapshot to the
-    /// binary format.
+    /// Whether the last open migrated a snapshot-era directory into the
+    /// page file.
     pub migrated_snapshot: bool,
-    /// Buffer-pool counters (`None` for backends without a pool — the
-    /// mem backend has no page file to cache).
+    /// Buffer-pool counters (always present; an `Option` because the
+    /// benchmark package reads it as one).
     pub pool: Option<crate::buffer_pool::BufferPoolStats>,
-    /// Page-file size in pages (0 for backends without a page file).
+    /// Page-file size in pages.
     pub storage_pages: u64,
 }
 
-/// The v4 file header for a fresh framed log, defaulting the codec hint
-/// to binary (the write default).
+/// The 16-byte v4 file header of a fresh framed log.
 pub fn header_bytes() -> Vec<u8> {
-    header_bytes_hint(CODEC_HINT_BINARY)
-}
-
-/// The 16-byte v4 file header with an explicit snapshot-codec hint.
-pub fn header_bytes_hint(codec_hint: u32) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN_V4 as usize);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&codec_hint.to_le_bytes());
+    out.extend_from_slice(&CODEC_HINT_BINARY.to_le_bytes());
     out
 }
 
@@ -229,15 +225,7 @@ pub fn encode_log<'a>(records: impl IntoIterator<Item = (u64, &'a str)>) -> Vec<
 /// [`encode_log`] with per-record flags — used when migrating an existing
 /// log to the current framing without losing its tags.
 pub fn encode_log_flagged<'a>(records: impl IntoIterator<Item = (u64, u8, &'a str)>) -> Vec<u8> {
-    encode_log_flagged_hint(CODEC_HINT_BINARY, records)
-}
-
-/// [`encode_log_flagged`] with an explicit snapshot-codec header hint.
-pub fn encode_log_flagged_hint<'a>(
-    codec_hint: u32,
-    records: impl IntoIterator<Item = (u64, u8, &'a str)>,
-) -> Vec<u8> {
-    let mut out = header_bytes_hint(codec_hint);
+    let mut out = header_bytes();
     for (lsn, flags, stmt) in records {
         out.extend_from_slice(&encode_record_flagged(lsn, flags, stmt));
     }
@@ -261,7 +249,7 @@ pub fn decode_log(bytes: &[u8]) -> StorageResult<RecoveredLog> {
         // a torn header write: treat as an empty framed log needing repair
         Ok(RecoveredLog {
             records: Vec::new(),
-            format: LogFormat::Framed,
+            legacy_lines: false,
             version: FORMAT_VERSION,
             codec_hint: CODEC_HINT_JSON,
             valid_len: 0,
@@ -276,7 +264,7 @@ fn decode_framed(bytes: &[u8]) -> StorageResult<RecoveredLog> {
     let torn_header = |version| {
         Ok(RecoveredLog {
             records: Vec::new(),
-            format: LogFormat::Framed,
+            legacy_lines: false,
             version,
             codec_hint: CODEC_HINT_JSON,
             valid_len: 0,
@@ -331,7 +319,7 @@ fn decode_framed(bytes: &[u8]) -> StorageResult<RecoveredLog> {
     }
     Ok(RecoveredLog {
         records,
-        format: LogFormat::Framed,
+        legacy_lines: false,
         version,
         codec_hint,
         valid_len: at as u64,
@@ -366,7 +354,7 @@ fn decode_legacy(bytes: &[u8]) -> RecoveredLog {
     // anything after the last newline is a torn tail
     RecoveredLog {
         records,
-        format: LogFormat::LegacyLines,
+        legacy_lines: true,
         version: 1,
         codec_hint: CODEC_HINT_JSON,
         valid_len: valid as u64,
@@ -383,7 +371,7 @@ mod tests {
         let stmts = ["?.db.r+(.a=1)", "?.db.r-(.a=1)", "?.dbU.ins(.k=x)"];
         let bytes = encode_log(stmts.iter().enumerate().map(|(i, s)| (i as u64 + 1, *s)));
         let log = decode_log(&bytes).unwrap();
-        assert_eq!(log.format, LogFormat::Framed);
+        assert!(!log.legacy_lines);
         assert_eq!(log.torn_bytes, 0);
         assert_eq!(log.valid_len, bytes.len() as u64);
         assert_eq!(log.records.len(), 3);
@@ -459,14 +447,14 @@ mod tests {
         for cut in 1..header_bytes().len() {
             let bytes = &header_bytes()[..cut];
             let log = decode_log(bytes).unwrap();
-            assert_eq!(log.format, LogFormat::Framed, "cut at {cut}");
+            assert!(!log.legacy_lines, "cut at {cut}");
             assert!(log.records.is_empty());
             assert_eq!(log.valid_len, 0);
             assert_eq!(log.torn_bytes, cut as u64);
         }
         let log = decode_log(&[]).unwrap();
         assert!(log.records.is_empty());
-        assert_eq!(log.format, LogFormat::LegacyLines, "empty file reads as empty legacy log");
+        assert!(log.legacy_lines, "empty file reads as empty legacy log");
     }
 
     #[test]
@@ -495,21 +483,19 @@ mod tests {
 
     #[test]
     fn v4_header_carries_the_codec_hint() {
-        for hint in [CODEC_HINT_JSON, CODEC_HINT_BINARY] {
-            let mut bytes = header_bytes_hint(hint);
-            bytes.extend_from_slice(&encode_record(1, "?.db.r+(.a=1)"));
-            let log = decode_log(&bytes).unwrap();
-            assert_eq!(log.version, FORMAT_VERSION);
-            assert_eq!(log.codec_hint, hint);
-            assert_eq!(log.records.len(), 1);
-        }
+        let mut bytes = header_bytes();
+        bytes.extend_from_slice(&encode_record(1, "?.db.r+(.a=1)"));
+        let log = decode_log(&bytes).unwrap();
+        assert_eq!(log.version, FORMAT_VERSION);
+        assert_eq!(log.codec_hint, CODEC_HINT_BINARY);
+        assert_eq!(log.records.len(), 1);
     }
 
     #[test]
     fn legacy_lines_decode_with_torn_tail() {
         let text = "?.db.r+(.a=1)\n% comment\n\n?.db.r+(.a=2)\n?.db.r+(.a=";
         let log = decode_log(text.as_bytes()).unwrap();
-        assert_eq!(log.format, LogFormat::LegacyLines);
+        assert!(log.legacy_lines);
         assert_eq!(log.records.len(), 2);
         assert_eq!(
             log.records[0],

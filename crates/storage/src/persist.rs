@@ -1,13 +1,12 @@
-//! Snapshot persistence.
+//! Snapshot files: the atomic write protocol, the `--save` export, and
+//! the read-only snapshot-era checkpoint formats.
 //!
-//! The universe object serialises losslessly to JSON via `serde`; a
-//! snapshot file plus the operation log is the crash-recovery story of
-//! this embedded substrate. Snapshots are written with the full
-//! crash-safe discipline, routed through a [`Vfs`]:
+//! [`write_atomic`] is the crash-safe whole-file write, routed through a
+//! [`Vfs`]:
 //!
-//! 1. serialise to a **uniquely named** temp file (`<name>.<pid>.<n>.tmp`,
-//!    so two engines sharing a directory cannot clobber each other's
-//!    in-flight snapshot),
+//! 1. write a **uniquely named** temp file (`<name>.<pid>.<n>.tmp`, so
+//!    two writers sharing a directory cannot clobber each other's
+//!    in-flight file),
 //! 2. `fsync` the temp file (content durable before it becomes visible),
 //! 3. `rename` over the target (atomic replacement),
 //! 4. `fsync` the directory (the rename itself durable).
@@ -15,25 +14,29 @@
 //! Stale `*.tmp` files from crashed writers are swept by
 //! [`clean_stale_temps`] when a durable engine opens.
 //!
-//! Three on-disk encodings load: the legacy **bare universe** JSON, the
-//! versioned JSON wrapper `{"format":2,"lsn":N,"universe":…}`, and the
-//! binary container of [`crate::codec`] (snapshot **format 3**, the write
-//! default). In every case `lsn` records the last operation-log record
-//! the snapshot already contains, so replay can skip exactly those (see
-//! [`crate::oplog`]). Binary snapshots additionally carry a checkpoint
-//! `gen`eration that anchors incremental delta-checkpoint chains.
+//! Checkpoints live in the page file ([`crate::engine`]); the snapshot
+//! formats older builds checkpointed in are only read, to migrate a
+//! directory and to load `--snapshot` files. [`load_snapshot_vfs_meta`]
+//! reads all three: the legacy **bare universe** JSON (also what
+//! [`save_snapshot`] exports), the versioned JSON wrapper
+//! `{"format":2,"lsn":N,"universe":…}`, and the binary container of
+//! [`crate::codec`] (snapshot format 3). In every case `lsn` records the
+//! last operation-log record the snapshot contains, so replay can skip
+//! exactly those (see [`crate::oplog`]). Binary snapshots additionally
+//! carry the generation their `universe.delta.N` chain links to
+//! ([`load_delta_vfs`]).
 
-use crate::codec::{self, DeltaBlob, SnapshotCodec};
+use crate::codec::{self, DeltaBlob};
 use crate::error::{StorageError, StorageResult};
 use crate::store::Store;
 use crate::vfs::{RealVfs, Vfs};
 use idl_object::Value;
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// JSON snapshot wrapper format version (the binary container is format 3,
-/// versioned inside [`crate::codec`]).
+/// The newest JSON snapshot wrapper format this build reads (the binary
+/// container is format 3, versioned inside [`crate::codec`]).
 pub const SNAPSHOT_FORMAT: u32 = 2;
 
 /// Everything a snapshot file says about itself besides the universe.
@@ -41,13 +44,11 @@ pub const SNAPSHOT_FORMAT: u32 = 2;
 pub struct SnapshotMeta {
     /// Op-log LSN the snapshot covers (0 for legacy bare universes).
     pub lsn: u64,
-    /// Checkpoint generation (0 for every JSON snapshot — JSON dirs never
-    /// carry delta chains).
+    /// Checkpoint generation (0 for every JSON snapshot — JSON
+    /// directories never carry delta chains).
     pub gen: u64,
     /// Opaque engine-state blob, if present.
     pub maintenance: Option<String>,
-    /// Which encoding the file on disk used.
-    pub codec: SnapshotCodec,
 }
 
 /// Serialises the universe to a JSON string.
@@ -62,13 +63,10 @@ pub fn from_json(json: &str) -> StorageResult<Store> {
     Store::from_universe(universe)
 }
 
-/// The versioned snapshot wrapper (format 2). The optional `maintenance`
-/// blob is opaque JSON text to the storage layer: the engine above
-/// persists its incremental view-maintenance state here so a durable
-/// restart resumes maintaining instead of silently falling back to a
-/// full rebuild. Snapshots without the field (older builds) load as
-/// `None`, and older builds ignore the field when reading newer files.
-#[derive(Serialize, Deserialize)]
+/// The versioned JSON snapshot wrapper (format 2). The optional
+/// `maintenance` blob is opaque JSON text holding the engine's view
+/// maintenance state; wrappers without the field load as `None`.
+#[derive(Deserialize)]
 struct SnapshotFile {
     format: u32,
     lsn: u64,
@@ -79,69 +77,30 @@ struct SnapshotFile {
 /// Counter distinguishing concurrent temp files within one process.
 static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// The unique temp path a snapshot write will stage through.
+/// The unique temp path a write will stage through.
 fn temp_path(path: &Path) -> PathBuf {
     let n = TEMP_COUNTER.fetch_add(1, Ordering::Relaxed);
     let name = path.file_name().map(|s| s.to_string_lossy()).unwrap_or_default();
     path.with_file_name(format!("{name}.{}.{n}.tmp", std::process::id()))
 }
 
-fn io_err(ctx: &str, e: std::io::Error) -> StorageError {
+/// The directory whose entry for `path` a rename changes: `path`'s
+/// parent, or `.` for a bare file name (whose parent is empty).
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    }
+}
+
+pub(crate) fn io_err(ctx: &str, e: std::io::Error) -> StorageError {
     StorageError::Persist(format!("{ctx}: {e}"))
 }
 
-/// Writes a snapshot atomically through `vfs` with the full
-/// write→fsync(file)→rename→fsync(dir) discipline. With `lsn` present the
-/// versioned wrapper format is written; `None` writes the legacy bare
-/// universe. `sync` off skips both fsyncs (for ablations; crash safety is
-/// then up to the OS).
-#[deprecated(
-    note = "superseded by the StorageEngine trait (`crate::engine`) — open a\nMemStorage/PagedStorage and commit through apply_full/apply_delta instead"
-)]
-#[allow(deprecated)]
-pub fn save_snapshot_vfs(
-    vfs: &dyn Vfs,
-    store: &Store,
-    path: &Path,
-    lsn: Option<u64>,
-    sync: bool,
-) -> StorageResult<()> {
-    save_snapshot_vfs_with_state(vfs, store, path, lsn, sync, None)
-}
-
-/// [`save_snapshot_vfs`] carrying an opaque engine-state blob (view
-/// maintenance support counts, as JSON text) in the versioned wrapper.
-/// `state` is ignored for legacy bare-universe writes (`lsn: None`).
-#[deprecated(
-    note = "superseded by the StorageEngine trait (`crate::engine`) — open a\nMemStorage/PagedStorage and commit through apply_full/apply_delta instead"
-)]
-pub fn save_snapshot_vfs_with_state(
-    vfs: &dyn Vfs,
-    store: &Store,
-    path: &Path,
-    lsn: Option<u64>,
-    sync: bool,
-    state: Option<String>,
-) -> StorageResult<()> {
-    let json = match lsn {
-        None => to_json(store)?,
-        // The universe clone is an O(1) copy-on-write handle (Arc-backed
-        // interiors, see `idl_object::sharing`) — the wrapper serialises
-        // straight from the live store's shared snapshot, no deep copy.
-        Some(lsn) => serde_json::to_string(&SnapshotFile {
-            format: SNAPSHOT_FORMAT,
-            lsn,
-            universe: store.universe().clone(),
-            maintenance: state,
-        })
-        .map_err(|e| StorageError::Persist(e.to_string()))?,
-    };
-    write_atomic(vfs, path, json.as_bytes(), sync)
-}
-
-/// Writes arbitrary bytes through the temp→fsync→rename→fsync(dir)
-/// protocol (shared by snapshot, delta, and the op-log header rewrite in
-/// the durable engine).
+/// Writes `bytes` to `path` through the temp→fsync→rename→fsync(dir)
+/// protocol (used by log rotation and migration and by the snapshot
+/// export). `sync` off skips both fsyncs; crash safety is then up to
+/// the OS.
 pub fn write_atomic(vfs: &dyn Vfs, path: &Path, bytes: &[u8], sync: bool) -> StorageResult<()> {
     let tmp = temp_path(path);
     vfs.write(&tmp, bytes).map_err(|e| io_err("write snapshot temp", e))?;
@@ -150,113 +109,26 @@ pub fn write_atomic(vfs: &dyn Vfs, path: &Path, bytes: &[u8], sync: bool) -> Sto
     }
     vfs.rename(&tmp, path).map_err(|e| io_err("rename snapshot", e))?;
     if sync {
-        if let Some(dir) = path.parent() {
-            vfs.sync_dir(dir).map_err(|e| io_err("sync snapshot dir", e))?;
-        }
+        vfs.sync_dir(parent_dir(path)).map_err(|e| io_err("sync snapshot dir", e))?;
     }
     Ok(())
 }
 
-/// Writes a snapshot in the chosen codec, returning bytes written.
-/// `Binary` writes the format-3 container (carrying `gen`); `Json` writes
-/// the legacy versioned wrapper (`gen` is dropped — JSON directories never
-/// carry delta chains).
-#[allow(clippy::too_many_arguments)]
-#[deprecated(
-    note = "superseded by the StorageEngine trait (`crate::engine`) — open a\nMemStorage/PagedStorage and commit through apply_full/apply_delta instead"
-)]
-pub fn save_snapshot_vfs_codec(
-    vfs: &dyn Vfs,
-    store: &Store,
-    path: &Path,
-    snapshot_codec: SnapshotCodec,
-    gen: u64,
-    lsn: u64,
-    sync: bool,
-    state: Option<String>,
-) -> StorageResult<u64> {
-    let bytes = match snapshot_codec {
-        SnapshotCodec::Json => serde_json::to_string(&SnapshotFile {
-            format: SNAPSHOT_FORMAT,
-            lsn,
-            universe: store.universe().clone(),
-            maintenance: state,
-        })
-        .map_err(|e| StorageError::Persist(e.to_string()))?
-        .into_bytes(),
-        SnapshotCodec::Binary => {
-            codec::encode_snapshot(store.universe(), gen, lsn, state.as_deref())
-        }
-    };
-    write_atomic(vfs, path, &bytes, sync)?;
-    Ok(bytes.len() as u64)
-}
-
-/// Writes a delta-checkpoint container atomically, returning bytes written.
-#[deprecated(
-    note = "superseded by the StorageEngine trait (`crate::engine`) — open a\nMemStorage/PagedStorage and commit through apply_full/apply_delta instead"
-)]
-pub fn save_delta_vfs(
-    vfs: &dyn Vfs,
-    path: &Path,
-    delta: &DeltaBlob,
-    sync: bool,
-) -> StorageResult<u64> {
-    let bytes = codec::encode_delta(delta);
-    write_atomic(vfs, path, &bytes, sync)?;
-    Ok(bytes.len() as u64)
-}
-
 /// Reads and decodes a delta-checkpoint container.
-#[deprecated(
-    note = "superseded by the StorageEngine trait (`crate::engine`) — open a\nMemStorage/PagedStorage and commit through apply_full/apply_delta instead"
-)]
 pub fn load_delta_vfs(vfs: &dyn Vfs, path: &Path) -> StorageResult<DeltaBlob> {
     let bytes = vfs.read(path).map_err(|e| io_err("read delta checkpoint", e))?;
     codec::decode_delta(&bytes)
 }
 
-/// Loads a snapshot through `vfs`, returning the store and the op-log LSN
-/// the snapshot covers (0 for legacy bare-universe snapshots).
-#[deprecated(
-    note = "superseded by the StorageEngine trait (`crate::engine`) — open a\nMemStorage/PagedStorage and commit through apply_full/apply_delta instead"
-)]
-#[allow(deprecated)]
-pub fn load_snapshot_vfs(vfs: &dyn Vfs, path: &Path) -> StorageResult<(Store, u64)> {
-    load_snapshot_vfs_with_state(vfs, path).map(|(store, lsn, _)| (store, lsn))
-}
-
-/// [`load_snapshot_vfs`] also returning the opaque engine-state blob, if
-/// the snapshot carries one (`None` for legacy snapshots and wrappers
-/// written without state).
-#[deprecated(
-    note = "superseded by the StorageEngine trait (`crate::engine`) — open a\nMemStorage/PagedStorage and commit through apply_full/apply_delta instead"
-)]
-#[allow(deprecated)]
-pub fn load_snapshot_vfs_with_state(
-    vfs: &dyn Vfs,
-    path: &Path,
-) -> StorageResult<(Store, u64, Option<String>)> {
-    load_snapshot_vfs_meta(vfs, path).map(|(store, meta)| (store, meta.lsn, meta.maintenance))
-}
-
-/// The full loader: any of the three encodings, plus everything the file
-/// says about itself ([`SnapshotMeta`]).
-#[deprecated(
-    note = "superseded by the StorageEngine trait (`crate::engine`) — open a\nMemStorage/PagedStorage and commit through apply_full/apply_delta instead"
-)]
+/// Loads a snapshot in any of the three encodings, plus everything the
+/// file says about itself ([`SnapshotMeta`]).
 pub fn load_snapshot_vfs_meta(vfs: &dyn Vfs, path: &Path) -> StorageResult<(Store, SnapshotMeta)> {
     let bytes = vfs.read(path).map_err(|e| io_err("read snapshot", e))?;
     // Binary detection runs before the UTF-8 check — a binary container is
     // almost never valid UTF-8.
     if codec::is_binary(&bytes) {
         let snap = codec::decode_snapshot(&bytes)?;
-        let meta = SnapshotMeta {
-            lsn: snap.lsn,
-            gen: snap.gen,
-            maintenance: snap.maintenance,
-            codec: SnapshotCodec::Binary,
-        };
+        let meta = SnapshotMeta { lsn: snap.lsn, gen: snap.gen, maintenance: snap.maintenance };
         return Ok((Store::from_universe(snap.universe)?, meta));
     }
     let json = std::str::from_utf8(&bytes)
@@ -270,24 +142,16 @@ pub fn load_snapshot_vfs_meta(vfs: &dyn Vfs, path: &Path) -> StorageResult<(Stor
                 snap.format
             )));
         }
-        let meta = SnapshotMeta {
-            lsn: snap.lsn,
-            gen: 0,
-            maintenance: snap.maintenance,
-            codec: SnapshotCodec::Json,
-        };
+        let meta = SnapshotMeta { lsn: snap.lsn, gen: 0, maintenance: snap.maintenance };
         return Ok((Store::from_universe(snap.universe)?, meta));
     }
-    let meta = SnapshotMeta { lsn: 0, gen: 0, maintenance: None, codec: SnapshotCodec::Json };
+    let meta = SnapshotMeta { lsn: 0, gen: 0, maintenance: None };
     Ok((from_json(json)?, meta))
 }
 
-/// Removes stale snapshot temp files (`*.tmp`) left in `dir` by crashed
-/// or concurrent writers that never reached their rename. Returns how
-/// many were removed.
-#[deprecated(
-    note = "superseded by the StorageEngine trait (`crate::engine`) — open a\nMemStorage/PagedStorage and commit through apply_full/apply_delta instead"
-)]
+/// Removes stale temp files (`*.tmp`) left in `dir` by crashed or
+/// concurrent writers that never reached their rename. Returns how many
+/// were removed.
 pub fn clean_stale_temps(vfs: &dyn Vfs, dir: &Path) -> StorageResult<u64> {
     let mut removed = 0;
     let entries = match vfs.list_dir(dir) {
@@ -303,25 +167,28 @@ pub fn clean_stale_temps(vfs: &dyn Vfs, dir: &Path) -> StorageResult<u64> {
     Ok(removed)
 }
 
-/// Writes a snapshot atomically (temp file + fsync + rename + dir fsync)
-/// on the real file system, in the legacy bare-universe encoding.
-#[allow(deprecated)]
+/// Exports the universe atomically (temp file + fsync + rename + dir
+/// fsync) on the real file system, as a bare JSON universe.
 pub fn save_snapshot(store: &Store, path: &Path) -> StorageResult<()> {
-    save_snapshot_vfs(&RealVfs::new(), store, path, None, true)
+    write_atomic(&RealVfs::new(), path, to_json(store)?.as_bytes(), true)
 }
 
-/// Loads a snapshot written by [`save_snapshot`] (either encoding).
-#[allow(deprecated)]
+/// Loads a snapshot file from the real file system (any encoding).
 pub fn load_snapshot(path: &Path) -> StorageResult<Store> {
-    load_snapshot_vfs(&RealVfs::new(), path).map(|(store, _)| store)
+    load_snapshot_vfs_meta(&RealVfs::new(), path).map(|(store, _)| store)
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::vfs::{FaultPlan, SimVfs};
     use idl_object::tuple;
+
+    fn store_a(a: i64) -> Store {
+        let mut s = Store::new();
+        s.insert("db", "r", tuple! { a: a }).unwrap();
+        s
+    }
 
     #[test]
     fn json_round_trip() {
@@ -338,12 +205,18 @@ mod tests {
         let dir = std::env::temp_dir().join("idl-storage-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.json");
-        let mut s = Store::new();
-        s.insert("db", "r", tuple! { a: 1i64 }).unwrap();
+        let s = store_a(1);
         save_snapshot(&s, &path).unwrap();
         let s2 = load_snapshot(&path).unwrap();
         assert_eq!(s.universe(), s2.universe());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_bare_file_name_syncs_the_current_directory() {
+        assert_eq!(parent_dir(Path::new("u.json")), Path::new("."));
+        assert_eq!(parent_dir(Path::new("d/u.json")), Path::new("d"));
+        assert_eq!(parent_dir(Path::new("/u.json")), Path::new("/"));
     }
 
     #[test]
@@ -354,132 +227,51 @@ mod tests {
         assert!(matches!(from_json(&atom_json), Err(StorageError::ShapeViolation(_))));
     }
 
+    /// The JSON wrapper older builds wrote, with or without a state blob.
+    fn wrapper(s: &Store, lsn: u64, state: Option<&str>) -> String {
+        let state = state.map_or("null".to_string(), |b| serde_json::to_string(b).unwrap());
+        let universe = to_json(s).unwrap();
+        format!(r#"{{"format":2,"lsn":{lsn},"universe":{universe},"maintenance":{state}}}"#)
+    }
+
     #[test]
-    fn wrapper_format_carries_the_lsn_and_legacy_still_loads() {
+    fn every_snapshot_encoding_loads_with_its_meta() {
         let vfs = SimVfs::new(FaultPlan::none(1));
-        let dir = Path::new("/snapdir");
-        vfs.create_dir_all(dir).unwrap();
-        let mut s = Store::new();
-        s.insert("db", "r", tuple! { a: 1i64 }).unwrap();
-
-        let wrapped = dir.join("u2.json");
-        save_snapshot_vfs(&vfs, &s, &wrapped, Some(17), true).unwrap();
-        let (s2, lsn) = load_snapshot_vfs(&vfs, &wrapped).unwrap();
-        assert_eq!(lsn, 17);
-        assert_eq!(s.universe(), s2.universe());
-
-        let bare = dir.join("u1.json");
-        save_snapshot_vfs(&vfs, &s, &bare, None, true).unwrap();
-        let (s3, lsn) = load_snapshot_vfs(&vfs, &bare).unwrap();
-        assert_eq!(lsn, 0, "legacy bare universe reads as lsn 0");
-        assert_eq!(s.universe(), s3.universe());
-    }
-
-    #[test]
-    fn wrapper_state_blob_round_trips_and_stateless_wrappers_read_as_none() {
-        let vfs = SimVfs::new(FaultPlan::none(11));
-        let dir = Path::new("/snapdir");
-        vfs.create_dir_all(dir).unwrap();
-        let mut s = Store::new();
-        s.insert("db", "r", tuple! { a: 1i64 }).unwrap();
-
-        let path = dir.join("u.json");
-        let blob = r#"{"rules":["r1"],"views":[{"db":"v","rel":"x","rows":3}]}"#.to_string();
-        save_snapshot_vfs_with_state(&vfs, &s, &path, Some(5), true, Some(blob.clone())).unwrap();
-        let (s2, lsn, state) = load_snapshot_vfs_with_state(&vfs, &path).unwrap();
-        assert_eq!(lsn, 5);
-        assert_eq!(s.universe(), s2.universe());
-        assert_eq!(state, Some(blob));
-        // the plain loader still works on a state-carrying snapshot
-        let (_, lsn) = load_snapshot_vfs(&vfs, &path).unwrap();
-        assert_eq!(lsn, 5);
-
-        // a wrapper written without state (older build) reads back None
-        save_snapshot_vfs(&vfs, &s, &path, Some(6), true).unwrap();
-        let (_, _, state) = load_snapshot_vfs_with_state(&vfs, &path).unwrap();
-        assert_eq!(state, None);
-    }
-
-    #[test]
-    fn binary_snapshot_round_trips_with_meta() {
-        let vfs = SimVfs::new(FaultPlan::none(21));
-        let dir = Path::new("/snapdir");
-        vfs.create_dir_all(dir).unwrap();
-        let mut s = Store::new();
-        s.insert("euter", "r", tuple! { stkCode: "hp", clsPrice: 50.5f64 }).unwrap();
-        let path = dir.join("u.bin");
-
-        let bytes = save_snapshot_vfs_codec(
-            &vfs,
-            &s,
-            &path,
-            SnapshotCodec::Binary,
-            4,
-            23,
-            true,
-            Some("state".into()),
-        )
-        .unwrap();
-        assert_eq!(bytes, vfs.read(&path).unwrap().len() as u64);
-
-        let (s2, meta) = load_snapshot_vfs_meta(&vfs, &path).unwrap();
-        assert_eq!(s.universe(), s2.universe());
-        assert_eq!(
-            meta,
-            SnapshotMeta {
-                lsn: 23,
-                gen: 4,
-                maintenance: Some("state".into()),
-                codec: SnapshotCodec::Binary
-            }
-        );
-        // the legacy-named loaders read it transparently too
-        let (_, lsn, state) = load_snapshot_vfs_with_state(&vfs, &path).unwrap();
-        assert_eq!((lsn, state), (23, Some("state".into())));
-    }
-
-    #[test]
-    fn binary_snapshots_are_smaller_than_json() {
-        let vfs = SimVfs::new(FaultPlan::none(22));
-        let dir = Path::new("/snapdir");
-        vfs.create_dir_all(dir).unwrap();
-        let mut s = Store::new();
-        for i in 0..200i64 {
-            s.insert("euter", "r", tuple! { stkCode: "ibm", clsPrice: i, volumeTraded: i * 7 })
-                .unwrap();
+        let path = Path::new("/u.json");
+        let s = store_a(1);
+        let blob = r#"{"rules":["r1"],"views":[{"db":"v","rel":"x","rows":3}]}"#;
+        let cases: [(Vec<u8>, SnapshotMeta); 4] = [
+            (to_json(&s).unwrap().into_bytes(), SnapshotMeta { lsn: 0, gen: 0, maintenance: None }),
+            (
+                wrapper(&s, 17, None).into_bytes(),
+                SnapshotMeta { lsn: 17, gen: 0, maintenance: None },
+            ),
+            (
+                wrapper(&s, 5, Some(blob)).into_bytes(),
+                SnapshotMeta { lsn: 5, gen: 0, maintenance: Some(blob.into()) },
+            ),
+            (
+                codec::encode_snapshot(s.universe(), 4, 23, Some("state")),
+                SnapshotMeta { lsn: 23, gen: 4, maintenance: Some("state".into()) },
+            ),
+        ];
+        for (bytes, want) in cases {
+            vfs.write(path, &bytes).unwrap();
+            let (got, meta) = load_snapshot_vfs_meta(&vfs, path).unwrap();
+            assert_eq!(got.universe(), s.universe());
+            assert_eq!(meta, want);
         }
-        let jb = save_snapshot_vfs_codec(
-            &vfs,
-            &s,
-            &dir.join("u.json"),
-            SnapshotCodec::Json,
-            0,
-            1,
-            true,
-            None,
-        )
-        .unwrap();
-        let bb = save_snapshot_vfs_codec(
-            &vfs,
-            &s,
-            &dir.join("u.bin"),
-            SnapshotCodec::Binary,
-            1,
-            1,
-            true,
-            None,
-        )
-        .unwrap();
-        assert!(bb * 3 < jb, "binary {bb} bytes vs json {jb} bytes");
+        // a wrapper from a newer build is refused, not misread
+        vfs.write(path, wrapper(&s, 1, None).replace("\"format\":2", "\"format\":9").as_bytes())
+            .unwrap();
+        assert!(load_snapshot_vfs_meta(&vfs, path).is_err());
     }
 
     #[test]
     fn delta_file_round_trips() {
-        use crate::codec::{DeltaBlob, DeltaEntry};
+        use crate::codec::DeltaEntry;
         let vfs = SimVfs::new(FaultPlan::none(23));
-        let dir = Path::new("/snapdir");
-        vfs.create_dir_all(dir).unwrap();
-        let path = dir.join("universe.delta.1");
+        let path = Path::new("/universe.delta.1");
         let delta = DeltaBlob {
             gen: 2,
             seq: 1,
@@ -492,18 +284,16 @@ mod tests {
                 value: idl_object::Value::empty_set(),
             }],
         };
-        let bytes = save_delta_vfs(&vfs, &path, &delta, true).unwrap();
-        assert_eq!(bytes, vfs.read(&path).unwrap().len() as u64);
-        assert_eq!(load_delta_vfs(&vfs, &path).unwrap(), delta);
+        vfs.write(path, &codec::encode_delta(&delta)).unwrap();
+        assert_eq!(load_delta_vfs(&vfs, path).unwrap(), delta);
     }
 
     #[test]
-    fn snapshot_save_leaves_no_temp_behind() {
+    fn atomic_write_leaves_no_temp_behind() {
         let vfs = SimVfs::new(FaultPlan::none(2));
         let dir = Path::new("/snapdir");
         vfs.create_dir_all(dir).unwrap();
-        let s = Store::new();
-        save_snapshot_vfs(&vfs, &s, &dir.join("u.json"), Some(0), true).unwrap();
+        write_atomic(&vfs, &dir.join("u.json"), b"{}", true).unwrap();
         let listing = vfs.list_dir(dir).unwrap();
         assert_eq!(listing, vec![dir.join("u.json")], "{listing:?}");
     }
@@ -523,42 +313,27 @@ mod tests {
     }
 
     #[test]
-    fn crashed_snapshot_write_never_exposes_a_torn_target() {
-        // Crash at every op of the save protocol; after power-up the
-        // target either holds the old complete snapshot or the new one.
-        let mut s_old = Store::new();
-        s_old.insert("db", "r", tuple! { a: 1i64 }).unwrap();
-        let mut s_new = Store::new();
-        s_new.insert("db", "r", tuple! { a: 2i64 }).unwrap();
-        let old_json = serde_json::to_string(&SnapshotFile {
-            format: SNAPSHOT_FORMAT,
-            lsn: 1,
-            universe: s_old.universe().clone(),
-            maintenance: None,
-        })
-        .unwrap();
-
+    fn crashed_atomic_write_never_exposes_a_torn_target() {
+        // Crash at every op of the write protocol; after power-up the
+        // target either holds the old complete file or the new one.
+        let (old, new) = (b"old contents".as_slice(), b"new contents, longer".as_slice());
         for op in 1..=8 {
             for seed in [1u64, 99, 4242] {
-                // lay down the old snapshot durably (3 ops), then arm the
-                // crash `op` operations into the new save
-                let vfs2 = SimVfs::new(FaultPlan::none(seed).with_crash_at(3 + op));
+                // lay down the old file durably (3 ops), then arm the
+                // crash `op` operations into the new write
+                let vfs = SimVfs::new(FaultPlan::none(seed).with_crash_at(3 + op));
                 let dir = Path::new("/d");
-                vfs2.create_dir_all(dir).unwrap();
+                vfs.create_dir_all(dir).unwrap();
                 let path = dir.join("u.json");
-                vfs2.write(&path, old_json.as_bytes()).unwrap();
-                vfs2.sync_file(&path).unwrap();
-                vfs2.sync_dir(dir).unwrap();
-                let res = save_snapshot_vfs(&vfs2, &s_new, &path, Some(2), true);
-                if res.is_ok() {
+                vfs.write(&path, old).unwrap();
+                vfs.sync_file(&path).unwrap();
+                vfs.sync_dir(dir).unwrap();
+                if write_atomic(&vfs, &path, new, true).is_ok() {
                     continue; // crash point landed past this protocol
                 }
-                vfs2.power_cycle();
-                let (got, lsn) = load_snapshot_vfs(&vfs2, &path)
-                    .unwrap_or_else(|e| panic!("torn snapshot at op {op} seed {seed}: {e}"));
-                let ok_old = got.universe() == s_old.universe() && lsn == 1;
-                let ok_new = got.universe() == s_new.universe() && lsn == 2;
-                assert!(ok_old || ok_new, "op {op} seed {seed}: neither old nor new snapshot");
+                vfs.power_cycle();
+                let got = vfs.read(&path).unwrap();
+                assert!(got == old || got == new, "op {op} seed {seed}: torn target");
             }
         }
     }

@@ -19,16 +19,12 @@
 //! LSN; replay policy (which records to skip, gap detection) stays with
 //! the engine, which sees the scanned records via [`SessionOpen`].
 
-use crate::error::{StorageError, StorageResult};
-use crate::oplog::{self, LogFormat, Record};
-use crate::persist::write_atomic;
+use crate::error::StorageResult;
+use crate::oplog::{self, Record};
+use crate::persist::{io_err, write_atomic};
 use crate::vfs::Vfs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-fn io_err(ctx: &str, e: std::io::Error) -> StorageError {
-    StorageError::Persist(format!("{ctx}: {e}"))
-}
 
 /// What [`Session::open`] found on disk.
 #[derive(Clone, Debug, Default)]
@@ -46,9 +42,6 @@ pub struct SessionOpen {
 pub struct Session {
     vfs: Arc<dyn Vfs>,
     path: PathBuf,
-    /// Format appends use (an existing framed log is never downgraded).
-    format: LogFormat,
-    hint: u32,
     sync: bool,
     lsn: u64,
     /// Acknowledged byte length — the truncation point after a failed
@@ -57,80 +50,52 @@ pub struct Session {
 }
 
 impl Session {
-    /// Opens (or creates) the log at `path`. `prefer` is the format for a
-    /// *fresh* log; an existing framed log is never downgraded, and an
-    /// existing legacy log is migrated when `prefer` is framed. `hint` is
-    /// the snapshot-codec header hint, `base_lsn` numbers legacy-line
-    /// records (which carry none).
+    /// Opens (or creates) the log at `path`. An existing legacy line log
+    /// is migrated to framing; `base_lsn` numbers its records (which
+    /// carry none).
     pub fn open(
         vfs: Arc<dyn Vfs>,
         path: PathBuf,
-        prefer: LogFormat,
-        hint: u32,
         sync: bool,
         base_lsn: u64,
     ) -> StorageResult<(Session, SessionOpen)> {
         let mut info = SessionOpen::default();
-        let format;
         let bytes_len;
         if vfs.exists(&path) {
             let bytes = vfs.read(&path).map_err(|e| io_err("read log", e))?;
             let mut recovered = oplog::decode_log(&bytes)?;
-            if recovered.format == LogFormat::LegacyLines {
+            if recovered.legacy_lines {
                 for (i, rec) in recovered.records.iter_mut().enumerate() {
                     rec.lsn = base_lsn + 1 + i as u64;
                 }
             }
-            match (recovered.format, prefer) {
-                (LogFormat::LegacyLines, LogFormat::Framed) => {
-                    // migrate: rewrite the surviving records framed,
-                    // atomically, dropping any torn trailing fragment
-                    let fresh = oplog::encode_log_flagged_hint(
-                        hint,
-                        recovered.records.iter().map(|r| (r.lsn, 0, r.stmt.as_str())),
-                    );
-                    write_atomic(vfs.as_ref(), &path, &fresh, sync)?;
-                    info.migrated_legacy = !recovered.records.is_empty();
+            if recovered.legacy_lines || recovered.version < oplog::FORMAT_VERSION {
+                // Rewrite the surviving records in the current framing,
+                // atomically, dropping any torn trailing fragment — mixing
+                // record layouts in one file cannot work.
+                let fresh = oplog::encode_log_flagged(
+                    recovered.records.iter().map(|r| (r.lsn, r.flags, r.stmt.as_str())),
+                );
+                write_atomic(vfs.as_ref(), &path, &fresh, sync)?;
+                info.migrated_legacy = recovered.legacy_lines && !recovered.records.is_empty();
+                info.torn_bytes_truncated = recovered.torn_bytes;
+                bytes_len = fresh.len() as u64;
+            } else if recovered.valid_len < oplog::HEADER_LEN {
+                // the header itself was torn — lay it down again
+                write_atomic(vfs.as_ref(), &path, &oplog::header_bytes(), sync)?;
+                info.torn_bytes_truncated = recovered.torn_bytes;
+                bytes_len = oplog::HEADER_LEN_V4;
+            } else {
+                if recovered.torn_bytes > 0 {
+                    vfs.set_len(&path, recovered.valid_len)
+                        .map_err(|e| io_err("truncate torn log tail", e))?;
                     info.torn_bytes_truncated = recovered.torn_bytes;
-                    format = LogFormat::Framed;
-                    bytes_len = fresh.len() as u64;
                 }
-                (found, _) => {
-                    if found == LogFormat::Framed && recovered.valid_len < oplog::HEADER_LEN {
-                        // the header itself was torn — lay it down again
-                        write_atomic(vfs.as_ref(), &path, &oplog::header_bytes_hint(hint), sync)?;
-                        info.torn_bytes_truncated = recovered.torn_bytes;
-                        bytes_len = oplog::HEADER_LEN_V4;
-                    } else if found == LogFormat::Framed
-                        && recovered.version < oplog::FORMAT_VERSION
-                    {
-                        // upgrade the framing in place (atomically) —
-                        // mixing record layouts in one file cannot work
-                        let fresh = oplog::encode_log_flagged_hint(
-                            hint,
-                            recovered.records.iter().map(|r| (r.lsn, r.flags, r.stmt.as_str())),
-                        );
-                        write_atomic(vfs.as_ref(), &path, &fresh, sync)?;
-                        info.torn_bytes_truncated = recovered.torn_bytes;
-                        bytes_len = fresh.len() as u64;
-                    } else {
-                        if recovered.torn_bytes > 0 {
-                            vfs.set_len(&path, recovered.valid_len)
-                                .map_err(|e| io_err("truncate torn log tail", e))?;
-                            info.torn_bytes_truncated = recovered.torn_bytes;
-                        }
-                        bytes_len = recovered.valid_len;
-                    }
-                    format = found;
-                }
+                bytes_len = recovered.valid_len;
             }
             info.records = recovered.records;
         } else {
-            format = prefer;
-            let fresh = match format {
-                LogFormat::Framed => oplog::header_bytes_hint(hint),
-                LogFormat::LegacyLines => Vec::new(),
-            };
+            let fresh = oplog::header_bytes();
             vfs.write(&path, &fresh).map_err(|e| io_err("create log", e))?;
             if sync {
                 vfs.sync_file(&path).map_err(|e| io_err("sync fresh log", e))?;
@@ -141,17 +106,12 @@ impl Session {
             bytes_len = fresh.len() as u64;
         }
         let lsn = info.records.last().map(|r| r.lsn).max(Some(base_lsn)).unwrap_or(base_lsn);
-        Ok((Session { vfs, path, format, hint, sync, lsn, bytes: bytes_len }, info))
+        Ok((Session { vfs, path, sync, lsn, bytes: bytes_len }, info))
     }
 
     /// The log file path.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Format appends are written in.
-    pub fn format(&self) -> LogFormat {
-        self.format
     }
 
     /// LSN of the last appended (or scanned) record.
@@ -175,20 +135,13 @@ impl Session {
         self.sync
     }
 
-    fn encode(&self, lsn: u64, flags: u8, stmt: &str) -> Vec<u8> {
-        match self.format {
-            LogFormat::Framed => oplog::encode_record_flagged(lsn, flags, stmt),
-            LogFormat::LegacyLines => format!("{stmt}\n").into_bytes(),
-        }
-    }
-
     /// Appends one record and — under sync — fsyncs it before returning.
     /// On success the session LSN advances and the byte count of the
     /// append is returned. On error nothing is acknowledged: call
     /// [`Session::repair_truncate`] and stop using the log.
     pub fn append(&mut self, flags: u8, stmt: &str) -> StorageResult<u64> {
         let next = self.lsn + 1;
-        let bytes = self.encode(next, flags, stmt);
+        let bytes = oplog::encode_record_flagged(next, flags, stmt);
         self.vfs.append(&self.path, &bytes).map_err(|e| io_err("append log", e))?;
         if self.sync {
             self.vfs.sync_file(&self.path).map_err(|e| io_err("sync log", e))?;
@@ -204,7 +157,11 @@ impl Session {
     pub fn append_group(&mut self, records: &[(u8, String)]) -> StorageResult<u64> {
         let mut buf = Vec::new();
         for (i, (flags, stmt)) in records.iter().enumerate() {
-            buf.extend_from_slice(&self.encode(self.lsn + 1 + i as u64, *flags, stmt));
+            buf.extend_from_slice(&oplog::encode_record_flagged(
+                self.lsn + 1 + i as u64,
+                *flags,
+                stmt,
+            ));
         }
         self.vfs.append(&self.path, &buf).map_err(|e| io_err("append log", e))?;
         if self.sync {
@@ -216,13 +173,9 @@ impl Session {
     }
 
     /// Rotates the log empty (after a checkpoint made its records
-    /// redundant), updating the snapshot-codec header hint.
-    pub fn rotate(&mut self, hint: u32) -> StorageResult<()> {
-        self.hint = hint;
-        let fresh = match self.format {
-            LogFormat::Framed => oplog::header_bytes_hint(hint),
-            LogFormat::LegacyLines => Vec::new(),
-        };
+    /// redundant).
+    pub fn rotate(&mut self) -> StorageResult<()> {
+        let fresh = oplog::header_bytes();
         write_atomic(self.vfs.as_ref(), &self.path, &fresh, self.sync)?;
         self.bytes = fresh.len() as u64;
         Ok(())
@@ -256,15 +209,8 @@ mod tests {
 
     fn open(vfs: &Arc<SimVfs>, base_lsn: u64) -> (Session, SessionOpen) {
         vfs.create_dir_all(Path::new("/d")).unwrap();
-        Session::open(
-            Arc::clone(vfs) as Arc<dyn Vfs>,
-            PathBuf::from("/d/ops.idl"),
-            LogFormat::Framed,
-            oplog::CODEC_HINT_BINARY,
-            true,
-            base_lsn,
-        )
-        .unwrap()
+        Session::open(Arc::clone(vfs) as Arc<dyn Vfs>, PathBuf::from("/d/ops.idl"), true, base_lsn)
+            .unwrap()
     }
 
     #[test]
@@ -281,7 +227,7 @@ mod tests {
         assert_eq!(info.records.len(), 2);
         assert_eq!(info.records[1].flags, oplog::FLAG_MAINTENANCE);
         assert_eq!(s.lsn(), 2);
-        s.rotate(oplog::CODEC_HINT_BINARY).unwrap();
+        s.rotate().unwrap();
         assert_eq!(s.len().unwrap(), 0);
         assert_eq!(s.lsn(), 2, "rotation never rewinds the LSN");
         s.append(0, "?.db.r+(.a=3)").unwrap();

@@ -213,14 +213,17 @@ impl Vfs for RealVfs {
     fn sync_dir(&self, path: &Path) -> io::Result<()> {
         self.dir_syncs.fetch_add(1, Ordering::Relaxed);
         // Opening a directory read-only and fsyncing it is the POSIX way to
-        // make renames durable; on platforms where that fails (e.g.
-        // Windows), degrade to a no-op.
-        match std::fs::File::open(path) {
-            Ok(d) => match d.sync_all() {
-                Ok(()) => Ok(()),
-                Err(_) => Ok(()),
-            },
-            Err(_) => Ok(()),
+        // make renames durable. Either step failing means the entries may
+        // not be, so the caller must not acknowledge them. Other platforms
+        // cannot open a directory as a file; there this is a no-op.
+        #[cfg(unix)]
+        {
+            std::fs::File::open(path)?.sync_all()
+        }
+        #[cfg(not(unix))]
+        {
+            let _ = path;
+            Ok(())
         }
     }
 
@@ -1003,6 +1006,14 @@ mod tests {
         assert_eq!((st.writes, st.appends, st.renames, st.removes), (1, 1, 1, 1));
         assert_eq!(st.bytes_written, 11);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn real_sync_dir_reports_a_missing_directory() {
+        let dir = std::env::temp_dir().join(format!("idl-vfs-missing-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(RealVfs::new().sync_dir(&dir).is_err(), "an unsynced directory was acknowledged");
     }
 
     #[test]

@@ -26,12 +26,15 @@
 //! seeds in this file (CI pins it).
 
 use idl::{
-    Backend, DurabilityOptions, DurableEngine, Engine, EngineError, FaultPlan, SimVfs,
-    SnapshotCodec, StorageSpec, Vfs,
+    Backend, DurabilityOptions, DurableEngine, Engine, EngineError, FaultPlan, SimVfs, StorageSpec,
+    Value, Vfs,
 };
 use idl_repro as _;
+use idl_storage::codec::{self, DeltaBlob, DeltaEntry};
+use idl_storage::oplog;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// One step of the scripted workload.
@@ -73,31 +76,22 @@ fn base_seed() -> u64 {
     std::env::var("IDL_CRASH_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
 }
 
-fn open(vfs: &Arc<SimVfs>, threads: usize, compile: bool) -> Result<DurableEngine, EngineError> {
-    open_opts(vfs, DurabilityOptions::default(), threads, compile)
-}
+/// Buffer pool of the battery's directories: smaller than the page file
+/// the workload grows, so commits and recovery evict.
+const POOL: usize = 16;
 
-fn open_opts(
-    vfs: &Arc<SimVfs>,
-    opts: DurabilityOptions,
-    threads: usize,
-    compile: bool,
-) -> Result<DurableEngine, EngineError> {
+fn open(vfs: &Arc<SimVfs>, threads: usize, compile: bool) -> Result<DurableEngine, EngineError> {
     let v: Arc<dyn Vfs> = Arc::clone(vfs) as Arc<dyn Vfs>;
+    let opts = DurabilityOptions {
+        storage: StorageSpec::Paged { pool_pages: POOL },
+        ..DurabilityOptions::default()
+    };
     DurableEngine::open_with_vfs("/crash", v, opts, move |e| {
         idl::transparency::install_two_level_mapping(e)?;
         let o = e.options().rebuild().threads(threads).compile(compile).build();
         e.set_options(o);
         Ok(())
     })
-}
-
-/// Default options with the storage backend pinned to mem: the
-/// delta-chain and snapshot-migration legs assert mem-only artifacts
-/// (base snapshot + delta files). The paged backend has its own
-/// every-fault-site leg below.
-fn mem_default() -> DurabilityOptions {
-    DurabilityOptions { storage: StorageSpec::Mem, ..DurabilityOptions::default() }
 }
 
 /// What a (possibly crashing) workload run acknowledged.
@@ -172,8 +166,7 @@ fn assert_recovery(
     assert_recovery_with(vfs, run, plan, |v| open(v, threads, compile));
 }
 
-/// [`assert_recovery`] parameterised on how to (re)open the directory —
-/// the paged legs recover through the paged storage backend.
+/// [`assert_recovery`] parameterised on how to (re)open the directory.
 fn assert_recovery_with(
     vfs: &Arc<SimVfs>,
     run: &RunOutcome,
@@ -461,78 +454,12 @@ fn group_commit_crash_battery_acks_all_or_prefix() {
     }
 }
 
-/// Like [`open`], but with an explicit snapshot codec (the migration leg
-/// scripts a JSON era followed by a binary era).
-fn open_codec(vfs: &Arc<SimVfs>, codec: SnapshotCodec) -> Result<DurableEngine, EngineError> {
-    let v: Arc<dyn Vfs> = Arc::clone(vfs) as Arc<dyn Vfs>;
-    let opts = DurabilityOptions { codec, ..mem_default() };
-    DurableEngine::open_with_vfs("/crash", v, opts, |e| {
-        idl::transparency::install_two_level_mapping(e)
-    })
-}
-
-/// The chained workload: a checkpoint after *every* update, so the
-/// directory grows a base snapshot plus a delta chain (compacted when it
-/// hits the policy cap) — crash sites land between, inside, and after
-/// chain members.
-fn run_workload_chained(vfs: &Arc<SimVfs>) -> RunOutcome {
-    let mut d = match open_opts(vfs, mem_default(), 1, true) {
-        Ok(d) => d,
-        Err(_) => return RunOutcome { acked: Vec::new(), in_flight: None, completed: false },
-    };
-    let mut acked = Vec::new();
-    for (i, step) in WORKLOAD.iter().enumerate() {
-        // the scripted Checkpoint steps are redundant here
-        let Step::Update(src) = step else { continue };
-        match d.update(src) {
-            Ok(_) => acked.push(i),
-            Err(_) => return RunOutcome { acked, in_flight: Some(i), completed: false },
-        }
-        if d.checkpoint().is_err() {
-            return RunOutcome { acked, in_flight: None, completed: false };
-        }
-    }
-    RunOutcome { acked, in_flight: None, completed: true }
-}
-
-/// Power-cycle at every I/O op of the chained workload: recovery replays
-/// base + delta chain + log tail and must land on exactly the acked set,
-/// whatever chain prefix survived the crash.
-#[test]
-fn crash_mid_delta_chain_recovers_exactly() {
-    let seed = 0xDE17A ^ base_seed();
-    let total = {
-        let probe = Arc::new(SimVfs::new(FaultPlan::none(seed)));
-        let run = run_workload_chained(&probe);
-        assert!(run.completed, "fault-free chained workload must complete");
-        probe.op_count()
-    };
-    // the leg is vacuous unless the fault-free run really grew a chain
-    {
-        let probe = Arc::new(SimVfs::new(FaultPlan::none(seed)));
-        let _ = run_workload_chained(&probe);
-        let d = open_opts(&probe, mem_default(), 1, true).unwrap();
-        let stats = d.durability_stats();
-        if stats.codec == SnapshotCodec::Binary {
-            assert!(stats.chain_len > 0, "chained workload left no delta chain to recover");
-        }
-    }
-    for crash_at in 1..=total {
-        let plan = FaultPlan::none(seed).with_crash_at(crash_at);
-        let vfs = Arc::new(SimVfs::new(plan));
-        let run = run_workload_chained(&vfs);
-        vfs.power_cycle();
-        assert_recovery_with(&vfs, &run, &plan, |v| open_opts(v, mem_default(), 1, true));
-    }
-}
-
 /// Buffer pool for the paged crash legs: small enough that the
 /// workload's page file outgrows it, so commits and recovery evict and
 /// write back dirty frames under pressure.
 const PAGED_POOL: usize = 4;
 
-/// Like [`open`], but on the paged storage backend with the tiny
-/// eviction-forcing pool.
+/// Like [`open`], but with the tiny eviction-forcing pool.
 fn open_paged(vfs: &Arc<SimVfs>) -> Result<DurableEngine, EngineError> {
     let v: Arc<dyn Vfs> = Arc::clone(vfs) as Arc<dyn Vfs>;
     let opts = DurabilityOptions {
@@ -602,113 +529,136 @@ fn paged_crash_at_every_fault_site() {
     }
 }
 
-/// Boundary between the eras in [`run_workload_migration`]: workload
-/// steps before it run under the JSON codec, the rest under binary.
-const MIGRATION_SPLIT: usize = 6;
-
-/// Two-era workload: a JSON-codec engine runs the first half (including
-/// a checkpoint, so a legacy JSON snapshot exists on disk), then a
-/// binary-codec engine opens the same directory — migrating the base on
-/// open — and runs the second half.
-fn run_workload_migration(vfs: &Arc<SimVfs>) -> RunOutcome {
-    let mut acked = Vec::new();
-    {
-        let mut d = match open_codec(vfs, SnapshotCodec::Json) {
-            Ok(d) => d,
-            Err(_) => return RunOutcome { acked, in_flight: None, completed: false },
-        };
-        for (i, step) in WORKLOAD.iter().enumerate().take(MIGRATION_SPLIT) {
-            let res = match step {
-                Step::Update(src) => d.update(src).map(|_| ()),
-                Step::Checkpoint => d.checkpoint().map(|_| ()),
-            };
-            match res {
-                Ok(()) => {
-                    if matches!(step, Step::Update(_)) {
-                        acked.push(i);
-                    }
-                }
-                Err(_) => {
-                    let in_flight = matches!(step, Step::Update(_)).then_some(i);
-                    return RunOutcome { acked, in_flight, completed: false };
-                }
-            }
-        }
-    }
-    let mut d = match open_codec(vfs, SnapshotCodec::Binary) {
-        Ok(d) => d,
-        Err(_) => return RunOutcome { acked, in_flight: None, completed: false },
-    };
-    for (i, step) in WORKLOAD.iter().enumerate().skip(MIGRATION_SPLIT) {
-        let res = match step {
-            Step::Update(src) => d.update(src).map(|_| ()),
-            Step::Checkpoint => d.checkpoint().map(|_| ()),
-        };
-        match res {
-            Ok(()) => {
-                if matches!(step, Step::Update(_)) {
-                    acked.push(i);
-                }
-            }
-            Err(_) => {
-                let in_flight = matches!(step, Step::Update(_)).then_some(i);
-                return RunOutcome { acked, in_flight, completed: false };
-            }
-        }
-    }
-    RunOutcome { acked, in_flight: None, completed: true }
+/// The workload's updates in order, as indices into [`WORKLOAD`].
+fn update_indices() -> Vec<usize> {
+    (0..WORKLOAD.len()).filter(|&i| matches!(WORKLOAD[i], Step::Update(_))).collect()
 }
 
-/// Power-cycle at every I/O op across a JSON era, the one-shot migration
-/// to binary, and the binary era that follows. Recovery (with the
-/// session-default options, whatever codec they select) must land on
-/// exactly the acked set: the migration is atomic — the directory is
-/// never half JSON, half binary in a way replay cannot read.
+/// The universe, views refreshed, after the given workload updates.
+fn universe_after(indices: &[usize]) -> Value {
+    let mut e = Engine::new();
+    idl::transparency::install_two_level_mapping(&mut e).unwrap();
+    for &i in indices {
+        let Step::Update(src) = WORKLOAD[i] else { continue };
+        e.update(src).unwrap();
+    }
+    e.refresh_views().unwrap();
+    e.store().universe().clone()
+}
+
+/// The delta entries taking `old` to `new`, database by database.
+fn delta_entries(old: &Value, new: &Value) -> Vec<DeltaEntry> {
+    let (old, new) = (old.as_tuple().unwrap(), new.as_tuple().unwrap());
+    let dropped = old.iter().filter(|(db, _)| new.get(db.as_str()).is_none());
+    let dropped = dropped.map(|(db, _)| DeltaEntry::DropDatabase { db: db.clone() });
+    let put =
+        new.iter().map(|(db, v)| DeltaEntry::PutDatabase { db: db.clone(), value: v.clone() });
+    dropped.chain(put).collect()
+}
+
+/// The files a snapshot-era build left after the whole workload: a
+/// binary base of the first five updates, a two-delta chain of two
+/// updates each, and the remaining updates as the log tail. LSNs count
+/// updates.
+fn mem_era_files() -> &'static [(String, Vec<u8>)] {
+    static FILES: OnceLock<Vec<(String, Vec<u8>)>> = OnceLock::new();
+    FILES.get_or_init(|| {
+        let ups = update_indices();
+        let base = 5;
+        let mut prev = universe_after(&ups[..base]);
+        let mut files = vec![(
+            "universe.json".to_string(),
+            codec::encode_snapshot(&prev, 1, base as u64, None),
+        )];
+        for (seq, end) in [(1u64, 7usize), (2, 9)] {
+            let next = universe_after(&ups[..end]);
+            let delta = DeltaBlob {
+                gen: 1,
+                seq,
+                prev_lsn: end as u64 - 2,
+                lsn: end as u64,
+                maintenance: None,
+                entries: delta_entries(&prev, &next),
+            };
+            files.push((format!("universe.delta.{seq}"), codec::encode_delta(&delta)));
+            prev = next;
+        }
+        let tail = ups.iter().enumerate().skip(9).map(|(k, &i)| {
+            let Step::Update(src) = WORKLOAD[i] else { unreachable!("update index") };
+            (k as u64 + 1, src)
+        });
+        files.push(("ops.idl".to_string(), oplog::encode_log(tail)));
+        files
+    })
+}
+
+/// Lays the snapshot-era files down durably.
+fn forge_mem_era(vfs: &SimVfs) {
+    let dir = Path::new("/crash");
+    vfs.create_dir_all(dir).unwrap();
+    for (name, bytes) in mem_era_files() {
+        let path = dir.join(name);
+        vfs.write(&path, bytes).unwrap();
+        vfs.sync_file(&path).unwrap();
+    }
+    vfs.sync_dir(dir).unwrap();
+}
+
+/// Power-cycle at every I/O op of the open that migrates a snapshot-era
+/// directory (base + delta chain + log tail) into the page file. The
+/// migration must be atomic: recovery lands on every update the
+/// directory held, keeps working, and the open after it is a plain
+/// page-file open.
 #[test]
-fn legacy_json_migration_survives_crashes_at_every_site() {
+fn mem_era_migration_survives_crashes_at_every_site() {
     let seed = 0x1093 ^ base_seed();
-    let total = {
+    let (forged, total) = {
         let probe = Arc::new(SimVfs::new(FaultPlan::none(seed)));
-        let run = run_workload_migration(&probe);
-        assert!(run.completed, "fault-free migration workload must complete");
-        let total = probe.op_count();
-        // the binary-era open really migrated a JSON base
-        let d = open_codec(&probe, SnapshotCodec::Binary).unwrap();
-        assert!(
-            d.durability_stats().codec == SnapshotCodec::Binary,
-            "binary era must write binary checkpoints"
-        );
-        total
+        forge_mem_era(&probe);
+        let forged = probe.op_count();
+        let d = open(&probe, 1, true).expect("fault-free migration opens");
+        assert!(d.durability_stats().migrated_snapshot, "the open must migrate");
+        (forged, probe.op_count())
     };
-    for crash_at in 1..=total {
+    let everything = RunOutcome { acked: update_indices(), in_flight: None, completed: true };
+    for crash_at in forged + 1..=total {
         let plan = FaultPlan::none(seed).with_crash_at(crash_at);
         let vfs = Arc::new(SimVfs::new(plan));
-        let run = run_workload_migration(&vfs);
+        forge_mem_era(&vfs);
+        let _ = open(&vfs, 1, true);
         vfs.power_cycle();
-        // recovery reopens through the migration target (the binary era)
-        assert_recovery_with(&vfs, &run, &plan, |v| open_codec(v, SnapshotCodec::Binary));
+        assert_recovery_with(&vfs, &everything, &plan, |v| open(v, 1, true));
+        let d = open(&vfs, 1, true).unwrap();
+        assert!(!d.durability_stats().migrated_snapshot, "plan {plan}: migrated twice");
+        let mut names: Vec<String> = vfs
+            .list_dir(Path::new("/crash"))
+            .unwrap()
+            .iter()
+            .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["ops.idl", "pages.idb"], "plan {plan}: snapshot-era files left");
     }
 }
 
-/// The migration itself is observable and one-shot: opening a JSON-era
-/// directory with the binary codec reports `migrated_snapshot` once,
-/// rewrites the base, and the next open is a plain binary open.
+/// The migration is observable and one-shot: a directory whose base is
+/// a legacy JSON wrapper reports `migrated_snapshot` once, and the next
+/// open is a plain page-file open of the same universe.
 #[test]
 fn legacy_json_migration_is_one_shot() {
     let vfs = Arc::new(SimVfs::new(FaultPlan::none(7 ^ base_seed())));
-    {
-        let mut d = open_codec(&vfs, SnapshotCodec::Json).unwrap();
-        let Step::Update(src) = WORKLOAD[0] else { unreachable!() };
-        d.update(src).unwrap();
-        d.checkpoint().unwrap();
-    }
-    let first = open_codec(&vfs, SnapshotCodec::Binary).unwrap();
-    assert!(first.durability_stats().migrated_snapshot, "first binary open must migrate");
-    let want = first.universe_json().unwrap();
+    let ups = update_indices();
+    let json = Engine::from_universe(universe_after(&ups[..5])).unwrap().universe_json().unwrap();
+    let wrapper = format!(r#"{{"format":2,"lsn":5,"universe":{json},"maintenance":null}}"#);
+    vfs.create_dir_all(Path::new("/crash")).unwrap();
+    vfs.write(Path::new("/crash/universe.json"), wrapper.as_bytes()).unwrap();
+    let first = open(&vfs, 1, true).unwrap();
+    assert!(first.durability_stats().migrated_snapshot, "first open must migrate");
+    assert_eq!(first.universe_json().unwrap(), json);
     drop(first);
-    let second = open_codec(&vfs, SnapshotCodec::Binary).unwrap();
+    let second = open(&vfs, 1, true).unwrap();
     assert!(!second.durability_stats().migrated_snapshot, "migration must not repeat");
-    assert_eq!(second.universe_json().unwrap(), want);
+    assert_eq!(second.universe_json().unwrap(), json);
 }
 
 #[test]

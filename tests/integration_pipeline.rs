@@ -149,24 +149,23 @@ fn error_messages_name_the_problem() {
 }
 
 // ---------------------------------------------------------------------
-// Durable-engine recovery edges (snapshot + op log through the public
+// Durable-engine recovery edges (checkpoint + op log through the public
 // `DurableEngine` API; the crash battery proper is tests/crash_recovery.rs).
 // ---------------------------------------------------------------------
 
 mod recovery_edges {
-    use idl::{Backend, DurableEngine, Engine, EngineError, EngineOptions, StorageSpec};
+    use idl::{Backend, DurableEngine, Engine, EngineError, EngineOptions};
     use idl_storage::oplog;
-    use idl_storage::{CommitSeal, MemStorage, RealVfs, StorageEngine, Store, Vfs};
+    use idl_storage::{CommitSeal, PagedStorage, RealVfs, Store, Vfs};
     use std::path::{Path, PathBuf};
     use std::sync::Arc;
 
-    /// The storage backends every leg runs over; the paged pool is small
-    /// enough that eviction runs inside the tests.
-    const STORAGE: [StorageSpec; 2] = [StorageSpec::Mem, StorageSpec::Paged { pool_pages: 16 }];
+    /// Buffer pool of every leg: small enough that eviction runs inside
+    /// the tests.
+    const POOL: usize = 16;
 
-    fn fresh_dir(name: &str, storage: StorageSpec) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("idl-recovery-{name}-{storage}-{}", std::process::id()));
+    fn fresh_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("idl-recovery-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -174,64 +173,56 @@ mod recovery_edges {
 
     fn open_with(
         dir: &Path,
-        storage: StorageSpec,
         setup: impl FnOnce(&mut Engine) -> Result<(), EngineError>,
     ) -> DurableEngine {
-        let opts = EngineOptions::builder().storage(storage).durability();
+        let opts = EngineOptions::builder().pool_pages(POOL).durability();
         DurableEngine::open_with_vfs(dir, Arc::new(RealVfs::new()), opts, setup).unwrap()
     }
 
-    fn open(dir: &Path, storage: StorageSpec) -> DurableEngine {
-        open_with(dir, storage, |_| Ok(()))
+    fn open(dir: &Path) -> DurableEngine {
+        open_with(dir, |_| Ok(()))
     }
 
     #[test]
     fn empty_log_file_opens_cleanly() {
-        for storage in STORAGE {
-            let dir = fresh_dir("empty-log", storage);
-            std::fs::write(dir.join("ops.idl"), b"").unwrap();
-            let mut d = open(&dir, storage);
-            assert_eq!(d.log_len().unwrap(), 0);
-            assert_eq!(d.durability_stats().records_recovered, 0);
-            d.update("?.db.r+(.a=1)").unwrap();
-            assert_eq!(d.log_len().unwrap(), 1);
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        let dir = fresh_dir("empty-log");
+        std::fs::write(dir.join("ops.idl"), b"").unwrap();
+        let mut d = open(&dir);
+        assert_eq!(d.log_len().unwrap(), 0);
+        assert_eq!(d.durability_stats().records_recovered, 0);
+        d.update("?.db.r+(.a=1)").unwrap();
+        assert_eq!(d.log_len().unwrap(), 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn log_only_recovery_without_a_snapshot() {
-        for storage in STORAGE {
-            let dir = fresh_dir("log-only", storage);
-            {
-                let mut d = open(&dir, storage);
-                d.update("?.db.r+(.a=1)").unwrap();
-                d.update("?.db.r+(.a=2)").unwrap();
-            }
-            assert!(!dir.join("universe.json").exists(), "no checkpoint ran");
-            assert!(!dir.join("pages.idb").exists(), "no checkpoint ran");
-            let mut d = open(&dir, storage);
-            assert_eq!(d.query("?.db.r(.a=X)").unwrap().column("X").len(), 2);
-            std::fs::remove_dir_all(&dir).ok();
+        let dir = fresh_dir("log-only");
+        {
+            let mut d = open(&dir);
+            d.update("?.db.r+(.a=1)").unwrap();
+            d.update("?.db.r+(.a=2)").unwrap();
         }
+        assert!(!dir.join("pages.idb").exists(), "no checkpoint ran");
+        let mut d = open(&dir);
+        assert_eq!(d.query("?.db.r(.a=X)").unwrap().column("X").len(), 2);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn snapshot_only_recovery_without_a_log() {
-        for storage in STORAGE {
-            let dir = fresh_dir("snap-only", storage);
-            {
-                let mut d = open(&dir, storage);
-                d.update("?.db.r+(.a=1)").unwrap();
-                d.checkpoint().unwrap();
-            }
-            std::fs::remove_file(dir.join("ops.idl")).unwrap();
-            let mut d = open(&dir, storage);
-            assert!(d.query("?.db.r(.a=1)").unwrap().is_true(), "{storage}");
-            d.update("?.db.r+(.a=2)").unwrap();
-            assert_eq!(d.log_len().unwrap(), 1, "a fresh log accepts appends");
-            std::fs::remove_dir_all(&dir).ok();
+        let dir = fresh_dir("snap-only");
+        {
+            let mut d = open(&dir);
+            d.update("?.db.r+(.a=1)").unwrap();
+            d.checkpoint().unwrap();
         }
+        std::fs::remove_file(dir.join("ops.idl")).unwrap();
+        let mut d = open(&dir);
+        assert!(d.query("?.db.r(.a=1)").unwrap().is_true());
+        d.update("?.db.r+(.a=2)").unwrap();
+        assert_eq!(d.log_len().unwrap(), 1, "a fresh log accepts appends");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -243,33 +234,30 @@ mod recovery_edges {
             (1u64, "?.dbU.bump(.k = a)"), // duplicated record
             (2u64, "?.dbU.bump(.k = b)"),
         ];
-        let setup = |e: &mut Engine| e.execute(".dbU.bump(.k=K) -> .db.hits+(.k=K) ;").map(|_| ());
-        for storage in STORAGE {
-            let dir = fresh_dir("dup-lsn", storage);
-            std::fs::write(dir.join("ops.idl"), oplog::encode_log(stmts)).unwrap();
-            let mut d = open_with(&dir, storage, setup);
-            let stats = d.durability_stats();
-            assert_eq!(stats.records_recovered, 2);
-            assert_eq!(stats.records_skipped, 1);
-            assert_eq!(d.query("?.db.hits(.k=K)").unwrap().len(), 2);
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        let dir = fresh_dir("dup-lsn");
+        std::fs::write(dir.join("ops.idl"), oplog::encode_log(stmts)).unwrap();
+        let mut d =
+            open_with(&dir, |e| e.execute(".dbU.bump(.k=K) -> .db.hits+(.k=K) ;").map(|_| ()));
+        let stats = d.durability_stats();
+        assert_eq!(stats.records_recovered, 2);
+        assert_eq!(stats.records_skipped, 1);
+        assert_eq!(d.query("?.db.hits(.k=K)").unwrap().len(), 2);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn snapshot_lsn_skips_covered_records() {
-        // Snapshot at LSN 2 plus a stale pre-rotation log with LSNs 1..3:
-        // only record 3 replays (the crash-between-checkpoint-renames
-        // window). The snapshot is written through MemStorage, so this
-        // leg is mem-only.
-        let dir = fresh_dir("covered", StorageSpec::Mem);
+        // A checkpoint at LSN 2 plus a stale pre-rotation log with LSNs
+        // 1..3: only record 3 replays (the crash-between-commit-and-
+        // rotation window).
+        let dir = fresh_dir("covered");
         let mut covered = Store::new();
         covered
             .insert("db", "r", idl_object::tuple! { a: 1i64 })
             .and_then(|_| covered.insert("db", "r", idl_object::tuple! { a: 2i64 }))
             .unwrap();
         let vfs: Arc<dyn Vfs> = Arc::new(RealVfs::new());
-        let mut storage = MemStorage::new(vfs, &dir, Default::default(), true);
+        let mut storage = PagedStorage::new(vfs, &dir, POOL);
         storage.recover().unwrap();
         storage
             .apply_full(&covered, &CommitSeal { lsn: 2, maintenance: None, sync: true })
@@ -277,7 +265,7 @@ mod recovery_edges {
         let stale =
             [(1u64, "?.db.r+(.a = 1)"), (2u64, "?.db.r+(.a = 2)"), (3u64, "?.db.r+(.a = 3)")];
         std::fs::write(dir.join("ops.idl"), oplog::encode_log(stale)).unwrap();
-        let mut d = open(&dir, StorageSpec::Mem);
+        let mut d = open(&dir);
         let stats = d.durability_stats();
         assert_eq!(stats.records_skipped, 2);
         assert_eq!(stats.records_recovered, 1);
@@ -291,35 +279,31 @@ mod recovery_edges {
         // §5 direct decrees and §7 update programs logged as calls,
         // replayed through `open_with` with the mapping reinstalled.
         let setup = |e: &mut Engine| idl::transparency::install_two_level_mapping(e);
-        for storage in STORAGE {
-            let dir = fresh_dir("paper-programs", storage);
-            {
-                let mut d = open_with(&dir, storage, setup);
-                d.update("?.euter.r+(.date=3/3/85, .stkCode=hp, .clsPrice=50)").unwrap();
-                d.update("?.dbU.insStk(.stk=sun, .date=3/6/85, .price=30)").unwrap();
-                d.update("?.dbE.r+(.date=3/7/85, .stkCode=newco, .clsPrice=9)").unwrap();
-                d.update("?.dbU.delStk(.stk=hp, .date=3/3/85)").unwrap();
-            }
-            let mut d = open_with(&dir, storage, setup);
-            assert!(d.query("?.euter.r(.stkCode=sun)").unwrap().is_true());
-            assert!(d.query("?.ource.sun(.clsPrice=30)").unwrap().is_true());
-            assert!(d.query("?.dbE.r(.stkCode=newco)").unwrap().is_true());
-            assert!(!d.query("?.euter.r(.stkCode=hp)").unwrap().is_true());
-            std::fs::remove_dir_all(&dir).ok();
+        let dir = fresh_dir("paper-programs");
+        {
+            let mut d = open_with(&dir, setup);
+            d.update("?.euter.r+(.date=3/3/85, .stkCode=hp, .clsPrice=50)").unwrap();
+            d.update("?.dbU.insStk(.stk=sun, .date=3/6/85, .price=30)").unwrap();
+            d.update("?.dbE.r+(.date=3/7/85, .stkCode=newco, .clsPrice=9)").unwrap();
+            d.update("?.dbU.delStk(.stk=hp, .date=3/3/85)").unwrap();
         }
+        let mut d = open_with(&dir, setup);
+        assert!(d.query("?.euter.r(.stkCode=sun)").unwrap().is_true());
+        assert!(d.query("?.ource.sun(.clsPrice=30)").unwrap().is_true());
+        assert!(d.query("?.dbE.r(.stkCode=newco)").unwrap().is_true());
+        assert!(!d.query("?.euter.r(.stkCode=hp)").unwrap().is_true());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn legacy_line_log_accepted_and_migrated() {
-        for storage in STORAGE {
-            let dir = fresh_dir("legacy", storage);
-            std::fs::write(dir.join("ops.idl"), "?.db.r+(.a=1)\n?.db.r+(.a=2)\n").unwrap();
-            let mut d = open(&dir, storage);
-            assert!(d.durability_stats().migrated_legacy);
-            assert_eq!(d.query("?.db.r(.a=X)").unwrap().column("X").len(), 2);
-            let bytes = std::fs::read(dir.join("ops.idl")).unwrap();
-            assert!(bytes.starts_with(oplog::MAGIC), "rewritten in the framed format");
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        let dir = fresh_dir("legacy");
+        std::fs::write(dir.join("ops.idl"), "?.db.r+(.a=1)\n?.db.r+(.a=2)\n").unwrap();
+        let mut d = open(&dir);
+        assert!(d.durability_stats().migrated_legacy);
+        assert_eq!(d.query("?.db.r(.a=X)").unwrap().column("X").len(), 2);
+        let bytes = std::fs::read(dir.join("ops.idl")).unwrap();
+        assert!(bytes.starts_with(oplog::MAGIC), "rewritten in the framed format");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

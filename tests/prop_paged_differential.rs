@@ -1,17 +1,20 @@
-//! Paged-vs-mem storage differential battery (DESIGN.md "Paged storage
+//! Durable-vs-in-memory differential battery (DESIGN.md "Paged storage
 //! and the buffer pool").
 //!
-//! The storage backend must not be a *semantic* knob: for hundreds of
-//! random update/checkpoint workloads, a durable engine running on the
-//! paged backend — with a deliberately tiny, eviction-forcing buffer
-//! pool — must present **byte-identical** universes to one running on
-//! the in-memory + snapshot backend, live, after recovery, and under
-//! the §4 query battery. The worker-thread count and plan compilation
-//! are folded into the seed so the matrix covers {1, 4} threads ×
-//! {compiled, tree-walk} without multiplying the case count.
+//! Durability must not be a *semantic* knob: for hundreds of random
+//! update/checkpoint workloads, a durable engine on the page file — with
+//! a deliberately tiny, eviction-forcing buffer pool — must present
+//! **byte-identical** universes to a plain in-memory [`Engine`] running
+//! the same updates (for which a checkpoint is a no-op), live, after
+//! recovery, and under the §4 query battery. The oracle shares no
+//! storage code with the engine under test: no log, no page file, no
+//! recovery. The worker-thread count and plan compilation are folded
+//! into the seed so the matrix covers {1, 4} threads × {compiled,
+//! tree-walk} without multiplying the case count.
 
 use idl::{
-    Backend, DurabilityOptions, DurableEngine, EngineError, FaultPlan, SimVfs, StorageSpec, Vfs,
+    Backend, DurabilityOptions, DurableEngine, Engine, EngineError, FaultPlan, SimVfs, StorageSpec,
+    Vfs,
 };
 use idl_repro as _;
 use proptest::prelude::*;
@@ -28,7 +31,7 @@ enum Op {
     /// An oversized row that exceeds the paged backend's inline-row
     /// budget, pushing its whole relation onto the blob path.
     Jumbo { db: u8, rel: u8, a: i64 },
-    /// Snapshot + log rotation on both engines.
+    /// Checkpoint + log rotation (a no-op on the oracle).
     Checkpoint,
 }
 
@@ -75,51 +78,33 @@ const BATTERY: &[&str] = &[
     "?.d1.r2(.a>3)",
 ];
 
+/// Rules and the thread/compile knobs, on the engine under test and the
+/// oracle alike.
+fn setup(e: &mut Engine, threads: usize, compile: bool) -> Result<(), EngineError> {
+    e.add_rules(RULES)?;
+    e.set_options(e.options().rebuild().threads(threads).compile(compile).build());
+    Ok(())
+}
+
 fn open(
     vfs: &Arc<SimVfs>,
-    spec: StorageSpec,
+    pool: usize,
     threads: usize,
     compile: bool,
 ) -> Result<DurableEngine, EngineError> {
     let v: Arc<dyn Vfs> = Arc::clone(vfs) as Arc<dyn Vfs>;
-    let opts = DurabilityOptions { storage: spec, ..DurabilityOptions::default() };
-    DurableEngine::open_with_vfs("/diff", v, opts, move |e| {
-        e.add_rules(RULES)?;
-        let o = e.options().rebuild().threads(threads).compile(compile).build();
-        e.set_options(o);
-        Ok(())
-    })
+    let storage = StorageSpec::Paged { pool_pages: pool };
+    let opts = DurabilityOptions { storage, ..DurabilityOptions::default() };
+    DurableEngine::open_with_vfs("/diff", v, opts, move |e| setup(e, threads, compile))
 }
 
-/// Runs the workload to completion on a fresh engine over `vfs`.
-fn run(vfs: &Arc<SimVfs>, spec: StorageSpec, threads: usize, compile: bool, ops: &[Op]) {
-    let mut d = open(vfs, spec, threads, compile).expect("open");
-    for op in ops {
-        match op.source() {
-            Some(src) => {
-                d.update(&src).unwrap_or_else(|e| panic!("{src}: {e}"));
-            }
-            None => {
-                d.checkpoint().expect("checkpoint");
-            }
-        }
-    }
-}
-
-/// Live universe + battery answers of a freshly-reopened engine (the
-/// recovery view: base snapshot/page file + log tail replay).
-fn recovered_state(
-    vfs: &Arc<SimVfs>,
-    spec: StorageSpec,
-    threads: usize,
-    compile: bool,
-) -> (String, Vec<String>) {
-    let mut d = open(vfs, spec, threads, compile).expect("reopen");
-    d.refresh_views().expect("refresh");
-    let universe = d.universe_json().expect("universe json");
+/// Universe JSON and battery answers, views refreshed.
+fn state(b: &mut dyn Backend) -> (String, Vec<String>) {
+    b.refresh_views().expect("refresh");
+    let universe = b.universe_json().expect("universe json");
     let answers = BATTERY
         .iter()
-        .map(|q| format!("{:?}", d.query(q).unwrap_or_else(|e| panic!("{q}: {e}"))))
+        .map(|q| format!("{:?}", b.query(q).unwrap_or_else(|e| panic!("{q}: {e}"))))
         .collect();
     (universe, answers)
 }
@@ -127,10 +112,10 @@ fn recovered_state(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// paged ≡ mem: same workload, same bytes — live, recovered, and
-    /// under the query battery — with a pool small enough to evict.
+    /// durable ≡ in-memory: same workload, same bytes — live, recovered,
+    /// and under the query battery — with a pool small enough to evict.
     #[test]
-    fn paged_storage_matches_mem_storage(
+    fn paged_storage_matches_in_memory_engine(
         seed in 0u64..1_000_000,
         ops in proptest::collection::vec(op_strategy(), 1..32),
     ) {
@@ -139,26 +124,36 @@ proptest! {
         // 1–4 pool pages: always far below the page file the jumbo and
         // multi-relation workloads build, so commits and recovery evict
         let pool = 1 + (seed % 4) as usize;
-        let paged = StorageSpec::Paged { pool_pages: pool };
 
-        let mem_vfs = Arc::new(SimVfs::new(FaultPlan::none(seed)));
-        let paged_vfs = Arc::new(SimVfs::new(FaultPlan::none(seed)));
-        run(&mem_vfs, StorageSpec::Mem, threads, compile, &ops);
-        run(&paged_vfs, paged, threads, compile, &ops);
-
-        let (mem_universe, mem_answers) =
-            recovered_state(&mem_vfs, StorageSpec::Mem, threads, compile);
-        let (paged_universe, paged_answers) =
-            recovered_state(&paged_vfs, paged, threads, compile);
+        let vfs = Arc::new(SimVfs::new(FaultPlan::none(seed)));
+        let mut durable = open(&vfs, pool, threads, compile).expect("open");
+        let mut oracle = Engine::new();
+        setup(&mut oracle, threads, compile).expect("oracle setup");
+        for op in &ops {
+            match op.source() {
+                Some(src) => {
+                    durable.update(&src).unwrap_or_else(|e| panic!("{src}: {e}"));
+                    oracle.update(&src).unwrap_or_else(|e| panic!("oracle {src}: {e}"));
+                }
+                None => {
+                    durable.checkpoint().expect("checkpoint");
+                }
+            }
+        }
+        let want = state(&mut oracle);
         prop_assert_eq!(
-            &mem_universe, &paged_universe,
-            "recovered universes diverge (threads={}, compile={}, pool={})",
-            threads, compile, pool
+            &state(&mut durable), &want,
+            "live state diverges (threads={}, compile={}, pool={})", threads, compile, pool
         );
-        prop_assert_eq!(mem_answers, paged_answers);
+        drop(durable);
 
-        // a second reopen of the paged directory is byte-stable
-        let (again, _) = recovered_state(&paged_vfs, paged, threads, compile);
-        prop_assert_eq!(paged_universe, again);
+        let recovered = state(&mut open(&vfs, pool, threads, compile).expect("reopen"));
+        prop_assert_eq!(
+            &recovered, &want,
+            "recovered state diverges (threads={}, compile={}, pool={})", threads, compile, pool
+        );
+        // a second reopen is byte-stable
+        let again = state(&mut open(&vfs, pool, threads, compile).expect("second reopen"));
+        prop_assert_eq!(recovered.0, again.0);
     }
 }

@@ -17,14 +17,15 @@
 //!   backend answers with clean `E-POISONED` frames while reads keep
 //!   serving the last acknowledged snapshot.
 //!
-//! The durable legs run over both storage backends. The fixpoint worker
-//! count follows `IDL_TEST_THREADS` (the CI matrix runs 1 and 4),
+//! The durable legs run on a page file with a 16-page buffer pool, small
+//! enough that eviction runs inside them. The fixpoint worker count
+//! follows `IDL_TEST_THREADS` (the CI matrix runs 1 and 4),
 //! exercising the server over both the sequential and parallel refresh
 //! paths.
 
 use idl::{
     AnswerSet, Backend, DurabilityOptions, DurableEngine, Engine, EngineError, EngineOptions,
-    EngineSnapshot, FaultPlan, FixpointStats, Outcome, RealVfs, SimVfs, StorageSpec, Vfs,
+    EngineSnapshot, FaultPlan, FixpointStats, Outcome, RealVfs, SimVfs, Vfs,
 };
 use idl_eval::analyze::BindingIssue;
 use idl_server::{protocol, serve, Client, ServerConfig, ServerHandle, WireRequest, WireResponse};
@@ -739,41 +740,32 @@ fn oversized_json_universe_fits_in_binary_in_event_mode() {
     handle.shutdown();
 }
 
-/// The storage backends every durable leg runs over; the paged pool is
-/// small enough that eviction runs inside the tests.
-const STORAGE: [StorageSpec; 2] = [StorageSpec::Mem, StorageSpec::Paged { pool_pages: 16 }];
-
-fn durability(storage: StorageSpec) -> DurabilityOptions {
-    EngineOptions::builder().storage(storage).durability()
+fn durability(pool_pages: usize) -> DurabilityOptions {
+    EngineOptions::builder().pool_pages(pool_pages).durability()
 }
 
 #[test]
 fn durable_backend_survives_a_server_restart() {
-    for storage in STORAGE {
-        let dir = std::env::temp_dir()
-            .join(format!("idl-server-durable-{storage}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let open = |dir: &std::path::Path| {
-            DurableEngine::open_with_vfs(dir, Arc::new(RealVfs::new()), durability(storage), |_| {
-                Ok(())
-            })
+    let dir = std::env::temp_dir().join(format!("idl-server-durable-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = |dir: &std::path::Path| {
+        DurableEngine::open_with_vfs(dir, Arc::new(RealVfs::new()), durability(16), |_| Ok(()))
             .unwrap()
-        };
+    };
 
-        let handle = serve(Box::new(open(&dir)), ServerConfig::default()).unwrap();
-        {
-            let mut client = Client::connect(handle.local_addr()).unwrap();
-            client.update("?.db.r+(.a=1)").unwrap();
-            client.update("?.db.r+(.a=2)").unwrap();
-            assert!(client.query("?.db.r(.a=2)").unwrap().is_true());
-        }
-        handle.shutdown();
-
-        // reopen the directory: both logged updates replay
-        let mut reopened = open(&dir);
-        assert_eq!(reopened.query("?.db.r(.a=X)").unwrap().len(), 2, "{storage}");
-        std::fs::remove_dir_all(&dir).ok();
+    let handle = serve(Box::new(open(&dir)), ServerConfig::default()).unwrap();
+    {
+        let mut client = Client::connect(handle.local_addr()).unwrap();
+        client.update("?.db.r+(.a=1)").unwrap();
+        client.update("?.db.r+(.a=2)").unwrap();
+        assert!(client.query("?.db.r(.a=2)").unwrap().is_true());
     }
+    handle.shutdown();
+
+    // reopen the directory: both logged updates replay
+    let mut reopened = open(&dir);
+    assert_eq!(reopened.query("?.db.r(.a=X)").unwrap().len(), 2);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -785,7 +777,7 @@ fn paged_backend_serves_and_reports_pool_stats_over_the_wire() {
         DurableEngine::open_with_vfs(
             dir.to_path_buf(),
             Arc::new(RealVfs::new()),
-            durability(StorageSpec::Paged { pool_pages: 8 }),
+            durability(8),
             |_| Ok(()),
         )
         .unwrap()
@@ -821,38 +813,36 @@ fn paged_backend_serves_and_reports_pool_stats_over_the_wire() {
 
 #[test]
 fn poisoned_durable_backend_answers_with_clean_error_frames() {
-    for storage in STORAGE {
-        let open = |vfs: &Arc<SimVfs>| {
-            let v: Arc<dyn Vfs> = Arc::clone(vfs) as Arc<dyn Vfs>;
-            DurableEngine::open_with_vfs("/served", v, durability(storage), |_| Ok(())).unwrap()
-        };
-        // fault-free probe run to find the op index of the second
-        // update's log append (same technique as the crash battery)
-        let target = {
-            let probe = Arc::new(SimVfs::new(FaultPlan::none(17)));
-            open(&probe).update("?.db.r+(.a=1)").unwrap();
-            probe.op_count() + 1
-        };
-        let vfs = Arc::new(SimVfs::new(FaultPlan::none(17).with_enospc_at(target)));
-        let handle = serve(Box::new(open(&vfs)), ServerConfig::default()).unwrap();
-        let mut client = Client::connect(handle.local_addr()).unwrap();
-        client.update("?.db.r+(.a=1)").unwrap();
+    let open = |vfs: &Arc<SimVfs>| {
+        let v: Arc<dyn Vfs> = Arc::clone(vfs) as Arc<dyn Vfs>;
+        DurableEngine::open_with_vfs("/served", v, durability(16), |_| Ok(())).unwrap()
+    };
+    // fault-free probe run to find the op index of the second update's
+    // log append (same technique as the crash battery)
+    let target = {
+        let probe = Arc::new(SimVfs::new(FaultPlan::none(17)));
+        open(&probe).update("?.db.r+(.a=1)").unwrap();
+        probe.op_count() + 1
+    };
+    let vfs = Arc::new(SimVfs::new(FaultPlan::none(17).with_enospc_at(target)));
+    let handle = serve(Box::new(open(&vfs)), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    client.update("?.db.r+(.a=1)").unwrap();
 
-        // the armed fault fires on this append: the update fails cleanly …
-        let err = client.update("?.db.r+(.a=2)").unwrap_err();
-        assert!(err.code().is_some(), "{storage}: expected an engine error frame, got {err}");
+    // the armed fault fires on this append: the update fails cleanly …
+    let err = client.update("?.db.r+(.a=2)").unwrap_err();
+    assert!(err.code().is_some(), "expected an engine error frame, got {err}");
 
-        // … the engine is now poisoned: writes report E-POISONED …
-        let err = client.update("?.db.r+(.a=3)").unwrap_err();
-        assert_eq!(err.code(), Some("E-POISONED"), "{storage}: {err}");
+    // … the engine is now poisoned: writes report E-POISONED …
+    let err = client.update("?.db.r+(.a=3)").unwrap_err();
+    assert_eq!(err.code(), Some("E-POISONED"), "{err}");
 
-        // … and reads keep serving the last acknowledged snapshot.
-        assert!(client.query("?.db.r(.a=1)").unwrap().is_true());
-        assert!(!client.query("?.db.r(.a=2)").unwrap().is_true());
-        client.ping().unwrap();
+    // … and reads keep serving the last acknowledged snapshot.
+    assert!(client.query("?.db.r(.a=1)").unwrap().is_true());
+    assert!(!client.query("?.db.r(.a=2)").unwrap().is_true());
+    client.ping().unwrap();
 
-        let final_stats = handle.shutdown();
-        assert_eq!(final_stats.sessions_active, 0);
-        assert!(final_stats.errors >= 2);
-    }
+    let final_stats = handle.shutdown();
+    assert_eq!(final_stats.sessions_active, 0);
+    assert!(final_stats.errors >= 2);
 }
