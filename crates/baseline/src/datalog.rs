@@ -385,7 +385,7 @@ mod tests {
     }
 
     #[test]
-    fn conjunctive_query_with_join() {
+    fn conjunctive_join_query() {
         let db = euter_db();
         // dates where hp and ibm both quoted
         let q = FoQuery {

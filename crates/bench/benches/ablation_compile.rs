@@ -93,7 +93,7 @@ fn bench_views(c: &mut Criterion) {
             if warm {
                 let mut store = stock_store(stocks, days);
                 program
-                    .materialize_cached(&mut store, EvalOptions::default(), None, Some(&mut cache))
+                    .materialize_cached(&mut store, EvalOptions::default(), Some(&mut cache))
                     .unwrap();
             }
             group.bench_function(BenchmarkId::new(name, size_label(stocks, days)), |b| {
@@ -102,8 +102,7 @@ fn bench_views(c: &mut Criterion) {
                     |mut store| {
                         let opts = EvalOptions::default().with_compile(compile);
                         let cache = compile.then_some(&mut cache);
-                        let stats =
-                            program.materialize_cached(&mut store, opts, None, cache).unwrap();
+                        let stats = program.materialize_cached(&mut store, opts, cache).unwrap();
                         if warm {
                             assert_eq!(stats.plans_compiled, 0, "warm cache recompiled");
                         }

@@ -88,23 +88,16 @@ fn bench(c: &mut Criterion) {
             b.iter(|| black_box(idl_bench::run_query(e.store(), &req, opts)))
         });
     }
-    // small-delta refresh: one new quote lands in one feed while
-    // maintenance is off, then the staleness-driven repair path absorbs
-    // it. With maintenance re-enabled the repair diffs against the
-    // freshness snapshot and runs the delta pass — strata with no
-    // overlapping deltas are skipped entirely — instead of the
-    // drop-and-rebuild that used to ~match a full refresh here.
+    // small-delta refresh: one new quote lands in one feed, then the
+    // repair diffs against the freshness point and runs the delta pass —
+    // strata with no overlapping deltas are skipped entirely.
     for &t in &[1usize, 4] {
         group.bench_function(BenchmarkId::new("refresh_incremental", format!("{t}thr")), |b| {
             b.iter_batched(
                 || {
                     let mut e = fresh_engine(&universe, &rules, t);
-                    let opts = e.options().rebuild().auto_refresh(false).maintain(false).build();
-                    e.set_options(opts);
                     e.refresh_views().unwrap();
                     e.update("?.feed00.r+(.date=9/9/99, .stkCode=f0099, .clsPrice=500)").unwrap();
-                    let opts = e.options().rebuild().maintain(true).build();
-                    e.set_options(opts);
                     e
                 },
                 |mut e| black_box(e.refresh_views_if_stale().unwrap().facts_added),
@@ -112,15 +105,17 @@ fn bench(c: &mut Criterion) {
             )
         });
     }
-    // write-path maintenance: the same one-quote update absorbed inside
-    // the write itself (`maintain_update`), and a query against the
-    // already-maintained views (`query_maintained`) — together the
-    // update-then-read cost that RefreshViews + query used to pay.
+    // the same one-quote update together with the repair that makes the
+    // views fresh again (`maintain_update`), and a query against the
+    // repaired views (`query_maintained`) — together the update-then-read
+    // cost.
     {
         let mut e = fresh_engine(&universe, &rules, 1);
         e.refresh_views().unwrap();
         e.update("?.feed00.r+(.date=9/9/99, .stkCode=f0099, .clsPrice=500)").unwrap();
-        assert!(e.views_fresh_now(), "maintenance must absorb the bench update");
+        e.refresh_views_if_stale().unwrap();
+        assert_eq!(e.maintenance_runs(), 1, "the delta pass must absorb the bench update");
+        assert!(e.views_fresh_now());
     }
     for &t in &[1usize, 4] {
         group.bench_function(BenchmarkId::new("maintain_update", format!("{t}thr")), |b| {
@@ -132,7 +127,7 @@ fn bench(c: &mut Criterion) {
                 },
                 |mut e| {
                     e.update("?.feed00.r+(.date=9/9/99, .stkCode=f0099, .clsPrice=500)").unwrap();
-                    black_box(e.last_fixpoint_stats().maintenance.views_maintained)
+                    black_box(e.refresh_views_if_stale().unwrap().maintenance.views_maintained)
                 },
                 criterion::BatchSize::LargeInput,
             )
@@ -141,6 +136,7 @@ fn bench(c: &mut Criterion) {
             let mut e = fresh_engine(&universe, &rules, t);
             e.refresh_views().unwrap();
             e.update("?.feed00.r+(.date=9/9/99, .stkCode=f0099, .clsPrice=500)").unwrap();
+            e.refresh_views_if_stale().unwrap();
             assert!(e.views_fresh_now());
             let opts = EvalOptions::default();
             let req = idl_bench::request("?.dbU.q(.stk=S, .clsPrice>100)");

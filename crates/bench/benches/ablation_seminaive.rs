@@ -44,14 +44,11 @@ fn bench(c: &mut Criterion) {
         let label = format!("{stocks}stk_x_{days}d");
         for (mode, semi) in [("semi_naive", true), ("naive", false)] {
             group.bench_function(BenchmarkId::new(mode, &label), |b| {
+                let opts = EvalOptions::default().with_semi_naive(semi);
                 b.iter_batched(
-                    || {
-                        let mut engine = RuleEngine::new(rules()).unwrap();
-                        engine.semi_naive = semi;
-                        (engine, stock_store(stocks, days))
-                    },
+                    || (RuleEngine::new(rules()).unwrap(), stock_store(stocks, days)),
                     |(engine, mut store)| {
-                        let stats = engine.materialize(&mut store, EvalOptions::default()).unwrap();
+                        let stats = engine.materialize(&mut store, opts).unwrap();
                         black_box((stats.rule_evals, stats.facts_added))
                     },
                     criterion::BatchSize::LargeInput,
@@ -59,14 +56,13 @@ fn bench(c: &mut Criterion) {
             });
         }
         // correctness + work-count sanity at this size
-        let mut e1 = RuleEngine::new(rules()).unwrap();
-        e1.semi_naive = true;
+        let engine = RuleEngine::new(rules()).unwrap();
         let mut s1 = stock_store(stocks, days);
-        let st1 = e1.materialize(&mut s1, EvalOptions::default()).unwrap();
-        let mut e2 = RuleEngine::new(rules()).unwrap();
-        e2.semi_naive = false;
+        let st1 =
+            engine.materialize(&mut s1, EvalOptions::default().with_semi_naive(true)).unwrap();
         let mut s2 = stock_store(stocks, days);
-        let st2 = e2.materialize(&mut s2, EvalOptions::default()).unwrap();
+        let st2 =
+            engine.materialize(&mut s2, EvalOptions::default().with_semi_naive(false)).unwrap();
         assert_eq!(s1.universe(), s2.universe());
         assert!(st1.rule_evals <= st2.rule_evals);
     }

@@ -123,14 +123,13 @@ fn bench_serving(c: &mut Criterion) {
             b.iter(|| black_box(drive(addr, sessions, 4)))
         });
     }
-    // Write-path maintenance vs refresh-the-world at the wire: every
-    // request is a *real* one-row delta (insert/delete toggle of a
-    // sentinel row, so the universe stays constant-size). With
-    // maintenance on (`maintain_update`) the update is absorbed
-    // in-transaction and the republished snapshot is already fresh; with
-    // it off (`update_refresh`) each republish pays the stale-refresh
-    // rebuild before the ack. `query_maintained` reads against the
-    // maintained published snapshot.
+    // Delta repair vs refresh-the-world at the wire: every request is a
+    // *real* one-row delta (insert/delete toggle of a sentinel row, so
+    // the universe stays constant-size). The server republishes before
+    // it acks, and the republish repairs the views: with maintenance on
+    // (`maintain_update`) through the delta pass, with it off
+    // (`update_refresh`) by a full rebuild. `query_maintained` reads
+    // against the repaired published snapshot.
     for maintain in [true, false] {
         let handle = start_server_maintain(maintain);
         let addr = handle.local_addr();
@@ -146,6 +145,11 @@ fn bench_serving(c: &mut Criterion) {
             let reply = probe.stats().expect("stats");
             let m = reply.engine.maintenance.expect("maintenance counters published");
             assert!(m.views_maintained > 0, "toggle updates must be maintained: {m:?}");
+            // the acked write is repaired into the view the next read sees
+            probe.update("?.db.r+(.c=0, .k=999)").expect("update");
+            assert!(probe.query("?.v.all(.c=0, .k=999)").expect("query").is_true());
+            probe.update("?.db.r-(.c=0, .k=999)").expect("update");
+            assert!(!probe.query("?.v.all(.c=0, .k=999)").expect("query").is_true());
         }
         let stats = handle.shutdown();
         assert_eq!(stats.errors, 0, "maintenance bench load must be error-free");

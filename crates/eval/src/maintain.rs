@@ -1,9 +1,10 @@
-//! Write-path incremental view maintenance (DESIGN.md "Write-path view
-//! maintenance").
+//! Incremental view repair (DESIGN.md "View repair").
 //!
-//! After an update commits, the engine hands the update's own row-level
-//! delta to [`RuleEngine::maintain_cached`], which drives it through the
-//! stratified rule set *bottom-up* instead of re-deriving the world:
+//! When the views are next read after one or more writes, the engine
+//! diffs the universe against its freshness point ([`diff_update`]) and
+//! hands the row-level delta to [`RuleEngine::maintain_cached`], which
+//! drives it through the stratified rule set *bottom-up* instead of
+//! re-deriving the world:
 //!
 //! * **inserts** reuse the semi-naive machinery — the stratum fixpoint is
 //!   seeded with the update's Δ⁺ rows, so woken rules run their
@@ -27,9 +28,8 @@
 //! The pass is *sound but partial*: any shape it cannot maintain exactly
 //! (scalar heads, coarse writes, non-row base changes, unsupported
 //! subgoal shapes) makes it bail with `Ok(None)`, and the engine falls
-//! back to marking the world stale for the refresh/repair path. Bailing
-//! late is safe — a half-applied pass only ever leaves state the full
-//! rebuild recomputes from scratch.
+//! back to a full rebuild. Bailing late is safe — a half-applied pass
+//! only ever leaves state the full rebuild recomputes from scratch.
 
 use crate::compile::PlanCache;
 use crate::delta::{DeltaLog, DeltaTable};
@@ -56,8 +56,8 @@ fn marker_db(db: &Name) -> Name {
     Name::new(format!("{DELTA_DB_MARKER}{}", db.as_str()))
 }
 
-/// The row-level difference one update request made to *base* relations:
-/// the seed of a maintenance pass.
+/// The row-level difference the writes since the views were last fresh
+/// made to *base* relations: the seed of a maintenance pass.
 #[derive(Clone, Debug, Default)]
 pub struct UpdateDelta {
     /// Rows the update inserted, grouped by `(db, rel)`.
@@ -261,7 +261,7 @@ impl MaintainedViews {
 }
 
 impl RuleEngine {
-    /// Incrementally maintains the derived views after one update, given
+    /// Incrementally maintains the derived views after base writes, given
     /// the update's row-level [`UpdateDelta`]. Returns `Ok(None)` when
     /// the pass cannot maintain exactly (the caller must fall back to a
     /// full refresh) and `Ok(Some(outcome))` when the store now matches
@@ -273,11 +273,11 @@ impl RuleEngine {
         opts: EvalOptions,
         cache: Option<&mut PlanCache>,
     ) -> EvalResult<Option<MaintainOutcome>> {
-        if !(self.semi_naive && opts.semi_naive) {
+        if !opts.semi_naive {
             return Ok(None);
         }
         let mut stats = FixpointStats::default();
-        let set = self.build_plan_set(opts, None, cache, &mut stats)?;
+        let set = self.build_plan_set(opts, cache, &mut stats)?;
         // Stratum index per rule, for the rederive cross-stratum guard.
         let mut rule_stratum = vec![0usize; self.rules.len()];
         for (si, stratum) in self.strata.iter().enumerate() {

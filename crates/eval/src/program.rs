@@ -78,7 +78,7 @@ struct CompiledClause {
 }
 
 /// Registry of update programs, keyed by [`ProgramKey`].
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct ProgramRegistry {
     programs: BTreeMap<(Vec<Name>, u8), (ProgramKey, Vec<CompiledClause>)>,
 }

@@ -67,9 +67,9 @@ pub struct EvalOptions {
     /// keeps naive full re-evaluation as the reference mode for
     /// differential testing. Query evaluation itself is unaffected.
     pub semi_naive: bool,
-    /// Write-path incremental view maintenance: updates drive their own
-    /// deltas into the maintained views instead of marking the world
-    /// stale for a full re-derivation ([`crate::maintain`]). `false`
+    /// Incremental view repair: stale views catch up with the base
+    /// writes since they were last fresh through the delta pass
+    /// ([`crate::maintain`]) instead of a full re-derivation. `false`
     /// keeps refresh-the-world as the reference mode for differential
     /// testing. Query evaluation itself is unaffected.
     pub maintain: bool,
@@ -77,7 +77,7 @@ pub struct EvalOptions {
 
 impl Default for EvalOptions {
     /// The production configuration: indexes, reordering, compiled
-    /// plans, semi-naive fixpoint, write-path maintenance, and
+    /// plans, semi-naive fixpoint, incremental view repair, and
     /// [`default_threads`] fixpoint workers.
     fn default() -> Self {
         EvalOptions {
@@ -126,7 +126,7 @@ impl EvalOptions {
         self
     }
 
-    /// This configuration with write-path view maintenance switched on or
+    /// This configuration with incremental view repair switched on or
     /// off.
     pub fn with_maintain(mut self, maintain: bool) -> Self {
         self.maintain = maintain;

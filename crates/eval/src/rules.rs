@@ -220,7 +220,7 @@ pub struct FixpointStats {
     /// New facts (make-true operations that changed the universe).
     pub facts_added: usize,
     /// Rule bodies compiled to the physical plan IR this run. At most one
-    /// compile per masked-in rule per refresh — plans are shared across
+    /// compile per rule per refresh — plans are shared across
     /// fixpoint iterations and worker threads.
     pub plans_compiled: usize,
     /// Rule bodies served from the caller's memoized [`PlanCache`]
@@ -250,10 +250,10 @@ pub struct FixpointStats {
     /// deriving facts (data-dependent heads only — constant-head
     /// skeletons are pre-created and never listed). Sorted, deduplicated.
     pub new_relations: Vec<PredPat>,
-    /// Per-stratum telemetry, in evaluation (bottom-up) order. Masked-out
-    /// strata are skipped entirely.
+    /// Per-stratum telemetry, in evaluation (bottom-up) order. A repair
+    /// pass lists only the strata it ran.
     pub strata: Vec<StratumStats>,
-    /// Write-path view maintenance counters ([`crate::maintain`]); all
+    /// Incremental view repair counters ([`crate::maintain`]); all
     /// zero when the run was a refresh rather than a maintenance pass.
     pub maintenance: MaintenanceStats,
     /// Structural-sharing activity during this run: O(1) handle clones,
@@ -273,9 +273,9 @@ impl FixpointStats {
     }
 }
 
-/// Counters for one write-path view maintenance pass
-/// ([`crate::maintain`]): how much derived state an update touched
-/// without a full re-derivation.
+/// Counters for one incremental view repair pass ([`crate::maintain`]):
+/// how much derived state the repaired writes touched without a full
+/// re-derivation.
 #[derive(Clone, Default, Debug, PartialEq, Eq)]
 pub struct MaintenanceStats {
     /// Distinct derived `(db, rel)` slots whose contents this pass
@@ -305,7 +305,7 @@ impl MaintenanceStats {
 /// Telemetry for one stratum of one materialisation run.
 #[derive(Clone, Default, Debug, PartialEq, Eq)]
 pub struct StratumStats {
-    /// Rules in the stratum after masking.
+    /// Rules in the stratum.
     pub rules: usize,
     /// Fixpoint iterations this stratum ran.
     pub iterations: usize,
@@ -333,8 +333,6 @@ pub struct RuleEngine {
     pub(crate) body_refs: Vec<Vec<BodyRef>>,
     /// Rule indices grouped by stratum, bottom-up.
     pub(crate) strata: Vec<Vec<usize>>,
-    /// Use relation-granularity semi-naive iteration.
-    pub semi_naive: bool,
     /// Iteration safety bound.
     pub max_iterations: usize,
 }
@@ -366,14 +364,7 @@ impl RuleEngine {
             })
             .collect();
         let strata = stratify(&head_pats, &body_refs)?;
-        Ok(RuleEngine {
-            rules,
-            head_pats,
-            body_refs,
-            strata,
-            semi_naive: true,
-            max_iterations: 10_000,
-        })
+        Ok(RuleEngine { rules, head_pats, body_refs, strata, max_iterations: 10_000 })
     }
 
     /// The rules, in installation order.
@@ -401,80 +392,27 @@ impl RuleEngine {
     /// data). Derived databases are *not* cleared here — the caller decides
     /// whether this is a fresh build or a re-derivation.
     pub fn materialize(&self, store: &mut Store, opts: EvalOptions) -> EvalResult<FixpointStats> {
-        self.materialize_masked(store, opts, None)
+        self.materialize_cached(store, opts, None)
     }
 
-    /// The head `(db, rel)` patterns, indexed like [`RuleEngine::rules`].
-    pub fn head_patterns(&self) -> &[PredPat] {
-        &self.head_pats
-    }
-
-    /// Computes which rules are (transitively) affected by the given
-    /// changes: a rule is dirty when its body reads something that
-    /// changed, when it reads a dirty rule's head, or when it *shares* a
-    /// head with a dirty rule (re-derivation drops the shared head).
-    pub fn dirty_mask(&self, changes: &[idl_storage::ChangeScope]) -> Vec<bool> {
-        let n = self.rules.len();
-        let mut dirty = vec![false; n];
-        for (i, refs) in self.body_refs.iter().enumerate() {
-            if refs.iter().any(|br| changes.iter().any(|c| scope_overlaps(c, &br.pat))) {
-                dirty[i] = true;
-            }
-        }
-        loop {
-            let mut changed = false;
-            for i in 0..n {
-                if dirty[i] {
-                    continue;
-                }
-                let reads_dirty = self.body_refs[i]
-                    .iter()
-                    .any(|br| (0..n).any(|j| dirty[j] && br.pat.overlaps(&self.head_pats[j])));
-                let shares_dirty_head =
-                    (0..n).any(|j| dirty[j] && self.head_pats[i].overlaps(&self.head_pats[j]));
-                if reads_dirty || shares_dirty_head {
-                    dirty[i] = true;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        dirty
-    }
-
-    /// Materialises a subset of the rules (`None` = all). The caller must
-    /// have dropped the derived state of every masked-in rule's head so
-    /// deletions propagate; strata ordering is preserved.
-    pub fn materialize_masked(
-        &self,
-        store: &mut Store,
-        opts: EvalOptions,
-        mask: Option<&[bool]>,
-    ) -> EvalResult<FixpointStats> {
-        self.materialize_cached(store, opts, mask, None)
-    }
-
-    /// [`RuleEngine::materialize_masked`] with a memoized plan cache.
+    /// [`RuleEngine::materialize`] with a memoized plan cache.
     ///
-    /// When [`EvalOptions::compile`] is on, every masked-in rule body is
-    /// compiled (or fetched from `cache`) *once, up front*; the resulting
-    /// plans are shared by every fixpoint iteration and worker thread of
-    /// the run. The cache outlives refreshes, so a warm engine compiles
-    /// nothing at all — `FixpointStats::plan_cache_hits` accounts for it.
+    /// When [`EvalOptions::compile`] is on, every rule body is compiled
+    /// (or fetched from `cache`) *once, up front*; the resulting plans are
+    /// shared by every fixpoint iteration and worker thread of the run.
+    /// The cache outlives refreshes, so a warm engine compiles nothing at
+    /// all — `FixpointStats::plan_cache_hits` accounts for it.
     pub fn materialize_cached(
         &self,
         store: &mut Store,
         opts: EvalOptions,
-        mask: Option<&[bool]>,
         cache: Option<&mut PlanCache>,
     ) -> EvalResult<FixpointStats> {
         let sharing_before = SharingCounters::snapshot();
         let mut stats = FixpointStats::default();
-        let set = self.build_plan_set(opts, mask, cache, &mut stats)?;
+        let set = self.build_plan_set(opts, cache, &mut stats)?;
         let mut stats =
-            self.run_fixpoint(store, opts, mask, &set.plans, &set.variants, &set.delta_ok, stats)?;
+            self.run_fixpoint(store, opts, &set.plans, &set.variants, &set.delta_ok, stats)?;
         stats.new_relations.sort();
         stats.new_relations.dedup();
         stats.sharing = SharingCounters::snapshot().delta_since(&sharing_before);
@@ -482,23 +420,19 @@ impl RuleEngine {
     }
 
     /// Compiles the plan (and `(Δ ⋈ full)` variant) set for one run:
-    /// shared by [`RuleEngine::materialize_cached`] and the write-path
-    /// maintenance pass ([`crate::maintain`]).
+    /// shared by [`RuleEngine::materialize_cached`] and the repair pass
+    /// ([`crate::maintain`]).
     pub(crate) fn build_plan_set(
         &self,
         opts: EvalOptions,
-        mask: Option<&[bool]>,
         mut cache: Option<&mut PlanCache>,
         stats: &mut FixpointStats,
     ) -> EvalResult<PlanSet> {
-        // Compile once per refresh: one plan per masked-in rule body,
-        // indexed like `rules`.
+        // Compile once per refresh: one plan per rule body, indexed like
+        // `rules`.
         let mut plans: Vec<Option<Arc<CompiledItems>>> = vec![None; self.rules.len()];
         if opts.compile {
             for (i, rule) in self.rules.iter().enumerate() {
-                if mask.is_some_and(|m| !m[i]) {
-                    continue;
-                }
                 plans[i] = Some(match cache.as_deref_mut() {
                     Some(cache) => {
                         let misses = cache.misses();
@@ -529,11 +463,8 @@ impl RuleEngine {
         let mut delta_ok = vec![false; self.rules.len()];
         let mut variants: Vec<Vec<(PredPat, Arc<CompiledItems>)>> =
             vec![Vec::new(); self.rules.len()];
-        if self.semi_naive && opts.semi_naive {
+        if opts.semi_naive {
             for (i, rule) in self.rules.iter().enumerate() {
-                if mask.is_some_and(|m| !m[i]) {
-                    continue;
-                }
                 let Some(plan) = &plans[i] else { continue };
                 if head_is_scalar(&rule.head) {
                     continue;
@@ -569,7 +500,6 @@ impl RuleEngine {
         &self,
         store: &mut Store,
         opts: EvalOptions,
-        mask: Option<&[bool]>,
         plans: &[Option<Arc<CompiledItems>>],
         variants: &[Vec<(PredPat, Arc<CompiledItems>)>],
         delta_ok: &[bool],
@@ -578,10 +508,7 @@ impl RuleEngine {
         // Views exist even when empty: create the skeleton of every head
         // whose (db, rel) is fully constant. (Data-dependent heads create
         // their relations as facts arrive.)
-        for (i, pat) in self.head_pats.iter().enumerate() {
-            if mask.is_some_and(|m| !m[i]) {
-                continue;
-            }
+        for pat in &self.head_pats {
             if let (Some(db), Some(rel)) = (&pat.db, &pat.rel) {
                 if store.relation(db.as_str(), rel.as_str()).is_err() {
                     store
@@ -597,13 +524,9 @@ impl RuleEngine {
             }
         }
         for stratum in &self.strata {
-            let selected: Vec<usize> =
-                stratum.iter().copied().filter(|&i| mask.is_none_or(|m| m[i])).collect();
-            if !selected.is_empty() {
-                self.run_stratum(
-                    store, &selected, opts, plans, variants, delta_ok, &mut stats, None, None,
-                )?;
-            }
+            self.run_stratum(
+                store, stratum, opts, plans, variants, delta_ok, &mut stats, None, None,
+            )?;
         }
         Ok(stats)
     }
@@ -647,7 +570,7 @@ impl RuleEngine {
     ) -> EvalResult<()> {
         let started = std::time::Instant::now();
         let sharing_before = SharingCounters::snapshot();
-        let semi = self.semi_naive && opts.semi_naive;
+        let semi = opts.semi_naive;
         let thread_cap = opts.threads.max(1);
         let mut sstats = StratumStats {
             rules: stratum.len(),
@@ -1013,7 +936,7 @@ impl RuleEngine {
     }
 }
 
-/// The compiled artefacts of one run: a plan per masked-in rule plus its
+/// The compiled artefacts of one run: a plan per rule plus its
 /// `(Δ ⋈ full)` variants and delta eligibility, indexed like
 /// [`RuleEngine::rules`].
 pub(crate) struct PlanSet {
@@ -1038,17 +961,6 @@ enum TaskKind {
     /// Evaluate the `occ`-th `(Δ ⋈ full)` variant over the `shard`-th of
     /// `shards` slices of each delta relation.
     Delta { occ: usize, shard: usize, shards: usize },
-}
-
-/// Whether a journalled change scope can intersect a predicate pattern.
-fn scope_overlaps(scope: &idl_storage::ChangeScope, pat: &PredPat) -> bool {
-    match scope {
-        idl_storage::ChangeScope::Universe => true,
-        idl_storage::ChangeScope::Database { db } => pat.db.as_ref().is_none_or(|d| d == db),
-        idl_storage::ChangeScope::Relation { db, rel } => {
-            pat.db.as_ref().is_none_or(|d| d == db) && pat.rel.as_ref().is_none_or(|r| r == rel)
-        }
-    }
 }
 
 /// Extracts the `(db, rel)` pattern from a rule head.
@@ -1444,11 +1356,11 @@ mod tests {
         let mut rules = unified_rules();
         rules.push(rule(".dbE.r(.date=D,.stkCode=S,.clsPrice=P) <- .dbI.p(.date=D,.stk=S,.clsPrice=P), S != date"));
         rules.push(rule(".dbC2.tot(.stk=S) <- .dbE.r(.stkCode=S)"));
-        let mut engine = RuleEngine::new(rules).unwrap();
+        let engine = RuleEngine::new(rules).unwrap();
         let semi = engine.materialize(&mut s1, EvalOptions::default()).unwrap();
         let mut s2 = base_store();
-        engine.semi_naive = false;
-        let naive = engine.materialize(&mut s2, EvalOptions::default()).unwrap();
+        let naive =
+            engine.materialize(&mut s2, EvalOptions::default().with_semi_naive(false)).unwrap();
         assert_eq!(s1.relation("dbC2", "tot").unwrap(), s2.relation("dbC2", "tot").unwrap());
         assert!(semi.rule_evals <= naive.rule_evals);
         assert_eq!(semi.facts_added, naive.facts_added);

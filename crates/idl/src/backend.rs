@@ -34,10 +34,11 @@ use crate::error::EngineError;
 use crate::outcome::Outcome;
 use idl_eval::analyze::BindingIssue;
 use idl_eval::rules::FixpointStats;
-use idl_eval::{AnswerSet, Evaluator, PlanCache, Subst};
+use idl_eval::{AnswerSet, Evaluator, PlanCache, ProgramRegistry, Subst};
 use idl_lang::{parse_program, Request, Statement};
 use idl_storage::{Store, Version};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// One object-safe surface over the durable and in-memory engines.
 ///
@@ -214,6 +215,8 @@ pub struct EngineSnapshot {
     version: Version,
     opts: idl_eval::EvalOptions,
     maintained: idl_eval::MaintainedViews,
+    /// The engine's update programs, so a call to one is refused.
+    programs: Arc<ProgramRegistry>,
 }
 
 impl EngineSnapshot {
@@ -225,6 +228,7 @@ impl EngineSnapshot {
             version: engine.store().version(),
             opts: engine.options().eval,
             maintained: engine.maintained_views().clone(),
+            programs: engine.programs_shared(),
         })
     }
 
@@ -233,9 +237,9 @@ impl EngineSnapshot {
         self.version
     }
 
-    /// Per-view support bookkeeping carried from the engine's write-path
-    /// maintenance state — the views this snapshot serves were maintained
-    /// (or rebuilt) up to [`EngineSnapshot::version`].
+    /// Per-view support bookkeeping carried from the engine's repair
+    /// state — the views this snapshot serves were repaired (or rebuilt)
+    /// up to [`EngineSnapshot::version`].
     pub fn maintained(&self) -> &idl_eval::MaintainedViews {
         &self.maintained
     }
@@ -271,13 +275,16 @@ impl EngineSnapshot {
         self.query_request(&req, cache)
     }
 
-    /// Evaluates one parsed pure-query request against the snapshot.
+    /// Evaluates one parsed pure-query request against the snapshot. A
+    /// signed item or a call to a registered update program is refused
+    /// with `E-USAGE`: both write.
     pub fn query_request(
         &self,
         req: &Request,
         cache: Option<&std::sync::Mutex<PlanCache>>,
     ) -> Result<AnswerSet, EngineError> {
-        if !req.is_pure_query() {
+        let calls_program = || req.items.iter().any(|i| self.programs.match_call(i).is_some());
+        if !req.is_pure_query() || calls_program() {
             return Err(EngineError::Usage(
                 "snapshot reads are read-only; send updates to the engine".into(),
             ));
@@ -349,6 +356,21 @@ mod tests {
         let snap = Backend::snapshot(&mut e).unwrap();
         assert_eq!(snap.query("?.euter.r+(.a=1)").unwrap_err().code(), "E-USAGE");
         assert_eq!(snap.query(".a.b(.x=X) <- .c.d(.x=X)").unwrap_err().code(), "E-USAGE");
+    }
+
+    #[test]
+    fn snapshot_refuses_update_program_calls() {
+        let mut e = stock();
+        e.execute(crate::transparency::standard_update_programs()).unwrap();
+        let snap = Backend::snapshot(&mut e).unwrap();
+        let call = "?.dbU.insStk(.stk=sun, .date=3/9/85, .price=1)";
+        assert_eq!(snap.query(call).unwrap_err().code(), "E-USAGE");
+        // a query item beside the call does not launder it
+        let mixed = "?.euter.r(.stkCode=S), .dbU.delStk(.stk=hp)";
+        assert_eq!(snap.query(mixed).unwrap_err().code(), "E-USAGE");
+        assert!(!snap.query("?.euter.r(.stkCode=sun)").unwrap().is_true());
+        // the engine itself runs the call as the update it is
+        assert!(e.update(call).unwrap().total() > 0);
     }
 
     #[test]

@@ -53,12 +53,12 @@ use crate::backend::{Backend, EngineSnapshot};
 use crate::engine::Engine;
 use crate::error::EngineError;
 use crate::outcome::Outcome;
-use idl_lang::{parse_program, parse_statement, Statement};
+use idl_lang::{parse_program, parse_statement, Request, Statement};
 use idl_object::Name;
 use idl_storage::codec::{DeltaEntry, SnapshotCodec};
 use idl_storage::engine::{CommitKind, CommitSeal, PagedStorage, StorageSpec, DEFAULT_POOL_PAGES};
 use idl_storage::journal::ChangeScope;
-use idl_storage::oplog::{self, DurabilityStats, LogFormat};
+use idl_storage::oplog::{DurabilityStats, LogFormat};
 use idl_storage::session::Session;
 use idl_storage::store::Store;
 use idl_storage::vfs::{RealVfs, Vfs, VfsStats};
@@ -276,10 +276,10 @@ impl DurableEngine {
         setup(&mut engine)?;
         // Adopt persisted maintenance state *after* setup installed the
         // rules (the adopt checks the rule fingerprint) and *before*
-        // replay, so replayed updates maintain incrementally instead of
-        // silently falling back to a full rebuild. A blob this build
-        // cannot decode, or one whose rules changed, is dropped: the
-        // views stay stale and the refresh path recomputes everything.
+        // replay, so the replayed updates are repaired incrementally
+        // instead of by a full rebuild. A blob this build cannot decode,
+        // or one whose rules changed, is dropped: the views stay stale
+        // and the first read rebuilds everything.
         if let Some(blob) = maint_state {
             if let Ok(state) = serde_json::from_str::<idl_eval::MaintainedViews>(&blob) {
                 stats.maintenance_state_adopted = engine.adopt_maintained_views(state);
@@ -315,17 +315,7 @@ impl DurableEngine {
             let stmt = parse_statement(&rec.stmt).map_err(|e| {
                 EngineError::Storage(format!("corrupt log at line {}: {e}", rec.line))
             })?;
-            let runs_before = engine.maintenance_runs();
             engine.execute_statement(stmt)?;
-            if rec.flags & oplog::FLAG_MAINTENANCE != 0 {
-                stats.maintenance_records_replayed += 1;
-                if engine.maintenance_runs() == runs_before {
-                    // The original run maintained this update but the
-                    // replay could not — surface the rebuild instead
-                    // of hiding it.
-                    stats.maintenance_fallbacks += 1;
-                }
-            }
             lsn = rec.lsn;
             stats.records_recovered += 1;
         }
@@ -411,10 +401,9 @@ impl DurableEngine {
     }
 
     /// Appends one record and — under [`SyncPolicy::Always`] — fsyncs it
-    /// *before* the caller acknowledges the mutation. `flags` tags the
-    /// record.
-    fn log_record(&mut self, canonical: &str, flags: u8) -> Result<(), EngineError> {
-        match self.log.append(flags, canonical) {
+    /// *before* the caller acknowledges the mutation.
+    fn log_record(&mut self, canonical: &str) -> Result<(), EngineError> {
+        match self.log.append(0, canonical) {
             Ok(bytes) => {
                 if self.opts.sync == SyncPolicy::Always {
                     self.stats.log_syncs += 1;
@@ -439,26 +428,24 @@ impl DurableEngine {
         self.check_poisoned()?;
         match stmt {
             Statement::Request(r) => {
-                let canonical = r.to_string();
-                let runs_before = self.engine.maintenance_runs();
-                let outcome = self.engine.execute_statement(Statement::Request(r))?;
-                let mutated =
-                    matches!(&outcome, Outcome::Answers { stats, .. } if stats.total() > 0);
-                if mutated {
-                    // Tag updates whose views were maintained in the same
-                    // transaction, so replay can detect a silent
-                    // fall-back to full rebuild.
-                    let maintained = self.engine.maintenance_runs() > runs_before;
-                    let flags = if maintained { oplog::FLAG_MAINTENANCE } else { 0 };
-                    self.log_record(&canonical, flags)?;
-                    if maintained {
-                        self.stats.maintenance_records_appended += 1;
-                    }
+                let (outcome, to_log) = self.execute_request(r)?;
+                if let Some(canonical) = to_log {
+                    self.log_record(&canonical)?;
                 }
                 Ok(outcome)
             }
             other => self.engine.execute_statement(other),
         }
+    }
+
+    /// Executes one request in memory. Returns its outcome and, when it
+    /// wrote, the canonical text the log must hold before it is
+    /// acknowledged.
+    fn execute_request(&mut self, req: Request) -> Result<(Outcome, Option<String>), EngineError> {
+        let canonical = req.to_string();
+        let outcome = self.engine.execute_statement(Statement::Request(req))?;
+        let wrote = matches!(&outcome, Outcome::Answers { stats, .. } if stats.total() > 0);
+        Ok((outcome, wrote.then_some(canonical)))
     }
 
     /// Executes a whole program (script) durably, statement by statement,
@@ -506,8 +493,8 @@ impl DurableEngine {
             return srcs.iter().map(|_| Err(EngineError::Poisoned(why.clone()))).collect();
         }
         let mut results: Vec<Result<Outcome, EngineError>> = Vec::with_capacity(srcs.len());
-        // (result index, flags, canonical text, maintained?) per mutating success
-        let mut pending: Vec<(usize, u8, String, bool)> = Vec::new();
+        // (result index, canonical text) per mutating success
+        let mut pending: Vec<(usize, String)> = Vec::new();
         for (i, src) in srcs.iter().enumerate() {
             let req = match parse_statement(src) {
                 Ok(Statement::Request(r)) => r,
@@ -523,16 +510,10 @@ impl DurableEngine {
                     continue;
                 }
             };
-            let canonical = req.to_string();
-            let runs_before = self.engine.maintenance_runs();
-            match self.engine.execute_statement(Statement::Request(req)) {
-                Ok(outcome) => {
-                    let mutated =
-                        matches!(&outcome, Outcome::Answers { stats, .. } if stats.total() > 0);
-                    if mutated {
-                        let maintained = self.engine.maintenance_runs() > runs_before;
-                        let flags = if maintained { oplog::FLAG_MAINTENANCE } else { 0 };
-                        pending.push((i, flags, canonical, maintained));
+            match self.execute_request(req) {
+                Ok((outcome, to_log)) => {
+                    if let Some(canonical) = to_log {
+                        pending.push((i, canonical));
                     }
                     results.push(Ok(outcome));
                 }
@@ -543,7 +524,7 @@ impl DurableEngine {
             return results;
         }
         let records: Vec<(u8, String)> =
-            pending.iter().map(|(_, flags, stmt, _)| (*flags, stmt.clone())).collect();
+            pending.iter().map(|(_, stmt)| (0, stmt.clone())).collect();
         match self.log.append_group(&records) {
             Ok(bytes) => {
                 if self.opts.sync == SyncPolicy::Always {
@@ -553,14 +534,12 @@ impl DurableEngine {
                 self.stats.bytes_appended += bytes;
                 self.stats.group_commits += 1;
                 self.stats.group_commit_records += pending.len() as u64;
-                self.stats.maintenance_records_appended +=
-                    pending.iter().filter(|(_, _, _, m)| *m).count() as u64;
                 results
             }
             Err(e) => {
                 let why = e.to_string();
                 self.repair_and_poison(why.clone());
-                for (i, _, _, _) in &pending {
+                for (i, _) in &pending {
                     results[*i] = Err(EngineError::Storage(why.clone()));
                 }
                 results
@@ -785,6 +764,7 @@ mod tests {
     use super::*;
     use idl_object::Value;
     use idl_storage::codec::{self, DeltaBlob};
+    use idl_storage::oplog;
     use idl_storage::vfs::{FaultPlan, SimVfs};
 
     fn fresh_dir(name: &str) -> PathBuf {
@@ -985,46 +965,41 @@ mod tests {
         let dir = fresh_dir("maint-ckpt");
         {
             let mut d = DurableEngine::open_with(&dir, install_view).unwrap();
-            d.update("?.db.r+(.a=1)").unwrap(); // views stale: unflagged
-            d.query("?.v.all(.x=X)").unwrap(); // refresh materialises .v.all
-            d.update("?.db.r+(.a=2)").unwrap(); // maintained in-transaction
-            assert_eq!(d.durability_stats().maintenance_records_appended, 1);
-            d.checkpoint().unwrap(); // views fresh: state rides the snapshot
-            d.update("?.db.r+(.a=3)").unwrap(); // maintained, in the fresh log
+            d.update("?.db.r+(.a=1)").unwrap();
+            d.query("?.v.all(.x=X)").unwrap(); // first read materialises .v.all
+            d.update("?.db.r+(.a=2)").unwrap();
+            d.query("?.v.all(.x=X)").unwrap(); // the read repairs the views
+            d.checkpoint().unwrap(); // views fresh: state rides the page file
+            d.update("?.db.r+(.a=3)").unwrap(); // in the fresh log
         }
         let mut d = DurableEngine::open_with(&dir, install_view).unwrap();
-        let stats = d.durability_stats();
-        assert!(stats.maintenance_state_adopted, "snapshot state must be adopted");
-        assert_eq!(stats.maintenance_records_replayed, 1);
-        assert_eq!(stats.maintenance_fallbacks, 0, "replay maintained, no rebuild");
+        assert!(d.durability_stats().maintenance_state_adopted, "checkpoint state must be adopted");
+        let runs = d.engine.maintenance_runs();
         assert_eq!(d.query("?.v.all(.x=X)").unwrap().column("X").len(), 3);
+        assert_eq!(d.engine.maintenance_runs(), runs + 1, "replayed update repaired, not rebuilt");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn maintenance_replay_fallback_is_detected_not_silent() {
-        let dir = fresh_dir("maint-fallback");
-        {
-            let mut d = DurableEngine::open_with(&dir, install_view).unwrap();
-            d.update("?.db.r+(.a=1)").unwrap();
-            d.query("?.v.all(.x=X)").unwrap();
-            d.update("?.db.r+(.a=2)").unwrap(); // flagged
-        }
-        // Reopen configured without write-path maintenance (the reference
-        // mode): the flagged record replays through the rebuild path, and
-        // the stats must say so instead of pretending.
-        let mut d = DurableEngine::open_with(&dir, |e| {
-            install_view(e)?;
-            e.set_options(crate::engine::EngineOptions::builder().maintain(false).build());
-            Ok(())
-        })
-        .unwrap();
+    fn a_rolled_back_update_costs_no_rebuild_and_no_full_checkpoint() {
+        let vfs = Arc::new(SimVfs::new(FaultPlan::none(39)));
+        let v: Arc<dyn Vfs> = Arc::clone(&vfs) as Arc<dyn Vfs>;
+        let mut d =
+            DurableEngine::open_with_vfs("/d", v, DurabilityOptions::default(), install_view)
+                .unwrap();
+        d.update("?.db.r+(.a=1)").unwrap();
+        d.query("?.v.all(.x=X)").unwrap();
+        d.checkpoint().unwrap(); // full: no base yet
+                                 // the first item inserts, the second fails: the request rolls back
+        let err = d.update("?.db.r+(.a=2), .db.r+(.a=X)").unwrap_err();
+        assert_eq!(err.code(), "E-UNSAFE", "{err}");
+        let stats = d.engine.refresh_views_if_stale().unwrap();
+        assert_eq!(stats.rule_evals, 0, "{stats:?}");
+        assert!(d.engine.views_fresh_now());
+        d.checkpoint().unwrap();
         let stats = d.durability_stats();
-        assert!(!stats.maintenance_state_adopted, "nothing checkpointed to adopt");
-        assert_eq!(stats.maintenance_records_replayed, 1);
-        assert_eq!(stats.maintenance_fallbacks, 1);
-        assert_eq!(d.query("?.v.all(.x=X)").unwrap().column("X").len(), 2);
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!((stats.full_checkpoints, stats.delta_checkpoints), (1, 1));
+        assert_eq!(d.query("?.v.all(.x=X)").unwrap().column("X").len(), 1);
     }
 
     #[test]
@@ -1265,10 +1240,9 @@ mod tests {
         let mut d = sim_open(&vfs, DurabilityOptions::default()).unwrap();
         d.update("?.db.r+(.a=1)").unwrap();
         d.checkpoint().unwrap();
-        // a failing request rolls its transaction back, recording
+        // an update whose database position is a variable records
         // ChangeScope::Universe in the store journal
-        assert!(d.update("?.db.r+(.a=X)").is_err(), "unbound insert must fail");
-        d.update("?.db.r+(.a=3)").unwrap();
+        assert_eq!(d.update("?.D.r(.a=1), .D.r+(.a=3)").unwrap().stats().unwrap().inserted, 1);
         d.checkpoint().unwrap();
         let stats = d.durability_stats();
         assert_eq!(stats.full_checkpoints, 2, "universe scope cannot ride a delta");
@@ -1287,7 +1261,8 @@ mod tests {
             d.update("?.db.r+(.a=1)").unwrap();
             d.checkpoint().unwrap(); // full, views stale: no blob
             d.query("?.v.all(.x=X)").unwrap(); // materialise
-            d.update("?.db.r+(.a=2)").unwrap(); // maintained
+            d.update("?.db.r+(.a=2)").unwrap();
+            d.query("?.v.all(.x=X)").unwrap(); // repair
             d.checkpoint().unwrap(); // in place, carries the blob
             assert_eq!(d.durability_stats().delta_checkpoints, 1);
         }

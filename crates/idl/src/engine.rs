@@ -7,13 +7,14 @@ use idl_eval::rules::{DerivedCatalog, DerivedScope, FixpointStats};
 use idl_eval::update::UpdateStats;
 use idl_eval::{diff_update, MaintainedViews, PredPat};
 use idl_eval::{
-    run_request_cached, AnswerSet, EvalOptions, PlanCache, ProgramRegistry, RuleEngine, Subst,
+    run_request_cached, AnswerSet, EvalOptions, PlanCache, ProgramRegistry, RuleEngine,
 };
 use idl_lang::{parse_program, Request, Rule, Statement};
 use idl_object::Value;
 use idl_storage::schema::{self, RelationSchema, SchemaSet, Violation};
-use idl_storage::{Store, Version};
+use idl_storage::{ChangeScope, Store, Version};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Engine configuration.
 #[derive(Clone, Copy, Debug)]
@@ -24,10 +25,12 @@ pub struct EngineOptions {
     /// follows a base-data change (on by default). When off, call
     /// [`Engine::refresh_views`] manually.
     pub auto_refresh: bool,
-    /// Use relation-granularity semi-naive fixpoints (on by default).
+    /// No effect: [`EvalOptions::semi_naive`] alone selects the fixpoint
+    /// schedule. Kept because the benchmark builds this struct by literal.
     pub semi_naive: bool,
-    /// Re-derive only the rules affected by the journalled changes instead
-    /// of rebuilding every view (on by default; ablation bench B10).
+    /// No effect: [`EvalOptions::maintain`] alone chooses delta repair or
+    /// full rebuild. Kept because the benchmark builds this struct by
+    /// literal.
     pub incremental_refresh: bool,
 }
 
@@ -107,16 +110,15 @@ impl EngineOptionsBuilder {
         self
     }
 
-    /// Re-derive only rules affected by journalled changes (on by
-    /// default).
+    /// Sets [`EngineOptions::incremental_refresh`], which has no effect.
     pub fn incremental_refresh(mut self, on: bool) -> Self {
         self.engine.incremental_refresh = on;
         self
     }
 
-    /// Write-path incremental view maintenance (on by default): update
-    /// requests drive their own row deltas into the maintained views
-    /// instead of marking the world stale. Off is the refresh-the-world
+    /// Incremental view repair (on by default): stale views catch up with
+    /// the base changes since they were last fresh through the delta
+    /// pass. Off rebuilds every view instead, the refresh-the-world
     /// differential reference mode.
     pub fn maintain(mut self, on: bool) -> Self {
         self.engine.eval = self.engine.eval.with_maintain(on);
@@ -161,18 +163,17 @@ pub struct Engine {
     store: Store,
     rules: Vec<Rule>,
     compiled: Option<RuleEngine>,
-    programs: ProgramRegistry,
+    /// Shared with every [`crate::backend::EngineSnapshot`], which refuses
+    /// program calls.
+    programs: Arc<ProgramRegistry>,
     derived: DerivedCatalog,
     options: EngineOptions,
-    /// Store version when views were last known fresh; `None` = dirty.
-    fresh_at: Option<Version>,
-    /// CoW snapshot of the universe captured when the views last became
-    /// fresh (an O(1) structural-sharing clone). The stale-refresh path
-    /// diffs against it to recover the row delta of whatever bypassed
-    /// write-path maintenance, so repair runs the same delta pass —
-    /// skipping strata with no overlapping deltas entirely — instead of
-    /// the drop-and-rebuild fallback.
-    fresh_universe: Option<(Version, Value)>,
+    /// The freshness point: the store version at which the views last
+    /// matched the base data, and an O(1) copy-on-write clone of the
+    /// universe at that version. Repair diffs the current universe
+    /// against it to recover the row delta of every write since. `None`
+    /// means the views must be rebuilt.
+    fresh: Option<(Version, Value)>,
     /// Declared keys/types/foreign-keys, checked after each update request.
     schemas: SchemaSet,
     /// Maintain the queryable `sys` catalog database.
@@ -189,13 +190,12 @@ pub struct Engine {
     /// new `ource`-style relation) — those plans in [`PlanCache`] whose
     /// read set overlaps the newcomer are invalidated.
     seen_derived_rels: BTreeSet<PredPat>,
-    /// Per-view support bookkeeping for write-path maintenance, carried
-    /// into [`crate::backend::EngineSnapshot`] and persisted by the
-    /// durable layer so a restart resumes maintaining instead of
-    /// rebuilding.
+    /// Per-view support bookkeeping for incremental repair, carried into
+    /// [`crate::backend::EngineSnapshot`] and persisted by the durable
+    /// layer so a restart resumes repairing instead of rebuilding.
     maintained: MaintainedViews,
-    /// How many updates were absorbed by incremental maintenance (vs
-    /// falling back to the refresh path) since startup.
+    /// How many repairs the delta pass absorbed (vs falling back to a
+    /// full rebuild) since startup.
     maintenance_runs: u64,
 }
 
@@ -222,11 +222,10 @@ impl Engine {
             store,
             rules: Vec::new(),
             compiled: None,
-            programs: ProgramRegistry::new(),
+            programs: Arc::default(),
             derived: DerivedCatalog::empty(),
             options: EngineOptions::default(),
-            fresh_at: None,
-            fresh_universe: None,
+            fresh: None,
             schemas: SchemaSet::new(),
             sys_enabled: false,
             plan_cache: PlanCache::new(),
@@ -253,7 +252,7 @@ impl Engine {
 
     /// Mutable store access. Any direct change marks views dirty.
     pub fn store_mut(&mut self) -> &mut Store {
-        self.fresh_at = None;
+        self.fresh = None;
         &mut self.store
     }
 
@@ -265,9 +264,6 @@ impl Engine {
     /// Replaces the options (e.g. to run in naive mode for an ablation).
     pub fn set_options(&mut self, options: EngineOptions) {
         self.options = options;
-        if let Some(c) = &mut self.compiled {
-            c.semi_naive = options.semi_naive;
-        }
     }
 
     /// The relation-granular catalog of view-materialised state.
@@ -283,6 +279,11 @@ impl Engine {
     /// The program registry.
     pub fn programs(&self) -> &ProgramRegistry {
         &self.programs
+    }
+
+    /// The program registry, shared (an O(1) handle clone).
+    pub(crate) fn programs_shared(&self) -> Arc<ProgramRegistry> {
+        Arc::clone(&self.programs)
     }
 
     // ---- statement execution -------------------------------------------
@@ -307,7 +308,7 @@ impl Engine {
                 Ok(Outcome::RuleAdded)
             }
             Statement::Program(clause) => {
-                self.programs.register(&clause)?;
+                Arc::make_mut(&mut self.programs).register(&clause)?;
                 Ok(Outcome::ProgramRegistered)
             }
         }
@@ -348,27 +349,17 @@ impl Engine {
         }
     }
 
+    /// Runs one request. Whether it wrote is read from its outcome, never
+    /// from its syntax: a §7.1 program call carries no sign but writes.
+    /// Its base changes stay in the store journal until the next
+    /// [`Engine::refresh_views_if_stale`] repairs the views.
     fn run(&mut self, req: &Request) -> Result<Outcome, EngineError> {
         if self.options.auto_refresh {
             self.refresh_views_if_stale()?;
         }
-        // Write-path maintenance needs the pre-update universe (an O(1)
-        // CoW clone) to extract the update's row delta afterwards. Only
-        // captured when the views are fresh *now* — maintaining on top of
-        // stale views would bake the staleness in.
-        let pre = if self.options.eval.maintain
-            && self.compiled.is_some()
-            && self.options.semi_naive
-            && !req.is_pure_query()
-            && self.views_fresh_now()
-        {
-            Some((self.store.universe().clone(), self.store.version()))
-        } else {
-            None
-        };
         // Outer transaction so declared-schema enforcement can undo the
         // whole request (run_request's own transaction nests inside).
-        let check_schemas = !self.schemas.is_empty() && !req.is_pure_query();
+        let check_schemas = !self.schemas.is_empty();
         if check_schemas {
             self.store.begin();
         }
@@ -389,7 +380,11 @@ impl Engine {
             }
         };
         if check_schemas {
-            let violations = self.schemas.check(&self.store);
+            let violations = if outcome.stats.total() > 0 {
+                self.schemas.check(&self.store)
+            } else {
+                Vec::new()
+            };
             if violations.is_empty() {
                 self.store.commit().expect("outer transaction open");
             } else {
@@ -397,106 +392,95 @@ impl Engine {
                 return Err(EngineError::Schema(violations));
             }
         }
-        // Write-path maintenance: drive the update's own row delta into
-        // the maintained views. On any shape the pass cannot handle it
-        // leaves the views marked stale and the refresh path repairs them
-        // — staleness detection from the storage journal is unchanged and
-        // remains the fallback.
-        if let Some((pre_universe, pre_version)) = pre {
-            if outcome.stats.total() > 0 {
-                self.maintain_after_update(&pre_universe, pre_version)?;
-            }
-        }
         Ok(Outcome::Answers { answers: outcome.answers, stats: outcome.stats })
     }
 
-    /// Whether the materialised views match the store right now (fresh
-    /// marker set and no base-data change journalled since). Durable
+    /// The base-data changes journalled since the freshness point, or
+    /// `None` when there is no freshness point. Writes into `sys` and into
+    /// derived state do not count.
+    fn base_changes_since_fresh(&self) -> Option<Vec<ChangeScope>> {
+        let (v, _) = self.fresh.as_ref()?;
+        let base = self.store.changes_since(*v).iter().filter(|c| {
+            let sys_write =
+                matches!(&c.scope, ChangeScope::Database { db } if db.as_str() == "sys");
+            !sys_write && self.derived.is_base_change(&c.scope)
+        });
+        Some(base.map(|c| c.scope.clone()).collect())
+    }
+
+    /// Whether the materialised views match the store right now (a
+    /// freshness point and no base-data change journalled since). Durable
     /// checkpoints use this to decide whether the maintenance state is
     /// worth persisting alongside the universe.
     pub fn views_fresh_now(&self) -> bool {
-        let Some(v) = self.fresh_at else { return false };
-        self.store.changes_since(v).iter().all(|c| {
-            let sys_write = matches!(
-                &c.scope,
-                idl_storage::ChangeScope::Database { db } if db.as_str() == "sys"
-            );
-            sys_write || !self.derived.is_base_change(&c.scope)
-        })
+        self.base_changes_since_fresh().is_some_and(|changes| changes.is_empty())
     }
 
-    /// Marks the views fresh as of the store's current version and
-    /// captures the CoW universe snapshot the stale-refresh delta-repair
-    /// path diffs against.
+    /// Moves the freshness point to the store's current version.
     fn mark_fresh(&mut self) {
-        let v = self.store.version();
-        self.fresh_at = Some(v);
-        self.fresh_universe = Some((v, self.store.universe().clone()));
+        self.fresh = Some((self.store.version(), self.store.universe().clone()));
     }
 
-    /// Runs incremental maintenance for the update journalled between
-    /// `pre_version` and now. On success the views stay fresh and the
-    /// maintained-state bookkeeping advances; on any bail the views are
-    /// marked stale for the refresh/repair path.
-    fn maintain_after_update(
+    /// Repairs the views with the delta pass: diffs the universe at the
+    /// freshness point against the current one over `changes` and drives
+    /// the row delta through the rule strata. Returns the pass's
+    /// statistics once the views are fresh; `None` means the change is not
+    /// expressible as row edits or the pass bailed, and the caller must
+    /// rebuild.
+    fn repair_views(
         &mut self,
-        pre_universe: &Value,
-        pre_version: Version,
-    ) -> Result<(), EngineError> {
-        let scopes: Vec<idl_storage::ChangeScope> =
-            self.store.changes_since(pre_version).iter().map(|c| c.scope.clone()).collect();
-        let Some(delta) = diff_update(pre_universe, self.store.universe(), &scopes) else {
-            // Not expressible as row edits (schema-shaping update): the
-            // refresh path owns it.
-            self.fresh_at = None;
-            return Ok(());
+        changes: &[ChangeScope],
+    ) -> Result<Option<FixpointStats>, EngineError> {
+        let Some((_, pre_universe)) = &self.fresh else { return Ok(None) };
+        let Some(delta) = diff_update(pre_universe, self.store.universe(), changes) else {
+            return Ok(None);
         };
         if delta.is_empty() {
-            // No-op update (e.g. a retraction that matched nothing): the
-            // journal recorded a write scope but the contents are
-            // unchanged, so re-mark freshness at the current version —
-            // otherwise the stale check re-diffs this forever.
+            // A write that left the rows as they were (a retraction that
+            // matched nothing, a rolled-back request): nothing to repair.
             self.mark_fresh();
-            return Ok(());
+            return Ok(Some(FixpointStats::default()));
         }
-        let maintained = match &self.compiled {
-            Some(c) => c.maintain_cached(
-                &mut self.store,
-                &delta,
-                self.options.eval,
-                Some(&mut self.plan_cache),
-            )?,
-            None => None,
+        let Some(compiled) = &self.compiled else { return Ok(None) };
+        let maintained = match compiled.maintain_cached(
+            &mut self.store,
+            &delta,
+            self.options.eval,
+            Some(&mut self.plan_cache),
+        ) {
+            Ok(Some(outcome)) => outcome,
+            Ok(None) => return Ok(None),
+            Err(e) => {
+                // A failed pass may leave derived state half-applied.
+                self.fresh = None;
+                return Err(e.into());
+            }
         };
-        let Some(outcome) = maintained else {
-            self.fresh_at = None;
-            return Ok(());
-        };
-        let mut stats = outcome.stats.clone();
+        let mut stats = maintained.stats.clone();
         // Incrementally created relations are schematic deltas exactly
-        // like in a refresh: register them with the seen-set and
+        // like in a rebuild: register them with the seen-set and
         // invalidate overlapping plans; GCd ones leave the seen-set so a
         // reappearance counts as schematic again.
         self.apply_schematic_deltas(&mut stats, false);
         stats.maintenance.schematic_creates = stats.schematic_deltas;
-        if !outcome.gcd.is_empty() {
-            for pat in &outcome.gcd {
+        if !maintained.gcd.is_empty() {
+            for pat in &maintained.gcd {
                 self.seen_derived_rels.remove(pat);
             }
-            stats.plan_invalidations += self.plan_cache.invalidate_overlapping(&outcome.gcd);
+            stats.plan_invalidations += self.plan_cache.invalidate_overlapping(&maintained.gcd);
         }
         if self.sys_enabled {
             schema::install_sys_catalog(&mut self.store, &self.schemas)?;
         }
-        self.maintained.apply(&outcome);
+        self.maintained.apply(&maintained);
         stats.maintenance.support_entries = self.maintained.entry_count();
         self.mark_fresh();
         self.maintenance_runs += 1;
-        self.last_stats = stats;
-        Ok(())
+        self.last_stats = stats.clone();
+        Ok(Some(stats))
     }
 
-    /// Per-view support bookkeeping for write-path maintenance.
+    /// Per-view support bookkeeping for incremental repair.
     pub fn maintained_views(&self) -> &MaintainedViews {
         &self.maintained
     }
@@ -514,7 +498,8 @@ impl Engine {
         true
     }
 
-    /// How many updates incremental maintenance absorbed since startup.
+    /// How many repairs the delta pass absorbed since startup (the rest
+    /// fell back to a full rebuild).
     pub fn maintenance_runs(&self) -> u64 {
         self.maintenance_runs
     }
@@ -540,7 +525,7 @@ impl Engine {
             return Err(EngineError::Schema(violations));
         }
         self.schemas = candidate;
-        self.fresh_at = None; // sys catalog must reflect the declaration
+        self.fresh = None; // sys catalog must reflect the declaration
         Ok(())
     }
 
@@ -559,7 +544,7 @@ impl Engine {
     /// `sys.keys`, `sys.types`.
     pub fn enable_sys_catalog(&mut self) -> Result<(), EngineError> {
         self.sys_enabled = true;
-        self.fresh_at = None;
+        self.fresh = None;
         Ok(())
     }
 
@@ -569,12 +554,11 @@ impl Engine {
     pub fn add_rule(&mut self, rule: Rule) -> Result<(), EngineError> {
         let mut candidate = self.rules.clone();
         candidate.push(rule);
-        let mut engine = RuleEngine::new(candidate.clone())?;
-        engine.semi_naive = self.options.semi_naive;
+        let engine = RuleEngine::new(candidate.clone())?;
         self.derived = engine.derived_catalog();
         self.compiled = Some(engine);
         self.rules = candidate;
-        self.fresh_at = None;
+        self.fresh = None;
         Ok(())
     }
 
@@ -635,7 +619,6 @@ impl Engine {
         let mut stats = compiled.materialize_cached(
             &mut self.store,
             self.options.eval,
-            None,
             Some(&mut self.plan_cache),
         )?;
         // A full rebuild re-creates every data-dependent relation, so the
@@ -684,112 +667,28 @@ impl Engine {
         &self.last_stats
     }
 
-    /// Refreshes views only if base data changed since the last refresh.
+    /// Brings the views up to date with every base change since the
+    /// freshness point: nothing when no base data changed, the delta pass when
+    /// [`EvalOptions::maintain`] is on and the change is expressible as
+    /// row edits, a full [`Engine::refresh_views`] otherwise. This is the
+    /// one way views catch up with writes; requests with `auto_refresh`
+    /// and [`crate::Backend::snapshot`] call it.
     pub fn refresh_views_if_stale(&mut self) -> Result<FixpointStats, EngineError> {
         if self.compiled.is_none() && !self.sys_enabled {
             return Ok(FixpointStats::default());
         }
-        if let Some(v) = self.fresh_at {
-            let changed: Vec<idl_storage::ChangeScope> = self
-                .store
-                .changes_since(v)
-                .iter()
-                .filter(|c| {
-                    let sys_write = matches!(
-                        &c.scope,
-                        idl_storage::ChangeScope::Database { db } if db.as_str() == "sys"
-                    );
-                    !sys_write && self.derived.is_base_change(&c.scope)
-                })
-                .map(|c| c.scope.clone())
-                .collect();
-            if changed.is_empty() {
-                return Ok(FixpointStats::default());
-            }
-            if self.options.incremental_refresh && self.compiled.is_some() {
-                // Delta repair: diff the current universe against the CoW
-                // snapshot captured when the views were last fresh, and
-                // drive the recovered row delta through the same
-                // maintenance pass the write path uses — strata with no
-                // overlapping deltas are skipped entirely. Any shape the
-                // pass cannot absorb falls through to the masked
-                // drop-and-rebuild below (and with maintenance off this
-                // path is disabled wholesale: refresh-the-world stays the
-                // differential reference mode).
-                if self.options.eval.maintain {
-                    let pre = match &self.fresh_universe {
-                        Some((pv, u)) if *pv == v => Some((*pv, u.clone())),
-                        _ => None,
-                    };
-                    if let Some((pv, pre_universe)) = pre {
-                        self.maintain_after_update(&pre_universe, pv)?;
-                        if self.fresh_at.is_some() {
-                            return Ok(self.last_stats.clone());
-                        }
-                    }
-                }
-                return self.refresh_views_incremental(&changed);
+        let Some(changes) = self.base_changes_since_fresh() else {
+            return self.refresh_views();
+        };
+        if changes.is_empty() {
+            return Ok(FixpointStats::default());
+        }
+        if self.options.eval.maintain {
+            if let Some(stats) = self.repair_views(&changes)? {
+                return Ok(stats);
             }
         }
         self.refresh_views()
-    }
-
-    /// Incremental refresh: re-derives only the rules (transitively)
-    /// affected by the given base changes. Unaffected views keep their
-    /// materialised state untouched.
-    fn refresh_views_incremental(
-        &mut self,
-        changes: &[idl_storage::ChangeScope],
-    ) -> Result<FixpointStats, EngineError> {
-        let Some(compiled) = &self.compiled else {
-            return self.refresh_views();
-        };
-        let mask = compiled.dirty_mask(changes);
-        if !mask.iter().any(|&d| d) {
-            if self.sys_enabled {
-                schema::install_sys_catalog(&mut self.store, &self.schemas)?;
-            }
-            self.mark_fresh();
-            return Ok(FixpointStats::default());
-        }
-        // Drop exactly the dirty heads so deletions propagate.
-        let to_drop: Vec<idl_eval::rules::PredPat> = compiled
-            .head_patterns()
-            .iter()
-            .zip(&mask)
-            .filter(|(_, &d)| d)
-            .map(|(p, _)| p.clone())
-            .collect();
-        for pat in to_drop {
-            match (&pat.db, &pat.rel) {
-                (Some(db), Some(rel)) if self.store.relation(db.as_str(), rel.as_str()).is_ok() => {
-                    self.store.drop_relation(db.as_str(), rel.as_str())?;
-                }
-                (Some(db), None) if self.store.has_database(db.as_str()) => {
-                    self.store.drop_database(db.as_str())?;
-                }
-                _ => {}
-            }
-        }
-        let compiled = self.compiled.as_ref().expect("checked above");
-        let mut stats = compiled.materialize_cached(
-            &mut self.store,
-            self.options.eval,
-            Some(&mask),
-            Some(&mut self.plan_cache),
-        )?;
-        // Masked refresh: rules outside the mask never ran, so their
-        // data-dependent relations are absent from this run's log — the
-        // seen-set is unioned, not replaced.
-        self.apply_schematic_deltas(&mut stats, false);
-        if self.sys_enabled {
-            schema::install_sys_catalog(&mut self.store, &self.schemas)?;
-        }
-        self.maintained = MaintainedViews::recompute(&self.store, &self.derived, &self.rules);
-        stats.maintenance.support_entries = self.maintained.entry_count();
-        self.mark_fresh();
-        self.last_stats = stats.clone();
-        Ok(stats)
     }
 
     // ---- tooling ----------------------------------------------------------
@@ -862,23 +761,6 @@ impl Engine {
         &self.plan_cache
     }
 
-    /// Evaluates a parsed request without the engine conveniences (no view
-    /// refresh). Used by benches that control refresh manually.
-    pub fn run_raw(&mut self, req: &Request) -> Result<(AnswerSet, UpdateStats), EngineError> {
-        let o = run_request_cached(
-            &mut self.store,
-            &self.programs,
-            &self.derived,
-            req,
-            self.options.eval,
-            Some(&mut self.plan_cache),
-        )?;
-        if o.stats.total() > 0 {
-            self.fresh_at = None;
-        }
-        Ok((o.answers, o.stats))
-    }
-
     /// Saves the universe as a JSON snapshot.
     pub fn save_snapshot(&self, path: &std::path::Path) -> Result<(), EngineError> {
         idl_storage::persist::save_snapshot(&self.store, path)?;
@@ -895,25 +777,6 @@ impl Engine {
     /// round-trip checks between a recovered engine and its reference.
     pub fn universe_json(&self) -> Result<String, EngineError> {
         Ok(idl_storage::persist::to_json(&self.store)?)
-    }
-
-    /// A seeded substitution variant of [`Engine::query`] for parameterised
-    /// reuse of one parsed request.
-    pub fn query_with(&mut self, req: &Request, seed: &Subst) -> Result<AnswerSet, EngineError> {
-        if self.options.auto_refresh {
-            self.refresh_views_if_stale()?;
-        }
-        let substs = if self.options.eval.compile {
-            let plan = self.plan_cache.get_or_compile(&req.items, self.options.eval)?;
-            let ev = idl_eval::Evaluator::new(&self.store, self.options.eval);
-            ev.eval_compiled(&plan, vec![seed.clone()])?
-        } else {
-            let ev = idl_eval::Evaluator::new(&self.store, self.options.eval);
-            ev.eval_items(&req.items, vec![seed.clone()])?
-        };
-        let vars = req.vars();
-        let named: BTreeSet<_> = vars.into_iter().filter(|v| !v.is_gensym()).collect();
-        Ok(substs.into_iter().map(|s| s.project(&named)).collect())
     }
 }
 
@@ -1029,7 +892,7 @@ mod tests {
 
     #[test]
     fn declared_schemas_enforced_with_rollback() {
-        use idl_storage::schema::{AttrDecl, RelationSchema};
+        use idl_storage::schema::AttrDecl;
         use idl_storage::TypeTag;
         let mut e = engine();
         e.declare_schema(
@@ -1061,7 +924,6 @@ mod tests {
 
     #[test]
     fn declare_schema_rejects_inconsistent_present_state() {
-        use idl_storage::schema::RelationSchema;
         let mut e = engine();
         // two rows per date exist (hp and ibm) -> date alone cannot be key
         let err = e
@@ -1106,48 +968,15 @@ mod tests {
     }
 
     #[test]
-    fn incremental_refresh_rederives_only_affected_views() {
-        // two independent view families: one reads euter, one reads chwab
-        let rules = "
-            .vE.all(.stk=S) <- .euter.r(.stkCode=S) ;
-            .vC.days(.d=D) <- .chwab.r(.date=D) ;
-        ";
-        let mut e = engine();
-        // Pin maintenance off: this test exercises the refresh path.
-        e.set_options(EngineOptions::builder().maintain(false).build());
-        e.add_rules(rules).unwrap();
-        e.refresh_views().unwrap(); // full initial build
-                                    // touch only euter
-        e.update("?.euter.r+(.date=3/9/85,.stkCode=zz,.clsPrice=1)").unwrap();
-        let stats = e.refresh_views_if_stale().unwrap();
-        assert!(stats.rule_evals >= 1);
-        assert!(
-            stats.rule_evals <= 2,
-            "only the euter-reading rule re-evaluates (+1 quiescence check): {stats:?}"
-        );
-        // both views correct afterwards
-        assert!(e.query("?.vE.all(.stk=zz)").unwrap().is_true());
-        assert_eq!(e.query("?.vC.days(.d=D)").unwrap().len(), 2);
-
-        // deletions propagate too
-        e.update("?.euter.r-(.stkCode=zz)").unwrap();
-        e.refresh_views_if_stale().unwrap();
-        assert!(!e.query("?.vE.all(.stk=zz)").unwrap().is_true());
-    }
-
-    #[test]
     fn stale_refresh_repairs_through_the_maintenance_pass() {
-        // An update applied with maintenance off leaves the views stale;
-        // re-enabling maintenance before the refresh lets the stale path
-        // recover the row delta from the freshness snapshot and absorb it
-        // as a maintenance pass instead of a drop-and-rebuild.
+        // An update leaves the views stale; the refresh recovers the row
+        // delta from the freshness point and absorbs it as a maintenance
+        // pass instead of a rebuild.
         let mut e = engine();
         e.add_rules(UNIFIED).unwrap();
         e.refresh_views().unwrap();
-        e.set_options(EngineOptions::builder().maintain(false).build());
         e.update("?.euter.r+(.date=3/9/85,.stkCode=zz,.clsPrice=7)").unwrap();
         assert!(!e.views_fresh_now());
-        e.set_options(EngineOptions::builder().maintain(true).build());
         let runs = e.maintenance_runs();
         let stats = e.refresh_views_if_stale().unwrap();
         assert_eq!(e.maintenance_runs(), runs + 1, "repair ran as maintenance: {stats:?}");
@@ -1196,41 +1025,6 @@ mod tests {
         let plan = e.explain("?.euter.r(.clsPrice>60, .stkCode=hp)").unwrap();
         assert!(plan.contains("scan [probe eq(.stkCode = hp)"), "{plan}");
         assert!(plan.contains("filter > 60"), "{plan}");
-    }
-
-    #[test]
-    fn incremental_matches_full_refresh() {
-        let mk = |incremental: bool| {
-            let mut e = engine();
-            // Maintenance off on both sides: this differential targets
-            // incremental *refresh* vs full refresh (maintenance has its
-            // own differential battery).
-            e.set_options(EngineOptions {
-                incremental_refresh: incremental,
-                ..EngineOptions::builder().maintain(false).build()
-            });
-            e.add_rules(UNIFIED).unwrap();
-            e.add_rules(".dbO.S(.date=D,.clsPrice=P) <- .dbI.p(.date=D,.stk=S,.clsPrice=P) ;")
-                .unwrap();
-            e
-        };
-        let mut inc = mk(true);
-        let mut full = mk(false);
-        for upd in [
-            "?.euter.r+(.date=3/9/85,.stkCode=zz,.clsPrice=7)",
-            "?.ource.hp-(.date=3/3/85)",
-            "?.chwab.r(.date=3/4/85, .ibm-=X)",
-            "?.euter.r-(.stkCode=hp)",
-        ] {
-            inc.update(upd).unwrap();
-            full.update(upd).unwrap();
-            let a = inc.query("?.dbI.p(.date=D,.stk=S,.clsPrice=P)").unwrap();
-            let b = full.query("?.dbI.p(.date=D,.stk=S,.clsPrice=P)").unwrap();
-            assert_eq!(a, b, "after {upd}");
-            let a = inc.query("?.dbO.Y").unwrap();
-            let b = full.query("?.dbO.Y").unwrap();
-            assert_eq!(a, b, "dbO after {upd}");
-        }
     }
 
     #[test]
@@ -1326,23 +1120,24 @@ mod tests {
         e.set_options(EngineOptions::builder().maintain(true).build());
         e.add_rules(UNIFIED).unwrap();
         e.query("?.dbI.p(.stk=hp)").unwrap(); // initial build
-        assert_eq!(e.maintenance_runs(), 0);
         e.update("?.euter.r+(.date=3/9/85,.stkCode=sun,.clsPrice=7)").unwrap();
-        // The update maintained in place: no staleness, no refresh later.
-        assert_eq!(e.maintenance_runs(), 1);
-        let v = e.store().version();
+        // The write leaves the repair to the next read, which absorbs it
+        // with the delta pass.
+        assert_eq!(e.maintenance_runs(), 0);
         assert!(e.query("?.dbI.p(.stk=sun,.clsPrice=7)").unwrap().is_true());
-        assert_eq!(e.store().version(), v, "query did not re-materialise");
+        assert_eq!(e.maintenance_runs(), 1);
         let m = &e.last_fixpoint_stats().maintenance;
         assert_eq!(m.views_maintained, 1, "{m:?}");
         assert!(m.delta_rules_run >= 1, "{m:?}");
         assert_eq!(m.support_entries, 1, "{m:?}");
-        // Retraction maintains too (exact rederivation deletes the row).
-        e.update("?.euter.r-(.stkCode=sun)").unwrap();
-        assert_eq!(e.maintenance_runs(), 2);
+        // A second read finds the views fresh: nothing re-materialises.
         let v = e.store().version();
-        assert!(!e.query("?.dbI.p(.stk=sun)").unwrap().is_true());
+        assert!(e.query("?.dbI.p(.stk=sun)").unwrap().is_true());
         assert_eq!(e.store().version(), v);
+        // Retraction repairs too (exact rederivation deletes the row).
+        e.update("?.euter.r-(.stkCode=sun)").unwrap();
+        assert!(!e.query("?.dbI.p(.stk=sun)").unwrap().is_true());
+        assert_eq!(e.maintenance_runs(), 2);
     }
 
     #[test]
@@ -1368,6 +1163,7 @@ mod tests {
         ] {
             on.update(upd).unwrap();
             off.update(upd).unwrap();
+            on.refresh_views_if_stale().unwrap();
             off.refresh_views_if_stale().unwrap();
             assert_eq!(
                 on.universe_json().unwrap(),
@@ -1385,20 +1181,19 @@ mod tests {
         e.add_rules(".dbO.S(.date=D,.clsPrice=P) <- .dbI.p(.date=D,.stk=S,.clsPrice=P) ;").unwrap();
         // Warm a higher-order plan so create/GC invalidation is visible.
         e.query("?.dbO.Y(.clsPrice=P)").unwrap();
-        // New stock: maintenance materialises dbO.sun incrementally.
+        // New stock: the repair materialises dbO.sun incrementally.
         e.update("?.euter.r+(.date=3/9/85,.stkCode=sun,.clsPrice=30)").unwrap();
-        let m = e.last_fixpoint_stats().maintenance.clone();
-        assert_eq!(m.schematic_creates, 1, "{m:?}");
-        let v = e.store().version();
         let rels = e.query("?.dbO.Y").unwrap();
         assert!(rels.column("Y").contains(&Value::str("sun")), "{rels}");
-        assert_eq!(e.store().version(), v, "probe against maintained views");
+        let m = e.last_fixpoint_stats().maintenance.clone();
+        assert_eq!(m.schematic_creates, 1, "{m:?}");
         // Retracting the stock's only quote GCs the relation again.
         e.update("?.euter.r-(.stkCode=sun)").unwrap();
-        let m = e.last_fixpoint_stats().maintenance.clone();
-        assert_eq!(m.schematic_gcs, 1, "{m:?}");
         let rels = e.query("?.dbO.Y").unwrap();
         assert!(!rels.column("Y").contains(&Value::str("sun")), "{rels}");
+        let m = e.last_fixpoint_stats().maintenance.clone();
+        assert_eq!(m.schematic_gcs, 1, "{m:?}");
+        assert_eq!(e.maintenance_runs(), 2);
     }
 
     #[test]
@@ -1410,8 +1205,58 @@ mod tests {
         // Dropping a whole relation is not row-expressible: the update
         // must fall back to the refresh path and still be correct.
         e.update("?.chwab-.r").unwrap();
-        assert_eq!(e.maintenance_runs(), 0);
         assert!(e.query("?.dbI.p(.stk=hp)").unwrap().is_true(), "hp survives via euter/ource");
+        assert_eq!(e.maintenance_runs(), 0, "rebuilt, not repaired");
+        assert!(e.views_fresh_now());
+    }
+
+    /// The stock engine with the two-level mapping (which registers the
+    /// §7.1 update programs) and freshly materialised views.
+    fn mapped() -> Engine {
+        let mut e = engine();
+        crate::transparency::install_two_level_mapping(&mut e).unwrap();
+        e.refresh_views().unwrap();
+        e
+    }
+
+    #[test]
+    fn program_call_breaking_a_declared_key_is_refused_and_rolled_back() {
+        // hp already has a quote on 3/3/85, so a second one breaks the
+        // euter and ource keys. insStk edits chwab's row for the day in
+        // place and can never repeat a date there; it can repeat a price,
+        // so chwab's key is the hp column.
+        let second_quote = "?.dbU.insStk(.stk=hp, .date=3/3/85, .price=99)";
+        let repeat_price = "?.dbU.insStk(.stk=hp, .date=3/4/85, .price=50.0)";
+        let keys: [(&str, &str, &[&str], &str); 3] = [
+            ("euter", "r", &["date", "stkCode"], second_quote),
+            ("chwab", "r", &["hp"], repeat_price),
+            ("ource", "hp", &["date"], second_quote),
+        ];
+        for (db, rel, key, call) in keys {
+            let mut e = mapped();
+            let key = key.iter().map(|k| idl_object::Name::new(*k)).collect();
+            e.declare_schema(db, rel, RelationSchema { key, ..Default::default() }).unwrap();
+            e.refresh_views().unwrap();
+            let before = e.universe_json().unwrap();
+            let Err(err) = e.update(call) else { panic!("{db}.{rel}: {call} accepted") };
+            assert_eq!(err.code(), "E-SCHEMA", "{db}.{rel}: {err}");
+            assert_eq!(e.universe_json().unwrap(), before, "{db}.{rel}");
+            // the rollback moved no row: the views need no work
+            assert_eq!(e.refresh_views_if_stale().unwrap().rule_evals, 0, "{db}.{rel}");
+            // a call that keeps the key is accepted
+            e.update("?.dbU.insStk(.stk=hp, .date=3/9/85, .price=99)").unwrap();
+            assert!(e.check_schemas().is_empty(), "{db}.{rel}");
+        }
+    }
+
+    #[test]
+    fn a_failed_update_leaves_the_views_fresh() {
+        let mut e = mapped();
+        let err = e.update("?.euter.r+(.stkCode=U)").unwrap_err();
+        assert_eq!(err.code(), "E-UNSAFE", "{err}");
+        let stats = e.refresh_views_if_stale().unwrap();
+        assert_eq!(stats.rule_evals, 0, "{stats:?}");
+        assert!(e.views_fresh_now());
     }
 
     #[test]

@@ -185,14 +185,14 @@ pub struct EngineStatsWire {
     pub plan_cache_misses: u64,
     /// Fraction of O(1) handle clones whose sharing survived the run.
     pub sharing_hit_rate: f64,
-    /// Write-path view-maintenance counters. Optional for wire
+    /// Incremental view-repair counters. Optional for wire
     /// compatibility: replies from servers predating maintenance decode
     /// as `None`, and older clients ignore the field entirely.
     #[serde(default)]
     pub maintenance: Option<MaintenanceStatsWire>,
 }
 
-/// Wire-portable counters of the engine's write-path view maintenance
+/// Wire-portable counters of the engine's incremental view repair
 /// (see `idl_eval::MaintenanceStats`).
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct MaintenanceStatsWire {

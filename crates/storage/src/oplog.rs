@@ -19,10 +19,9 @@
 //! * `len` counts the LSN, flags and payload, so a record occupies
 //!   `8 + len` bytes on disk (format-2 records have no flags byte and
 //!   `len` counts LSN + payload; they decode with `flags = 0`);
-//! * `flags` tags the record — [`FLAG_MAINTENANCE`] marks an update whose
-//!   derived views were maintained incrementally in the same transaction,
-//!   so recovery can detect (and report) a silent fall-back to full
-//!   rebuild on replay;
+//! * `flags` is a byte this build writes as 0 and ignores on replay
+//!   (older builds set [`FLAG_MAINTENANCE`]), so logs from either build
+//!   replay;
 //! * `crc` is CRC-32C over the body (everything after itself);
 //! * `lsn` is a log sequence number, strictly increasing across the log's
 //!   lifetime (checkpoints included) — snapshots record the LSN they
@@ -54,8 +53,8 @@ const UNFLAGGED_VERSION: u32 = 2;
 /// The last framing version with the 12-byte header (no codec hint).
 const SHORT_HEADER_VERSION: u32 = 3;
 
-/// Record flag: the update's derived views were maintained incrementally
-/// inside the same write transaction (not left for a later full refresh).
+/// Record flag older builds set on an update whose views they maintained
+/// inside the write; this build writes 0 and ignores the byte on replay.
 pub const FLAG_MAINTENANCE: u8 = 1;
 
 /// Bytes occupied by the file header in formats ≤ 3.
@@ -147,19 +146,9 @@ pub struct DurabilityStats {
     pub migrated_legacy: bool,
     /// Stale snapshot temp files removed at the last open.
     pub stale_temps_removed: u64,
-    /// Records appended with [`FLAG_MAINTENANCE`] since open (updates
-    /// whose views were maintained incrementally before the ack).
-    pub maintenance_records_appended: u64,
-    /// Replayed records that carried [`FLAG_MAINTENANCE`] at the last
-    /// open.
-    pub maintenance_records_replayed: u64,
-    /// Replayed maintenance-tagged records the engine could *not*
-    /// maintain incrementally this time (it fell back to marking views
-    /// stale). Non-zero means recovery lost the maintained state — e.g.
-    /// rules changed, or the snapshot predates this build's format.
-    pub maintenance_fallbacks: u64,
     /// Whether the last open adopted persisted maintenance state from
-    /// the snapshot (replay then maintains instead of rebuilding).
+    /// the page file (the first read then repairs the replayed updates
+    /// instead of rebuilding).
     pub maintenance_state_adopted: bool,
     /// Coalesced write groups committed since open (each group is one
     /// log append plus one fsync covering every record in it).

@@ -291,12 +291,28 @@ impl Store {
         self.txns.pop().map(|_| ()).ok_or(StorageError::NoOpenTransaction)
     }
 
-    /// Rolls the innermost transaction back, restoring the snapshot.
+    /// Rolls the innermost transaction back, restoring the snapshot. The
+    /// restore re-journals each scope the transaction recorded, once, so
+    /// readers of the journal see exactly where the universe moved; only
+    /// when the journal no longer holds the whole frame is it recorded as
+    /// [`ChangeScope::Universe`]. The version stays monotonic.
     pub fn rollback(&mut self) -> StorageResult<()> {
         let frame = self.txns.pop().ok_or(StorageError::NoOpenTransaction)?;
         self.universe = frame.saved_universe;
-        let _ = frame.saved_version; // version stays monotonic
-        self.record(ChangeScope::Universe);
+        let undone = self.journal.since(frame.saved_version);
+        let mut scopes: Vec<ChangeScope> = Vec::new();
+        if undone.len() as Version == self.version - frame.saved_version {
+            for rec in undone {
+                if !scopes.contains(&rec.scope) {
+                    scopes.push(rec.scope.clone());
+                }
+            }
+        } else {
+            scopes.push(ChangeScope::Universe);
+        }
+        for scope in scopes {
+            self.record(scope);
+        }
         Ok(())
     }
 
@@ -460,6 +476,37 @@ mod tests {
         s.rollback().unwrap();
         let i2 = s.index("euter", "r", "stkCode", IndexKind::Hash).unwrap();
         assert_eq!(i2.lookup_eq(&Value::str("sun")).len(), 0);
+    }
+
+    #[test]
+    fn rollback_journals_the_frame_scopes_once() {
+        let mut s = seeded();
+        let v0 = s.version();
+        s.begin();
+        s.rollback().unwrap();
+        assert_eq!(s.version(), v0, "an empty frame restores nothing");
+        s.begin();
+        s.insert("euter", "r", tuple! { stkCode: "a", clsPrice: 1i64 }).unwrap();
+        s.insert("euter", "r", tuple! { stkCode: "b", clsPrice: 2i64 }).unwrap();
+        s.create_database("chwab").unwrap();
+        let v1 = s.version();
+        s.rollback().unwrap();
+        let undone: Vec<ChangeScope> =
+            s.changes_since(v1).iter().map(|c| c.scope.clone()).collect();
+        assert_eq!(
+            undone,
+            [
+                ChangeScope::Relation { db: Name::new("euter"), rel: Name::new("r") },
+                ChangeScope::Database { db: Name::new("chwab") },
+            ]
+        );
+        // a journal truncated inside the frame can no longer say what moved
+        s.begin();
+        s.insert("euter", "r", tuple! { stkCode: "c", clsPrice: 3i64 }).unwrap();
+        let v2 = s.version();
+        s.checkpoint(v2);
+        s.rollback().unwrap();
+        assert_eq!(s.changes_since(v2)[0].scope, ChangeScope::Universe);
     }
 
     #[test]

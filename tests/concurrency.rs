@@ -129,12 +129,11 @@ fn parallel_refresh_races_concurrent_readers() {
     assert_eq!(shared.read().unwrap().universe(), &reference);
 }
 
-/// Incremental (`materialize_masked`) refresh at 4 worker threads after
-/// base deletions: the masked parallel re-derivation must propagate the
-/// deletions through both strata and land on exactly the universe a
-/// sequential from-scratch rebuild produces.
+/// Delta repair at 4 worker threads after base deletions: the parallel
+/// repair pass must propagate the deletions through both strata and land
+/// on exactly the universe a sequential from-scratch rebuild produces.
 #[test]
-fn incremental_masked_refresh_under_parallelism_propagates_deletions() {
+fn delta_repair_under_parallelism_propagates_deletions() {
     let cfg = ShardedStockConfig::sized(6, 3, 8);
     let rules = sharded_union_rules(&cfg);
     let deletions = [
@@ -144,19 +143,7 @@ fn incremental_masked_refresh_under_parallelism_propagates_deletions() {
     ];
 
     let mut inc = Engine::from_store(generate_sharded_store(&cfg));
-    inc.set_options(
-        EngineOptions {
-            auto_refresh: false,
-            incremental_refresh: true,
-            ..EngineOptions::default()
-        }
-        .rebuild()
-        .threads(4)
-        // this test exercises the masked drop-and-rebuild repair, so keep
-        // write-path maintenance (and its delta-repair) out of the way
-        .maintain(false)
-        .build(),
-    );
+    inc.set_options(EngineOptions::builder().auto_refresh(false).threads(4).build());
     inc.add_rules(&rules).unwrap();
     inc.refresh_views().unwrap();
     let union_before = inc.store().relation("dbU", "q").unwrap().len();
@@ -164,12 +151,12 @@ fn incremental_masked_refresh_under_parallelism_propagates_deletions() {
     for d in &deletions {
         inc.update(d).unwrap();
     }
+    let runs = inc.maintenance_runs();
     let stats = inc.refresh_views_if_stale().unwrap();
-    assert!(!stats.strata.is_empty(), "base deletions must dirty the views");
-    assert!(
-        stats.strata.iter().any(|s| s.workers > 1),
-        "masked refresh should use the worker pool"
-    );
+    assert_eq!(inc.maintenance_runs(), runs + 1, "one delta repair, not a rebuild: {stats:?}");
+    assert!(stats.maintenance.views_maintained > 0, "base deletions must reach the views");
+    assert!(inc.views_fresh_now());
+    assert!(stats.strata.iter().any(|s| s.workers > 1), "the repair should use the worker pool");
 
     // deletions propagated into the union…
     let union_after = inc.store().relation("dbU", "q").unwrap().len();
@@ -189,7 +176,7 @@ fn incremental_masked_refresh_under_parallelism_propagates_deletions() {
     assert_eq!(
         inc.store().universe(),
         full.store().universe(),
-        "masked parallel refresh must equal a sequential full rebuild"
+        "parallel delta repair must equal a sequential full rebuild"
     );
     // sanity: untouched shards kept their maxima
     for si in [0usize, 2, 3, 4, 5] {

@@ -245,11 +245,11 @@ fn crash_at_every_fault_site_compiled() {
 /// which would rebuild from scratch and mask corrupt maintained state.
 const PROBE_QUERY: &str = "?.dbI.p(.stk=S, .date=D, .clsPrice=P)";
 
-/// Like [`run_workload`], but views are materialised up front so every
-/// subsequent update is absorbed by write-path maintenance and every
-/// checkpoint persists the maintained state alongside the universe.
-/// The refresh call does no VFS I/O, so crash sites line up with
-/// [`workload_op_count`].
+/// Like [`run_workload`], but views are materialised up front and read
+/// before every checkpoint, so each update is absorbed by the delta
+/// repair and every checkpoint persists the maintained state alongside
+/// the universe. Refreshes and queries do no VFS I/O, so crash sites line
+/// up with [`workload_op_count`].
 fn run_workload_maintained(vfs: &Arc<SimVfs>, threads: usize) -> RunOutcome {
     let mut d = match open(vfs, threads, true) {
         Ok(d) => d,
@@ -260,7 +260,10 @@ fn run_workload_maintained(vfs: &Arc<SimVfs>, threads: usize) -> RunOutcome {
     for (i, step) in WORKLOAD.iter().enumerate() {
         let res = match step {
             Step::Update(src) => d.update(src).map(|_| ()),
-            Step::Checkpoint => d.checkpoint().map(|_| ()),
+            Step::Checkpoint => {
+                d.query(PROBE_QUERY).expect("an in-memory read cannot hit the VFS");
+                d.checkpoint().map(|_| ())
+            }
         };
         match res {
             Ok(()) => {
@@ -315,12 +318,17 @@ fn crash_at_every_fault_site_maintained(threads: usize) {
         // full rebuild anywhere
         d.update(EXTRA_UPDATE)
             .unwrap_or_else(|e| panic!("update after recovery (plan {plan}): {e}"));
+        d.query(PROBE_QUERY).unwrap();
         d.checkpoint().unwrap_or_else(|e| panic!("checkpoint after recovery (plan {plan}): {e}"));
         d.query(PROBE_QUERY).unwrap();
         let want = d.universe_json().unwrap();
         drop(d);
         let mut d2 = open(&vfs, threads, true)
             .unwrap_or_else(|e| panic!("reopen after checkpoint (plan {plan}): {e}"));
+        assert!(
+            d2.durability_stats().maintenance_state_adopted,
+            "plan {plan}: a checkpoint of fresh views must carry the maintained state"
+        );
         d2.query(PROBE_QUERY).unwrap();
         assert_eq!(
             d2.universe_json().unwrap(),

@@ -1,15 +1,17 @@
-//! Differential battery for write-path view maintenance (DESIGN.md
-//! "Write-path view maintenance").
+//! Differential battery for incremental view repair (DESIGN.md "View
+//! repair").
 //!
-//! Maintenance must not be a *semantic* knob: over hundreds of random
-//! insert/retract schedules, an engine that absorbs every update through
-//! the incremental maintenance pass (with the stale-refresh delta-repair
-//! backstop for the shapes it bails on) must land on **byte-identical**
+//! Repair must not be a *semantic* knob: over hundreds of random
+//! insert/retract schedules, direct or through the §7.1 update programs,
+//! an engine whose views catch up through the delta pass (with the full
+//! rebuild for the shapes it bails on) must land on **byte-identical**
 //! universe snapshots to the refresh-the-world reference mode
 //! (`maintain(false)` + a final full rebuild), across {1, 4} threads ×
-//! {compiled, tree-walk}. Dedicated legs pin the schematic lifecycle: an
-//! insert that materialises a brand-new derived relation (schematic
-//! create) and a retraction that empties one again (schematic GC).
+//! {compiled, tree-walk}. Each request repairs the writes of the one
+//! before it (auto-refresh), and a final read repairs the last. Dedicated
+//! legs pin the schematic lifecycle: an insert that materialises a
+//! brand-new derived relation (schematic create) and a retraction that
+//! empties one again (schematic GC).
 
 use idl::{Engine, EngineOptions};
 use idl_repro as _;
@@ -34,11 +36,13 @@ const BATTERY: &[&str] =
     &["?.dbI.p(.stk=S, .clsPrice=P)", "?.dbO.R(.date=D, .clsPrice=P)", "?.dbI.lone(.stk=S)"];
 
 fn base_engine() -> Engine {
-    Engine::with_stock_universe(vec![
+    let mut e = Engine::with_stock_universe(vec![
         ("3/3/85", "hp", 50.0),
         ("3/3/85", "ibm", 160.0),
         ("3/4/85", "hp", 62.0),
-    ])
+    ]);
+    e.execute(idl::transparency::standard_update_programs()).unwrap();
+    e
 }
 
 /// One random update statement. Retractions may miss (no-op updates) and
@@ -52,6 +56,20 @@ fn op_strategy() -> impl Strategy<Value = String> {
             1 => format!("?.euter.r-(.date={date}, .stkCode={stk})"),
             2 => format!("?.chwab.r+(.date={date}, .{stk}={p})"),
             _ => format!("?.chwab.r-(.date={date})"),
+        }
+    })
+}
+
+/// One random §7.1 program call: `insStk` may quote a brand-new stock
+/// (a new `ource` relation, which the delta pass cannot express),
+/// `delStk` may miss, and `rmStk` drops a stock from every schema.
+fn call_strategy() -> impl Strategy<Value = String> {
+    (0usize..5, 0usize..DATES.len(), 0usize..STOCKS.len(), 1i64..50).prop_map(|(kind, d, s, p)| {
+        let (date, stk) = (DATES[d], STOCKS[s]);
+        match kind {
+            0 | 1 => format!("?.dbU.insStk(.stk={stk}, .date={date}, .price={p})"),
+            2 | 3 => format!("?.dbU.delStk(.stk={stk}, .date={date})"),
+            _ => format!("?.dbU.rmStk(.stk={stk})"),
         }
     })
 }
@@ -101,37 +119,53 @@ proptest! {
     fn maintained_matches_rebuilt_across_modes(
         schedule in prop::collection::vec(op_strategy(), 1..12)
     ) {
-        let mut reference = reference_run(&schedule);
-        let expected = universe_json(&reference);
-        for threads in [1usize, 4] {
-            for compile in [true, false] {
-                let mut maintained = maintained_run(&schedule, threads, compile);
-                prop_assert_eq!(
-                    &universe_json(&maintained),
-                    &expected,
-                    "maintained universe diverged from rebuilt at {} threads, compile={}\nschedule: {:?}",
-                    threads,
-                    compile,
-                    &schedule
-                );
-                for src in BATTERY {
-                    prop_assert_eq!(
-                        reference.query(src).unwrap(),
-                        maintained.query(src).unwrap(),
-                        "answers diverged for {} at {} threads, compile={}",
-                        src,
-                        threads,
-                        compile
-                    );
-                }
-            }
-        }
+        check_schedule(&schedule)?;
+    }
+
+    /// The program-call leg: the same comparison over schedules of §7.1
+    /// update-program calls, which carry no sign but write.
+    #[test]
+    fn program_calls_match_rebuilt_across_modes(
+        schedule in prop::collection::vec(call_strategy(), 1..12)
+    ) {
+        check_schedule(&schedule)?;
     }
 }
 
+/// Runs `schedule` maintained in every mode and compares each run with
+/// the refresh-the-world reference.
+fn check_schedule(schedule: &[String]) -> Result<(), TestCaseError> {
+    let mut reference = reference_run(schedule);
+    let expected = universe_json(&reference);
+    for threads in [1usize, 4] {
+        for compile in [true, false] {
+            let mut maintained = maintained_run(schedule, threads, compile);
+            prop_assert_eq!(
+                &universe_json(&maintained),
+                &expected,
+                "maintained universe diverged from rebuilt at {} threads, compile={}\nschedule: {:?}",
+                threads,
+                compile,
+                schedule
+            );
+            for src in BATTERY {
+                prop_assert_eq!(
+                    reference.query(src).unwrap(),
+                    maintained.query(src).unwrap(),
+                    "answers diverged for {} at {} threads, compile={}",
+                    src,
+                    threads,
+                    compile
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Schematic-create leg: a quote for a brand-new stock must be absorbed
-/// by the maintenance pass itself (no refresh fallback), materialising
-/// the new `dbO` relation incrementally.
+/// by the repair pass itself (no rebuild fallback), materialising the new
+/// `dbO` relation incrementally.
 #[test]
 fn schematic_create_is_maintained_incrementally() {
     for threads in [1usize, 4] {
@@ -148,7 +182,9 @@ fn schematic_create_is_maintained_incrementally() {
 }
 
 /// Schematic-GC leg: retracting the only quote of a stock must empty and
-/// garbage-collect its derived relation through the maintenance pass.
+/// garbage-collect its derived relation through the repair pass. The
+/// retraction's request repairs the insert before it runs, so the two
+/// repairs stay separate.
 #[test]
 fn schematic_gc_is_maintained_incrementally() {
     for threads in [1usize, 4] {

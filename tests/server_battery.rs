@@ -298,9 +298,9 @@ fn concurrent_reads_stay_on_published_snapshot_during_seminaive_refresh() {
     let handle = serve_engine(
         |e| {
             // This test pins the *semi-naive refresh* publication window,
-            // so updates must pay a refresh rather than be absorbed by
-            // write-path maintenance (which shrinks the window to almost
-            // nothing and makes the timing assertions vacuous).
+            // so updates must pay a rebuild rather than a delta repair
+            // (which shrinks the window to almost nothing and makes the
+            // timing assertions vacuous).
             let opts = e.options().rebuild().maintain(false).build();
             e.set_options(opts);
             e.execute(&seed_src).unwrap();
@@ -336,15 +336,25 @@ fn concurrent_reads_stay_on_published_snapshot_during_seminaive_refresh() {
         })
     };
 
+    // Whole-universe dumps check for torn snapshots; between two dumps,
+    // cheap probes count the updates visible through every view layer
+    // (state `w` shows `w` of them), so enough reads land inside the
+    // short refresh windows.
+    let probe = "?.db.r(.c=9, .k=K), .v.a(.c=9, .k=K), .v.b(.c=9, .k=K), .v.c(.k=K)";
     let mut dumps = Vec::new();
+    let mut probes = Vec::new();
     while updating.load(Ordering::SeqCst) {
-        let t0 = Instant::now();
         let json = reader.dump_universe().unwrap();
-        dumps.push((t0, Instant::now(), json));
+        dumps.push(json);
+        for _ in 0..16 {
+            let t0 = Instant::now();
+            let seen = reader.query(probe).unwrap().len();
+            probes.push((t0, Instant::now(), seen));
+        }
     }
     let windows = updater.join().unwrap();
 
-    for (i, (_, _, json)) in dumps.iter().enumerate() {
+    for (i, json) in dumps.iter().enumerate() {
         assert!(
             states.contains(json),
             "read {i} served bytes matching no fully-published state (torn snapshot)"
@@ -353,20 +363,17 @@ fn concurrent_reads_stay_on_published_snapshot_during_seminaive_refresh() {
     // At least one read that ran entirely inside an update window served
     // the *previous* published state: reads neither block on the writer's
     // semi-naive refresh nor observe its in-progress derivation.
-    let stale_reads_in_window = dumps
+    let stale_reads_in_window = probes
         .iter()
-        .filter(|(r0, r1, json)| {
-            windows
-                .iter()
-                .enumerate()
-                .any(|(w, (t0, t1))| t0 < r0 && r1 < t1 && **json == states[w])
+        .filter(|(r0, r1, seen)| {
+            windows.iter().enumerate().any(|(w, (t0, t1))| t0 < r0 && r1 < t1 && *seen == w)
         })
         .count();
     assert!(
         stale_reads_in_window > 0,
         "no read inside any refresh window served the last published snapshot \
          ({} reads, {} windows)",
-        dumps.len(),
+        probes.len(),
         windows.len(),
     );
     // After the last republish every reader sees the final state.
@@ -416,6 +423,30 @@ fn pipelined_requests_answer_in_order_with_read_your_writes() {
     drop(client);
     let final_stats = handle.shutdown();
     assert_eq!(final_stats.errors, 0);
+}
+
+/// A §7.1 program call carries no sign but writes: sent as a `Query`
+/// frame it is refused with `E-USAGE` and the universe does not move; the
+/// same call in an `Update` frame writes.
+#[test]
+fn program_call_in_a_query_frame_is_refused() {
+    let handle = serve_engine(
+        |e| {
+            *e = Engine::with_stock_universe(vec![("3/3/85", "hp", 50.0)]);
+            idl::transparency::install_two_level_mapping(e).unwrap();
+        },
+        ServerConfig::default(),
+    );
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let call = "?.dbU.insStk(.stk=sun, .date=3/9/85, .price=1)";
+    let before = client.dump_universe().unwrap();
+    let err = client.query(call).unwrap_err();
+    assert_eq!(err.code(), Some("E-USAGE"), "{err:?}");
+    assert_eq!(client.dump_universe().unwrap(), before, "a refused call wrote");
+    assert!(client.update(call).unwrap().stats().unwrap().total() > 0);
+    assert!(client.query("?.dbI.p(.stk=sun)").unwrap().is_true());
+    drop(client);
+    handle.shutdown();
 }
 
 /// Pipelined-writer oracle leg: every client bursts its whole update
