@@ -14,7 +14,8 @@
 //! proportional to the dirty slot, not the universe).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use idl::durable::{CheckpointPolicy, DurabilityOptions, DurableEngine, SyncPolicy};
+use idl::durable::{CheckpointPolicy, DurabilityOptions, SyncPolicy};
+use idl::Engine;
 use idl::{FaultPlan, SimVfs, Vfs};
 use idl_bench::stock_engine;
 use std::hint::black_box;
@@ -26,10 +27,10 @@ const DAYS: usize = 150;
 
 /// An open durable engine over a fresh in-memory vfs, seeded with the
 /// stock universe and a full base checkpoint already on disk.
-fn seeded(checkpoint: CheckpointPolicy) -> DurableEngine {
+fn seeded(checkpoint: CheckpointPolicy) -> Engine {
     let vfs: Arc<dyn Vfs> = Arc::new(SimVfs::new(FaultPlan::none(0)));
     let opts = DurabilityOptions { checkpoint, sync: SyncPolicy::Never, ..Default::default() };
-    let mut d = DurableEngine::open_with_vfs("/b17", vfs, opts, |e| {
+    let mut d = Engine::open_with_vfs("/b17", vfs, opts, |e| {
         *e = stock_engine(STOCKS, DAYS);
         Ok(())
     })

@@ -1,6 +1,6 @@
 //! B13 — durability ablation: what crash safety costs per update.
 //!
-//! Drives batches of mutating requests through [`DurableEngine`] on the
+//! Drives batches of mutating requests through [`Engine`] on the
 //! real file system under the two sync policies:
 //!
 //! * `framed_fsync`   — CRC-framed records, fsync before every ack (the
@@ -9,7 +9,7 @@
 //!   isolates the framing/CRC cost from the sync cost);
 //!
 //! plus an `in_memory` baseline (plain [`Engine`], no durability at all).
-//! A second group measures **recovery**: `DurableEngine::open` replaying
+//! A second group measures **recovery**: `Engine::open` replaying
 //! a log of `RECOVER_RECORDS` records.
 //!
 //! Expected shape: `framed_nosync` is a small constant over `in_memory`
@@ -19,7 +19,7 @@
 //! log length.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use idl::durable::{DurableEngine, SyncPolicy};
+use idl::durable::SyncPolicy;
 use idl::Engine;
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -48,9 +48,9 @@ fn batch_statements(n: usize) -> Vec<String> {
 const MODES: &[(&str, SyncPolicy)] =
     &[("framed_fsync", SyncPolicy::Always), ("framed_nosync", SyncPolicy::Never)];
 
-fn open_mode(dir: PathBuf, sync: SyncPolicy) -> DurableEngine {
+fn open_mode(dir: PathBuf, sync: SyncPolicy) -> Engine {
     let opts = idl::EngineOptions::builder().sync(sync).durability();
-    DurableEngine::open_with_vfs(dir, std::sync::Arc::new(idl::RealVfs::new()), opts, |_| Ok(()))
+    Engine::open_with_vfs(dir, std::sync::Arc::new(idl::RealVfs::new()), opts, |_| Ok(()))
         .expect("open durable engine")
 }
 

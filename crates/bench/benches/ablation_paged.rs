@@ -15,7 +15,7 @@
 //!   (perpetually cold: misses + evictions each scan); a pool that holds
 //!   the whole file serves round two onward from memory (warm). The
 //!   pool-size axis is the cold→warm curve.
-//! * `B18_paged_recovery` — `DurableEngine::open` replaying the same
+//! * `B18_paged_recovery` — `Engine::open` replaying the same
 //!   checkpoint: the page-file catalog walk.
 //!
 //! Differential asserts ride along: every pool size recovers the bytes
@@ -23,8 +23,7 @@
 //! demonstrably evicts, and the big pool's steady-state scan is all hits.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use idl::durable::DurableEngine;
-use idl::{Backend, Engine, StorageSpec};
+use idl::{Engine, StorageSpec};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,9 +52,9 @@ fn spec_name(spec: StorageSpec) -> String {
     spec.to_string()
 }
 
-fn open(dir: PathBuf, spec: StorageSpec) -> DurableEngine {
+fn open(dir: PathBuf, spec: StorageSpec) -> Engine {
     let opts = idl::DurabilityOptions { storage: spec, ..Default::default() };
-    DurableEngine::open_with_vfs(dir, std::sync::Arc::new(idl::RealVfs::new()), opts, |_| Ok(()))
+    Engine::open_with_vfs(dir, std::sync::Arc::new(idl::RealVfs::new()), opts, |_| Ok(()))
         .expect("open durable engine")
 }
 
@@ -80,7 +79,7 @@ fn build_universe(dir: PathBuf, spec: StorageSpec) -> PathBuf {
 }
 
 /// Reads every relation straight off the storage backend.
-fn scan_storage(d: &mut DurableEngine) -> usize {
+fn scan_storage(d: &mut Engine) -> usize {
     let mut rows = 0;
     for db in 0..DBS {
         for rel in 0..RELS {

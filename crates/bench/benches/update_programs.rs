@@ -35,7 +35,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 e.update("?.dbU.insStk(.stk=bench, .date=3/3/85, .price=1)").unwrap();
                 let st = e.update("?.dbU.delStk(.stk=bench)").unwrap();
-                black_box(st.total())
+                black_box(st)
             })
         });
 
@@ -56,7 +56,7 @@ fn bench(c: &mut Criterion) {
                           .ource.bench-(.date=D)",
                     )
                     .unwrap();
-                black_box(st.total())
+                black_box(st)
             })
         });
 
@@ -66,7 +66,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 e.update("?.dbU.insStk(.stk=bench, .date=3/3/85, .price=1)").unwrap();
                 let st = e.update("?.dbU.rmStk(.stk=bench)").unwrap();
-                black_box(st.total())
+                black_box(st)
             })
         });
     }

@@ -211,10 +211,11 @@ fn e3_update_expressions(r: &mut Report) {
     // insert + delete
     let mut e = paper_engine();
     println!("    ?.euter.r+(.date=3/3/85,.stkCode=dec,.clsPrice=50)");
-    let st = e.update("?.euter.r+(.date=3/3/85,.stkCode=dec,.clsPrice=50)").unwrap();
+    let st =
+        e.update("?.euter.r+(.date=3/3/85,.stkCode=dec,.clsPrice=50)").unwrap().stats().unwrap();
     r.check("set plus inserts", st.inserted == 1, &format!("{st:?}"));
     println!("    ?.euter.r-(.date=3/3/85,.stkCode=dec)");
-    let st = e.update("?.euter.r-(.date=3/3/85,.stkCode=dec)").unwrap();
+    let st = e.update("?.euter.r-(.date=3/3/85,.stkCode=dec)").unwrap().stats().unwrap();
     r.check("set minus deletes", st.deleted == 1, &format!("{st:?}"));
 
     // query-dependent delete
@@ -222,6 +223,8 @@ fn e3_update_expressions(r: &mut Report) {
     println!("    ?.euter.r(.date=3/3/85,.stkCode=hp,.clsPrice=C), .euter.r-(.date=3/3/85,.stkCode=hp,.clsPrice=C)");
     let st = e
         .update("?.euter.r(.date=3/3/85,.stkCode=hp,.clsPrice=C), .euter.r-(.date=3/3/85,.stkCode=hp,.clsPrice=C)")
+        .unwrap()
+        .stats()
         .unwrap();
     let gone = !e.query("?.euter.r(.date=3/3/85,.stkCode=hp)").unwrap().is_true();
     r.check("query-dependent delete", st.deleted == 1 && gone, &format!("{st:?}"));

@@ -1,11 +1,10 @@
-//! The unified engine facade: one object-safe surface over [`Engine`]
-//! and [`DurableEngine`](crate::DurableEngine).
+//! The server's seam over the engine, and snapshot-isolated reads.
 //!
-//! Before this module existed the CLI, tests and benches all branched on
-//! durability (`Engine` vs `DurableEngine`, each with slightly different
-//! method sets). [`Backend`] collapses the two behind one trait so a
-//! caller — the `idl-server` network front-end most of all — can hold a
-//! `Box<dyn Backend + Send>` and never care where durability comes from:
+//! [`Backend`] is the object-safe surface the `idl-server` writer thread
+//! drives: [`Engine`] is its one production implementation, whether in
+//! memory or durable, and the server's tests wrap an engine in a fake
+//! that slows one verb down. Everything else calls [`Engine`]'s own
+//! methods.
 //!
 //! ```
 //! use idl::{Backend, Engine};
@@ -29,104 +28,47 @@
 //! mechanism behind the server's concurrent reads: many sessions evaluate
 //! against published snapshots while a single writer advances the engine.
 
-use crate::engine::{Engine, EngineOptions};
+use crate::engine::{one_request, read_only, Engine};
 use crate::error::EngineError;
 use crate::outcome::Outcome;
-use idl_eval::analyze::BindingIssue;
 use idl_eval::rules::FixpointStats;
 use idl_eval::{AnswerSet, Evaluator, PlanCache, ProgramRegistry, Subst};
-use idl_lang::{parse_program, Request, Statement};
-use idl_storage::{Store, Version};
+use idl_lang::Request;
+use idl_storage::{DurabilityStats, StorageSpec, Store, Version};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// One object-safe surface over the durable and in-memory engines.
-///
-/// Mutating entry points (`execute`, `update`) go through the durability
-/// layer when the backend has one: a [`crate::DurableEngine`] logs and
-/// fsyncs before acknowledging, a plain [`Engine`] just executes.
+/// The object-safe surface the server drives, with exactly the verbs it
+/// (and the benchmark package) calls through it. Each method has the
+/// contract of the [`Engine`] method of the same name.
 pub trait Backend {
-    /// Parses and executes a multi-statement source text, one outcome per
-    /// statement, stopping at the first error. Durable backends append
-    /// every mutating request to the operation log before acknowledging.
+    /// [`Engine::execute`]: a multi-statement source text, one outcome
+    /// per statement, logged when durable.
     fn execute(&mut self, src: &str) -> Result<Vec<Outcome>, EngineError>;
 
-    /// Executes a source text expected to contain exactly one pure-query
-    /// request, returning its answers. Never logs.
+    /// [`Engine::query`]: one read-only request; writes are refused.
     fn query(&mut self, src: &str) -> Result<AnswerSet, EngineError>;
 
-    /// Executes a source text expected to contain exactly one request
-    /// (usually mutating), returning its outcome. Durable backends log
-    /// before acknowledging.
-    fn update(&mut self, src: &str) -> Result<Outcome, EngineError>;
+    /// [`Engine::update_group`]: single-request updates as one group
+    /// commit, one positional result per source.
+    fn update_group(&mut self, srcs: &[String]) -> Vec<Result<Outcome, EngineError>>;
 
-    /// Executes a batch of independent single-request updates as one
-    /// group commit: each source is executed in order and a durable
-    /// backend coalesces every successful mutation into a single log
-    /// append and a single fsync before any of them is acknowledged
-    /// (all-or-prefix on crash — see `DurableEngine`). The default
-    /// implementation simply loops over [`Backend::update`]; the group
-    /// never aborts early, so callers get one result per source.
-    fn update_group(&mut self, srcs: &[String]) -> Vec<Result<Outcome, EngineError>> {
-        srcs.iter().map(|src| self.update(src)).collect()
-    }
-
-    /// Executes one statement of the SQL-flavoured sugar surface.
-    fn execute_sql(&mut self, src: &str) -> Result<Outcome, EngineError>;
-
-    /// Re-derives all views; returns the fixpoint statistics.
+    /// [`Engine::refresh_views`]: re-derives all views.
     fn refresh_views(&mut self) -> Result<FixpointStats, EngineError>;
 
-    /// Statistics of the most recent view materialisation that actually
-    /// ran rules (the `--stats` output).
+    /// [`Engine::last_fixpoint_stats`]: the most recent view
+    /// materialisation that actually ran rules.
     fn stats(&self) -> &FixpointStats;
 
-    /// A point-in-time read-only snapshot with views freshly
-    /// materialised (an O(1) copy-on-write handle clone; see the module
-    /// docs).
+    /// [`Engine::snapshot`]: a point-in-time read-only snapshot with
+    /// views freshly materialised.
     fn snapshot(&mut self) -> Result<EngineSnapshot, EngineError>;
 
-    /// Current engine options.
-    fn options(&self) -> EngineOptions;
-
-    /// Replaces the engine options.
-    fn set_options(&mut self, options: EngineOptions);
-
-    /// Writes a durable checkpoint (page-file commit + log rotation).
-    /// Errors with `E-USAGE` on a backend without durability.
-    fn checkpoint(&mut self) -> Result<Outcome, EngineError>;
-
-    /// Whether mutations are durably logged.
-    fn is_durable(&self) -> bool;
-
-    /// Durability counters (log appends/syncs, checkpoints, recovery
-    /// work, storage backend and buffer-pool telemetry) for durable
-    /// backends; `None` without durability.
-    fn durability_stats(&self) -> Option<idl_storage::DurabilityStats> {
+    /// [`Engine::durability_stats`] and [`Engine::storage_spec`] of a
+    /// durable engine; `None` in memory.
+    fn storage_stats(&self) -> Option<(DurabilityStats, StorageSpec)> {
         None
     }
-
-    /// The configured checkpoint-storage backend of a durable backend;
-    /// `None` without durability.
-    fn storage_spec(&self) -> Option<idl_storage::StorageSpec> {
-        None
-    }
-
-    /// Whether a durability failure has poisoned this backend (always
-    /// `false` without durability).
-    fn is_poisoned(&self) -> bool;
-
-    /// Static binding analysis of a request source, without executing.
-    fn analyze(&self, src: &str) -> Result<Vec<BindingIssue>, EngineError>;
-
-    /// Planner/compiled-plan display for each request in `src`.
-    fn explain(&self, src: &str) -> Result<String, EngineError>;
-
-    /// The universe serialised as canonical JSON.
-    fn universe_json(&self) -> Result<String, EngineError>;
-
-    /// Saves the universe as a JSON snapshot file.
-    fn save_snapshot(&self, path: &std::path::Path) -> Result<(), EngineError>;
 }
 
 impl Backend for Engine {
@@ -138,16 +80,8 @@ impl Backend for Engine {
         Engine::query(self, src)
     }
 
-    fn update(&mut self, src: &str) -> Result<Outcome, EngineError> {
-        let mut outcomes = Engine::execute(self, src)?;
-        match outcomes.len() {
-            1 => Ok(outcomes.pop().unwrap()),
-            n => Err(EngineError::Usage(format!("expected exactly one statement, found {n}"))),
-        }
-    }
-
-    fn execute_sql(&mut self, src: &str) -> Result<Outcome, EngineError> {
-        Engine::execute_sql(self, src)
+    fn update_group(&mut self, srcs: &[String]) -> Vec<Result<Outcome, EngineError>> {
+        Engine::update_group(self, srcs)
     }
 
     fn refresh_views(&mut self) -> Result<FixpointStats, EngineError> {
@@ -159,52 +93,17 @@ impl Backend for Engine {
     }
 
     fn snapshot(&mut self) -> Result<EngineSnapshot, EngineError> {
-        self.refresh_views_if_stale()?;
-        EngineSnapshot::of(self)
+        Engine::snapshot(self)
     }
 
-    fn options(&self) -> EngineOptions {
-        Engine::options(self)
-    }
-
-    fn set_options(&mut self, options: EngineOptions) {
-        Engine::set_options(self, options)
-    }
-
-    fn checkpoint(&mut self) -> Result<Outcome, EngineError> {
-        Err(EngineError::Usage(
-            "checkpoint requires a durable backend (open one with DurableEngine::open)".into(),
-        ))
-    }
-
-    fn is_durable(&self) -> bool {
-        false
-    }
-
-    fn is_poisoned(&self) -> bool {
-        false
-    }
-
-    fn analyze(&self, src: &str) -> Result<Vec<BindingIssue>, EngineError> {
-        Engine::analyze(self, src)
-    }
-
-    fn explain(&self, src: &str) -> Result<String, EngineError> {
-        Engine::explain(self, src)
-    }
-
-    fn universe_json(&self) -> Result<String, EngineError> {
-        Engine::universe_json(self)
-    }
-
-    fn save_snapshot(&self, path: &std::path::Path) -> Result<(), EngineError> {
-        Engine::save_snapshot(self, path)
+    fn storage_stats(&self) -> Option<(DurabilityStats, StorageSpec)> {
+        Some((self.durability_stats(), self.storage_spec()?))
     }
 }
 
 /// A point-in-time, read-only view of the universe.
 ///
-/// Obtained from [`Backend::snapshot`]; holds its own [`Store`] built
+/// Obtained from [`Engine::snapshot`]; holds its own [`Store`] built
 /// from an O(1) copy-on-write clone of the universe tuple, so it is
 /// unaffected by — and does not block — subsequent engine mutation.
 /// Index/statistics caches are rebuilt lazily per snapshot and shared
@@ -221,7 +120,7 @@ pub struct EngineSnapshot {
 
 impl EngineSnapshot {
     /// Snapshots an engine's current universe (no refresh — callers that
-    /// need fresh views go through [`Backend::snapshot`]).
+    /// need fresh views go through [`Engine::snapshot`]).
     pub(crate) fn of(engine: &Engine) -> Result<Self, EngineError> {
         Ok(EngineSnapshot {
             store: Store::from_universe(engine.store().universe().clone())?,
@@ -264,15 +163,7 @@ impl EngineSnapshot {
         src: &str,
         cache: Option<&std::sync::Mutex<PlanCache>>,
     ) -> Result<AnswerSet, EngineError> {
-        let mut stmts = parse_program(src)?;
-        let req = match (stmts.pop(), stmts.is_empty()) {
-            (Some(Statement::Request(req)), true) => req,
-            (Some(_), true) => {
-                return Err(EngineError::Usage("snapshots answer requests, not clauses".into()))
-            }
-            _ => return Err(EngineError::Usage("expected exactly one statement".into())),
-        };
-        self.query_request(&req, cache)
+        self.query_request(&one_request(src)?, cache)
     }
 
     /// Evaluates one parsed pure-query request against the snapshot. A
@@ -283,12 +174,7 @@ impl EngineSnapshot {
         req: &Request,
         cache: Option<&std::sync::Mutex<PlanCache>>,
     ) -> Result<AnswerSet, EngineError> {
-        let calls_program = || req.items.iter().any(|i| self.programs.match_call(i).is_some());
-        if !req.is_pure_query() || calls_program() {
-            return Err(EngineError::Usage(
-                "snapshot reads are read-only; send updates to the engine".into(),
-            ));
-        }
+        read_only(req, &self.programs)?;
         let ev = Evaluator::new(&self.store, self.opts);
         let substs = if self.opts.compile {
             let plan = match cache {
@@ -310,38 +196,16 @@ impl EngineSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DurableEngine;
 
     fn stock() -> Engine {
         Engine::with_stock_universe(vec![("3/3/85", "hp", 50.0), ("3/3/85", "ibm", 210.0)])
     }
 
     #[test]
-    fn dyn_backend_unifies_engine_and_durable() {
-        let dir = std::env::temp_dir().join(format!("idl-backend-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut backends: Vec<Box<dyn Backend>> =
-            vec![Box::new(Engine::new()), Box::new(DurableEngine::open(&dir).unwrap())];
-        for b in &mut backends {
-            b.execute(".v.all(.a=A) <- .db.r(.a=A) ;").unwrap();
-            let out = b.update("?.db.r+(.a=1)").unwrap();
-            assert_eq!(out.stats().unwrap().inserted, 1);
-            assert!(b.query("?.v.all(.a=1)").unwrap().is_true());
-            assert!(!b.is_poisoned());
-        }
-        assert!(!backends[0].is_durable());
-        assert!(backends[1].is_durable());
-        // checkpoint: durable-only
-        assert_eq!(backends[0].checkpoint().unwrap_err().code(), "E-USAGE");
-        assert!(matches!(backends[1].checkpoint().unwrap(), Outcome::Checkpointed { lsn: 1 }));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn snapshot_is_isolated_from_later_writes() {
         let mut e = stock();
         e.add_rules(".v.big(.s=S) <- .euter.r(.stkCode=S, .clsPrice>100) ;").unwrap();
-        let snap = Backend::snapshot(&mut e).unwrap();
+        let snap = e.snapshot().unwrap();
         assert_eq!(snap.query("?.v.big(.s=S)").unwrap().len(), 1);
         // subsequent writes don't bleed into the held snapshot
         e.update("?.euter.r+(.date=3/4/85,.stkCode=sun,.clsPrice=300)").unwrap();
@@ -351,26 +215,20 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_rejects_updates_and_clauses() {
-        let mut e = stock();
-        let snap = Backend::snapshot(&mut e).unwrap();
-        assert_eq!(snap.query("?.euter.r+(.a=1)").unwrap_err().code(), "E-USAGE");
-        assert_eq!(snap.query(".a.b(.x=X) <- .c.d(.x=X)").unwrap_err().code(), "E-USAGE");
-    }
-
-    #[test]
-    fn snapshot_refuses_update_program_calls() {
+    fn snapshot_and_engine_queries_refuse_writes_and_clauses() {
         let mut e = stock();
         e.execute(crate::transparency::standard_update_programs()).unwrap();
-        let snap = Backend::snapshot(&mut e).unwrap();
+        let snap = e.snapshot().unwrap();
         let call = "?.dbU.insStk(.stk=sun, .date=3/9/85, .price=1)";
-        assert_eq!(snap.query(call).unwrap_err().code(), "E-USAGE");
-        // a query item beside the call does not launder it
+        // a query item beside a call does not launder it
         let mixed = "?.euter.r(.stkCode=S), .dbU.delStk(.stk=hp)";
-        assert_eq!(snap.query(mixed).unwrap_err().code(), "E-USAGE");
-        assert!(!snap.query("?.euter.r(.stkCode=sun)").unwrap().is_true());
-        // the engine itself runs the call as the update it is
-        assert!(e.update(call).unwrap().total() > 0);
+        for src in ["?.euter.r+(.a=1)", ".a.b(.x=X) <- .c.d(.x=X)", call, mixed] {
+            assert_eq!(snap.query(src).unwrap_err().code(), "E-USAGE", "{src}");
+            assert_eq!(e.query(src).unwrap_err().code(), "E-USAGE", "{src}");
+        }
+        assert!(!e.query("?.euter.r(.stkCode=sun)").unwrap().is_true());
+        // update runs the call as the update it is
+        assert!(e.update(call).unwrap().stats().unwrap().total() > 0);
     }
 
     #[test]
@@ -378,7 +236,7 @@ mod tests {
         let mut e = stock();
         e.add_rules(".v.all(.s=S,.p=P) <- .euter.r(.stkCode=S,.clsPrice=P) ;").unwrap();
         let cache = std::sync::Mutex::new(PlanCache::new());
-        let snap = Backend::snapshot(&mut e).unwrap();
+        let snap = e.snapshot().unwrap();
         for q in
             ["?.v.all(.s=S,.p=P)", "?.euter.r(.stkCode=S, .clsPrice>100)", "?.X.Y(.clsPrice=P)"]
         {

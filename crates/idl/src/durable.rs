@@ -1,15 +1,17 @@
 //! Durability: page-file checkpoints + operation log, routed through a
 //! [`Vfs`].
 //!
-//! The storage layer commits point-in-time checkpoints of the universe
-//! into a shadow-paged page file ([`idl_storage::PagedStorage`]); this
-//! module adds the other half of the classic recipe — an **append-only
-//! operation log**. Every successful *mutating* request is appended in
-//! canonical IDL surface syntax, and recovery is checkpoint + replay:
+//! An [`Engine`] opened on a directory ([`Engine::open`],
+//! [`Engine::open_with`], [`Engine::open_with_vfs`]) owns its
+//! durability: the storage layer's shadow-paged page file
+//! ([`idl_storage::PagedStorage`]) for point-in-time checkpoints, plus an
+//! **append-only operation log**. Every request that wrote is appended in
+//! canonical IDL surface syntax by the engine's one front door for it,
+//! and recovery is checkpoint + replay:
 //!
 //! ```no_run
-//! use idl::durable::DurableEngine;
-//! let mut d = DurableEngine::open("./stocks")?;
+//! use idl::Engine;
+//! let mut d = Engine::open("./stocks")?;
 //! d.execute(idl::transparency::standard_update_programs())?;       // code: in-memory only
 //! d.update("?.dbU.insStk(.stk=hp, .date=3/3/85, .price=50)")?;  // logged
 //! d.checkpoint()?;                                // commit + rotate log
@@ -23,9 +25,9 @@
 //! the crash battery (`tests/crash_recovery.rs`). The guarantees, under
 //! [`SyncPolicy::Always`]:
 //!
-//! * **sync before ack** — a mutating request returns `Ok` only after its
-//!   log record is appended *and* fsynced; a crash at any point loses no
-//!   acknowledged update;
+//! * **sync before ack** — a request that wrote returns `Ok` only after
+//!   its log record is appended *and* fsynced; a crash at any point loses
+//!   no acknowledged update;
 //! * **atomic records** — the log uses length-prefixed, CRC-32C-checksummed
 //!   framing ([`idl_storage::oplog`]); recovery truncates a torn tail
 //!   instead of failing or replaying garbage, so an unacknowledged update
@@ -33,12 +35,12 @@
 //! * **atomic checkpoints** — a checkpoint syncs its data pages before
 //!   a CRC-sealed meta slot flips to them, and the committed state
 //!   records the log LSN it covers, so a crash anywhere inside
-//!   [`DurableEngine::checkpoint`] replays each record at most once;
+//!   [`Engine::checkpoint`] replays each record at most once;
 //! * **fail-stop on log errors** — if an append or sync fails (`ENOSPC`,
 //!   I/O error), the engine truncates the partial record and **poisons**
 //!   itself: the in-memory state has a mutation the log could not
-//!   acknowledge, so further durable work is refused until a fresh
-//!   [`DurableEngine::open`] rebuilds state from disk.
+//!   acknowledge, so further work is refused until a fresh
+//!   [`Engine::open`] rebuilds state from disk.
 //!
 //! Directories written by older builds are migrated on open: a
 //! line-per-statement log to the framed format (atomically, via a temp
@@ -46,14 +48,15 @@
 //! file (see [`idl_storage::engine`]).
 //!
 //! Rules and update programs are *code*: they are not logged, and the
-//! application reinstalls them after `open` (the same policy as snapshot
-//! loading; see `tests/integration_pipeline.rs`).
+//! application reinstalls them in the `setup` callback of
+//! [`Engine::open_with`] (the same policy as snapshot loading; see
+//! `tests/integration_pipeline.rs`).
 
-use crate::backend::{Backend, EngineSnapshot};
 use crate::engine::Engine;
 use crate::error::EngineError;
 use crate::outcome::Outcome;
-use idl_lang::{parse_program, parse_statement, Request, Statement};
+use idl_eval::MaintainedViews;
+use idl_lang::parse_statement;
 use idl_object::Name;
 use idl_storage::codec::{DeltaEntry, SnapshotCodec};
 use idl_storage::engine::{CommitKind, CommitSeal, PagedStorage, StorageSpec, DEFAULT_POOL_PAGES};
@@ -63,7 +66,7 @@ use idl_storage::session::Session;
 use idl_storage::store::Store;
 use idl_storage::vfs::{RealVfs, Vfs, VfsStats};
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// When the operation log is fsynced.
@@ -89,7 +92,7 @@ impl std::str::FromStr for SyncPolicy {
     }
 }
 
-/// How [`DurableEngine::checkpoint`] decides between rewriting the page
+/// How [`Engine::checkpoint`] decides between rewriting the page
 /// file and editing it in place.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CheckpointPolicy {
@@ -124,7 +127,7 @@ impl std::str::FromStr for CheckpointPolicy {
     }
 }
 
-/// Durability knobs for [`DurableEngine::open_with_vfs`]. `format` and
+/// Durability knobs for [`Engine::open_with_vfs`]. `format` and
 /// `codec` each have a single value; they stay because the benchmark
 /// package builds this struct by literal.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -155,396 +158,68 @@ impl Default for DurabilityOptions {
     }
 }
 
-impl DurabilityOptions {
-    /// A builder seeded from [`DurabilityOptions::default`].
-    pub fn builder() -> DurabilityOptionsBuilder {
-        DurabilityOptionsBuilder { opts: DurabilityOptions::default() }
-    }
-}
+/// Another name for [`Engine`], kept only because the benchmark package
+/// names it.
+pub type DurableEngine = Engine;
 
-/// Fluent construction for [`DurabilityOptions`]:
-/// `DurabilityOptions::builder().sync(SyncPolicy::Never).build()`.
-#[derive(Clone, Copy, Debug)]
-pub struct DurabilityOptionsBuilder {
-    opts: DurabilityOptions,
-}
-
-impl DurabilityOptionsBuilder {
-    /// Sets the fsync policy.
-    pub fn sync(mut self, sync: SyncPolicy) -> Self {
-        self.opts.sync = sync;
-        self
-    }
-
-    /// Sets the full-vs-in-place checkpoint policy.
-    pub fn checkpoint(mut self, checkpoint: CheckpointPolicy) -> Self {
-        self.opts.checkpoint = checkpoint;
-        self
-    }
-
-    /// Finishes the build.
-    pub fn build(self) -> DurabilityOptions {
-        self.opts
-    }
-}
-
-fn storage_err(ctx: &str, e: impl std::fmt::Display) -> EngineError {
-    EngineError::Storage(format!("{ctx}: {e}"))
-}
-
-/// An [`Engine`] wrapped with checkpoint + operation-log durability
-/// rooted at a directory, with all I/O routed through a [`Vfs`].
-/// Checkpoints commit into a [`PagedStorage`]; log appends go through a
-/// [`Session`].
-pub struct DurableEngine {
-    engine: Engine,
-    dir: PathBuf,
+/// The durable half of an [`Engine`] opened on a directory: the page file
+/// checkpoints commit into, the operation log, and their counters. All
+/// I/O is routed through a [`Vfs`].
+pub(crate) struct Durability {
     vfs: Arc<dyn Vfs>,
     opts: DurabilityOptions,
     /// The page file checkpoints commit into.
     storage: PagedStorage,
     /// The operation log: append/sync/rotate/truncate, LSN numbering.
     log: Session,
-    /// LSN covered by the newest checkpoint.
-    ckpt_lsn: u64,
     /// Store journal version covered by the newest checkpoint;
-    /// `changes_since(ckpt_version)` is exactly what the next delta must
-    /// record. 0 at open: the page file predates every in-process
-    /// mutation (setup and replay included), and the store journal is
-    /// never truncated outside its own tests.
+    /// `changes_since(ckpt_version)` is exactly what the next in-place
+    /// checkpoint must record, so the store's journal is pinned here. 0
+    /// at open: the page file predates every in-process mutation (setup
+    /// and replay included).
     ckpt_version: u64,
     poisoned: Option<String>,
     stats: DurabilityStats,
 }
 
-impl DurableEngine {
-    fn log_path_in(dir: &Path) -> PathBuf {
-        dir.join("ops.idl")
-    }
-
-    /// Opens (or creates) a durable engine at `dir` on the real file
-    /// system: loads the checkpoint if present and replays the operation
-    /// log.
-    pub fn open(dir: impl Into<PathBuf>) -> Result<Self, EngineError> {
-        Self::open_with(dir, |_| Ok(()))
-    }
-
-    /// Like [`DurableEngine::open`], running `setup` (typically rule and
-    /// update-program installation) after the checkpoint loads but *before*
-    /// the log replays — logged program calls then resolve correctly.
-    pub fn open_with(
-        dir: impl Into<PathBuf>,
-        setup: impl FnOnce(&mut Engine) -> Result<(), EngineError>,
-    ) -> Result<Self, EngineError> {
-        Self::open_with_vfs(dir, Arc::new(RealVfs::new()), DurabilityOptions::default(), setup)
-    }
-
-    /// The fully general open: explicit [`Vfs`] (real or simulated) and
-    /// [`DurabilityOptions`]. Recovery order: the page file recovers its
-    /// committed universe (sweeping stale temp files and migrating a
-    /// snapshot-era directory first), `setup` runs, then the log session
-    /// opens and the tail replays (skipping records the recovered state
-    /// already covers, truncating any torn tail, migrating a legacy
-    /// line-format log to framed).
-    ///
-    /// A directory holding both `universe.json` and `pages.idb` is
-    /// refused before anything is touched: either file may be the newer.
-    pub fn open_with_vfs(
-        dir: impl Into<PathBuf>,
-        vfs: Arc<dyn Vfs>,
-        opts: DurabilityOptions,
-        setup: impl FnOnce(&mut Engine) -> Result<(), EngineError>,
-    ) -> Result<Self, EngineError> {
-        let dir = dir.into();
-        let sync = opts.sync == SyncPolicy::Always;
-        let mut stats = DurabilityStats::default();
-        vfs.create_dir_all(&dir)
-            .map_err(|e| storage_err(&format!("create {}", dir.display()), e))?;
-
-        let StorageSpec::Paged { pool_pages } = opts.storage;
-        let mut storage = PagedStorage::new(Arc::clone(&vfs), &dir, pool_pages);
-        let recovered = storage.recover()?;
-        stats.stale_temps_removed = recovered.stale_temps_removed;
-        stats.migrated_snapshot = recovered.migrated_snapshot;
-        stats.snapshot_bytes_written += recovered.migration_bytes;
-        let snap_lsn = recovered.lsn;
-        let maint_state = recovered.maintenance;
-        let mut engine = match recovered.universe {
-            Some(universe) => Engine::from_store(Store::from_universe(universe)?),
-            None => Engine::new(),
-        };
-        setup(&mut engine)?;
-        // Adopt persisted maintenance state *after* setup installed the
-        // rules (the adopt checks the rule fingerprint) and *before*
-        // replay, so the replayed updates are repaired incrementally
-        // instead of by a full rebuild. A blob this build cannot decode,
-        // or one whose rules changed, is dropped: the views stay stale
-        // and the first read rebuilds everything.
-        if let Some(blob) = maint_state {
-            if let Ok(state) = serde_json::from_str::<idl_eval::MaintainedViews>(&blob) {
-                stats.maintenance_state_adopted = engine.adopt_maintained_views(state);
-            }
-        }
-
-        let (log, opened) =
-            Session::open(Arc::clone(&vfs), Self::log_path_in(&dir), sync, snap_lsn)?;
-        stats.migrated_legacy = opened.migrated_legacy;
-        stats.torn_bytes_truncated = opened.torn_bytes_truncated;
-        let mut lsn = snap_lsn;
-        for rec in &opened.records {
-            if rec.lsn <= lsn {
-                // The checkpoint state (or an earlier duplicate) already
-                // contains this record — the crash-mid-checkpoint
-                // window, where the commit landed but the log had not
-                // yet rotated.
-                stats.records_skipped += 1;
-                continue;
-            }
-            if rec.lsn > lsn + 1 {
-                // The records between `lsn` and this one are nowhere:
-                // not in the checkpoint, not in the log. That only
-                // happens when a disk dropped the fsync of a checkpoint
-                // the log rotation then trusted.
-                // Refuse to assemble a gapped history — report it.
-                return Err(EngineError::Storage(format!(
-                    "recovery gap: log record lsn {} follows state covered to lsn {} — \
-                     a checkpoint is missing (unsynced or lost)",
-                    rec.lsn, lsn
-                )));
-            }
-            let stmt = parse_statement(&rec.stmt).map_err(|e| {
-                EngineError::Storage(format!("corrupt log at line {}: {e}", rec.line))
-            })?;
-            engine.execute_statement(stmt)?;
-            lsn = rec.lsn;
-            stats.records_recovered += 1;
-        }
-
-        Ok(DurableEngine {
-            engine,
-            dir,
-            vfs,
-            opts,
-            storage,
-            log,
-            ckpt_lsn: snap_lsn,
-            ckpt_version: 0,
-            poisoned: None,
-            stats,
-        })
-    }
-
-    /// The durability directory this engine is rooted at.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The options this engine was opened with.
-    pub fn options(&self) -> DurabilityOptions {
-        self.opts
-    }
-
-    /// The LSN of the last acknowledged record (or of the checkpoint
-    /// state, if no record follows it).
-    pub fn last_lsn(&self) -> u64 {
-        self.log.lsn()
-    }
-
-    /// The checkpoint storage this engine was opened with.
-    pub fn storage_spec(&self) -> StorageSpec {
-        self.storage.spec()
-    }
-
-    /// Durability counters (appends, syncs, recovery work at last open),
-    /// with the page file's buffer-pool counters merged in.
-    pub fn durability_stats(&self) -> DurabilityStats {
-        let mut stats = self.stats;
-        stats.pool = Some(self.storage.pool_stats());
-        stats.storage_pages = self.storage.file_pages();
-        stats
-    }
-
-    /// Reads one relation's committed value straight off the page file,
-    /// bypassing the in-memory engine (diagnostics; this exercises the
-    /// buffer pool).
-    pub fn storage_read_relation(
-        &mut self,
-        db: &str,
-        rel: &str,
-    ) -> Result<Option<idl_object::Value>, EngineError> {
-        Ok(self.storage.read_relation(db, rel)?)
-    }
-
-    /// I/O counters from the underlying [`Vfs`].
-    pub fn vfs_stats(&self) -> VfsStats {
-        self.vfs.stats()
-    }
-
-    /// Whether a log failure has poisoned this engine (see module docs).
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.is_some()
-    }
-
-    fn check_poisoned(&self) -> Result<(), EngineError> {
+impl Durability {
+    /// Refuses work after a log failure (see the module docs).
+    pub(crate) fn check_poisoned(&self) -> Result<(), EngineError> {
         match &self.poisoned {
             Some(why) => Err(EngineError::Poisoned(why.clone())),
             None => Ok(()),
         }
     }
 
-    /// Truncates a partial append so future readers see the last
-    /// acknowledged prefix, then refuses further durable work: the
-    /// in-memory engine holds a mutation the log could not acknowledge.
-    fn repair_and_poison(&mut self, why: String) {
-        self.log.repair_truncate();
-        self.poisoned = Some(why);
-    }
-
-    /// Appends one record and — under [`SyncPolicy::Always`] — fsyncs it
-    /// *before* the caller acknowledges the mutation.
-    fn log_record(&mut self, canonical: &str) -> Result<(), EngineError> {
-        match self.log.append(0, canonical) {
+    /// Appends `records` (canonical request texts) as one write and —
+    /// under [`SyncPolicy::Always`] — one fsync, *before* the caller
+    /// acknowledges any of them. On failure the partial append is
+    /// truncated back to the last acknowledged prefix and the engine
+    /// poisons: its in-memory state holds mutations the log could not
+    /// acknowledge.
+    pub(crate) fn append(&mut self, records: &[String]) -> Result<(), EngineError> {
+        match self.log.append(records) {
             Ok(bytes) => {
                 if self.opts.sync == SyncPolicy::Always {
                     self.stats.log_syncs += 1;
                 }
-                self.stats.records_appended += 1;
+                self.stats.records_appended += records.len() as u64;
                 self.stats.bytes_appended += bytes;
                 Ok(())
             }
             Err(e) => {
                 let why = e.to_string();
-                self.repair_and_poison(why.clone());
+                self.log.repair_truncate();
+                self.poisoned = Some(why.clone());
                 Err(EngineError::Storage(why))
             }
         }
     }
 
-    /// Executes one parsed statement durably. Requests append (and sync)
-    /// their canonical form when they mutate, *before* the outcome is
-    /// returned; rules and program clauses install in memory only
-    /// (reinstall them via `setup` at the next open).
-    pub fn apply(&mut self, stmt: Statement) -> Result<Outcome, EngineError> {
-        self.check_poisoned()?;
-        match stmt {
-            Statement::Request(r) => {
-                let (outcome, to_log) = self.execute_request(r)?;
-                if let Some(canonical) = to_log {
-                    self.log_record(&canonical)?;
-                }
-                Ok(outcome)
-            }
-            other => self.engine.execute_statement(other),
-        }
-    }
-
-    /// Executes one request in memory. Returns its outcome and, when it
-    /// wrote, the canonical text the log must hold before it is
-    /// acknowledged.
-    fn execute_request(&mut self, req: Request) -> Result<(Outcome, Option<String>), EngineError> {
-        let canonical = req.to_string();
-        let outcome = self.engine.execute_statement(Statement::Request(req))?;
-        let wrote = matches!(&outcome, Outcome::Answers { stats, .. } if stats.total() > 0);
-        Ok((outcome, wrote.then_some(canonical)))
-    }
-
-    /// Executes a whole program (script) durably, statement by statement,
-    /// via [`DurableEngine::apply`].
-    pub fn execute(&mut self, src: &str) -> Result<Vec<Outcome>, EngineError> {
-        self.check_poisoned()?;
-        let stmts = parse_program(src)?;
-        let mut out = Vec::with_capacity(stmts.len());
-        for stmt in stmts {
-            out.push(self.apply(stmt)?);
-        }
-        Ok(out)
-    }
-
-    /// Executes one request statement durably: on success *with mutations*
-    /// the canonical form is appended and synced to the operation log
-    /// before the outcome is reported.
-    pub fn update(&mut self, src: &str) -> Result<Outcome, EngineError> {
-        self.check_poisoned()?;
-        let stmt = parse_statement(src)?;
-        match stmt {
-            Statement::Request(_) => self.apply(stmt),
-            _ => Err(EngineError::Usage(
-                "durable update takes a request; install rules/programs via open_with's setup callback"
-                    .into(),
-            )),
-        }
-    }
-
-    /// Executes a batch of independent single-request updates with **one**
-    /// coalesced log append and **one** fsync covering every mutation in
-    /// the group (group commit). Results are positional; a failing entry
-    /// never aborts the rest, and no entry is acknowledged before the
-    /// whole group is durable. If the append or sync fails, every
-    /// mutating entry is un-acknowledged (its `Ok` becomes the durability
-    /// error), the partial append is truncated back to the last synced
-    /// prefix, and the engine poisons — the single-update fail-stop
-    /// discipline applied to the group as a unit. Crash-wise the log can
-    /// only hold an in-order *prefix* of the group's records (framed
-    /// records land sequentially and recovery truncates the torn tail),
-    /// so a crash inside the window loses only unacknowledged updates.
-    pub fn update_group(&mut self, srcs: &[String]) -> Vec<Result<Outcome, EngineError>> {
-        if let Some(why) = &self.poisoned {
-            let why = why.clone();
-            return srcs.iter().map(|_| Err(EngineError::Poisoned(why.clone()))).collect();
-        }
-        let mut results: Vec<Result<Outcome, EngineError>> = Vec::with_capacity(srcs.len());
-        // (result index, canonical text) per mutating success
-        let mut pending: Vec<(usize, String)> = Vec::new();
-        for (i, src) in srcs.iter().enumerate() {
-            let req = match parse_statement(src) {
-                Ok(Statement::Request(r)) => r,
-                Ok(_) => {
-                    results.push(Err(EngineError::Usage(
-                        "durable update takes a request; install rules/programs via open_with's setup callback"
-                            .into(),
-                    )));
-                    continue;
-                }
-                Err(e) => {
-                    results.push(Err(e.into()));
-                    continue;
-                }
-            };
-            match self.execute_request(req) {
-                Ok((outcome, to_log)) => {
-                    if let Some(canonical) = to_log {
-                        pending.push((i, canonical));
-                    }
-                    results.push(Ok(outcome));
-                }
-                Err(e) => results.push(Err(e)),
-            }
-        }
-        if pending.is_empty() {
-            return results;
-        }
-        let records: Vec<(u8, String)> =
-            pending.iter().map(|(_, stmt)| (0, stmt.clone())).collect();
-        match self.log.append_group(&records) {
-            Ok(bytes) => {
-                if self.opts.sync == SyncPolicy::Always {
-                    self.stats.log_syncs += 1;
-                }
-                self.stats.records_appended += pending.len() as u64;
-                self.stats.bytes_appended += bytes;
-                self.stats.group_commits += 1;
-                self.stats.group_commit_records += pending.len() as u64;
-                results
-            }
-            Err(e) => {
-                let why = e.to_string();
-                self.repair_and_poison(why.clone());
-                for (i, _) in &pending {
-                    results[*i] = Err(EngineError::Storage(why.clone()));
-                }
-                results
-            }
-        }
+    /// Counts one group commit of `records` records.
+    pub(crate) fn count_group(&mut self, records: usize) {
+        self.stats.group_commits += 1;
+        self.stats.group_commit_records += records as u64;
     }
 
     /// Collects the post-images (or tombstones) of every database/relation
@@ -552,8 +227,7 @@ impl DurableEngine {
     /// journal. `None` means a delta cannot represent the changes (an
     /// unscoped universe mutation, e.g. a rollback) and the checkpoint
     /// must be full.
-    fn delta_entries(&self) -> Option<Vec<DeltaEntry>> {
-        let store = self.engine.store();
+    fn delta_entries(&self, store: &Store) -> Option<Vec<DeltaEntry>> {
         let mut dbs: BTreeSet<Name> = BTreeSet::new();
         let mut rels: BTreeMap<Name, BTreeSet<Name>> = BTreeMap::new();
         for rec in store.changes_since(self.ckpt_version) {
@@ -604,159 +278,237 @@ impl DurableEngine {
         Some(entries)
     }
 
-    /// Checkpoints under the configured [`CheckpointPolicy`]: an in-place
-    /// commit of only the slots dirtied since the last checkpoint when
-    /// the policy allows, a full rewrite of the page file otherwise.
-    /// Either way the log rotates empty afterwards — recovery is page
-    /// file + log tail, each step individually atomic, and replay skips
-    /// records the page file covers, so a crash anywhere in between is
-    /// safe.
-    pub fn checkpoint(&mut self) -> Result<Outcome, EngineError> {
-        self.do_checkpoint(false)
-    }
-
-    /// Forces a checkpoint that rewrites the whole page file (the
-    /// `--checkpoint full` escape hatch).
-    pub fn checkpoint_full(&mut self) -> Result<Outcome, EngineError> {
-        self.do_checkpoint(true)
-    }
-
-    fn do_checkpoint(&mut self, force_full: bool) -> Result<Outcome, EngineError> {
+    /// Commits `store` under the configured [`CheckpointPolicy`] (or in
+    /// full when `force_full`), carrying `maintenance` — the views'
+    /// support state, passed only when the views match the store — then
+    /// rotates the log and re-pins the store's journal at the committed
+    /// version.
+    pub(crate) fn checkpoint(
+        &mut self,
+        store: &mut Store,
+        maintenance: Option<&MaintainedViews>,
+        force_full: bool,
+    ) -> Result<Outcome, EngineError> {
         self.check_poisoned()?;
         let sync = self.opts.sync == SyncPolicy::Always;
-        // Persist the maintenance state only when the views actually
-        // match the universe being committed — adopting stale support
-        // counts at the next open would claim freshness the data lacks.
         // The newest commit wins on recovery, so the blob (or its
         // absence) rides every checkpoint.
-        let state = if self.engine.views_fresh_now() {
-            serde_json::to_string(self.engine.maintained_views()).ok()
-        } else {
-            None
-        };
-        let store_version = self.engine.store().version();
+        let maintenance = maintenance.and_then(|m| serde_json::to_string(m).ok());
+        let store_version = store.version();
         let max_chain = match self.opts.checkpoint {
             CheckpointPolicy::Auto { max_chain } => max_chain,
             CheckpointPolicy::Full => 0,
         };
-        let seal = CommitSeal { lsn: self.log.lsn(), maintenance: state, sync };
+        let seal = CommitSeal { lsn: self.log.lsn(), maintenance, sync };
         let delta_ok = !force_full && max_chain > 0 && self.storage.can_delta();
         // `delta_entries` is None when the journal recorded an unscoped
         // universe mutation — only a full commit can represent that.
-        let info = match if delta_ok { self.delta_entries() } else { None } {
+        let info = match if delta_ok { self.delta_entries(store) } else { None } {
             // A failed delta aborts without touching the committed
             // state, and a full commit can represent anything a delta
             // can — fall back instead of failing the checkpoint (and
             // poisoning the engine) on a delta-only limitation.
             Some(entries) => match self.storage.apply_delta(&entries, &seal) {
                 Ok(info) => info,
-                Err(_) => self.storage.apply_full(self.engine.store(), &seal)?,
+                Err(_) => self.storage.apply_full(store, &seal)?,
             },
-            None => self.storage.apply_full(self.engine.store(), &seal)?,
+            None => self.storage.apply_full(store, &seal)?,
         };
         match info.kind {
             CommitKind::Delta => self.stats.delta_checkpoints += 1,
             CommitKind::Full => self.stats.full_checkpoints += 1,
         }
         self.stats.snapshot_bytes_written += info.bytes_written;
-        self.ckpt_lsn = seal.lsn;
         self.ckpt_version = store_version;
+        store.pin_journal(store_version);
         self.log.rotate()?;
         Ok(Outcome::Checkpointed { lsn: seal.lsn })
     }
+}
 
-    /// Number of statements currently in the operation log (diagnostics).
+impl Engine {
+    /// Opens (or creates) a durable engine at `dir` on the real file
+    /// system: loads the checkpoint if present and replays the operation
+    /// log.
+    pub fn open(dir: impl Into<PathBuf>) -> Result<Self, EngineError> {
+        Self::open_with(dir, |_| Ok(()))
+    }
+
+    /// Like [`Engine::open`], running `setup` (typically rule and
+    /// update-program installation) after the checkpoint loads but *before*
+    /// the log replays — logged program calls then resolve correctly.
+    pub fn open_with(
+        dir: impl Into<PathBuf>,
+        setup: impl FnOnce(&mut Engine) -> Result<(), EngineError>,
+    ) -> Result<Self, EngineError> {
+        Self::open_with_vfs(dir, Arc::new(RealVfs::new()), DurabilityOptions::default(), setup)
+    }
+
+    /// The fully general open: explicit [`Vfs`] (real or simulated) and
+    /// [`DurabilityOptions`]. Recovery order: the page file recovers its
+    /// committed universe (sweeping stale temp files and migrating a
+    /// snapshot-era directory first), `setup` runs, then the log session
+    /// opens and the tail replays (skipping records the recovered state
+    /// already covers, truncating any torn tail, migrating a legacy
+    /// line-format log to framed). Setup and replay run on the engine
+    /// before durability is attached, so neither is logged again.
+    ///
+    /// A directory holding both `universe.json` and `pages.idb` is
+    /// refused before anything is touched: either file may be the newer.
+    pub fn open_with_vfs(
+        dir: impl Into<PathBuf>,
+        vfs: Arc<dyn Vfs>,
+        opts: DurabilityOptions,
+        setup: impl FnOnce(&mut Engine) -> Result<(), EngineError>,
+    ) -> Result<Self, EngineError> {
+        let dir = dir.into();
+        let sync = opts.sync == SyncPolicy::Always;
+        let mut stats = DurabilityStats::default();
+        vfs.create_dir_all(&dir)
+            .map_err(|e| EngineError::Storage(format!("create {}: {e}", dir.display())))?;
+
+        let StorageSpec::Paged { pool_pages } = opts.storage;
+        let mut storage = PagedStorage::new(Arc::clone(&vfs), &dir, pool_pages);
+        let recovered = storage.recover()?;
+        stats.stale_temps_removed = recovered.stale_temps_removed;
+        stats.migrated_snapshot = recovered.migrated_snapshot;
+        stats.snapshot_bytes_written += recovered.migration_bytes;
+        let snap_lsn = recovered.lsn;
+        let maint_state = recovered.maintenance;
+        let mut store = match recovered.universe {
+            Some(universe) => Store::from_universe(universe)?,
+            None => Store::new(),
+        };
+        // The first in-place checkpoint records every change since the
+        // page file's commit, setup's and replay's included.
+        store.pin_journal(0);
+        let mut engine = Engine::from_store(store);
+        setup(&mut engine)?;
+        // Adopt persisted maintenance state *after* setup installed the
+        // rules (the adopt checks the rule fingerprint) and *before*
+        // replay, so the replayed updates are repaired incrementally
+        // instead of by a full rebuild. A blob this build cannot decode,
+        // or one whose rules changed, is dropped: the views stay stale
+        // and the first read rebuilds everything.
+        if let Some(blob) = maint_state {
+            if let Ok(state) = serde_json::from_str::<MaintainedViews>(&blob) {
+                stats.maintenance_state_adopted = engine.adopt_maintained_views(state);
+            }
+        }
+
+        let (log, opened) = Session::open(Arc::clone(&vfs), dir.join("ops.idl"), sync, snap_lsn)?;
+        stats.migrated_legacy = opened.migrated_legacy;
+        stats.torn_bytes_truncated = opened.torn_bytes_truncated;
+        let mut lsn = snap_lsn;
+        for rec in &opened.records {
+            if rec.lsn <= lsn {
+                // The checkpoint state (or an earlier duplicate) already
+                // contains this record — the crash-mid-checkpoint
+                // window, where the commit landed but the log had not
+                // yet rotated.
+                stats.records_skipped += 1;
+                continue;
+            }
+            if rec.lsn > lsn + 1 {
+                // The records between `lsn` and this one are nowhere:
+                // not in the checkpoint, not in the log. That only
+                // happens when a disk dropped the fsync of a checkpoint
+                // the log rotation then trusted.
+                // Refuse to assemble a gapped history — report it.
+                return Err(EngineError::Storage(format!(
+                    "recovery gap: log record lsn {} follows state covered to lsn {} — \
+                     a checkpoint is missing (unsynced or lost)",
+                    rec.lsn, lsn
+                )));
+            }
+            let stmt = parse_statement(&rec.stmt).map_err(|e| {
+                EngineError::Storage(format!("corrupt log at line {}: {e}", rec.line))
+            })?;
+            engine.execute_statement(stmt)?;
+            lsn = rec.lsn;
+            stats.records_recovered += 1;
+        }
+
+        engine.durable = Some(Box::new(Durability {
+            vfs,
+            opts,
+            storage,
+            log,
+            ckpt_version: 0,
+            poisoned: None,
+            stats,
+        }));
+        Ok(engine)
+    }
+
+    /// Whether this engine was opened on a directory.
+    pub fn is_durable(&self) -> bool {
+        self.durable.is_some()
+    }
+
+    /// The durability options this engine was opened with.
+    pub fn durability_options(&self) -> Option<DurabilityOptions> {
+        self.durable.as_ref().map(|d| d.opts)
+    }
+
+    /// The LSN of the last acknowledged record (or of the checkpoint
+    /// state, if no record follows it); 0 in memory.
+    pub fn last_lsn(&self) -> u64 {
+        self.durable.as_ref().map_or(0, |d| d.log.lsn())
+    }
+
+    /// The checkpoint storage this engine was opened with.
+    pub fn storage_spec(&self) -> Option<StorageSpec> {
+        self.durable.as_ref().map(|d| d.storage.spec())
+    }
+
+    /// Durability counters (appends, syncs, recovery work at last open),
+    /// with the page file's buffer-pool counters merged in; all zero in
+    /// memory.
+    pub fn durability_stats(&self) -> DurabilityStats {
+        let Some(d) = &self.durable else { return DurabilityStats::default() };
+        let mut stats = d.stats;
+        stats.pool = Some(d.storage.pool_stats());
+        stats.storage_pages = d.storage.file_pages();
+        stats
+    }
+
+    /// Reads one relation's committed value straight off the page file,
+    /// bypassing the in-memory universe (diagnostics; this exercises the
+    /// buffer pool).
+    pub fn storage_read_relation(
+        &mut self,
+        db: &str,
+        rel: &str,
+    ) -> Result<Option<idl_object::Value>, EngineError> {
+        let d = self.durable.as_mut().ok_or_else(|| not_durable("reading the page file"))?;
+        Ok(d.storage.read_relation(db, rel)?)
+    }
+
+    /// I/O counters from the underlying [`Vfs`]; all zero in memory.
+    pub fn vfs_stats(&self) -> VfsStats {
+        self.durable.as_ref().map_or_else(VfsStats::default, |d| d.vfs.stats())
+    }
+
+    /// Whether a log failure has poisoned this engine (see the module
+    /// docs).
+    pub fn is_poisoned(&self) -> bool {
+        self.durable.as_ref().is_some_and(|d| d.poisoned.is_some())
+    }
+
+    /// Number of statements currently in the operation log (diagnostics);
+    /// 0 in memory.
     pub fn log_len(&self) -> Result<usize, EngineError> {
-        Ok(self.log.len()?)
+        match &self.durable {
+            Some(d) => Ok(d.log.len()?),
+            None => Ok(0),
+        }
     }
 }
 
-impl Backend for DurableEngine {
-    fn execute(&mut self, src: &str) -> Result<Vec<Outcome>, EngineError> {
-        DurableEngine::execute(self, src)
-    }
-
-    // Pure queries never touch the log, but a poisoned engine refuses
-    // them too: its in-memory state holds a mutation the log could not
-    // acknowledge, so answers would reflect un-durable data.
-    fn query(&mut self, src: &str) -> Result<idl_eval::AnswerSet, EngineError> {
-        self.check_poisoned()?;
-        self.engine.query(src)
-    }
-
-    fn update(&mut self, src: &str) -> Result<Outcome, EngineError> {
-        DurableEngine::update(self, src)
-    }
-
-    fn update_group(&mut self, srcs: &[String]) -> Vec<Result<Outcome, EngineError>> {
-        DurableEngine::update_group(self, srcs)
-    }
-
-    fn execute_sql(&mut self, _src: &str) -> Result<Outcome, EngineError> {
-        Err(EngineError::Usage(
-            "SQL-sugar mutations would bypass the operation log; not available on a durable backend"
-                .into(),
-        ))
-    }
-
-    fn refresh_views(&mut self) -> Result<idl_eval::rules::FixpointStats, EngineError> {
-        // Derived state is re-derivable code output, never logged.
-        self.engine.refresh_views()
-    }
-
-    fn stats(&self) -> &idl_eval::rules::FixpointStats {
-        self.engine.last_fixpoint_stats()
-    }
-
-    fn snapshot(&mut self) -> Result<EngineSnapshot, EngineError> {
-        self.check_poisoned()?;
-        self.engine.refresh_views_if_stale()?;
-        EngineSnapshot::of(&self.engine)
-    }
-
-    fn options(&self) -> crate::engine::EngineOptions {
-        self.engine.options()
-    }
-
-    fn set_options(&mut self, options: crate::engine::EngineOptions) {
-        self.engine.set_options(options)
-    }
-
-    fn checkpoint(&mut self) -> Result<Outcome, EngineError> {
-        DurableEngine::checkpoint(self)
-    }
-
-    fn is_durable(&self) -> bool {
-        true
-    }
-
-    fn durability_stats(&self) -> Option<DurabilityStats> {
-        Some(DurableEngine::durability_stats(self))
-    }
-
-    fn storage_spec(&self) -> Option<StorageSpec> {
-        Some(DurableEngine::storage_spec(self))
-    }
-
-    fn is_poisoned(&self) -> bool {
-        DurableEngine::is_poisoned(self)
-    }
-
-    fn analyze(&self, src: &str) -> Result<Vec<idl_eval::analyze::BindingIssue>, EngineError> {
-        self.engine.analyze(src)
-    }
-
-    fn explain(&self, src: &str) -> Result<String, EngineError> {
-        self.engine.explain(src)
-    }
-
-    fn universe_json(&self) -> Result<String, EngineError> {
-        self.engine.universe_json()
-    }
-
-    fn save_snapshot(&self, path: &Path) -> Result<(), EngineError> {
-        self.engine.save_snapshot(path)
-    }
+/// The `E-USAGE` error of a durable-only operation on an in-memory engine.
+pub(crate) fn not_durable(what: &str) -> EngineError {
+    EngineError::Usage(format!("{what} needs a durable engine (open one with Engine::open)"))
 }
 
 #[cfg(test)]
@@ -766,6 +518,7 @@ mod tests {
     use idl_storage::codec::{self, DeltaBlob};
     use idl_storage::oplog;
     use idl_storage::vfs::{FaultPlan, SimVfs};
+    use std::path::Path;
 
     fn fresh_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("idl-durable-{name}-{}", std::process::id()));
@@ -773,16 +526,16 @@ mod tests {
         dir
     }
 
-    fn sim_open(vfs: &Arc<SimVfs>, opts: DurabilityOptions) -> Result<DurableEngine, EngineError> {
+    fn sim_open(vfs: &Arc<SimVfs>, opts: DurabilityOptions) -> Result<Engine, EngineError> {
         let v: Arc<dyn Vfs> = Arc::clone(vfs) as Arc<dyn Vfs>;
-        DurableEngine::open_with_vfs("/d", v, opts, |_| Ok(()))
+        Engine::open_with_vfs("/d", v, opts, |_| Ok(()))
     }
 
     #[test]
     fn log_and_recover() {
         let dir = fresh_dir("basic");
         {
-            let mut d = DurableEngine::open(&dir).unwrap();
+            let mut d = Engine::open(&dir).unwrap();
             d.update("?.euter.r+(.date=3/3/85,.stkCode=hp,.clsPrice=50)").unwrap();
             d.update("?.euter.r+(.date=3/4/85,.stkCode=hp,.clsPrice=62)").unwrap();
             d.update("?.euter.r-(.date=3/3/85,.stkCode=hp)").unwrap();
@@ -790,7 +543,7 @@ mod tests {
             assert_eq!(d.last_lsn(), 3);
             // engine dropped without checkpoint: only the log survives
         }
-        let mut d = DurableEngine::open(&dir).unwrap();
+        let mut d = Engine::open(&dir).unwrap();
         assert!(d.query("?.euter.r(.date=3/4/85,.stkCode=hp)").unwrap().is_true());
         assert!(!d.query("?.euter.r(.date=3/3/85)").unwrap().is_true());
         assert_eq!(d.durability_stats().records_recovered, 3);
@@ -798,10 +551,31 @@ mod tests {
     }
 
     #[test]
+    fn memory_and_durable_engines_share_the_front_doors() {
+        let dir = fresh_dir("one-engine");
+        for mut e in [Engine::new(), Engine::open(&dir).unwrap()] {
+            e.execute(".v.all(.a=A) <- .db.r(.a=A) ;").unwrap();
+            assert_eq!(e.update("?.db.r+(.a=1)").unwrap().stats().unwrap().inserted, 1);
+            assert!(e.query("?.v.all(.a=1)").unwrap().is_true());
+            assert!(!e.is_poisoned());
+            assert_eq!(e.log_len().unwrap(), usize::from(e.is_durable()));
+            if e.is_durable() {
+                assert!(matches!(e.checkpoint().unwrap(), Outcome::Checkpointed { lsn: 1 }));
+                assert_eq!(e.execute_sql("DELETE FROM db.r").unwrap_err().code(), "E-USAGE");
+            } else {
+                assert_eq!(e.checkpoint().unwrap_err().code(), "E-USAGE");
+                assert_eq!(e.checkpoint_full().unwrap_err().code(), "E-USAGE");
+                assert_eq!(e.durability_stats(), DurabilityStats::default());
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn checkpoint_truncates_and_recovers() {
         let dir = fresh_dir("checkpoint");
         {
-            let mut d = DurableEngine::open(&dir).unwrap();
+            let mut d = Engine::open(&dir).unwrap();
             d.update("?.db.r+(.a=1)").unwrap();
             let out = d.checkpoint().unwrap();
             assert!(matches!(out, Outcome::Checkpointed { lsn: 1 }), "{out:?}");
@@ -809,7 +583,7 @@ mod tests {
             d.update("?.db.r+(.a=2)").unwrap();
             assert_eq!(d.log_len().unwrap(), 1);
         }
-        let mut d = DurableEngine::open(&dir).unwrap();
+        let mut d = Engine::open(&dir).unwrap();
         let a = d.query("?.db.r(.a=X)").unwrap();
         assert_eq!(a.column("X").len(), 2, "snapshot + log both replayed");
         std::fs::remove_dir_all(&dir).ok();
@@ -818,7 +592,7 @@ mod tests {
     #[test]
     fn pure_queries_and_noops_not_logged() {
         let dir = fresh_dir("noop");
-        let mut d = DurableEngine::open(&dir).unwrap();
+        let mut d = Engine::open(&dir).unwrap();
         d.update("?.db.r+(.a=1)").unwrap();
         d.update("?.db.r(.a=X)").unwrap(); // pure query
         d.update("?.db.r+(.a=1)").unwrap(); // duplicate: zero mutations
@@ -832,18 +606,10 @@ mod tests {
         let dir = fresh_dir("corrupt");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("ops.idl"), "?this is (not idl\n").unwrap();
-        let Err(err) = DurableEngine::open(&dir).map(|_| ()) else {
+        let Err(err) = Engine::open(&dir).map(|_| ()) else {
             panic!("corrupt log must be rejected")
         };
         assert!(err.to_string().contains("corrupt log at line 1"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn clauses_rejected_from_durable_path() {
-        let dir = fresh_dir("clauses");
-        let mut d = DurableEngine::open(&dir).unwrap();
-        assert!(d.update(".a.b(.x=X) <- .c.d(.x=X)").is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -853,12 +619,12 @@ mod tests {
         // programs before recovery replays them correctly
         let dir = fresh_dir("programs");
         {
-            let mut d = DurableEngine::open(&dir).unwrap();
+            let mut d = Engine::open(&dir).unwrap();
             d.execute(".dbU.put(.k=K, .v=V) -> .kv.data+(.k=K, .v=V) ;").unwrap();
             d.update("?.dbU.put(.k=a, .v=1)").unwrap();
             d.update("?.dbU.put(.k=b, .v=2)").unwrap();
         }
-        let mut d = DurableEngine::open_with(&dir, |e| {
+        let mut d = Engine::open_with(&dir, |e| {
             e.execute(".dbU.put(.k=K, .v=V) -> .kv.data+(.k=K, .v=V) ;").map(|_| ())
         })
         .unwrap();
@@ -869,7 +635,7 @@ mod tests {
     #[test]
     fn fresh_log_is_framed_with_magic() {
         let dir = fresh_dir("framed");
-        let mut d = DurableEngine::open(&dir).unwrap();
+        let mut d = Engine::open(&dir).unwrap();
         d.update("?.db.r+(.a=1)").unwrap();
         let bytes = std::fs::read(dir.join("ops.idl")).unwrap();
         assert!(bytes.starts_with(oplog::MAGIC), "fresh logs use the framed format");
@@ -889,7 +655,7 @@ mod tests {
             "?.db.r+(.a=1)\n% a comment\n?.db.r+(.a=2)\n?.db.r+(.a=",
         )
         .unwrap();
-        let mut d = DurableEngine::open(&dir).unwrap();
+        let mut d = Engine::open(&dir).unwrap();
         assert_eq!(d.query("?.db.r(.a=X)").unwrap().column("X").len(), 2);
         let stats = d.durability_stats();
         assert!(stats.migrated_legacy);
@@ -900,7 +666,7 @@ mod tests {
         // appends continue after migration and everything replays again
         d.update("?.db.r+(.a=3)").unwrap();
         drop(d);
-        let mut d = DurableEngine::open(&dir).unwrap();
+        let mut d = Engine::open(&dir).unwrap();
         assert_eq!(d.query("?.db.r(.a=X)").unwrap().column("X").len(), 3);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -964,7 +730,7 @@ mod tests {
     fn checkpointed_maintenance_state_resumes_maintained_replay() {
         let dir = fresh_dir("maint-ckpt");
         {
-            let mut d = DurableEngine::open_with(&dir, install_view).unwrap();
+            let mut d = Engine::open_with(&dir, install_view).unwrap();
             d.update("?.db.r+(.a=1)").unwrap();
             d.query("?.v.all(.x=X)").unwrap(); // first read materialises .v.all
             d.update("?.db.r+(.a=2)").unwrap();
@@ -972,11 +738,11 @@ mod tests {
             d.checkpoint().unwrap(); // views fresh: state rides the page file
             d.update("?.db.r+(.a=3)").unwrap(); // in the fresh log
         }
-        let mut d = DurableEngine::open_with(&dir, install_view).unwrap();
+        let mut d = Engine::open_with(&dir, install_view).unwrap();
         assert!(d.durability_stats().maintenance_state_adopted, "checkpoint state must be adopted");
-        let runs = d.engine.maintenance_runs();
+        let runs = d.maintenance_runs();
         assert_eq!(d.query("?.v.all(.x=X)").unwrap().column("X").len(), 3);
-        assert_eq!(d.engine.maintenance_runs(), runs + 1, "replayed update repaired, not rebuilt");
+        assert_eq!(d.maintenance_runs(), runs + 1, "replayed update repaired, not rebuilt");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -985,17 +751,16 @@ mod tests {
         let vfs = Arc::new(SimVfs::new(FaultPlan::none(39)));
         let v: Arc<dyn Vfs> = Arc::clone(&vfs) as Arc<dyn Vfs>;
         let mut d =
-            DurableEngine::open_with_vfs("/d", v, DurabilityOptions::default(), install_view)
-                .unwrap();
+            Engine::open_with_vfs("/d", v, DurabilityOptions::default(), install_view).unwrap();
         d.update("?.db.r+(.a=1)").unwrap();
         d.query("?.v.all(.x=X)").unwrap();
         d.checkpoint().unwrap(); // full: no base yet
                                  // the first item inserts, the second fails: the request rolls back
         let err = d.update("?.db.r+(.a=2), .db.r+(.a=X)").unwrap_err();
         assert_eq!(err.code(), "E-UNSAFE", "{err}");
-        let stats = d.engine.refresh_views_if_stale().unwrap();
+        let stats = d.refresh_views_if_stale().unwrap();
         assert_eq!(stats.rule_evals, 0, "{stats:?}");
-        assert!(d.engine.views_fresh_now());
+        assert!(d.views_fresh_now());
         d.checkpoint().unwrap();
         let stats = d.durability_stats();
         assert_eq!((stats.full_checkpoints, stats.delta_checkpoints), (1, 1));
@@ -1036,11 +801,11 @@ mod tests {
     fn update_group_replays_like_single_updates() {
         let dir = fresh_dir("group-replay");
         {
-            let mut d = DurableEngine::open(&dir).unwrap();
+            let mut d = Engine::open(&dir).unwrap();
             let srcs: Vec<String> = (0..5).map(|i| format!("?.db.r+(.a={i})")).collect();
             assert!(d.update_group(&srcs).iter().all(|r| r.is_ok()));
         }
-        let mut d = DurableEngine::open(&dir).unwrap();
+        let mut d = Engine::open(&dir).unwrap();
         assert_eq!(d.durability_stats().records_recovered, 5);
         assert_eq!(d.query("?.db.r(.a=X)").unwrap().column("X").len(), 5);
         std::fs::remove_dir_all(&dir).ok();
@@ -1254,7 +1019,7 @@ mod tests {
         let vfs = Arc::new(SimVfs::new(FaultPlan::none(38)));
         let open = |vfs: &Arc<SimVfs>| {
             let v: Arc<dyn Vfs> = Arc::clone(vfs) as Arc<dyn Vfs>;
-            DurableEngine::open_with_vfs("/d", v, DurabilityOptions::default(), install_view)
+            Engine::open_with_vfs("/d", v, DurabilityOptions::default(), install_view)
         };
         {
             let mut d = open(&vfs).unwrap();
@@ -1277,7 +1042,7 @@ mod tests {
     fn execute_logs_requests_and_installs_rules() {
         let dir = fresh_dir("script");
         {
-            let mut d = DurableEngine::open(&dir).unwrap();
+            let mut d = Engine::open(&dir).unwrap();
             let outs = d
                 .execute(
                     ".v.all(.x=X) <- .db.r(.a=X) ;\n?.db.r+(.a=1) ;\n?.db.r+(.a=2) ;\n?.v.all(.x=X)",
@@ -1286,7 +1051,7 @@ mod tests {
             assert_eq!(outs.len(), 4);
             assert_eq!(d.log_len().unwrap(), 2, "only the mutating requests are logged");
         }
-        let mut d = DurableEngine::open(&dir).unwrap();
+        let mut d = Engine::open(&dir).unwrap();
         assert_eq!(d.query("?.db.r(.a=X)").unwrap().column("X").len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }

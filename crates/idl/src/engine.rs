@@ -1,5 +1,8 @@
-//! The engine: store + view catalog + program registry + execution loop.
+//! The engine: store + view catalog + program registry + execution loop,
+//! and — when opened on a directory — its durability.
 
+use crate::backend::EngineSnapshot;
+use crate::durable::{not_durable, Durability};
 use crate::error::EngineError;
 use crate::outcome::Outcome;
 use idl_eval::analyze::BindingIssue;
@@ -152,13 +155,16 @@ impl EngineOptionsBuilder {
     }
 
     /// The durability-side configuration (pass to
-    /// [`crate::DurableEngine::open_with_vfs`]).
+    /// [`Engine::open_with_vfs`]).
     pub fn durability(self) -> crate::durable::DurabilityOptions {
         self.durability
     }
 }
 
-/// The IDL engine (see the crate docs for an overview).
+/// The IDL engine (see the crate docs for an overview): in memory when
+/// built with [`Engine::new`] and friends, durable when opened on a
+/// directory with [`Engine::open`]. The same front doors serve both; a
+/// durable engine logs every request that wrote before acknowledging it.
 pub struct Engine {
     store: Store,
     rules: Vec<Rule>,
@@ -197,6 +203,9 @@ pub struct Engine {
     /// How many repairs the delta pass absorbed (vs falling back to a
     /// full rebuild) since startup.
     maintenance_runs: u64,
+    /// The page file and operation log of an engine opened on a
+    /// directory; `None` in memory.
+    pub(crate) durable: Option<Box<Durability>>,
 }
 
 impl Default for Engine {
@@ -233,6 +242,7 @@ impl Engine {
             seen_derived_rels: BTreeSet::new(),
             maintained: MaintainedViews::default(),
             maintenance_runs: 0,
+            durable: None,
         }
     }
 
@@ -248,12 +258,6 @@ impl Engine {
     /// The underlying store (read-only).
     pub fn store(&self) -> &Store {
         &self.store
-    }
-
-    /// Mutable store access. Any direct change marks views dirty.
-    pub fn store_mut(&mut self) -> &mut Store {
-        self.fresh = None;
-        &mut self.store
     }
 
     /// Current options.
@@ -287,6 +291,10 @@ impl Engine {
     }
 
     // ---- statement execution -------------------------------------------
+    //
+    // One front door per verb. Each request runs through `run`; a durable
+    // engine appends the canonical text of every request that wrote to
+    // its log (and syncs it) before the outcome is returned.
 
     /// Parses and executes a multi-statement source text, returning one
     /// outcome per statement. Execution stops at the first error.
@@ -299,10 +307,19 @@ impl Engine {
         Ok(out)
     }
 
-    /// Executes one parsed statement.
+    /// Executes one parsed statement. Rules and program clauses install
+    /// in memory only: a durable engine reinstalls them through the
+    /// `setup` callback of [`Engine::open_with`].
     pub fn execute_statement(&mut self, stmt: Statement) -> Result<Outcome, EngineError> {
+        self.check_poisoned()?;
         match stmt {
-            Statement::Request(req) => self.run(&req),
+            Statement::Request(req) => {
+                let (answers, stats) = self.run(&req)?;
+                if let Some(d) = self.durable.as_deref_mut().filter(|_| stats.total() > 0) {
+                    d.append(&[req.to_string()])?;
+                }
+                Ok(Outcome::Answers { answers, stats })
+            }
             Statement::Rule(rule) => {
                 self.add_rule(rule)?;
                 Ok(Outcome::RuleAdded)
@@ -314,46 +331,137 @@ impl Engine {
         }
     }
 
-    /// Convenience: executes a source text expected to contain exactly one
-    /// request, returning its answers.
-    pub fn query(&mut self, src: &str) -> Result<AnswerSet, EngineError> {
-        match self.execute_one(src)? {
-            Outcome::Answers { answers, .. } => Ok(answers),
-            _ => Err(EngineError::Usage("expected a request, found a clause".into())),
-        }
+    /// [`Engine::execute_statement`] under the name the benchmark
+    /// package calls it by.
+    pub fn apply(&mut self, stmt: Statement) -> Result<Outcome, EngineError> {
+        self.execute_statement(stmt)
     }
 
-    /// Convenience: executes a source text expected to contain exactly one
-    /// (update) request, returning the mutation counters.
-    pub fn update(&mut self, src: &str) -> Result<UpdateStats, EngineError> {
-        match self.execute_one(src)? {
-            Outcome::Answers { stats, .. } => Ok(stats),
-            _ => Err(EngineError::Usage("expected a request, found a clause".into())),
+    /// Executes a source text holding exactly one request — a query, an
+    /// update or a program call — and returns its outcome. Anything else
+    /// is refused with `E-USAGE` before it runs.
+    pub fn update(&mut self, src: &str) -> Result<Outcome, EngineError> {
+        self.execute_statement(Statement::Request(one_request(src)?))
+    }
+
+    /// Executes a batch of independent single-request updates with **one**
+    /// coalesced log append and **one** fsync covering every write in the
+    /// group (group commit) when durable. Results are positional; a
+    /// failing entry never aborts the rest, and no entry is acknowledged
+    /// before the whole group is durable. If the append or sync fails,
+    /// every entry that wrote is un-acknowledged (its `Ok` becomes the
+    /// durability error), the partial append is truncated back to the
+    /// last synced prefix, and the engine poisons — the single-update
+    /// fail-stop discipline applied to the group as a unit. Crash-wise the
+    /// log can only hold an in-order *prefix* of the group's records
+    /// (framed records land sequentially and recovery truncates the torn
+    /// tail), so a crash inside the window loses only unacknowledged
+    /// updates.
+    pub fn update_group(&mut self, srcs: &[String]) -> Vec<Result<Outcome, EngineError>> {
+        if let Err(e) = self.check_poisoned() {
+            return srcs.iter().map(|_| Err(e.clone())).collect();
         }
+        let mut results = Vec::with_capacity(srcs.len());
+        // the result index and canonical text of each request that wrote
+        let (mut wrote, mut records) = (Vec::new(), Vec::new());
+        for (i, src) in srcs.iter().enumerate() {
+            results.push(one_request(src).and_then(|req| {
+                let (answers, stats) = self.run(&req)?;
+                if self.durable.is_some() && stats.total() > 0 {
+                    wrote.push(i);
+                    records.push(req.to_string());
+                }
+                Ok(Outcome::Answers { answers, stats })
+            }));
+        }
+        let Some(d) = self.durable.as_deref_mut().filter(|_| !records.is_empty()) else {
+            return results;
+        };
+        match d.append(&records) {
+            Ok(()) => d.count_group(records.len()),
+            Err(e) => {
+                for &i in &wrote {
+                    results[i] = Err(e.clone());
+                }
+            }
+        }
+        results
+    }
+
+    /// Executes a source text holding exactly one read-only request and
+    /// returns its answers. A signed item or a call to a registered
+    /// update program is refused with `E-USAGE` and no effect: writes go
+    /// through [`Engine::update`].
+    pub fn query(&mut self, src: &str) -> Result<AnswerSet, EngineError> {
+        let req = one_request(src)?;
+        read_only(&req, &self.programs)?;
+        self.check_poisoned()?;
+        Ok(self.run(&req)?.0)
     }
 
     /// Executes one statement of the SQL-flavoured sugar surface
     /// (§8's "language with enough syntactic sugar"), translating it to an
     /// IDL request. Higher-order table names work:
-    /// `SELECT S, clsPrice FROM ource.S WHERE clsPrice > 200`.
+    /// `SELECT S, clsPrice FROM ource.S WHERE clsPrice > 200`. Refused
+    /// with `E-USAGE` on a durable engine.
     pub fn execute_sql(&mut self, src: &str) -> Result<Outcome, EngineError> {
+        if self.durable.is_some() {
+            return Err(EngineError::Usage(
+                "SQL-sugar mutations would bypass the operation log; not available on a durable engine"
+                    .into(),
+            ));
+        }
         let stmt = idl_lang::sugar::parse_sugar(src)?;
         self.execute_statement(stmt)
     }
 
-    fn execute_one(&mut self, src: &str) -> Result<Outcome, EngineError> {
-        let mut outcomes = self.execute(src)?;
-        match outcomes.len() {
-            1 => Ok(outcomes.pop().unwrap()),
-            n => Err(EngineError::Usage(format!("expected exactly one statement, found {n}"))),
-        }
+    /// Checkpoints under the configured [`crate::CheckpointPolicy`]: an
+    /// in-place commit of only the slots dirtied since the last checkpoint
+    /// when the policy allows, a full rewrite of the page file otherwise.
+    /// Either way the log rotates empty afterwards — recovery is page
+    /// file + log tail, each step individually atomic, and replay skips
+    /// records the page file covers, so a crash anywhere in between is
+    /// safe. `E-USAGE` in memory.
+    pub fn checkpoint(&mut self) -> Result<Outcome, EngineError> {
+        self.commit_checkpoint(false)
+    }
+
+    /// Forces a checkpoint that rewrites the whole page file (the
+    /// `--checkpoint full` escape hatch). `E-USAGE` in memory.
+    pub fn checkpoint_full(&mut self) -> Result<Outcome, EngineError> {
+        self.commit_checkpoint(true)
+    }
+
+    fn commit_checkpoint(&mut self, full: bool) -> Result<Outcome, EngineError> {
+        // Persist the maintenance state only when the views actually
+        // match the universe being committed — adopting stale support
+        // counts at the next open would claim freshness the data lacks.
+        let fresh = self.views_fresh_now();
+        let d = self.durable.as_deref_mut().ok_or_else(|| not_durable("checkpoint"))?;
+        d.checkpoint(&mut self.store, fresh.then_some(&self.maintained), full)
+    }
+
+    /// A point-in-time read-only snapshot with views freshly
+    /// materialised: an O(1) copy-on-write handle clone (see
+    /// [`crate::backend`]).
+    pub fn snapshot(&mut self) -> Result<EngineSnapshot, EngineError> {
+        self.check_poisoned()?;
+        self.refresh_views_if_stale()?;
+        EngineSnapshot::of(self)
+    }
+
+    /// Refuses work on a durable engine after a log failure: its
+    /// in-memory state holds a mutation the log could not acknowledge, so
+    /// even answers would reflect un-durable data.
+    fn check_poisoned(&self) -> Result<(), EngineError> {
+        self.durable.as_ref().map_or(Ok(()), |d| d.check_poisoned())
     }
 
     /// Runs one request. Whether it wrote is read from its outcome, never
     /// from its syntax: a §7.1 program call carries no sign but writes.
     /// Its base changes stay in the store journal until the next
     /// [`Engine::refresh_views_if_stale`] repairs the views.
-    fn run(&mut self, req: &Request) -> Result<Outcome, EngineError> {
+    fn run(&mut self, req: &Request) -> Result<(AnswerSet, UpdateStats), EngineError> {
         if self.options.auto_refresh {
             self.refresh_views_if_stale()?;
         }
@@ -392,7 +500,7 @@ impl Engine {
                 return Err(EngineError::Schema(violations));
             }
         }
-        Ok(Outcome::Answers { answers: outcome.answers, stats: outcome.stats })
+        Ok((outcome.answers, outcome.stats))
     }
 
     /// The base-data changes journalled since the freshness point, or
@@ -416,9 +524,14 @@ impl Engine {
         self.base_changes_since_fresh().is_some_and(|changes| changes.is_empty())
     }
 
-    /// Moves the freshness point to the store's current version.
+    /// Moves the freshness point to the store's current version and
+    /// drops the journal records before it: view repair reads the journal
+    /// from the freshness point on, and a durable engine's store keeps
+    /// what its next in-place checkpoint reads pinned.
     fn mark_fresh(&mut self) {
-        self.fresh = Some((self.store.version(), self.store.universe().clone()));
+        let version = self.store.version();
+        self.fresh = Some((version, self.store.universe().clone()));
+        self.store.checkpoint(version);
     }
 
     /// Repairs the views with the delta pass: diffs the universe at the
@@ -672,9 +785,11 @@ impl Engine {
     /// [`EvalOptions::maintain`] is on and the change is expressible as
     /// row edits, a full [`Engine::refresh_views`] otherwise. This is the
     /// one way views catch up with writes; requests with `auto_refresh`
-    /// and [`crate::Backend::snapshot`] call it.
+    /// and [`Engine::snapshot`] call it.
     pub fn refresh_views_if_stale(&mut self) -> Result<FixpointStats, EngineError> {
         if self.compiled.is_none() && !self.sys_enabled {
+            // No view reads the journal.
+            self.store.checkpoint(self.store.version());
             return Ok(FixpointStats::default());
         }
         let Some(changes) = self.base_changes_since_fresh() else {
@@ -780,6 +895,34 @@ impl Engine {
     }
 }
 
+/// Parses a source text that must hold exactly one request; anything
+/// else is `E-USAGE`, refused before any of it runs.
+pub(crate) fn one_request(src: &str) -> Result<Request, EngineError> {
+    let mut stmts = parse_program(src)?;
+    match (stmts.pop(), stmts.is_empty()) {
+        (Some(Statement::Request(req)), true) => Ok(req),
+        (Some(Statement::Rule(_) | Statement::Program(_)), true) => Err(EngineError::Usage(
+            "expected a request, found a clause (install clauses with execute)".into(),
+        )),
+        (last, _) => Err(EngineError::Usage(format!(
+            "expected exactly one statement, found {}",
+            stmts.len() + usize::from(last.is_some())
+        ))),
+    }
+}
+
+/// Refuses, with `E-USAGE`, a request that may write: a signed item or a
+/// call to a registered update program. The one read-only check behind
+/// [`Engine::query`] and [`EngineSnapshot::query_request`].
+pub(crate) fn read_only(req: &Request, programs: &ProgramRegistry) -> Result<(), EngineError> {
+    if !req.is_pure_query() || req.items.iter().any(|i| programs.match_call(i).is_some()) {
+        return Err(EngineError::Usage(
+            "queries are read-only; send updates and program calls through update".into(),
+        ));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -864,15 +1007,6 @@ mod tests {
         let hp_pos = plan.find("stkCode").unwrap();
         let price_pos = plan.find("clsPrice").unwrap();
         assert!(hp_pos < price_pos, "selective equality planned first: {plan}");
-    }
-
-    #[test]
-    fn query_rejects_clauses() {
-        let mut e = engine();
-        assert!(matches!(
-            e.query(".a.b(.x=X) <- .euter.r(.stkCode=X)"),
-            Err(EngineError::Usage(_))
-        ));
     }
 
     #[test]

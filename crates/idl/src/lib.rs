@@ -36,9 +36,16 @@
 //! * an **update-program registry** (§7) giving multidatabase update
 //!   translation and view updatability.
 //!
-//! Statements are submitted as source text via [`Engine::execute`] (or the
-//! [`Engine::query`] / [`Engine::update`] conveniences); views refresh
+//! Statements are submitted as source text via [`Engine::execute`], or one
+//! request at a time: [`Engine::query`] answers read-only requests and
+//! refuses writes, [`Engine::update`] runs any one request. Views refresh
 //! automatically when base data changes.
+//!
+//! Durability is a constructor argument, not a second type:
+//! [`Engine::new`] builds an in-memory engine and [`Engine::open`] one
+//! rooted at a directory, which logs every request that wrote before
+//! acknowledging it (see [`durable`]). [`Backend`] is the server's
+//! object-safe seam over the engine.
 
 #![warn(missing_docs)]
 

@@ -15,8 +15,8 @@
 //! * `--save F` — write the universe back after all scripts ran.
 //! * `--stock` — preload the paper's miniature stock universe.
 //! * `--mapping` — install the paper's two-level mapping (views + programs).
-//! * `--durable DIR` — run against a crash-safe [`DurableEngine`] rooted
-//!   at `DIR` (page-file checkpoints + checksummed operation log);
+//! * `--durable DIR` — run against a crash-safe engine opened at `DIR`
+//!   with [`Engine::open_with_vfs`] (page-file checkpoints + checksummed operation log);
 //!   mutating requests are logged and fsynced before their outcome
 //!   prints. With `--mapping`, the mapping installs before the log
 //!   replays. A directory older builds checkpointed as `universe.json`
@@ -72,8 +72,8 @@
 //! Scripts are ordinary multi-statement IDL sources (`;`-separated).
 
 use idl::{
-    Backend, CheckpointPolicy, DurabilityStats, DurableEngine, Engine, EngineOptions, FaultPlan,
-    Outcome, RealVfs, SimVfs, SyncPolicy, Vfs,
+    CheckpointPolicy, DurabilityStats, Engine, EngineOptions, FaultPlan, Outcome, RealVfs, SimVfs,
+    SyncPolicy, Vfs,
 };
 use idl_server::{serve, Client, ServerConfig};
 use std::path::{Path, PathBuf};
@@ -338,7 +338,7 @@ fn apply_engine_flags(e: &mut Engine, threads: Option<usize>, no_compile: bool) 
     e.set_options(b.build());
 }
 
-fn open_durable(cli: &Cli, dir: &Path) -> Result<DurableEngine, String> {
+fn open_durable(cli: &Cli, dir: &Path) -> Result<Engine, String> {
     let vfs: Arc<dyn Vfs> = match std::env::var("IDL_SIM_FAULTS") {
         Ok(spec) => {
             let plan: FaultPlan = spec.parse().map_err(|e| format!("bad IDL_SIM_FAULTS: {e}"))?;
@@ -358,7 +358,7 @@ fn open_durable(cli: &Cli, dir: &Path) -> Result<DurableEngine, String> {
     let mapping = cli.mapping;
     let threads = cli.threads;
     let no_compile = cli.no_compile;
-    DurableEngine::open_with_vfs(dir.to_path_buf(), vfs, opts, move |e| {
+    Engine::open_with_vfs(dir.to_path_buf(), vfs, opts, move |e| {
         apply_engine_flags(e, threads, no_compile);
         if mapping {
             idl::transparency::install_two_level_mapping(e)?;
@@ -368,10 +368,11 @@ fn open_durable(cli: &Cli, dir: &Path) -> Result<DurableEngine, String> {
     .map_err(|e| format!("cannot open durable engine at {}: {e}", dir.display()))
 }
 
-/// Builds the configured backend — one facade over both engines.
-fn build_backend(cli: &Cli) -> Result<Box<dyn Backend + Send>, String> {
+/// Builds the configured engine: opened on `--durable DIR`, in memory
+/// otherwise.
+fn build_engine(cli: &Cli) -> Result<Engine, String> {
     if let Some(dir) = &cli.durable {
-        return Ok(Box::new(open_durable(cli, dir)?));
+        return open_durable(cli, dir);
     }
     let mut engine = match &cli.snapshot {
         Some(path) => {
@@ -392,7 +393,7 @@ fn build_backend(cli: &Cli) -> Result<Box<dyn Backend + Send>, String> {
         idl::transparency::install_two_level_mapping(&mut engine)
             .map_err(|e| format!("cannot install mapping: {e}"))?;
     }
-    Ok(Box::new(engine))
+    Ok(engine)
 }
 
 /// `(label, text)` pairs from scripts and `-e` statements, in order.
@@ -441,19 +442,19 @@ fn main() -> ExitCode {
 }
 
 fn run_scripts(cli: &Cli) -> Result<(), String> {
-    let mut backend = build_backend(cli)?;
+    let mut engine = build_engine(cli)?;
     let sources = gather_sources(cli)?;
     if sources.is_empty() && !cli.checkpoint {
         return Err("nothing to run (pass a script or -e; --help for usage)".into());
     }
     for (label, text) in &sources {
         if cli.explain {
-            let plan = backend.explain(text).map_err(|e| format!("{label}: {e}"))?;
+            let plan = engine.explain(text).map_err(|e| format!("{label}: {e}"))?;
             print!("{plan}");
             continue;
         }
         if cli.analyze {
-            let issues = backend.analyze(text).map_err(|e| format!("{label}: {e}"))?;
+            let issues = engine.analyze(text).map_err(|e| format!("{label}: {e}"))?;
             if issues.is_empty() {
                 println!("{label}: no binding issues");
             }
@@ -462,25 +463,22 @@ fn run_scripts(cli: &Cli) -> Result<(), String> {
             }
             continue;
         }
-        let outcomes = if cli.sql {
-            backend.execute_sql(text).map(|o| vec![o])
-        } else {
-            backend.execute(text)
-        };
+        let outcomes =
+            if cli.sql { engine.execute_sql(text).map(|o| vec![o]) } else { engine.execute(text) };
         print_outcomes(outcomes.map_err(|e| format!("{label}: {e}"))?);
     }
     if cli.checkpoint {
-        let o = backend.checkpoint().map_err(|e| format!("checkpoint failed: {e}"))?;
+        let o = engine.checkpoint().map_err(|e| format!("checkpoint failed: {e}"))?;
         println!("-- {o}");
     }
     if cli.stats {
-        print_stats(backend.stats());
-        if let Some(d) = backend.durability_stats() {
-            print_durability_stats(&d);
+        print_stats(engine.last_fixpoint_stats());
+        if engine.is_durable() {
+            print_durability_stats(&engine.durability_stats());
         }
     }
     if let Some(path) = &cli.save {
-        backend.save_snapshot(path).map_err(|e| format!("cannot save snapshot: {e}"))?;
+        engine.save_snapshot(path).map_err(|e| format!("cannot save snapshot: {e}"))?;
     }
     Ok(())
 }
@@ -492,7 +490,7 @@ fn run_server(cli: Cli) -> Result<(), String> {
                 .into(),
         );
     }
-    let backend = build_backend(&cli)?;
+    let engine = build_engine(&cli)?;
     let config = ServerConfig {
         addr: cli.addr.clone(),
         max_sessions: cli.max_sessions,
@@ -505,7 +503,8 @@ fn run_server(cli: Cli) -> Result<(), String> {
         group_commit: cli.group_commit,
         ..ServerConfig::default()
     };
-    let handle = serve(backend, config).map_err(|e| format!("cannot start server: {e}"))?;
+    let handle =
+        serve(Box::new(engine), config).map_err(|e| format!("cannot start server: {e}"))?;
     println!("idl-server listening on {}", handle.local_addr());
     let stats = handle.wait();
     println!(

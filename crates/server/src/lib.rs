@@ -1,7 +1,7 @@
 //! # `idl-server` — a concurrent multi-session network front-end
 //!
-//! Serves one IDL engine (durable or in-memory, behind the
-//! [`idl::Backend`] facade) to many concurrent TCP sessions:
+//! Serves one [`idl::Engine`] (in memory or durable, behind the
+//! [`idl::Backend`] seam) to many concurrent TCP sessions:
 //!
 //! ```no_run
 //! use idl::Engine;

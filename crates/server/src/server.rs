@@ -15,8 +15,8 @@
 //!   the universe, so publishing is cheap no matter the data size.
 //! * **Writes serialize through a single writer.** One write thread owns
 //!   the backend: `Execute`, `Update` and `RefreshViews` apply the
-//!   mutation there (through the durability layer when the backend is a
-//!   `DurableEngine`), refresh views, and publish a fresh snapshot.
+//!   mutation there (logged first when the engine is durable), refresh
+//!   views, and publish a fresh snapshot.
 //!
 //! A session that sends a corrupt or oversized frame is closed with an
 //! error frame; other sessions — and the engine — are unaffected. A
@@ -202,9 +202,8 @@ impl Shared {
 /// Snapshots a durable backend's storage telemetry for the `Stats`
 /// frame (`None` without durability).
 pub(crate) fn storage_stats_wire(backend: &dyn Backend) -> Option<StorageStatsWire> {
-    let stats = backend.durability_stats()?;
-    let spec = backend.storage_spec().map(|s| s.to_string()).unwrap_or_default();
-    Some(StorageStatsWire::from_stats(spec, &stats))
+    let (stats, spec) = backend.storage_stats()?;
+    Some(StorageStatsWire::from_stats(spec.to_string(), &stats))
 }
 
 /// A running server. Dropping the handle initiates a drain; call

@@ -9,8 +9,8 @@
 //! * **open** — scan the existing log (any historical format), migrate
 //!   legacy line logs and pre-current framed layouts atomically, truncate
 //!   torn tails, or lay down a fresh header;
-//! * **append / append_group** — frame, append, and (under sync) fsync
-//!   records before the caller acknowledges them;
+//! * **append** — frame a group of records, append them in one write,
+//!   and (under sync) fsync them before the caller acknowledges them;
 //! * **rotate** — reset to an empty log after a checkpoint;
 //! * **repair_truncate** — drop a partial append back to the last
 //!   acknowledged prefix (the caller then poisons itself).
@@ -23,7 +23,7 @@ use crate::error::StorageResult;
 use crate::oplog::{self, Record};
 use crate::persist::{io_err, write_atomic};
 use crate::vfs::Vfs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// What [`Session::open`] found on disk.
@@ -109,20 +109,9 @@ impl Session {
         Ok((Session { vfs, path, sync, lsn, bytes: bytes_len }, info))
     }
 
-    /// The log file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// LSN of the last appended (or scanned) record.
     pub fn lsn(&self) -> u64 {
         self.lsn
-    }
-
-    /// Overrides the session LSN (after the engine skipped or replayed
-    /// records and knows the true acknowledged position).
-    pub fn set_lsn(&mut self, lsn: u64) {
-        self.lsn = lsn;
     }
 
     /// Acknowledged log length in bytes.
@@ -130,44 +119,22 @@ impl Session {
         self.bytes
     }
 
-    /// Whether appends fsync before returning.
-    pub fn synced(&self) -> bool {
-        self.sync
-    }
-
-    /// Appends one record and — under sync — fsyncs it before returning.
-    /// On success the session LSN advances and the byte count of the
-    /// append is returned. On error nothing is acknowledged: call
+    /// Appends `stmts` as consecutive records in **one** write plus
+    /// (under sync) one fsync — a single update is a group of one. On
+    /// success the session LSN advances past them and the byte count of
+    /// the append is returned. No record is acknowledged before the whole
+    /// group is durable; on error none are: call
     /// [`Session::repair_truncate`] and stop using the log.
-    pub fn append(&mut self, flags: u8, stmt: &str) -> StorageResult<u64> {
-        let next = self.lsn + 1;
-        let bytes = oplog::encode_record_flagged(next, flags, stmt);
-        self.vfs.append(&self.path, &bytes).map_err(|e| io_err("append log", e))?;
-        if self.sync {
-            self.vfs.sync_file(&self.path).map_err(|e| io_err("sync log", e))?;
-        }
-        self.lsn = next;
-        self.bytes += bytes.len() as u64;
-        Ok(bytes.len() as u64)
-    }
-
-    /// Appends a batch of records as **one** write plus (under sync) one
-    /// fsync — the group-commit primitive. No record is acknowledged
-    /// before the whole group is durable; on error none are.
-    pub fn append_group(&mut self, records: &[(u8, String)]) -> StorageResult<u64> {
+    pub fn append(&mut self, stmts: &[String]) -> StorageResult<u64> {
         let mut buf = Vec::new();
-        for (i, (flags, stmt)) in records.iter().enumerate() {
-            buf.extend_from_slice(&oplog::encode_record_flagged(
-                self.lsn + 1 + i as u64,
-                *flags,
-                stmt,
-            ));
+        for (i, stmt) in stmts.iter().enumerate() {
+            buf.extend_from_slice(&oplog::encode_record(self.lsn + 1 + i as u64, stmt));
         }
         self.vfs.append(&self.path, &buf).map_err(|e| io_err("append log", e))?;
         if self.sync {
             self.vfs.sync_file(&self.path).map_err(|e| io_err("sync log", e))?;
         }
-        self.lsn += records.len() as u64;
+        self.lsn += stmts.len() as u64;
         self.bytes += buf.len() as u64;
         Ok(buf.len() as u64)
     }
@@ -188,6 +155,7 @@ impl Session {
     }
 
     /// Number of records currently in the log (diagnostics).
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> StorageResult<usize> {
         if !self.vfs.exists(&self.path) {
             return Ok(0);
@@ -195,17 +163,13 @@ impl Session {
         let bytes = self.vfs.read(&self.path).map_err(|e| io_err("read log", e))?;
         Ok(oplog::decode_log(&bytes)?.records.len())
     }
-
-    /// Whether the log currently holds no records.
-    pub fn is_empty(&self) -> StorageResult<bool> {
-        Ok(self.len()? == 0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vfs::{FaultPlan, SimVfs};
+    use std::path::Path;
 
     fn open(vfs: &Arc<SimVfs>, base_lsn: u64) -> (Session, SessionOpen) {
         vfs.create_dir_all(Path::new("/d")).unwrap();
@@ -218,19 +182,19 @@ mod tests {
         let vfs = Arc::new(SimVfs::new(FaultPlan::none(1)));
         let (mut s, info) = open(&vfs, 0);
         assert!(info.records.is_empty());
-        s.append(0, "?.db.r+(.a=1)").unwrap();
-        s.append(oplog::FLAG_MAINTENANCE, "?.db.r+(.a=2)").unwrap();
+        s.append(&["?.db.r+(.a=1)".into()]).unwrap();
+        s.append(&["?.db.r+(.a=2)".into()]).unwrap();
         assert_eq!(s.lsn(), 2);
         assert_eq!(s.len().unwrap(), 2);
 
         let (mut s, info) = open(&vfs, 0);
         assert_eq!(info.records.len(), 2);
-        assert_eq!(info.records[1].flags, oplog::FLAG_MAINTENANCE);
+        assert_eq!(info.records[1].flags, 0);
         assert_eq!(s.lsn(), 2);
         s.rotate().unwrap();
         assert_eq!(s.len().unwrap(), 0);
         assert_eq!(s.lsn(), 2, "rotation never rewinds the LSN");
-        s.append(0, "?.db.r+(.a=3)").unwrap();
+        s.append(&["?.db.r+(.a=3)".into()]).unwrap();
         let (_, info) = open(&vfs, 0);
         assert_eq!(info.records.len(), 1);
         assert_eq!(info.records[0].lsn, 3);
@@ -241,8 +205,8 @@ mod tests {
         let vfs = Arc::new(SimVfs::new(FaultPlan::none(2)));
         let (mut s, _) = open(&vfs, 0);
         let before = vfs.stats();
-        let recs: Vec<(u8, String)> = (0..4).map(|i| (0u8, format!("?.db.r+(.a={i})"))).collect();
-        s.append_group(&recs).unwrap();
+        let recs: Vec<String> = (0..4).map(|i| format!("?.db.r+(.a={i})")).collect();
+        s.append(&recs).unwrap();
         let after = vfs.stats();
         assert_eq!(after.appends - before.appends, 1);
         assert_eq!(after.file_syncs - before.file_syncs, 1);
@@ -271,7 +235,7 @@ mod tests {
     fn torn_tail_is_truncated_on_open() {
         let vfs = Arc::new(SimVfs::new(FaultPlan::none(4)));
         let (mut s, _) = open(&vfs, 0);
-        s.append(0, "?.db.r+(.a=1)").unwrap();
+        s.append(&["?.db.r+(.a=1)".into()]).unwrap();
         let full = vfs.read(Path::new("/d/ops.idl")).unwrap();
         let mut torn = full.clone();
         torn.extend_from_slice(&[0x55; 7]); // half a record header
@@ -287,7 +251,7 @@ mod tests {
     fn failed_append_leaves_state_unacknowledged() {
         let vfs = Arc::new(SimVfs::new(FaultPlan::none(5)));
         let (mut s, _) = open(&vfs, 0);
-        s.append(0, "?.db.r+(.a=1)").unwrap();
+        s.append(&["?.db.r+(.a=1)".into()]).unwrap();
         let acked = s.acked_bytes();
         // simulate a partial append scribbled past the acked prefix,
         // then repair back to it

@@ -38,6 +38,8 @@ pub struct Store {
     universe: Value,
     version: Version,
     journal: Journal,
+    /// [`Store::checkpoint`] keeps the records newer than this version.
+    journal_pin: Option<Version>,
     caches: Mutex<Caches>,
     txns: Vec<TxnFrame>,
 }
@@ -55,6 +57,7 @@ impl Store {
             universe: Value::empty_tuple(),
             version: 0,
             journal: Journal::new(),
+            journal_pin: None,
             caches: Mutex::new(Caches::default()),
             txns: Vec::new(),
         }
@@ -341,16 +344,45 @@ impl Store {
         self.journal.push(ChangeRecord { version: self.version, scope });
     }
 
-    /// Truncates the change journal up to (and including) `upto`,
-    /// bounding its memory for long-running stores. Cached indexes and
-    /// statistics whose build version could no longer be validated are
-    /// dropped (they rebuild lazily); readers that were tracking changes
-    /// (view refresh) must have consumed the journal past `upto` first.
+    /// Truncates the change journal up to (and including) `upto`, or up
+    /// to the pinned version if that is older, bounding its memory for
+    /// long-running stores. A cached index or statistics entry built
+    /// before the cut is re-stamped when the journal still proves its
+    /// relation untouched since, and dropped otherwise (it rebuilds
+    /// lazily). Readers that were tracking changes (view repair) must
+    /// have consumed the journal past `upto` first.
     pub fn checkpoint(&mut self, upto: Version) {
-        self.journal.truncate_before(upto);
+        let upto = self.journal_pin.map_or(upto, |pin| pin.min(upto));
+        if self.journal.since(upto).len() == self.journal.len() {
+            return;
+        }
+        let (journal, version) = (&self.journal, self.version);
+        let keep = |db: &Name, rel: &Name, built_at: &mut Version| {
+            if *built_at >= upto {
+                return true;
+            }
+            let fresh = !journal
+                .since(*built_at)
+                .iter()
+                .any(|c| c.scope.touches(db.as_str(), rel.as_str()));
+            if fresh {
+                *built_at = version;
+            }
+            fresh
+        };
         let mut caches = self.caches.lock();
-        caches.indexes.retain(|_, (built_at, _)| *built_at >= upto);
-        caches.stats.retain(|_, (built_at, _)| *built_at >= upto);
+        caches.indexes.retain(|(db, rel, ..), (built_at, _)| keep(db, rel, built_at));
+        caches.stats.retain(|(db, rel), (built_at, _)| keep(db, rel, built_at));
+        drop(caches);
+        self.journal.truncate_before(upto);
+    }
+
+    /// Keeps every journal record newer than `version` through later
+    /// [`Store::checkpoint`]s: a reader that will still ask for
+    /// `changes_since(version)` (a durable engine's next in-place
+    /// checkpoint) pins it here.
+    pub fn pin_journal(&mut self, version: Version) {
+        self.journal_pin = Some(version);
     }
 
     /// Number of retained journal records (diagnostics).
@@ -545,15 +577,49 @@ mod tests {
     fn checkpoint_drops_unverifiable_caches() {
         let mut s = seeded();
         let idx = s.index("euter", "r", "stkCode", IndexKind::Hash).unwrap();
-        // mutate, then checkpoint past the mutation: the old index's
-        // staleness can no longer be proven from the journal, so it must
-        // have been dropped rather than wrongly reused
+        // mutate, then checkpoint past the mutation: the old index is
+        // stale, so it must have been dropped rather than wrongly reused
         s.insert("euter", "r", tuple! { stkCode: "hp", clsPrice: 1i64 }).unwrap();
         let v = s.version();
         s.checkpoint(v);
         let idx2 = s.index("euter", "r", "stkCode", IndexKind::Hash).unwrap();
         assert!(!Arc::ptr_eq(&idx, &idx2));
         assert_eq!(idx2.lookup_eq(&Value::str("hp")).len(), 2);
+    }
+
+    #[test]
+    fn checkpoint_restamps_caches_of_untouched_relations() {
+        let mut s = seeded();
+        s.insert("chwab", "r", tuple! { date: "3/3/85", hp: 50i64 }).unwrap();
+        let idx = s.index("euter", "r", "stkCode", IndexKind::Hash).unwrap();
+        let st = s.stats("euter", "r").unwrap();
+        // writes elsewhere, then a cut past the index's build version
+        s.insert("chwab", "r", tuple! { date: "3/4/85", hp: 62i64 }).unwrap();
+        let v = s.version();
+        s.checkpoint(v);
+        assert_eq!(s.journal_len(), 0);
+        assert!(Arc::ptr_eq(&idx, &s.index("euter", "r", "stkCode", IndexKind::Hash).unwrap()));
+        assert!(Arc::ptr_eq(&st, &s.stats("euter", "r").unwrap()));
+        // the re-stamped entry still goes stale on the next write to it
+        s.insert("euter", "r", tuple! { stkCode: "sun", clsPrice: 1i64 }).unwrap();
+        let fresh = s.index("euter", "r", "stkCode", IndexKind::Hash).unwrap();
+        assert_eq!(fresh.lookup_eq(&Value::str("sun")).len(), 1);
+    }
+
+    #[test]
+    fn checkpoint_keeps_the_pinned_records() {
+        let mut s = seeded();
+        let pin = s.version();
+        s.pin_journal(pin);
+        s.insert("euter", "r", tuple! { stkCode: "a", clsPrice: 1i64 }).unwrap();
+        s.insert("euter", "r", tuple! { stkCode: "b", clsPrice: 2i64 }).unwrap();
+        let v = s.version();
+        s.checkpoint(v);
+        assert_eq!(s.changes_since(pin).len(), 2, "records after the pin survive");
+        assert_eq!(s.journal_len(), 2);
+        s.pin_journal(v);
+        s.checkpoint(v);
+        assert_eq!(s.journal_len(), 0);
     }
 
     #[test]

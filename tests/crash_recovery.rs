@@ -5,7 +5,7 @@
 //! §7.1 multidatabase update programs, §7.2 view updates, checkpoints —
 //! runs on a [`SimVfs`] with a scheduled power failure. After the crash
 //! the file system is power-cycled (losing unsynced writes and applying
-//! seeded torn tails) and a fresh [`DurableEngine`] recovers. The
+//! seeded torn tails) and a fresh [`Engine`] recovers. The
 //! invariants, under the default always-fsync policy:
 //!
 //! * recovery never fails;
@@ -25,10 +25,7 @@
 //! `idl --durable` CLI replays it by hand. `IDL_CRASH_SEED` perturbs all
 //! seeds in this file (CI pins it).
 
-use idl::{
-    Backend, DurabilityOptions, DurableEngine, Engine, EngineError, FaultPlan, SimVfs, StorageSpec,
-    Value, Vfs,
-};
+use idl::{DurabilityOptions, Engine, EngineError, FaultPlan, SimVfs, StorageSpec, Value, Vfs};
 use idl_repro as _;
 use idl_storage::codec::{self, DeltaBlob, DeltaEntry};
 use idl_storage::oplog;
@@ -80,13 +77,13 @@ fn base_seed() -> u64 {
 /// the workload grows, so commits and recovery evict.
 const POOL: usize = 16;
 
-fn open(vfs: &Arc<SimVfs>, threads: usize, compile: bool) -> Result<DurableEngine, EngineError> {
+fn open(vfs: &Arc<SimVfs>, threads: usize, compile: bool) -> Result<Engine, EngineError> {
     let v: Arc<dyn Vfs> = Arc::clone(vfs) as Arc<dyn Vfs>;
     let opts = DurabilityOptions {
         storage: StorageSpec::Paged { pool_pages: POOL },
         ..DurabilityOptions::default()
     };
-    DurableEngine::open_with_vfs("/crash", v, opts, move |e| {
+    Engine::open_with_vfs("/crash", v, opts, move |e| {
         idl::transparency::install_two_level_mapping(e)?;
         let o = e.options().rebuild().threads(threads).compile(compile).build();
         e.set_options(o);
@@ -171,7 +168,7 @@ fn assert_recovery_with(
     vfs: &Arc<SimVfs>,
     run: &RunOutcome,
     plan: &FaultPlan,
-    opener: impl Fn(&Arc<SimVfs>) -> Result<DurableEngine, EngineError>,
+    opener: impl Fn(&Arc<SimVfs>) -> Result<Engine, EngineError>,
 ) {
     let mut d = opener(vfs).unwrap_or_else(|e| panic!("recovery must not fail (plan {plan}): {e}"));
     d.refresh_views().unwrap_or_else(|e| panic!("refresh after recovery (plan {plan}): {e}"));
@@ -468,15 +465,13 @@ fn group_commit_crash_battery_acks_all_or_prefix() {
 const PAGED_POOL: usize = 4;
 
 /// Like [`open`], but with the tiny eviction-forcing pool.
-fn open_paged(vfs: &Arc<SimVfs>) -> Result<DurableEngine, EngineError> {
+fn open_paged(vfs: &Arc<SimVfs>) -> Result<Engine, EngineError> {
     let v: Arc<dyn Vfs> = Arc::clone(vfs) as Arc<dyn Vfs>;
     let opts = DurabilityOptions {
         storage: StorageSpec::Paged { pool_pages: PAGED_POOL },
         ..DurabilityOptions::default()
     };
-    DurableEngine::open_with_vfs("/crash", v, opts, |e| {
-        idl::transparency::install_two_level_mapping(e)
-    })
+    Engine::open_with_vfs("/crash", v, opts, idl::transparency::install_two_level_mapping)
 }
 
 /// The paged workload: a checkpoint after every update, so most VFS ops

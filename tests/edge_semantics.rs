@@ -1,7 +1,7 @@
 //! Edge-case semantics pinned as tests: corners of the §3–§5 model that
 //! are easy to get wrong and not covered by the paper's own examples.
 
-use idl::{Engine, Value};
+use idl::{Backend, Engine, Value};
 use idl_repro as _;
 
 fn empty() -> Engine {
@@ -139,6 +139,39 @@ fn update_then_query_same_request() {
     // items run left to right: an update's effect is visible to later
     // query items in the same request
     let mut e = empty();
-    let out = e.query("?.db.r+(.a=1), .db.r(.a=X)").unwrap();
-    assert_eq!(out.column("X"), vec![Value::int(1)]);
+    let out = e.update("?.db.r+(.a=1), .db.r(.a=X)").unwrap();
+    assert_eq!(out.answers().unwrap().column("X"), vec![Value::int(1)]);
+}
+
+#[test]
+fn a_clause_sent_to_update_or_query_is_refused_and_installs_nothing() {
+    // `update` and `query` take exactly one request: a clause is refused
+    // before it runs, through every front door
+    let mut e = empty();
+    for clause in [".v.all(.a=A) <- .db.r(.a=A) ;", ".dbU.put(.k=K) -> .db.r+(.a=K) ;"] {
+        assert_eq!(e.update(clause).unwrap_err().code(), "E-USAGE", "{clause}");
+        assert_eq!(e.query(clause).unwrap_err().code(), "E-USAGE", "{clause}");
+        let group = Backend::update_group(&mut e, &[clause.to_string()]);
+        assert_eq!(group[0].as_ref().unwrap_err().code(), "E-USAGE", "{clause}");
+    }
+    assert!(e.rules().is_empty(), "a refused rule was installed");
+    assert!(e.programs().is_empty(), "a refused program was registered");
+    // two requests are not one either, and neither runs
+    assert_eq!(e.update("?.db.r+(.a=1) ; ?.db.r+(.a=2)").unwrap_err().code(), "E-USAGE");
+    assert!(!e.query("?.db.r(.a=A)").unwrap().is_true());
+}
+
+#[test]
+fn the_change_journal_stays_bounded_over_a_long_update_read_run() {
+    // Each read repairs the views and drops the journal records the
+    // repair consumed; an engine without views drops them on every read.
+    let mut with_views = empty();
+    with_views.execute(".v.all(.a=A) <- .db.r(.a=A) ;").unwrap();
+    for mut e in [with_views, empty()] {
+        for i in 0..1_000 {
+            e.update(&format!("?.db.r{}(.a=1)", ['+', '-'][i % 2])).unwrap();
+            e.query("?.db.r(.a=A)").unwrap();
+        }
+        assert!(e.store().journal_len() <= 4, "{} records", e.store().journal_len());
+    }
 }

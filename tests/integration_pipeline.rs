@@ -144,17 +144,17 @@ fn error_messages_name_the_problem() {
     let mut e = Engine::new();
     let err = e.execute("?.euter.r(.a=").unwrap_err();
     assert!(err.to_string().contains("expected a term"), "{err}");
-    let err = e.query("?.nodb.r+(.a=Q)").unwrap_err();
+    let err = e.update("?.nodb.r+(.a=Q)").unwrap_err();
     assert!(err.to_string().contains('Q'), "{err}");
 }
 
 // ---------------------------------------------------------------------
 // Durable-engine recovery edges (checkpoint + op log through the public
-// `DurableEngine` API; the crash battery proper is tests/crash_recovery.rs).
+// `Engine` API; the crash battery proper is tests/crash_recovery.rs).
 // ---------------------------------------------------------------------
 
 mod recovery_edges {
-    use idl::{Backend, DurableEngine, Engine, EngineError, EngineOptions};
+    use idl::{Backend, Engine, EngineError, EngineOptions};
     use idl_storage::oplog;
     use idl_storage::{CommitSeal, PagedStorage, RealVfs, Store, Vfs};
     use std::path::{Path, PathBuf};
@@ -171,16 +171,63 @@ mod recovery_edges {
         dir
     }
 
-    fn open_with(
-        dir: &Path,
-        setup: impl FnOnce(&mut Engine) -> Result<(), EngineError>,
-    ) -> DurableEngine {
+    fn open_with(dir: &Path, setup: impl FnOnce(&mut Engine) -> Result<(), EngineError>) -> Engine {
         let opts = EngineOptions::builder().pool_pages(POOL).durability();
-        DurableEngine::open_with_vfs(dir, Arc::new(RealVfs::new()), opts, setup).unwrap()
+        Engine::open_with_vfs(dir, Arc::new(RealVfs::new()), opts, setup).unwrap()
     }
 
-    fn open(dir: &Path) -> DurableEngine {
+    fn open(dir: &Path) -> Engine {
         open_with(dir, |_| Ok(()))
+    }
+
+    #[test]
+    fn a_write_sent_through_query_is_refused_and_never_applied() {
+        let dir = fresh_dir("query-write");
+        let programs = |e: &mut Engine| e.execute(".dbU.put(.k=K) -> .db.r+(.a=K) ;").map(|_| ());
+        let mut d = open_with(&dir, programs);
+        d.update("?.db.r+(.a=0)").unwrap();
+        let before = d.universe_json().unwrap();
+        for write in ["?.db.r+(.a=1)", "?.db.r-(.a=0)", "?.db.r(.a=A), .dbU.put(.k=2)"] {
+            let err = Backend::query(&mut d, write).unwrap_err();
+            assert_eq!(err.code(), "E-USAGE", "{write}: {err}");
+            assert_eq!(d.query(write).unwrap_err().code(), "E-USAGE", "{write}");
+        }
+        assert_eq!(d.universe_json().unwrap(), before, "a refused query wrote");
+        assert_eq!(d.log_len().unwrap(), 1, "a refused query was logged");
+        drop(d);
+        let d = open_with(&dir, programs);
+        assert_eq!(d.universe_json().unwrap(), before);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn truncating_the_journal_between_checkpoints_recovers_byte_identical() {
+        // Reads between checkpoints truncate the store journal up to the
+        // last checkpoint; the next in-place checkpoint still records
+        // every change since it.
+        let dir = fresh_dir("truncate");
+        let views = |e: &mut Engine| e.execute(".v.all(.a=A) <- .db.r(.a=A) ;").map(|_| ());
+        let mut reference = Engine::new();
+        views(&mut reference).unwrap();
+        let mut d = open_with(&dir, views);
+        for i in 0..41 {
+            let sign = if i % 3 == 2 { '-' } else { '+' };
+            let update = format!("?.db.r{sign}(.a={}), .db.s+(.b={})", i / 3, i / 10);
+            d.update(&update).unwrap();
+            reference.update(&update).unwrap();
+            d.query("?.v.all(.a=A)").unwrap();
+            if i % 10 == 9 {
+                d.checkpoint().unwrap();
+            }
+        }
+        assert!(d.store().journal_len() < 10, "the journal was never truncated");
+        assert!(d.durability_stats().delta_checkpoints >= 3, "{:?}", d.durability_stats());
+        drop(d);
+        let mut d = open_with(&dir, views);
+        d.snapshot().unwrap();
+        reference.snapshot().unwrap();
+        assert_eq!(d.universe_json().unwrap(), reference.universe_json().unwrap());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -149,10 +149,10 @@ fn e2_above_200_all_three_schemata() {
 fn e3_insert_delete_round_trip() {
     let mut e = paper_engine();
     let st = e.update("?.euter.r+(.date=3/3/85,.stkCode=dec,.clsPrice=50)").unwrap();
-    assert_eq!(st.inserted, 1);
+    assert_eq!(st.stats().unwrap().inserted, 1);
     assert!(e.query("?.euter.r(.stkCode=dec)").unwrap().is_true());
     let st = e.update("?.euter.r-(.date=3/3/85,.stkCode=dec)").unwrap();
-    assert_eq!(st.deleted, 1);
+    assert_eq!(st.stats().unwrap().deleted, 1);
     assert!(!e.query("?.euter.r(.stkCode=dec)").unwrap().is_true());
 }
 

@@ -12,10 +12,7 @@
 //! into the seed so the matrix covers {1, 4} threads × {compiled,
 //! tree-walk} without multiplying the case count.
 
-use idl::{
-    Backend, DurabilityOptions, DurableEngine, Engine, EngineError, FaultPlan, SimVfs, StorageSpec,
-    Vfs,
-};
+use idl::{DurabilityOptions, Engine, EngineError, FaultPlan, SimVfs, StorageSpec, Vfs};
 use idl_repro as _;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -91,15 +88,15 @@ fn open(
     pool: usize,
     threads: usize,
     compile: bool,
-) -> Result<DurableEngine, EngineError> {
+) -> Result<Engine, EngineError> {
     let v: Arc<dyn Vfs> = Arc::clone(vfs) as Arc<dyn Vfs>;
     let storage = StorageSpec::Paged { pool_pages: pool };
     let opts = DurabilityOptions { storage, ..DurabilityOptions::default() };
-    DurableEngine::open_with_vfs("/diff", v, opts, move |e| setup(e, threads, compile))
+    Engine::open_with_vfs("/diff", v, opts, move |e| setup(e, threads, compile))
 }
 
 /// Universe JSON and battery answers, views refreshed.
-fn state(b: &mut dyn Backend) -> (String, Vec<String>) {
+fn state(b: &mut Engine) -> (String, Vec<String>) {
     b.refresh_views().expect("refresh");
     let universe = b.universe_json().expect("universe json");
     let answers = BATTERY

@@ -24,10 +24,9 @@
 //! paths.
 
 use idl::{
-    AnswerSet, Backend, DurabilityOptions, DurableEngine, Engine, EngineError, EngineOptions,
-    EngineSnapshot, FaultPlan, FixpointStats, Outcome, RealVfs, SimVfs, Vfs,
+    AnswerSet, Backend, DurabilityOptions, Engine, EngineError, EngineOptions, EngineSnapshot,
+    FaultPlan, FixpointStats, Outcome, RealVfs, SimVfs, Vfs,
 };
-use idl_eval::analyze::BindingIssue;
 use idl_server::{protocol, serve, Client, ServerConfig, ServerHandle, WireRequest, WireResponse};
 use idl_storage::codec;
 use std::io::{Read, Write};
@@ -193,44 +192,14 @@ impl Backend for SlowRefresh {
     fn query(&mut self, src: &str) -> Result<AnswerSet, EngineError> {
         self.0.query(src)
     }
-    fn update(&mut self, src: &str) -> Result<Outcome, EngineError> {
-        Backend::update(&mut self.0, src)
-    }
-    fn execute_sql(&mut self, src: &str) -> Result<Outcome, EngineError> {
-        self.0.execute_sql(src)
+    fn update_group(&mut self, srcs: &[String]) -> Vec<Result<Outcome, EngineError>> {
+        self.0.update_group(srcs)
     }
     fn stats(&self) -> &FixpointStats {
-        Backend::stats(&self.0)
+        self.0.last_fixpoint_stats()
     }
     fn snapshot(&mut self) -> Result<EngineSnapshot, EngineError> {
         self.0.snapshot()
-    }
-    fn options(&self) -> EngineOptions {
-        self.0.options()
-    }
-    fn set_options(&mut self, options: EngineOptions) {
-        self.0.set_options(options)
-    }
-    fn checkpoint(&mut self) -> Result<Outcome, EngineError> {
-        Backend::checkpoint(&mut self.0)
-    }
-    fn is_durable(&self) -> bool {
-        false
-    }
-    fn is_poisoned(&self) -> bool {
-        false
-    }
-    fn analyze(&self, src: &str) -> Result<Vec<BindingIssue>, EngineError> {
-        self.0.analyze(src)
-    }
-    fn explain(&self, src: &str) -> Result<String, EngineError> {
-        self.0.explain(src)
-    }
-    fn universe_json(&self) -> Result<String, EngineError> {
-        self.0.universe_json()
-    }
-    fn save_snapshot(&self, path: &std::path::Path) -> Result<(), EngineError> {
-        self.0.save_snapshot(path)
     }
 }
 
@@ -780,8 +749,7 @@ fn durable_backend_survives_a_server_restart() {
     let dir = std::env::temp_dir().join(format!("idl-server-durable-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let open = |dir: &std::path::Path| {
-        DurableEngine::open_with_vfs(dir, Arc::new(RealVfs::new()), durability(16), |_| Ok(()))
-            .unwrap()
+        Engine::open_with_vfs(dir, Arc::new(RealVfs::new()), durability(16), |_| Ok(())).unwrap()
     };
 
     let handle = serve(Box::new(open(&dir)), ServerConfig::default()).unwrap();
@@ -805,7 +773,7 @@ fn paged_backend_serves_and_reports_pool_stats_over_the_wire() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let open = |dir: &std::path::Path| {
-        DurableEngine::open_with_vfs(
+        Engine::open_with_vfs(
             dir.to_path_buf(),
             Arc::new(RealVfs::new()),
             durability(8),
@@ -846,7 +814,7 @@ fn paged_backend_serves_and_reports_pool_stats_over_the_wire() {
 fn poisoned_durable_backend_answers_with_clean_error_frames() {
     let open = |vfs: &Arc<SimVfs>| {
         let v: Arc<dyn Vfs> = Arc::clone(vfs) as Arc<dyn Vfs>;
-        DurableEngine::open_with_vfs("/served", v, durability(16), |_| Ok(())).unwrap()
+        Engine::open_with_vfs("/served", v, durability(16), |_| Ok(())).unwrap()
     };
     // fault-free probe run to find the op index of the second update's
     // log append (same technique as the crash battery)
