@@ -26,6 +26,7 @@
 use crate::arith::eval_term;
 use crate::error::{EvalError, EvalResult};
 use crate::query::{EvalOptions, Evaluator};
+use crate::rules::{read_patterns, PredPat};
 use crate::subst::Subst;
 use crate::update::{apply_update, UpdateStats};
 use idl_lang::{AttrTerm, Expr, Field, ProgramClause, RelOp, Sign, Term, Var};
@@ -135,6 +136,33 @@ impl ProgramRegistry {
         let key = ProgramKey { path, sign };
         let rank = key.sign_rank();
         self.programs.get(&(key.path.clone(), rank)).map(|(k, _)| (k.clone(), args))
+    }
+
+    /// The static read set of `items` run as a request: the `(db, rel)`
+    /// pattern of every atom, with each call to a registered program
+    /// replaced by the read sets of its clause bodies, transitively (the
+    /// call graph is acyclic). `None` when an item has a shape the
+    /// analysis does not read, such as an atomic expression over the whole
+    /// universe: such a request may read anything.
+    pub fn read_set(&self, items: &[Expr]) -> Option<Vec<PredPat>> {
+        let mut reads = Vec::new();
+        self.collect_reads(items, &mut reads)?;
+        Some(reads)
+    }
+
+    fn collect_reads(&self, items: &[Expr], reads: &mut Vec<PredPat>) -> Option<()> {
+        for item in items {
+            match self.match_call(item) {
+                Some((key, _)) => {
+                    let (_, clauses) = &self.programs[&(key.path.clone(), key.sign_rank())];
+                    for clause in clauses {
+                        self.collect_reads(&clause.body, reads)?;
+                    }
+                }
+                None => item_reads(item, reads)?,
+            }
+        }
+        Some(())
     }
 
     /// Executes a program call: binds arguments to each clause's
@@ -351,6 +379,18 @@ impl ProgramRegistry {
         }
         Ok(())
     }
+}
+
+/// Adds the `(db, rel)` patterns one request item reads to `reads`;
+/// `None` when the item compares or updates the universe as a whole.
+fn item_reads(item: &Expr, reads: &mut Vec<PredPat>) -> Option<()> {
+    match item {
+        Expr::Tuple(_) => reads.extend(read_patterns(std::slice::from_ref(item))),
+        Expr::Not(inner) | Expr::Set(inner) => item_reads(inner, reads)?,
+        Expr::Epsilon | Expr::Constraint(..) => {}
+        Expr::Atomic(..) | Expr::AtomicUpdate(..) | Expr::SetUpdate(..) => return None,
+    }
+    Some(())
 }
 
 /// The change scope an update item can touch, from its constant prefix.

@@ -173,6 +173,16 @@ impl DerivedCatalog {
         }
     }
 
+    /// Whether a `(db, rel)` pattern can name derived state (a variable
+    /// position matches anything).
+    pub fn overlaps(&self, pat: &PredPat) -> bool {
+        match (&pat.db, &pat.rel) {
+            (None, _) => !self.map.is_empty(),
+            (Some(db), None) => self.touches_db(db.as_str()),
+            (Some(db), Some(rel)) => self.covers_relation(db.as_str(), rel.as_str()),
+        }
+    }
+
     /// Whether an update with this change scope could write derived state
     /// (and must therefore be rejected / routed through a view-update
     /// program). Conservative for coarse scopes.

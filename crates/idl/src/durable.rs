@@ -736,13 +736,18 @@ mod tests {
             d.update("?.db.r+(.a=2)").unwrap();
             d.query("?.v.all(.x=X)").unwrap(); // the read repairs the views
             d.checkpoint().unwrap(); // views fresh: state rides the page file
-            d.update("?.db.r+(.a=3)").unwrap(); // in the fresh log
+            for a in 3..=10 {
+                d.update(&format!("?.db.r+(.a={a})")).unwrap(); // in the fresh log
+            }
         }
         let mut d = Engine::open_with(&dir, install_view).unwrap();
-        assert!(d.durability_stats().maintenance_state_adopted, "checkpoint state must be adopted");
-        let runs = d.maintenance_runs();
-        assert_eq!(d.query("?.v.all(.x=X)").unwrap().column("X").len(), 3);
-        assert_eq!(d.maintenance_runs(), runs + 1, "replayed update repaired, not rebuilt");
+        let stats = d.durability_stats();
+        assert!(stats.maintenance_state_adopted, "checkpoint state must be adopted");
+        assert_eq!(stats.records_recovered, 8);
+        assert_eq!(d.maintenance_runs(), 0, "replay reads no view: it repairs nothing");
+        assert!(!d.views_fresh_now());
+        assert_eq!(d.query("?.v.all(.x=X)").unwrap().column("X").len(), 10);
+        assert_eq!(d.maintenance_runs(), 1, "one repair for the tail, not a rebuild");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -795,6 +800,31 @@ mod tests {
         assert_eq!(results[2].as_ref().unwrap_err().code(), "E-USAGE");
         assert_eq!(d.durability_stats().group_commit_records, 5);
         assert_eq!(d.last_lsn(), 5);
+    }
+
+    #[test]
+    fn update_group_runs_one_callers_dependent_writes_in_order() {
+        let vfs = Arc::new(SimVfs::new(FaultPlan::none(43)));
+        let v: Arc<dyn Vfs> = Arc::clone(&vfs) as Arc<dyn Vfs>;
+        let mut d = Engine::open_with_vfs("/d", v, DurabilityOptions::default(), |e| {
+            crate::transparency::install_two_level_mapping(e)
+        })
+        .unwrap();
+        // chwab's row for the day, which insStk edits in place
+        d.update("?.chwab.r+(.date=3/3/85)").unwrap();
+        let group = [
+            "?.dbU.insStk(.stk=sun, .date=3/3/85, .price=7)",
+            "?.dbU.delStk(.stk=sun, .date=3/3/85)",
+        ]
+        .map(String::from);
+        let results = d.update_group(&group);
+        assert!(results.iter().all(|r| r.is_ok()), "{results:?}");
+        // the delete ran after the insert: no quote is left anywhere
+        for q in ["?.euter.r(.stkCode=sun)", "?.ource.sun(.date=D)", "?.dbI.p(.stk=sun)"] {
+            assert!(!d.query(q).unwrap().is_true(), "{q}");
+        }
+        let chwab = d.query("?.chwab.r(.date=3/3/85, .sun=P)").unwrap();
+        assert!(chwab.column("P").iter().all(Value::is_null), "{chwab}");
     }
 
     #[test]

@@ -24,8 +24,9 @@ use std::sync::Arc;
 pub struct EngineOptions {
     /// Evaluator options (planner / index toggles, result limit).
     pub eval: EvalOptions,
-    /// Refresh materialised views automatically before each request that
-    /// follows a base-data change (on by default). When off, call
+    /// Refresh stale materialised views automatically before each request
+    /// that may read a view (on by default); a request that only writes
+    /// base data leaves the repair to the next read. When off, call
     /// [`Engine::refresh_views`] manually.
     pub auto_refresh: bool,
     /// No effect: [`EvalOptions::semi_naive`] alone selects the fixpoint
@@ -98,8 +99,8 @@ impl EngineOptionsBuilder {
         self
     }
 
-    /// Automatic view refresh before requests that follow a base-data
-    /// change (on by default).
+    /// Automatic view refresh before requests that may read a view (on by
+    /// default).
     pub fn auto_refresh(mut self, on: bool) -> Self {
         self.engine.auto_refresh = on;
         self
@@ -344,10 +345,13 @@ impl Engine {
         self.execute_statement(Statement::Request(one_request(src)?))
     }
 
-    /// Executes a batch of independent single-request updates with **one**
-    /// coalesced log append and **one** fsync covering every write in the
-    /// group (group commit) when durable. Results are positional; a
-    /// failing entry never aborts the rest, and no entry is acknowledged
+    /// Executes single-request updates in order — one caller's dependent
+    /// writes or several callers' — with **one** coalesced log append and
+    /// **one** fsync covering every write in the group (group commit) when
+    /// durable. Each entry sees the writes of the entries before it; none
+    /// repairs the views unless it may read one, so the group leaves one
+    /// repair to the next read. Results are positional; a failing entry
+    /// never aborts the rest, and no entry is acknowledged
     /// before the whole group is durable. If the append or sync fails,
     /// every entry that wrote is un-acknowledged (its `Ok` becomes the
     /// durability error), the partial append is truncated back to the
@@ -459,11 +463,17 @@ impl Engine {
 
     /// Runs one request. Whether it wrote is read from its outcome, never
     /// from its syntax: a §7.1 program call carries no sign but writes.
-    /// Its base changes stay in the store journal until the next
-    /// [`Engine::refresh_views_if_stale`] repairs the views.
+    /// Its base changes stay in the store journal until a request that
+    /// may read a view, or [`Engine::snapshot`], repairs the views: one
+    /// repair covers every write since they were last fresh.
     fn run(&mut self, req: &Request) -> Result<(AnswerSet, UpdateStats), EngineError> {
-        if self.options.auto_refresh {
+        // Without views the refresh only truncates the journal.
+        if self.options.auto_refresh && (!self.has_views() || self.may_read_views(req)) {
             self.refresh_views_if_stale()?;
+        } else {
+            // The writes wait for the next view read: one journal record
+            // per scope they touched is all the repair needs.
+            self.store.compact_journal();
         }
         // Outer transaction so declared-schema enforcement can undo the
         // whole request (run_request's own transaction nests inside).
@@ -501,6 +511,23 @@ impl Engine {
             }
         }
         Ok((outcome.answers, outcome.stats))
+    }
+
+    /// Whether anything reads the journal to catch up: rules or the `sys`
+    /// catalog database.
+    fn has_views(&self) -> bool {
+        self.compiled.is_some() || self.sys_enabled
+    }
+
+    /// Whether `req` may read view-materialised state: its static read set
+    /// (see [`ProgramRegistry::read_set`]) overlaps the derived catalog,
+    /// or `sys` while the catalog database is enabled. A variable database
+    /// position overlaps both, and a request the analysis cannot read
+    /// counts as a view read.
+    fn may_read_views(&self, req: &Request) -> bool {
+        let Some(reads) = self.programs.read_set(&req.items) else { return true };
+        let reads_sys = |r: &PredPat| r.db.as_ref().is_none_or(|db| db.as_str() == "sys");
+        reads.iter().any(|r| self.derived.overlaps(r) || (self.sys_enabled && reads_sys(r)))
     }
 
     /// The base-data changes journalled since the freshness point, or
@@ -784,11 +811,10 @@ impl Engine {
     /// freshness point: nothing when no base data changed, the delta pass when
     /// [`EvalOptions::maintain`] is on and the change is expressible as
     /// row edits, a full [`Engine::refresh_views`] otherwise. This is the
-    /// one way views catch up with writes; requests with `auto_refresh`
-    /// and [`Engine::snapshot`] call it.
+    /// one way views catch up with writes; requests that may read a view
+    /// (with `auto_refresh`) and [`Engine::snapshot`] call it.
     pub fn refresh_views_if_stale(&mut self) -> Result<FixpointStats, EngineError> {
-        if self.compiled.is_none() && !self.sys_enabled {
-            // No view reads the journal.
+        if !self.has_views() {
             self.store.checkpoint(self.store.version());
             return Ok(FixpointStats::default());
         }
@@ -1391,6 +1417,74 @@ mod tests {
         let stats = e.refresh_views_if_stale().unwrap();
         assert_eq!(stats.rule_evals, 0, "{stats:?}");
         assert!(e.views_fresh_now());
+    }
+
+    /// The engine with the unified view materialised and a quote for a
+    /// new stock written after it: the views are stale.
+    fn stale_after_a_write() -> Engine {
+        let mut e = engine();
+        e.add_rules(UNIFIED).unwrap();
+        e.refresh_views().unwrap();
+        e.update("?.euter.r+(.date=3/9/85,.stkCode=zz,.clsPrice=700)").unwrap();
+        assert!(!e.views_fresh_now());
+        e
+    }
+
+    #[test]
+    fn a_view_read_after_a_write_in_one_script_sees_the_write() {
+        let mut e = engine();
+        e.add_rules(UNIFIED).unwrap();
+        e.refresh_views().unwrap();
+        let out = e
+            .execute(
+                "?.euter.r+(.date=3/9/85,.stkCode=zz,.clsPrice=7) ; ?.dbI.p(.stk=zz,.clsPrice=7)",
+            )
+            .unwrap();
+        assert!(out[1].answers().unwrap().is_true());
+    }
+
+    #[test]
+    fn a_sys_read_after_a_write_repairs_first() {
+        let mut e = engine();
+        e.add_rules(UNIFIED).unwrap();
+        e.enable_sys_catalog().unwrap();
+        e.refresh_views().unwrap();
+        e.update("?.euter.r+(.date=3/9/85,.stkCode=zz,.clsPrice=3)").unwrap();
+        let card = e.query("?.sys.relations(.db=euter, .rel=r, .card=C)").unwrap();
+        assert_eq!(card.column("C"), vec![Value::int(5)]);
+    }
+
+    #[test]
+    fn a_variable_database_read_repairs_first() {
+        let mut e = stale_after_a_write();
+        let a = e.query("?.X.p(.stk=zz, .clsPrice=700)").unwrap();
+        assert_eq!(a.column("X"), vec![Value::str("dbI")]);
+    }
+
+    #[test]
+    fn a_program_calling_a_view_reading_program_repairs_first() {
+        let mut e = stale_after_a_write();
+        e.execute(
+            ".dbU.flagHigh(.min=M) -> .dbI.p(.stk=S, .clsPrice>M), .audit.high+(.stk=S) ;
+             .dbU.audit(.min=M) -> .dbU.flagHigh(.min=M) ;",
+        )
+        .unwrap();
+        e.update("?.dbU.audit(.min=500)").unwrap();
+        assert_eq!(e.query("?.audit.high(.stk=S)").unwrap().column("S"), vec![Value::str("zz")]);
+    }
+
+    #[test]
+    fn a_program_call_that_reads_no_view_leaves_the_repair_to_the_next_read() {
+        let mut e = mapped();
+        let runs = e.maintenance_runs();
+        e.update("?.dbU.insStk(.stk=ibm, .date=3/4/85, .price=1)").unwrap();
+        e.update("?.dbU.delStk(.stk=hp, .date=3/3/85)").unwrap();
+        assert_eq!(e.maintenance_runs(), runs);
+        assert!(!e.views_fresh_now());
+        // one repair covers both writes
+        assert!(e.query("?.dbI.p(.stk=ibm, .date=3/4/85)").unwrap().is_true());
+        assert!(!e.query("?.dbI.p(.stk=hp, .date=3/3/85)").unwrap().is_true());
+        assert_eq!(e.maintenance_runs(), runs + 1);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The readiness-driven event-loop server ([`ServeMode::Event`]).
+//! The readiness-driven event-loop server.
 //!
 //! # Architecture
 //!
@@ -12,23 +12,28 @@
 //!   `DumpUniverse` against the published snapshot (lock-free vs. the
 //!   writer), and
 //! * one **write thread** owning the group-commit path: it drains its
-//!   queue, coalesces up to `cfg.group_commit` concurrent `Update`s into
-//!   a single [`idl::Backend::update_group`] call — one log append, one
-//!   fsync, then every member is acknowledged — and republishes the read
-//!   snapshot *before* posting completions, so a session's next
-//!   pipelined query observes its own write.
+//!   queue, coalesces up to `cfg.group_commit` `Update`s — one session's
+//!   pipelined run, several sessions' concurrent ones — into a single
+//!   [`idl::Backend::update_group`] call — one log append, one fsync —
+//!   and republishes the read snapshot, which repairs the views once for
+//!   the whole group, *before* posting completions, so a session's next
+//!   pipelined query observes its own writes.
 //!
 //! Completions return to the reactor through a mailbox + [`mio::Waker`]
 //! and are written strictly in each session's request order.
 //!
 //! # Pipelining and ordering
 //!
-//! Each session keeps a FIFO of outstanding requests. At most one is
-//! *running* at a time (per-session serial execution — this is what
-//! makes response order and read-your-writes trivial); parallelism comes
-//! from many sessions. Locally answered entries (`Ping`, `Stats`,
-//! protocol errors, load-shed and timeout frames) still travel through
-//! the FIFO, so replies never overtake each other.
+//! Each session keeps a FIFO of outstanding requests, and at most one
+//! *dispatch* of it is in flight at a time: the head request, or — when
+//! the head is an `Update` — the run of consecutive `Update`s at the
+//! head, up to `cfg.group_commit` of them, which the writer executes in
+//! order as one group. A request behind the dispatch waits until every
+//! member has completed, so response order and read-your-writes stay
+//! trivial; parallelism across requests comes from many sessions. Locally
+//! answered entries (`Ping`, `Stats`, protocol errors, load-shed and
+//! timeout frames) still travel through the FIFO, so replies never
+//! overtake each other.
 //!
 //! # Admission control
 //!
@@ -117,13 +122,15 @@ impl Mailbox {
 
 /// One entry of a session's pipelined-request FIFO.
 enum Entry {
-    /// Parsed, waiting for its turn (at most the head dispatches).
+    /// Parsed, waiting for its turn (only the head, or the run of
+    /// updates at the head, dispatches).
     Pending {
         req: WireRequest,
         /// Arrival time, for the queued-request deadline.
         at: Instant,
     },
     /// Dispatched to a worker; the completion will replace this.
+    /// Completions arrive in request order, so each replaces the first.
     Running { started: Instant },
     /// Answered; waiting for earlier entries to flush first. The
     /// response is boxed so a queue of mostly-`Pending` entries does not
@@ -199,7 +206,7 @@ pub(crate) fn spawn(
     };
     let (read_tx, read_rx) = mpsc::channel::<Job>();
     let read_rx = Arc::new(Mutex::new(read_rx));
-    let (write_tx, write_rx) = mpsc::channel::<Job>();
+    let (write_tx, write_rx) = mpsc::channel::<Vec<Job>>();
 
     let mut threads = Vec::with_capacity(workers + 2);
     let reactor = Reactor {
@@ -265,34 +272,40 @@ fn read_worker(shared: Arc<Shared>, rx: Arc<Mutex<mpsc::Receiver<Job>>>, mail: A
     }
 }
 
-/// The single write thread: owns the backend, drains its queue,
-/// group-commits coalesced updates, republishes, then posts the whole
-/// batch's completions.
+/// The single write thread: owns the backend, drains its queue of
+/// session dispatches, group-commits their updates, republishes, then
+/// posts the whole batch's completions.
 fn write_worker(
     shared: Arc<Shared>,
-    rx: mpsc::Receiver<Job>,
+    rx: mpsc::Receiver<Vec<Job>>,
     mail: Arc<Mailbox>,
     mut backend: Box<dyn Backend + Send>,
 ) {
-    while let Ok(first) = rx.recv() {
-        let mut batch = vec![first];
-        while batch.len() < shared.cfg.group_commit.max(1) {
+    let cap = shared.cfg.group_commit.max(1);
+    // A session's dispatch that would have pushed the last batch past
+    // the cap.
+    let mut held: Option<Vec<Job>> = None;
+    while let Some(first) = held.take().or_else(|| rx.recv().ok()) {
+        let mut batch = first;
+        while batch.len() < cap {
             match rx.try_recv() {
-                Ok(job) => batch.push(job),
+                Ok(jobs) if batch.len() + jobs.len() <= cap => batch.extend(jobs),
+                Ok(jobs) => {
+                    held = Some(jobs);
+                    break;
+                }
                 Err(_) => break,
             }
         }
         let mut out: Vec<Completion> = Vec::with_capacity(batch.len());
-        // Coalesce every Update in the batch into one group commit.
-        // Batch members are from distinct sessions (each session runs at
-        // most one request), so reordering relative to the non-update
-        // members is unobservable.
-        let update_idx: Vec<usize> = batch
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| matches!(j.req, WireRequest::Update { .. }))
-            .map(|(i, _)| i)
-            .collect();
+        // Coalesce every Update in the batch into one group commit, in
+        // batch order. Each session has at most one dispatch in the batch,
+        // and a dispatch is either a run of one session's updates, in
+        // request order, or a single other request, so running the
+        // updates before the other members reorders only requests of
+        // distinct sessions: unobservable.
+        let update_idx: Vec<usize> =
+            batch.iter().enumerate().filter(|(_, j)| is_update(&j.req)).map(|(i, _)| i).collect();
         if !update_idx.is_empty() {
             let srcs: Vec<String> = update_idx
                 .iter()
@@ -353,7 +366,7 @@ struct Reactor {
     /// `Pending` entries across all sessions (the global admission gauge).
     pending_total: usize,
     read_tx: mpsc::Sender<Job>,
-    write_tx: mpsc::Sender<Job>,
+    write_tx: mpsc::Sender<Vec<Job>>,
     mail: Arc<Mailbox>,
 }
 
@@ -713,19 +726,38 @@ impl Reactor {
                             self.write_response(idx, &resp);
                             progressed = true;
                         }
-                        kind @ (Kind::Read | Kind::Write) => {
+                        Kind::Read => {
                             let Some(Entry::Pending { req, .. }) = session.queue.pop_front() else {
                                 unreachable!("front() said Pending");
                             };
                             self.pending_total -= 1;
                             session.queue.push_front(Entry::Running { started: Instant::now() });
-                            let (tx, counter) = match kind {
-                                Kind::Read => (&self.read_tx, &self.shared.stats.reads),
-                                _ => (&self.write_tx, &self.shared.stats.writes),
-                            };
-                            ServerStats::bump(counter, 1);
-                            if tx.send(Job { token, generation, req }).is_err() {
+                            ServerStats::bump(&self.shared.stats.reads, 1);
+                            if self.read_tx.send(Job { token, generation, req }).is_err() {
                                 // Workers are gone (tear-down): close.
+                                self.close(idx);
+                            }
+                            return true;
+                        }
+                        Kind::Write => {
+                            // The run of updates at the head goes to the
+                            // writer as one dispatch, so it commits and
+                            // repairs the views as one group.
+                            let run = dispatch_len(&session.queue, self.shared.cfg.group_commit);
+                            let started = Instant::now();
+                            let mut jobs = Vec::with_capacity(run);
+                            for entry in session.queue.iter_mut().take(run) {
+                                let Entry::Pending { req, .. } =
+                                    std::mem::replace(entry, Entry::Running { started })
+                                else {
+                                    unreachable!("the run is Pending entries");
+                                };
+                                jobs.push(Job { token, generation, req });
+                            }
+                            self.pending_total -= run;
+                            ServerStats::bump(&self.shared.stats.writes, run as u64);
+                            if self.write_tx.send(jobs).is_err() {
+                                // The writer is gone (tear-down): close.
                                 self.close(idx);
                             }
                             return true;
@@ -1031,6 +1063,18 @@ fn classify(req: &WireRequest) -> Kind {
             Kind::Write
         }
     }
+}
+
+fn is_update(req: &WireRequest) -> bool {
+    matches!(req, WireRequest::Update { .. })
+}
+
+/// How many entries the write dispatch at the head of `queue` takes: the
+/// run of pending updates there, at most `cap` of them, or else the head
+/// request alone.
+fn dispatch_len(queue: &VecDeque<Entry>, cap: usize) -> usize {
+    let pending_update = |e: &&Entry| matches!(e, Entry::Pending { req, .. } if is_update(req));
+    queue.iter().take(cap.max(1)).take_while(pending_update).count().max(1)
 }
 
 /// Appends one `[len][crc][payload]` frame to a byte buffer.

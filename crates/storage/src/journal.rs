@@ -95,6 +95,21 @@ impl Journal {
         let idx = self.records.partition_point(|r| r.version <= upto);
         self.records.drain(..idx);
     }
+
+    /// Keeps only the newest record of each scope. [`Journal::since`]
+    /// still yields the same set of scopes for every version, because a
+    /// scope changed after `v` exactly when its newest record is newer
+    /// than `v`; only the count of records per scope is lost.
+    pub fn compact(&mut self) {
+        let mut newest: Vec<ChangeRecord> = Vec::with_capacity(self.records.len());
+        for rec in self.records.drain(..).rev() {
+            if !newest.iter().any(|n| n.scope == rec.scope) {
+                newest.push(rec);
+            }
+        }
+        newest.reverse();
+        self.records = newest;
+    }
 }
 
 #[cfg(test)]
@@ -125,6 +140,31 @@ mod tests {
         j.truncate_before(3);
         assert_eq!(j.len(), 2);
         assert_eq!(j.since(0).len(), 2);
+    }
+
+    #[test]
+    fn compact_keeps_the_scopes_changed_since_every_version() {
+        let mut j = Journal::new();
+        for (v, db) in [(1, "a"), (2, "b"), (3, "a"), (4, "c"), (5, "a")] {
+            j.push(rec(v, db));
+        }
+        let scopes_since = |j: &Journal, v| {
+            let mut dbs: Vec<String> = j
+                .since(v)
+                .iter()
+                .map(|r| match &r.scope {
+                    ChangeScope::Database { db } => db.as_str().to_string(),
+                    other => panic!("{other:?}"),
+                })
+                .collect();
+            dbs.sort();
+            dbs.dedup();
+            dbs
+        };
+        let before: Vec<_> = (0..=5).map(|v| scopes_since(&j, v)).collect();
+        j.compact();
+        assert_eq!(j.len(), 3);
+        assert_eq!((0..=5).map(|v| scopes_since(&j, v)).collect::<Vec<_>>(), before);
     }
 
     #[test]

@@ -377,6 +377,15 @@ impl Store {
         self.journal.truncate_before(upto);
     }
 
+    /// Keeps only the newest journal record of each scope (see
+    /// [`Journal::compact`]), bounding the journal by the number of scopes
+    /// written rather than the number of writes. Call it outside any
+    /// transaction: a rollback counts its frame's records.
+    pub fn compact_journal(&mut self) {
+        debug_assert!(self.txns.is_empty(), "compacting inside a transaction");
+        self.journal.compact();
+    }
+
     /// Keeps every journal record newer than `version` through later
     /// [`Store::checkpoint`]s: a reader that will still ask for
     /// `changes_since(version)` (a durable engine's next in-place

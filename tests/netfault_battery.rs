@@ -17,10 +17,10 @@
 //! schedule's message embeds its seed, so reproduction is one env var.
 
 use idl::Engine;
-use idl_server::{protocol, serve, Client, ServerConfig, ServerHandle};
+use idl_server::{protocol, serve, Client, ServerConfig, ServerHandle, WireRequest};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SCHEDULES: u64 = 64;
 
@@ -171,6 +171,57 @@ fn run_fault_schedule(addr: SocketAddr, seed: u64) {
             // the socket just closes
         }
     }
+}
+
+/// A peer pipelines a run of updates and leaves at once: the run is
+/// dispatched as one group and reaches the writer after, or while, its
+/// session goes away. The run still commits (a dispatched request runs to
+/// completion), its replies go nowhere, and the honest session's service
+/// is untouched.
+#[test]
+fn a_session_leaving_while_its_run_is_in_the_writer_disturbs_no_one() {
+    let handle = serve_stock();
+    let addr = handle.local_addr();
+    let mut honest = Client::connect(addr).expect("honest client connects");
+    const ROUNDS: u64 = 8;
+    const RUN: u64 = 8;
+    for round in 0..ROUNDS {
+        let mut stream = raw_handshake(addr).expect("abusive peer connects");
+        let mut burst = Vec::new();
+        for k in 0..RUN {
+            let src = format!("?.db.r+(.c=2, .k={})", round * RUN + k);
+            protocol::send(&mut burst, &WireRequest::Update { src }, 1 << 20).unwrap();
+        }
+        stream.write_all(&burst).unwrap();
+        drop(stream);
+        let out = honest.update(&format!("?.db.r+(.c=1, .k={round})")).unwrap();
+        assert_eq!(out.stats().unwrap().inserted, 1, "round {round}");
+        let answers = honest.query("?.db.r(.c=1, .k=K), .v.all(.c=1, .k=K)").unwrap();
+        assert_eq!(answers.len(), (round + 1) as usize, "round {round} read-your-writes");
+    }
+    // The last runs may still be on their way to the writer; once all
+    // have committed, the served universe holds the honest writes and
+    // every run.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while honest.stats().unwrap().server.group_commit_records < ROUNDS * (RUN + 1) {
+        assert!(Instant::now() < deadline, "a run whose session left never committed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut oracle = Engine::new();
+    oracle.add_rules(RULES).unwrap();
+    for round in 0..ROUNDS {
+        oracle.update(&format!("?.db.r+(.c=1, .k={round})")).unwrap();
+        for k in 0..RUN {
+            oracle.update(&format!("?.db.r+(.c=2, .k={})", round * RUN + k)).unwrap();
+        }
+    }
+    oracle.refresh_views().unwrap();
+    let served = honest.dump_universe().unwrap();
+    assert_eq!(served, oracle.universe_json().unwrap(), "left runs diverged");
+    drop(honest);
+    let stats = handle.shutdown();
+    assert_eq!(stats.sessions_active, 0, "sessions leaked");
+    assert_eq!(stats.group_commit_records, ROUNDS * (RUN + 1));
 }
 
 #[test]

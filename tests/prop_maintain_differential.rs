@@ -7,11 +7,13 @@
 //! rebuild for the shapes it bails on) must land on **byte-identical**
 //! universe snapshots to the refresh-the-world reference mode
 //! (`maintain(false)` + a final full rebuild), across {1, 4} threads ×
-//! {compiled, tree-walk}. Each request repairs the writes of the one
-//! before it (auto-refresh), and a final read repairs the last. Dedicated
-//! legs pin the schematic lifecycle: an insert that materialises a
-//! brand-new derived relation (schematic create) and a retraction that
-//! empties one again (schematic GC).
+//! {compiled, tree-walk}. A write reads no view, so it leaves its repair
+//! to the next read: one repair covers every write since the views were
+//! last fresh. The cadence leg repairs the same schedules after every
+//! write, after every k ∈ {2, 3, 8} writes and once at the end, and all
+//! must agree. Dedicated legs pin the schematic lifecycle: an insert that
+//! materialises a brand-new derived relation (schematic create) and a
+//! retraction that empties one again (schematic GC).
 
 use idl::{Engine, EngineOptions};
 use idl_repro as _;
@@ -79,17 +81,26 @@ fn universe_json(e: &Engine) -> String {
 }
 
 /// Applies the schedule update-by-update with maintenance on, then asks
-/// for freshness the way a published snapshot would (any update the pass
-/// bailed on is repaired here). Returns the engine for inspection.
+/// for freshness the way a published snapshot would: one repair over the
+/// whole schedule. Returns the engine for inspection.
 fn maintained_run(schedule: &[String], threads: usize, compile: bool) -> Engine {
+    repaired_every(schedule, threads, compile, usize::MAX)
+}
+
+/// [`maintained_run`] with a repair after every `every` writes as well as
+/// at the end.
+fn repaired_every(schedule: &[String], threads: usize, compile: bool, every: usize) -> Engine {
     let mut e = base_engine();
     e.set_options(
         EngineOptions::builder().threads(threads).compile(compile).maintain(true).build(),
     );
     e.add_rules(RULES).unwrap();
     e.refresh_views().unwrap();
-    for stmt in schedule {
+    for (i, stmt) in schedule.iter().enumerate() {
         e.update(stmt).unwrap_or_else(|err| panic!("{stmt}: {err}"));
+        if (i + 1) % every == 0 {
+            e.refresh_views_if_stale().unwrap();
+        }
     }
     e.refresh_views_if_stale().unwrap();
     assert!(e.views_fresh_now());
@@ -129,6 +140,31 @@ proptest! {
         schedule in prop::collection::vec(call_strategy(), 1..12)
     ) {
         check_schedule(&schedule)?;
+    }
+
+    /// The cadence leg: one schedule of direct writes and program calls,
+    /// repaired after every write, after every 2, 3 or 8 writes, and once
+    /// at the end, at {1, 4} threads. Every cadence must land on the
+    /// reference's bytes: a repair over many writes' accumulated delta is
+    /// the same as one repair per write.
+    #[test]
+    fn every_repair_cadence_matches_rebuilt(
+        schedule in prop::collection::vec(prop_oneof![op_strategy(), call_strategy()], 1..24)
+    ) {
+        let expected = universe_json(&reference_run(&schedule));
+        for threads in [1usize, 4] {
+            for every in [1usize, 2, 3, 8, usize::MAX] {
+                let repaired = repaired_every(&schedule, threads, true, every);
+                prop_assert_eq!(
+                    &universe_json(&repaired),
+                    &expected,
+                    "repairing every {} writes diverged from rebuilt at {} threads\nschedule: {:?}",
+                    every,
+                    threads,
+                    &schedule
+                );
+            }
+        }
     }
 }
 
@@ -182,18 +218,22 @@ fn schematic_create_is_maintained_incrementally() {
 }
 
 /// Schematic-GC leg: retracting the only quote of a stock must empty and
-/// garbage-collect its derived relation through the repair pass. The
-/// retraction's request repairs the insert before it runs, so the two
-/// repairs stay separate.
+/// garbage-collect its derived relation through the repair pass. A read
+/// between the two writes repairs the insert, so the create and the GC
+/// are separate repairs.
 #[test]
 fn schematic_gc_is_maintained_incrementally() {
     for threads in [1usize, 4] {
         for compile in [true, false] {
-            let schedule = vec![
+            let schedule: Vec<String> = vec![
                 "?.euter.r+(.date=9/9/99, .stkCode=sun, .clsPrice=7)".into(),
                 "?.euter.r-(.date=9/9/99, .stkCode=sun, .clsPrice=7)".into(),
             ];
-            let mut e = maintained_run(&schedule, threads, compile);
+            let mut e = maintained_run(&[], threads, compile);
+            e.update(&schedule[0]).unwrap();
+            assert!(e.query("?.dbO.sun(.clsPrice=7)").unwrap().is_true());
+            e.update(&schedule[1]).unwrap();
+            e.refresh_views_if_stale().unwrap();
             assert_eq!(e.maintenance_runs(), 2, "GC must not fall back to refresh");
             let m = e.last_fixpoint_stats().maintenance.clone();
             assert_eq!(m.schematic_gcs, 1, "{m:?}");

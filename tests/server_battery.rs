@@ -394,6 +394,71 @@ fn pipelined_requests_answer_in_order_with_read_your_writes() {
     assert_eq!(final_stats.errors, 0);
 }
 
+/// One session's pipelined §7.1 calls dispatch as one run: the writer
+/// executes them in order as one group commit, and one republish repairs
+/// the views for all of them. A refused call fails alone, replies keep
+/// request order, and the query pipelined behind the run reads every
+/// accepted call through the unified and both customised views.
+#[test]
+fn one_sessions_pipelined_calls_commit_and_repair_as_one_group() {
+    let handle = serve_engine(
+        |e| {
+            *e = Engine::with_stock_universe(vec![
+                ("3/3/85", "hp", 50.0),
+                ("3/3/85", "ibm", 160.0),
+                ("3/4/85", "hp", 62.0),
+            ]);
+            idl::transparency::install_two_level_mapping(e).unwrap();
+        },
+        ServerConfig::default(),
+    );
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let calls = [
+        "?.dbU.insStk(.stk=sun, .date=3/3/85, .price=10)",
+        "?.dbU.insStk(.stk=sun, .date=3/4/85, .price=11)",
+        "?.dbU.insStk(.stk=dec, .date=3/3/85, .price=12)",
+        "?.dbU.insStk(.stk=S, .date=3/5/85, .price=13)", // .stk unbound: refused
+        "?.dbU.insStk(.stk=sun, .date=3/5/85, .price=14)",
+        "?.dbU.delStk(.stk=dec, .date=3/3/85)",
+        "?.dbU.insStk(.stk=ibm, .date=3/4/85, .price=15)",
+        "?.dbU.insStk(.stk=sun, .date=3/6/85, .price=16)",
+    ];
+    let read =
+        "?.dbI.p(.stk=sun, .date=D, .clsPrice=P), .dbE.r(.stkCode=sun, .date=D, .clsPrice=P), \
+                .dbO.sun(.date=D, .clsPrice=P)";
+    // One write, so the reactor parses the whole burst before it
+    // dispatches the head.
+    let mut burst = Vec::new();
+    for src in calls {
+        protocol::send(&mut burst, &WireRequest::Update { src: src.into() }, 1 << 20).unwrap();
+    }
+    protocol::send(&mut burst, &WireRequest::Query { src: read.into() }, 1 << 20).unwrap();
+    client.stream().write_all(&burst).unwrap();
+    for (i, src) in calls.iter().enumerate() {
+        match (i, client.read_reply().unwrap()) {
+            (3, WireResponse::Error { code, .. }) => assert_ne!(code, protocol::E_PROTO),
+            (3, other) => panic!("the unbound call was accepted: {other:?}"),
+            (_, WireResponse::Outcomes(o)) => assert!(o[0].stats().unwrap().total() > 0, "{src}"),
+            (_, other) => panic!("{src}: expected Outcomes, got {other:?}"),
+        }
+    }
+    match client.read_reply().unwrap() {
+        WireResponse::Answers(a) => assert_eq!(a.len(), 4, "sun on 3/3, 3/4, 3/5 and 3/6: {a}"),
+        other => panic!("expected the query's Answers, got {other:?}"),
+    }
+    assert!(!client.query("?.dbI.p(.stk=dec)").unwrap().is_true(), "delStk ran after insStk");
+    assert!(client.query("?.dbE.r(.stkCode=ibm, .date=3/4/85, .clsPrice=15)").unwrap().is_true());
+    drop(client);
+    let stats = handle.shutdown();
+    assert_eq!(stats.group_commit_records, calls.len() as u64);
+    assert!(
+        stats.group_commit_records >= 4 * stats.group_commits,
+        "{} records in {} group commits",
+        stats.group_commit_records,
+        stats.group_commits
+    );
+}
+
 /// A §7.1 program call carries no sign but writes: sent as a `Query`
 /// frame it is refused with `E-USAGE` and the universe does not move; the
 /// same call in an `Update` frame writes.
