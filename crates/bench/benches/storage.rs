@@ -1,15 +1,16 @@
 //! B9 — storage substrate microbenchmarks.
 //!
 //! Baseline costs of the substrate the language sits on: point inserts,
-//! predicate deletes, index build + probe, statistics, snapshot
-//! save/load. These numbers contextualise B1–B8 (how much of a query is
-//! language overhead vs storage work).
+//! predicate deletes, index build + probe, statistics, universe
+//! serialisation. These numbers contextualise B1–B8 (how much of a query
+//! is language overhead vs storage work).
 //!
-//! The snapshot roundtrips run twice — once through the legacy JSON
-//! wrapper and once through the binary codec — so `BENCH_B9.json` keeps
-//! the serialization-tax comparison honest. `BENCH_B9_SIZES=1` skips
-//! criterion and emits one JSON line per universe size with the on-disk
-//! blob sizes of both encodings (the size axis in `BENCH_B9.json`).
+//! The universe roundtrips run twice — once through JSON (the `--save`
+//! export) and once through the binary value container the page file
+//! stores — so `BENCH_B9.json` keeps the serialization-tax comparison
+//! honest. `BENCH_B9_SIZES=1` skips criterion and emits one JSON line per
+//! universe size with the blob sizes of both encodings (the size axis in
+//! `BENCH_B9.json`).
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use idl_bench::stock_store;
@@ -86,12 +87,11 @@ fn bench(c: &mut Criterion) {
             })
         });
 
-        group.bench_function(BenchmarkId::new("snapshot_binary_roundtrip", &label), |b| {
+        group.bench_function(BenchmarkId::new("value_binary_roundtrip", &label), |b| {
             let store = stock_store(stocks, days);
             b.iter(|| {
-                let blob = codec::encode_snapshot(store.universe(), 1, 0, None);
-                let snap = codec::decode_snapshot(&blob).unwrap();
-                let back = Store::from_universe(snap.universe).unwrap();
+                let blob = codec::encode_value(store.universe());
+                let back = Store::from_universe(codec::decode_value(&blob).unwrap()).unwrap();
                 black_box(back.database_names().len())
             })
         });
@@ -110,14 +110,14 @@ fn bench(c: &mut Criterion) {
 }
 
 /// The size axis behind `BENCH_B9.json`: one JSON line per universe
-/// size, on-disk bytes of the JSON wrapper vs the binary container.
+/// size, bytes of the JSON universe vs the binary value container.
 fn run_sizes() {
     println!("[");
     let mut first = true;
     for &(stocks, days) in B9_SIZES {
         let store = stock_store(stocks, days);
         let json = persist::to_json(&store).unwrap().len();
-        let binary = codec::encode_snapshot(store.universe(), 1, 0, None).len();
+        let binary = codec::encode_value(store.universe()).len();
         if !first {
             println!(",");
         }

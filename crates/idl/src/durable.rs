@@ -42,10 +42,11 @@
 //!   acknowledge, so further work is refused until a fresh
 //!   [`Engine::open`] rebuilds state from disk.
 //!
-//! Directories written by older builds are migrated on open: a
-//! line-per-statement log to the framed format (atomically, via a temp
-//! file and rename), and snapshot + delta-chain checkpoints into the page
-//! file (see [`idl_storage::engine`]).
+//! A directory an older build laid out — `universe.json` snapshots,
+//! `universe.delta.N` chains, an unfinished `pages.idb.migrating`, or a
+//! log in a format before 4 — is refused with `E-STORAGE` before any file
+//! changes; the error names the file and the last commit whose build
+//! migrates it (see [`idl_storage::engine`]).
 //!
 //! Rules and update programs are *code*: they are not logged, and the
 //! application reinstalls them in the `setup` callback of
@@ -58,10 +59,12 @@ use crate::outcome::Outcome;
 use idl_eval::MaintainedViews;
 use idl_lang::parse_statement;
 use idl_object::Name;
-use idl_storage::codec::{DeltaEntry, SnapshotCodec};
-use idl_storage::engine::{CommitKind, CommitSeal, PagedStorage, StorageSpec, DEFAULT_POOL_PAGES};
+use idl_storage::codec::SnapshotCodec;
+use idl_storage::engine::{
+    CommitKind, CommitSeal, DeltaEntry, PagedStorage, StorageSpec, DEFAULT_POOL_PAGES,
+};
 use idl_storage::journal::ChangeScope;
-use idl_storage::oplog::{DurabilityStats, LogFormat};
+use idl_storage::oplog::{DurabilityStats, LogFormat, LOG_FILE};
 use idl_storage::session::Session;
 use idl_storage::store::Store;
 use idl_storage::vfs::{RealVfs, Vfs, VfsStats};
@@ -100,7 +103,7 @@ pub enum CheckpointPolicy {
     /// checkpoint in place; rewrite the whole file when there is no base
     /// yet or the universe was mutated unscoped.
     Auto {
-        /// The delta-chain cap of snapshot-era directories. The page file
+        /// A delta-chain cap older checkpoint formats had. The page file
         /// keeps no chain, so only 0 (every checkpoint full) differs from
         /// any other value.
         max_chain: usize,
@@ -134,7 +137,7 @@ impl std::str::FromStr for CheckpointPolicy {
 pub struct DurabilityOptions {
     /// Fsync policy for the log and checkpoints.
     pub sync: SyncPolicy,
-    /// Log format (framed; a legacy line log is migrated on open).
+    /// Log format (framed, format 4).
     pub format: LogFormat,
     /// Checkpoint encoding (binary, inside the page file).
     pub codec: SnapshotCodec,
@@ -346,15 +349,12 @@ impl Engine {
 
     /// The fully general open: explicit [`Vfs`] (real or simulated) and
     /// [`DurabilityOptions`]. Recovery order: the page file recovers its
-    /// committed universe (sweeping stale temp files and migrating a
-    /// snapshot-era directory first), `setup` runs, then the log session
+    /// committed universe (refusing a directory an older build laid out,
+    /// then sweeping stale temp files), `setup` runs, then the log session
     /// opens and the tail replays (skipping records the recovered state
-    /// already covers, truncating any torn tail, migrating a legacy
-    /// line-format log to framed). Setup and replay run on the engine
-    /// before durability is attached, so neither is logged again.
-    ///
-    /// A directory holding both `universe.json` and `pages.idb` is
-    /// refused before anything is touched: either file may be the newer.
+    /// already covers, truncating any torn tail). Setup and replay run on
+    /// the engine before durability is attached, so neither is logged
+    /// again.
     pub fn open_with_vfs(
         dir: impl Into<PathBuf>,
         vfs: Arc<dyn Vfs>,
@@ -371,8 +371,6 @@ impl Engine {
         let mut storage = PagedStorage::new(Arc::clone(&vfs), &dir, pool_pages);
         let recovered = storage.recover()?;
         stats.stale_temps_removed = recovered.stale_temps_removed;
-        stats.migrated_snapshot = recovered.migrated_snapshot;
-        stats.snapshot_bytes_written += recovered.migration_bytes;
         let snap_lsn = recovered.lsn;
         let maint_state = recovered.maintenance;
         let mut store = match recovered.universe {
@@ -396,11 +394,10 @@ impl Engine {
             }
         }
 
-        let (log, opened) = Session::open(Arc::clone(&vfs), dir.join("ops.idl"), sync, snap_lsn)?;
-        stats.migrated_legacy = opened.migrated_legacy;
+        let (log, opened) = Session::open(Arc::clone(&vfs), dir.join(LOG_FILE), sync, snap_lsn)?;
         stats.torn_bytes_truncated = opened.torn_bytes_truncated;
         let mut lsn = snap_lsn;
-        for rec in &opened.records {
+        for (ordinal, rec) in (1..).zip(&opened.records) {
             if rec.lsn <= lsn {
                 // The checkpoint state (or an earlier duplicate) already
                 // contains this record — the crash-mid-checkpoint
@@ -421,9 +418,8 @@ impl Engine {
                     rec.lsn, lsn
                 )));
             }
-            let stmt = parse_statement(&rec.stmt).map_err(|e| {
-                EngineError::Storage(format!("corrupt log at line {}: {e}", rec.line))
-            })?;
+            let stmt = parse_statement(&rec.stmt)
+                .map_err(|e| EngineError::Storage(format!("corrupt log at line {ordinal}: {e}")))?;
             engine.execute_statement(stmt)?;
             lsn = rec.lsn;
             stats.records_recovered += 1;
@@ -515,7 +511,7 @@ pub(crate) fn not_durable(what: &str) -> EngineError {
 mod tests {
     use super::*;
     use idl_object::Value;
-    use idl_storage::codec::{self, DeltaBlob};
+    use idl_storage::crc::crc32c;
     use idl_storage::oplog;
     use idl_storage::vfs::{FaultPlan, SimVfs};
     use std::path::Path;
@@ -605,7 +601,7 @@ mod tests {
     fn corrupt_log_reported() {
         let dir = fresh_dir("corrupt");
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("ops.idl"), "?this is (not idl\n").unwrap();
+        std::fs::write(dir.join("ops.idl"), oplog::encode_log([(1, "?this is (not idl")])).unwrap();
         let Err(err) = Engine::open(&dir).map(|_| ()) else {
             panic!("corrupt log must be rejected")
         };
@@ -643,31 +639,6 @@ mod tests {
         assert_eq!(log.records.len(), 1);
         assert_eq!(log.records[0].lsn, 1);
         assert_eq!(log.records[0].stmt, "?.db.r+(.a = 1)", "canonical surface form logged");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn legacy_line_log_replays_and_migrates_to_framed() {
-        let dir = fresh_dir("migrate");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join("ops.idl"),
-            "?.db.r+(.a=1)\n% a comment\n?.db.r+(.a=2)\n?.db.r+(.a=",
-        )
-        .unwrap();
-        let mut d = Engine::open(&dir).unwrap();
-        assert_eq!(d.query("?.db.r(.a=X)").unwrap().column("X").len(), 2);
-        let stats = d.durability_stats();
-        assert!(stats.migrated_legacy);
-        assert_eq!(stats.records_recovered, 2);
-        assert_eq!(stats.torn_bytes_truncated, "?.db.r+(.a=".len() as u64);
-        let bytes = std::fs::read(dir.join("ops.idl")).unwrap();
-        assert!(bytes.starts_with(oplog::MAGIC), "log migrated to framed");
-        // appends continue after migration and everything replays again
-        d.update("?.db.r+(.a=3)").unwrap();
-        drop(d);
-        let mut d = Engine::open(&dir).unwrap();
-        assert_eq!(d.query("?.db.r(.a=X)").unwrap().column("X").len(), 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -892,9 +863,8 @@ mod tests {
         assert_eq!((stats.full_checkpoints, stats.delta_checkpoints), (2, 2));
         drop(d);
         assert_eq!(file_names(&vfs), ["ops.idl", "pages.idb"]);
-        let log = oplog::decode_log(&vfs.read(Path::new("/d/ops.idl")).unwrap()).unwrap();
-        assert_eq!(log.version, oplog::FORMAT_VERSION);
-        assert_eq!(log.codec_hint, oplog::CODEC_HINT_BINARY);
+        let log = vfs.read(Path::new("/d/ops.idl")).unwrap();
+        assert_eq!(log, oplog::header_bytes(), "a rotated log is the format-4 header alone");
         // the Full policy never edits in place
         let opts = DurabilityOptions { checkpoint: CheckpointPolicy::Full, ..Default::default() };
         let mut d = sim_open(&vfs, opts).unwrap();
@@ -920,113 +890,63 @@ mod tests {
         assert!(err.to_string().contains("recovery gap"), "{err}");
     }
 
-    /// The updates a snapshot-era directory holds: the first two in its
-    /// base snapshot, the rest in delta files and the log tail.
-    const ERA_UPDATES: [&str; 5] =
-        ["?.db.r+(.a=1)", "?.gone.t+(.b=1)", "?.db.r+(.a=2)", "?.gone.t-(.b=1)", "?.db.r+(.a=3)"];
-
-    /// The universe after the first `n` [`ERA_UPDATES`].
-    fn era_universe(n: usize) -> Value {
-        let mut e = Engine::new();
-        for u in &ERA_UPDATES[..n] {
-            e.update(u).unwrap();
-        }
-        e.store().universe().clone()
+    /// A one-record log in framing format 2 (no flags byte) or 3, the
+    /// formats before this build's.
+    fn old_framed_log(version: u32) -> Vec<u8> {
+        let mut body = 1u64.to_le_bytes().to_vec();
+        body.extend_from_slice(if version == 2 { b"" } else { b"\0" });
+        body.extend_from_slice(b"?.db.r+(.a=1)");
+        let mut bytes = oplog::MAGIC.to_vec();
+        bytes.extend_from_slice(&version.to_le_bytes());
+        bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32c(&body).to_le_bytes());
+        bytes.extend_from_slice(&body);
+        bytes
     }
 
-    /// How a snapshot-era directory's base snapshot is encoded.
-    #[derive(Clone, Copy, Debug)]
-    enum Base {
-        BareJson,
-        JsonWrapper,
-        BinaryWithChain,
-    }
-
-    /// Writes the directory an older build left: a `base` snapshot of
-    /// the first two updates, a two-delta chain after a binary base, and
-    /// the remaining updates in the log (a line log after a bare
-    /// universe, which records no LSN).
-    fn forge_snapshot_era(vfs: &SimVfs, base: Base) {
-        let dir = Path::new("/d");
-        vfs.create_dir_all(dir).unwrap();
-        let json = serde_json::to_string(&era_universe(2)).unwrap();
-        let framed = |from: usize| {
-            oplog::encode_log((from..ERA_UPDATES.len()).map(|i| (i as u64 + 1, ERA_UPDATES[i])))
-        };
-        let (snapshot, log) = match base {
-            Base::BareJson => {
-                let lines: String = ERA_UPDATES[2..].iter().map(|u| format!("{u}\n")).collect();
-                (json.into_bytes(), lines.into_bytes())
-            }
-            Base::JsonWrapper => {
-                let wrapper =
-                    format!(r#"{{"format":2,"lsn":2,"universe":{json},"maintenance":null}}"#);
-                (wrapper.into_bytes(), framed(2))
-            }
-            Base::BinaryWithChain => {
-                for seq in 1..=2u64 {
-                    let universe = era_universe(seq as usize + 2);
-                    let entries = universe.as_tuple().unwrap().iter();
-                    let entries = entries.map(|(db, v)| DeltaEntry::PutDatabase {
-                        db: db.clone(),
-                        value: v.clone(),
-                    });
-                    let delta = DeltaBlob {
-                        gen: 1,
-                        seq,
-                        prev_lsn: seq + 1,
-                        lsn: seq + 2,
-                        maintenance: None,
-                        entries: entries.collect(),
-                    };
-                    let path = dir.join(format!("universe.delta.{seq}"));
-                    vfs.write(&path, &codec::encode_delta(&delta)).unwrap();
-                }
-                (codec::encode_snapshot(&era_universe(2), 1, 2, None), framed(4))
-            }
-        };
-        vfs.write(&dir.join("universe.json"), &snapshot).unwrap();
-        vfs.write(&dir.join("ops.idl"), &log).unwrap();
-    }
-
-    #[test]
-    fn snapshot_era_directories_migrate_into_the_page_file_once() {
-        let want = Engine::from_universe(era_universe(ERA_UPDATES.len()))
-            .unwrap()
-            .universe_json()
-            .unwrap();
-        for base in [Base::BareJson, Base::JsonWrapper, Base::BinaryWithChain] {
-            let vfs = Arc::new(SimVfs::new(FaultPlan::none(42)));
-            forge_snapshot_era(&vfs, base);
-            let d = sim_open(&vfs, DurabilityOptions::default()).unwrap();
-            assert!(d.durability_stats().migrated_snapshot, "{base:?}");
-            assert_eq!(d.universe_json().unwrap(), want, "{base:?}");
-            drop(d);
-            assert_eq!(file_names(&vfs), ["ops.idl", "pages.idb"], "{base:?}");
-            let d = sim_open(&vfs, DurabilityOptions::default()).unwrap();
-            assert!(!d.durability_stats().migrated_snapshot, "{base:?}: migration is one-shot");
-            assert_eq!(d.universe_json().unwrap(), want, "{base:?}");
-        }
-    }
-
+    /// Every layout an older build left is refused before any file
+    /// changes, a stale temp file included: the refusal comes before the
+    /// sweep.
     #[test]
     fn a_snapshot_beside_a_page_file_is_refused_untouched() {
-        let vfs = Arc::new(SimVfs::new(FaultPlan::none(41)));
-        {
-            let mut d = sim_open(&vfs, DurabilityOptions::default()).unwrap();
-            d.update("?.db.r+(.a=1)").unwrap();
-            d.checkpoint().unwrap();
-            d.update("?.db.r+(.a=2)").unwrap();
+        let json = serde_json::to_string(&Value::empty_tuple()).unwrap();
+        let wrapper = format!(r#"{{"format":2,"lsn":0,"universe":{json},"maintenance":null}}"#);
+        // an IDLSNAP3 container: version 3, gen 1, lsn 0, no maintenance
+        // blob, an empty name table, the empty tuple
+        let body = [3, 1, 0, 0, 0, 7, 0];
+        let snap3 = [&b"IDLSNAP3"[..], &crc32c(&body).to_le_bytes(), &body].concat();
+        let rows: [(&str, &[u8], bool); 9] = [
+            ("universe.json", json.as_bytes(), false),
+            ("universe.json", wrapper.as_bytes(), false),
+            ("universe.json", &snap3, false),
+            ("universe.json", b"{}", true),
+            ("universe.delta.1", b"IDLDELT3", false),
+            ("pages.idb.migrating", &[0; 64], false),
+            ("ops.idl", b"?.db.r+(.a=1)\n", false),
+            ("ops.idl", &old_framed_log(2), false),
+            ("ops.idl", &old_framed_log(3), false),
+        ];
+        for (row, (name, bytes, beside_a_page_file)) in rows.into_iter().enumerate() {
+            let vfs = Arc::new(SimVfs::new(FaultPlan::none(41)));
+            vfs.create_dir_all(Path::new("/d")).unwrap();
+            if beside_a_page_file {
+                let mut d = sim_open(&vfs, DurabilityOptions::default()).unwrap();
+                d.update("?.db.r+(.a=1)").unwrap();
+                d.checkpoint().unwrap();
+                d.update("?.db.r+(.a=2)").unwrap();
+            }
+            vfs.write(&Path::new("/d").join(name), bytes).unwrap();
+            vfs.write(Path::new("/d/ops.idl.1.0.tmp"), b"torn").unwrap();
+            let before = dir_image(&vfs);
+            let Err(err) = sim_open(&vfs, DurabilityOptions::default()) else {
+                panic!("row {row}: a directory holding {name} opened")
+            };
+            let msg = err.to_string();
+            assert_eq!(err.code(), "E-STORAGE", "row {row}: {msg}");
+            assert!(msg.contains(&format!("/d/{name}:")), "row {row}: {msg}");
+            assert!(msg.contains("4a1333f"), "row {row}: {msg}");
+            assert_eq!(dir_image(&vfs), before, "row {row}: a refused open changed a file");
         }
-        vfs.write(Path::new("/d/universe.json"), b"{}").unwrap();
-        // a stale temp file too: the refusal comes before the sweep
-        vfs.write(Path::new("/d/ops.idl.1.0.tmp"), b"torn").unwrap();
-        let before = dir_image(&vfs);
-        let Err(err) = sim_open(&vfs, DurabilityOptions::default()) else {
-            panic!("a directory holding both layouts opened")
-        };
-        assert!(err.to_string().contains("universe.json"), "{err}");
-        assert_eq!(dir_image(&vfs), before, "a refused open creates or changes no file");
     }
 
     #[test]

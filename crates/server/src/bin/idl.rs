@@ -11,7 +11,8 @@
 //!
 //! # Engine flags (script mode and `serve`)
 //!
-//! * `--snapshot F` — load the universe from a JSON snapshot first.
+//! * `--snapshot F` — load the universe from a JSON snapshot (what
+//!   `--save` writes) first; any other file is refused.
 //! * `--save F` — write the universe back after all scripts ran.
 //! * `--stock` — preload the paper's miniature stock universe.
 //! * `--mapping` — install the paper's two-level mapping (views + programs).
@@ -19,8 +20,8 @@
 //!   with [`Engine::open_with_vfs`] (page-file checkpoints + checksummed operation log);
 //!   mutating requests are logged and fsynced before their outcome
 //!   prints. With `--mapping`, the mapping installs before the log
-//!   replays. A directory older builds checkpointed as `universe.json`
-//!   (+ delta files) is migrated into the page file on open.
+//!   replays. A directory an older build laid out (`universe.json`,
+//!   delta files, a log before format 4) is refused, unchanged.
 //! * `--fsync always|off` — log/checkpoint fsync policy under `--durable`
 //!   (default `always`; `off` is the unsafe ablation mode).
 //! * `--pool-pages N` — buffer-pool capacity of the page file under
@@ -634,11 +635,8 @@ fn print_durability_stats(d: &DurabilityStats) {
         d.records_recovered, d.records_skipped, d.torn_bytes_truncated
     );
     println!(
-        "   checkpoints:    {} full, {} in place ({}B written{})",
-        d.full_checkpoints,
-        d.delta_checkpoints,
-        d.snapshot_bytes_written,
-        if d.migrated_snapshot { "; snapshot directory migrated at open" } else { "" }
+        "   checkpoints:    {} full, {} in place ({}B written)",
+        d.full_checkpoints, d.delta_checkpoints, d.snapshot_bytes_written
     );
     println!("   storage:        {} pages in the page file", d.storage_pages);
     if let Some(p) = &d.pool {

@@ -1,28 +1,18 @@
-//! The binary value codec (snapshot format 3).
+//! The binary value codec.
 //!
-//! JSON snapshots were the serialization tax on every checkpoint, durable
-//! restart, and oversized `DumpUniverse` frame (B9 measured the 40×150
-//! universe's JSON roundtrip at ~71 ms). This module replaces them with a
+//! JSON was the serialization tax on every checkpoint, durable restart,
+//! and oversized `DumpUniverse` frame (B9 measured the 40×150 universe's
+//! JSON roundtrip at ~71 ms). This module replaces it with a
 //! length-prefixed, varint-based, tagged binary encoding of the object
-//! model, carried inside CRC-32C-checksummed containers:
+//! model, carried inside one CRC-32C-checksummed container:
 //!
 //! ```text
-//! container: magic[8] | crc32c(body):u32le | body
-//! body:      version:varint | <container-specific payload>
+//! container: "IDLBVAL3" | crc32c(body):u32le | body
+//! body:      version:varint | name table | value
 //! ```
 //!
-//! Three container kinds share the layout and differ only in magic and
-//! payload:
-//!
-//! * [`SNAPSHOT_MAGIC`] — a full universe snapshot
-//!   (`gen | lsn | maintenance | name table | universe value`);
-//! * [`DELTA_MAGIC`] — an incremental delta checkpoint
-//!   (`gen | seq | prev_lsn | lsn | maintenance | name table | entries`),
-//!   recording only the databases/relations dirtied since the previous
-//!   checkpoint in the chain — written by older builds, now read only to
-//!   migrate their directories (see [`crate::engine`]);
-//! * [`VALUE_MAGIC`] — a bare value (the server's negotiated binary
-//!   `DumpUniverse` payload).
+//! The page file stores its rows and blobs in it ([`crate::engine`]), and
+//! the server's negotiated binary `DumpUniverse` payload is one.
 //!
 //! # Value encoding
 //!
@@ -51,28 +41,21 @@
 //!
 //! The body CRC makes corruption detection unconditional: any byte flip in
 //! the body (or the CRC field itself) fails the checksum, a flip in the
-//! magic demotes the blob to the JSON fallback path, and the structural
-//! decoder additionally bounds-checks every read, caps recursion depth,
-//! and rejects duplicate tuple attributes or set members — a corrupt blob
-//! yields an error, never a panic or a half-built value
-//! (`tests/prop_codec_roundtrip.rs`).
+//! magic fails the magic check, and the structural decoder additionally
+//! bounds-checks every read, caps recursion depth, and rejects duplicate
+//! tuple attributes or set members — a corrupt blob yields an error, never
+//! a panic or a half-built value (`tests/prop_codec_roundtrip.rs`).
 //!
 //! Encoding walks the tree by reference: the Arc-backed copy-on-write
-//! interiors (`idl_object::sharing`) are never cloned or mutated, so a
-//! snapshot encode does not disturb structural sharing.
+//! interiors (`idl_object::sharing`) are never cloned or mutated, so an
+//! encode does not disturb structural sharing.
 
 use crate::crc::crc32c;
 use crate::error::{StorageError, StorageResult};
 use idl_object::{Atom, Date, Name, TupleObj, Value, F64};
 use std::collections::HashMap;
 
-/// Magic opening a binary snapshot container (snapshot format 3).
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"IDLSNAP3";
-
-/// Magic opening a delta-checkpoint container.
-pub const DELTA_MAGIC: &[u8; 8] = b"IDLDELT3";
-
-/// Magic opening a bare-value container (server wire payloads).
+/// Magic opening a value container.
 pub const VALUE_MAGIC: &[u8; 8] = b"IDLBVAL3";
 
 /// Current binary container version. Readers reject anything newer.
@@ -85,78 +68,11 @@ const MAX_DEPTH: usize = 512;
 
 /// The encoding checkpoints are written in: this module's, inside the
 /// page file. It has one variant because `DurabilityOptions::codec` and
-/// the benchmark package name it; JSON snapshots are only read.
+/// the benchmark package name it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SnapshotCodec {
     /// The binary encoding of this module.
     Binary,
-}
-
-/// One entry of a delta checkpoint: the post-image (or tombstone) of a
-/// database or relation dirtied since the previous checkpoint.
-#[derive(Clone, PartialEq, Debug)]
-pub enum DeltaEntry {
-    /// The database was dropped.
-    DropDatabase {
-        /// Database name.
-        db: Name,
-    },
-    /// The database's entire subtree, post-change (created, or a
-    /// relation-set change at database granularity).
-    PutDatabase {
-        /// Database name.
-        db: Name,
-        /// The database tuple (relations by name).
-        value: Value,
-    },
-    /// The relation was dropped (and its database survives).
-    DropRelation {
-        /// Database name.
-        db: Name,
-        /// Relation name.
-        rel: Name,
-    },
-    /// The relation's full post-change contents.
-    PutRelation {
-        /// Database name.
-        db: Name,
-        /// Relation name.
-        rel: Name,
-        /// The relation set.
-        value: Value,
-    },
-}
-
-/// A decoded snapshot container.
-#[derive(Clone, PartialEq, Debug)]
-pub struct SnapshotBlob {
-    /// Checkpoint generation (bumped by every full checkpoint; deltas
-    /// chain-link to it).
-    pub gen: u64,
-    /// Operation-log LSN the snapshot covers.
-    pub lsn: u64,
-    /// Opaque engine-state blob (view-maintenance support counts).
-    pub maintenance: Option<String>,
-    /// The universe tuple.
-    pub universe: Value,
-}
-
-/// A decoded delta-checkpoint container.
-#[derive(Clone, PartialEq, Debug)]
-pub struct DeltaBlob {
-    /// Generation of the base snapshot this delta extends.
-    pub gen: u64,
-    /// Position in the chain (1-based; file `universe.delta.<seq>`).
-    pub seq: u64,
-    /// LSN covered by the chain's previous member (the base for seq 1).
-    pub prev_lsn: u64,
-    /// LSN this delta covers.
-    pub lsn: u64,
-    /// Opaque engine-state blob as of this checkpoint (the chain's newest
-    /// member wins; `None` means the views were stale when it was taken).
-    pub maintenance: Option<String>,
-    /// The dirtied slots, post-image or tombstone.
-    pub entries: Vec<DeltaEntry>,
 }
 
 // ------------------------------------------------------------------ varint
@@ -273,17 +189,6 @@ impl Encoder {
     }
 }
 
-fn put_opt_str(out: &mut Vec<u8>, s: Option<&str>) {
-    match s {
-        None => out.push(0),
-        Some(s) => {
-            out.push(1);
-            put_varint(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
-        }
-    }
-}
-
 /// Wraps a finished body in `magic | crc | body`.
 fn seal(magic: &[u8; 8], body: Vec<u8>) -> Vec<u8> {
     let mut out = Vec::with_capacity(12 + body.len());
@@ -293,59 +198,7 @@ fn seal(magic: &[u8; 8], body: Vec<u8>) -> Vec<u8> {
     out
 }
 
-/// Encodes a full snapshot container.
-pub fn encode_snapshot(universe: &Value, gen: u64, lsn: u64, maintenance: Option<&str>) -> Vec<u8> {
-    let mut body = Vec::new();
-    put_varint(&mut body, CODEC_VERSION);
-    put_varint(&mut body, gen);
-    put_varint(&mut body, lsn);
-    put_opt_str(&mut body, maintenance);
-    let mut enc = Encoder::new();
-    enc.put_value(universe);
-    enc.finish_into(&mut body);
-    seal(SNAPSHOT_MAGIC, body)
-}
-
-/// Encodes a delta-checkpoint container.
-pub fn encode_delta(delta: &DeltaBlob) -> Vec<u8> {
-    let mut body = Vec::new();
-    put_varint(&mut body, CODEC_VERSION);
-    put_varint(&mut body, delta.gen);
-    put_varint(&mut body, delta.seq);
-    put_varint(&mut body, delta.prev_lsn);
-    put_varint(&mut body, delta.lsn);
-    put_opt_str(&mut body, delta.maintenance.as_deref());
-    let mut enc = Encoder::new();
-    put_varint(&mut enc.tree, delta.entries.len() as u64);
-    for entry in &delta.entries {
-        match entry {
-            DeltaEntry::DropDatabase { db } => {
-                enc.tree.push(0);
-                enc.put_name(db);
-            }
-            DeltaEntry::PutDatabase { db, value } => {
-                enc.tree.push(1);
-                enc.put_name(db);
-                enc.put_value(value);
-            }
-            DeltaEntry::DropRelation { db, rel } => {
-                enc.tree.push(2);
-                enc.put_name(db);
-                enc.put_name(rel);
-            }
-            DeltaEntry::PutRelation { db, rel, value } => {
-                enc.tree.push(3);
-                enc.put_name(db);
-                enc.put_name(rel);
-                enc.put_value(value);
-            }
-        }
-    }
-    enc.finish_into(&mut body);
-    seal(DELTA_MAGIC, body)
-}
-
-/// Encodes a bare value container (server wire payloads).
+/// Encodes a value container.
 pub fn encode_value(v: &Value) -> Vec<u8> {
     let mut body = Vec::new();
     put_varint(&mut body, CODEC_VERSION);
@@ -353,14 +206,6 @@ pub fn encode_value(v: &Value) -> Vec<u8> {
     enc.put_value(v);
     enc.finish_into(&mut body);
     seal(VALUE_MAGIC, body)
-}
-
-/// Whether `bytes` open with any of this module's container magics.
-pub fn is_binary(bytes: &[u8]) -> bool {
-    bytes.len() >= 8
-        && (&bytes[..8] == SNAPSHOT_MAGIC
-            || &bytes[..8] == DELTA_MAGIC
-            || &bytes[..8] == VALUE_MAGIC)
 }
 
 // ------------------------------------------------------------------ reader
@@ -419,17 +264,6 @@ impl<'a> Reader<'a> {
 
     fn str_of(&mut self, len: usize) -> StorageResult<&'a str> {
         std::str::from_utf8(self.bytes(len)?).map_err(|e| corrupt(format!("invalid UTF-8: {e}")))
-    }
-
-    fn opt_string(&mut self) -> StorageResult<Option<String>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => {
-                let len = self.varint()? as usize;
-                Ok(Some(self.str_of(len)?.to_string()))
-            }
-            t => Err(corrupt(format!("bad option tag {t}"))),
-        }
     }
 
     fn name_table(&mut self) -> StorageResult<()> {
@@ -552,61 +386,7 @@ fn check_consumed(r: &Reader<'_>, what: &str) -> StorageResult<()> {
     Ok(())
 }
 
-/// Decodes a snapshot container.
-pub fn decode_snapshot(bytes: &[u8]) -> StorageResult<SnapshotBlob> {
-    let body = unseal(SNAPSHOT_MAGIC, bytes, "snapshot")?;
-    let mut r = Reader::new(body);
-    check_version(&mut r)?;
-    let gen = r.varint()?;
-    let lsn = r.varint()?;
-    let maintenance = r.opt_string()?;
-    r.name_table()?;
-    let universe = r.value(0)?;
-    check_consumed(&r, "snapshot")?;
-    Ok(SnapshotBlob { gen, lsn, maintenance, universe })
-}
-
-/// Decodes a delta-checkpoint container.
-pub fn decode_delta(bytes: &[u8]) -> StorageResult<DeltaBlob> {
-    let body = unseal(DELTA_MAGIC, bytes, "delta checkpoint")?;
-    let mut r = Reader::new(body);
-    check_version(&mut r)?;
-    let gen = r.varint()?;
-    let seq = r.varint()?;
-    let prev_lsn = r.varint()?;
-    let lsn = r.varint()?;
-    let maintenance = r.opt_string()?;
-    r.name_table()?;
-    let count = r.varint()? as usize;
-    if count > r.buf.len().saturating_sub(r.at) {
-        return Err(corrupt(format!("delta entry count {count} overruns the buffer")));
-    }
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let entry = match r.u8()? {
-            0 => DeltaEntry::DropDatabase { db: r.name()? },
-            1 => {
-                let db = r.name()?;
-                DeltaEntry::PutDatabase { db, value: r.value(0)? }
-            }
-            2 => {
-                let db = r.name()?;
-                DeltaEntry::DropRelation { db, rel: r.name()? }
-            }
-            3 => {
-                let db = r.name()?;
-                let rel = r.name()?;
-                DeltaEntry::PutRelation { db, rel, value: r.value(0)? }
-            }
-            t => return Err(corrupt(format!("unknown delta entry kind {t}"))),
-        };
-        entries.push(entry);
-    }
-    check_consumed(&r, "delta checkpoint")?;
-    Ok(DeltaBlob { gen, seq, prev_lsn, lsn, maintenance, entries })
-}
-
-/// Decodes a bare value container.
+/// Decodes a value container.
 pub fn decode_value(bytes: &[u8]) -> StorageResult<Value> {
     let body = unseal(VALUE_MAGIC, bytes, "value")?;
     let mut r = Reader::new(body);
@@ -615,38 +395,6 @@ pub fn decode_value(bytes: &[u8]) -> StorageResult<Value> {
     let v = r.value(0)?;
     check_consumed(&r, "value")?;
     Ok(v)
-}
-
-/// Applies a decoded delta to a universe tuple (the recovery-side merge:
-/// `base ∘ delta₁ ∘ … ∘ deltaₙ`). Entries are post-images, so application
-/// is idempotent.
-pub fn apply_delta(universe: &mut Value, delta: &DeltaBlob) -> StorageResult<()> {
-    let top = universe
-        .as_tuple_mut()
-        .ok_or_else(|| StorageError::ShapeViolation("universe must be a tuple".into()))?;
-    for entry in &delta.entries {
-        match entry {
-            DeltaEntry::DropDatabase { db } => {
-                top.remove(db.as_str());
-            }
-            DeltaEntry::PutDatabase { db, value } => {
-                top.insert(db.clone(), value.clone());
-            }
-            DeltaEntry::DropRelation { db, rel } => {
-                if let Some(dbt) = top.get_mut(db.as_str()).and_then(|v| v.as_tuple_mut()) {
-                    dbt.remove(rel.as_str());
-                }
-            }
-            DeltaEntry::PutRelation { db, rel, value } => {
-                let dbv = top.get_or_insert_with(db.clone(), Value::empty_tuple);
-                let dbt = dbv.as_tuple_mut().ok_or_else(|| {
-                    StorageError::ShapeViolation(format!("database {db} is not a tuple"))
-                })?;
-                dbt.insert(rel.clone(), value.clone());
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -684,17 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_roundtrip_with_state() {
-        let u = sample_universe();
-        let bytes = encode_snapshot(&u, 7, 41, Some("{\"views\":[]}"));
-        let snap = decode_snapshot(&bytes).unwrap();
-        assert_eq!(snap.gen, 7);
-        assert_eq!(snap.lsn, 41);
-        assert_eq!(snap.maintenance.as_deref(), Some("{\"views\":[]}"));
-        assert_eq!(snap.universe, u);
-    }
-
-    #[test]
     fn interning_compresses_repeated_names() {
         let mut u = Value::empty_set();
         let s = u.as_set_mut().unwrap();
@@ -710,15 +447,15 @@ mod tests {
     #[test]
     fn every_single_byte_corruption_fails_closed() {
         let u = sample_universe();
-        let bytes = encode_snapshot(&u, 1, 9, Some("state"));
+        let bytes = encode_value(&u);
         for i in 0..bytes.len() {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 0x01;
-            assert!(decode_snapshot(&corrupt).is_err(), "flip at byte {i} must not decode");
+            assert!(decode_value(&corrupt).is_err(), "flip at byte {i} must not decode");
         }
         // truncations fail closed too
         for cut in 0..bytes.len() {
-            assert!(decode_snapshot(&bytes[..cut]).is_err(), "truncation at {cut}");
+            assert!(decode_value(&bytes[..cut]).is_err(), "truncation at {cut}");
         }
     }
 
@@ -730,41 +467,6 @@ mod tests {
         let bytes = seal(VALUE_MAGIC, body);
         let err = decode_value(&bytes).unwrap_err();
         assert!(err.to_string().contains("newer"), "{err}");
-    }
-
-    #[test]
-    fn delta_roundtrip_and_apply() {
-        let mut u = sample_universe();
-        let rel: Value = {
-            let mut s = Value::empty_set();
-            s.as_set_mut().unwrap().insert(tuple! { a: 1i64 });
-            s
-        };
-        let delta = DeltaBlob {
-            gen: 3,
-            seq: 2,
-            prev_lsn: 10,
-            lsn: 15,
-            maintenance: None,
-            entries: vec![
-                DeltaEntry::PutRelation {
-                    db: Name::new("euter"),
-                    rel: Name::new("s"),
-                    value: rel.clone(),
-                },
-                DeltaEntry::DropRelation { db: Name::new("euter"), rel: Name::new("r") },
-                DeltaEntry::PutDatabase { db: Name::new("fresh"), value: Value::empty_tuple() },
-                DeltaEntry::DropDatabase { db: Name::new("nosuch") },
-            ],
-        };
-        let bytes = encode_delta(&delta);
-        let back = decode_delta(&bytes).unwrap();
-        assert_eq!(back, delta);
-
-        apply_delta(&mut u, &back).unwrap();
-        assert_eq!(u.attr("euter").unwrap().attr("s"), Some(&rel));
-        assert!(u.attr("euter").unwrap().attr("r").is_none());
-        assert!(u.attr("fresh").is_some());
     }
 
     #[test]

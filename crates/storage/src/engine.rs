@@ -19,33 +19,24 @@
 //! returns the universe the page file covers plus the op-log LSN to
 //! replay from.
 //!
-//! # Snapshot-era directories
+//! # One on-disk format
 //!
-//! Older builds checkpointed into `universe.json` — a bare JSON universe,
-//! the JSON wrapper, or an `IDLSNAP3` binary snapshot — extended by a
-//! `universe.delta.N` chain. `recover` reads such a directory once and
-//! migrates it into the page file at the same covered LSN with the same
-//! maintenance blob, crash-safely at every file-system operation:
-//!
-//! 1. commit the recovered universe to `pages.idb.migrating` and sync it
-//!    (the side name must not end in `.tmp`, which the stale-temp sweep
-//!    would remove once finished);
-//! 2. remove `universe.json`, sync the directory;
-//! 3. remove the delta files, sync the directory;
-//! 4. rename the side file to `pages.idb`, sync the directory.
-//!
-//! A crash before step 2 is durable leaves `universe.json`, so the next
-//! open migrates again; after it, the side file without `universe.json`
-//! means "finish steps 3–4". `universe.json` beside `pages.idb` never
-//! arises from this protocol (it comes from builds that let one
-//! directory hold both representations), and is refused without touching
-//! any file.
+//! A directory holds `pages.idb` and a format-4 `ops.idl`, and nothing
+//! else this build reads. [`recover`](PagedStorage::recover) first
+//! refuses a directory laid out by an older build — a `universe.json`
+//! snapshot, a `universe.delta.N` chain, an unfinished
+//! `pages.idb.migrating`, or an `ops.idl` that is neither empty nor a
+//! (possibly torn) format-4 log — before it changes any file. The error
+//! names the file it found and [`LAST_MIGRATING_COMMIT`], the last build
+//! that migrates such a directory. A later format change follows the same
+//! rule: bump the magic and refuse; never migrate.
 
 use crate::btree;
 use crate::buffer_pool::{BufferPool, BufferPoolStats, Pager};
-use crate::codec::{self, DeltaEntry};
+use crate::codec;
 use crate::error::{StorageError, StorageResult};
 use crate::heap;
+use crate::oplog;
 use crate::page::{self, BlobRef, Meta, PageId, PageRef, PAGE_SIZE};
 use crate::persist::{self, io_err};
 use crate::store::Store;
@@ -60,13 +51,10 @@ pub const DEFAULT_POOL_PAGES: usize = 1024;
 
 /// The page file.
 const PAGE_FILE: &str = "pages.idb";
-/// Where a snapshot-era directory's universe is committed before it
-/// becomes the page file.
-const MIGRATING_FILE: &str = "pages.idb.migrating";
-/// The snapshot-era base checkpoint.
-const SNAPSHOT_FILE: &str = "universe.json";
-/// Prefix of the snapshot-era delta files (`universe.delta.<seq>`).
-const DELTA_PREFIX: &str = "universe.delta.";
+
+/// The last commit whose build migrates a directory this build refuses
+/// (see the module docs).
+pub const LAST_MIGRATING_COMMIT: &str = "4a1333f";
 
 /// How a durable directory stores its checkpoints: the page file with a
 /// buffer pool of `pool_pages` pages. It has one variant because
@@ -131,10 +119,41 @@ pub struct RecoveredState {
     pub maintenance: Option<String>,
     /// Stale temp files swept from the directory.
     pub stale_temps_removed: u64,
-    /// Whether a snapshot-era directory was migrated into the page file.
-    pub migrated_snapshot: bool,
-    /// Bytes written by that migration.
-    pub migration_bytes: u64,
+}
+
+/// One entry of an in-place checkpoint: the post-image (or tombstone) of
+/// a database or relation dirtied since the previous checkpoint.
+#[derive(Clone, PartialEq, Debug)]
+pub enum DeltaEntry {
+    /// The database was dropped.
+    DropDatabase {
+        /// Database name.
+        db: Name,
+    },
+    /// The database's entire subtree, post-change (created, or a
+    /// relation-set change at database granularity).
+    PutDatabase {
+        /// Database name.
+        db: Name,
+        /// The database tuple (relations by name).
+        value: Value,
+    },
+    /// The relation was dropped (and its database survives).
+    DropRelation {
+        /// Database name.
+        db: Name,
+        /// Relation name.
+        rel: Name,
+    },
+    /// The relation's full post-change contents.
+    PutRelation {
+        /// Database name.
+        db: Name,
+        /// Relation name.
+        rel: Name,
+        /// The relation set.
+        value: Value,
+    },
 }
 
 // Catalog key encoding (byte-ordered so a database's entry sorts
@@ -337,12 +356,8 @@ pub struct PagedStorage {
 impl PagedStorage {
     /// The checkpoint store of `dir`; call `recover` before use.
     pub fn new(vfs: Arc<dyn Vfs>, dir: impl Into<PathBuf>, pool_pages: usize) -> PagedStorage {
-        Self::at(vfs, dir.into(), PAGE_FILE, pool_pages)
-    }
-
-    /// A store over the page file `file` inside `dir`.
-    fn at(vfs: Arc<dyn Vfs>, dir: PathBuf, file: &str, pool_pages: usize) -> PagedStorage {
-        let path = dir.join(file);
+        let dir = dir.into();
+        let path = dir.join(PAGE_FILE);
         let pool = BufferPool::new(Arc::clone(&vfs), path.clone(), pool_pages);
         PagedStorage {
             vfs,
@@ -885,32 +900,17 @@ impl PagedStorage {
         StorageSpec::Paged { pool_pages: self.pool_pages }
     }
 
-    /// Loads (or initialises) the on-disk state, migrating a
-    /// snapshot-era directory first (see module docs). Called once,
-    /// before any commit or read.
+    /// Loads (or initialises) the on-disk state. Refuses a directory an
+    /// older build laid out before it touches any file, then sweeps stale
+    /// temp files (see module docs). Called once, before any commit or
+    /// read.
     pub fn recover(&mut self) -> StorageResult<RecoveredState> {
-        let has_snapshot = self.vfs.exists(&self.dir.join(SNAPSHOT_FILE));
-        if has_snapshot && self.vfs.exists(&self.path) {
-            return Err(StorageError::Persist(format!(
-                "{} holds both {SNAPSHOT_FILE} and {PAGE_FILE}; refusing to choose between them",
-                self.dir.display()
-            )));
-        }
+        let files = self.vfs.list_dir(&self.dir).map_err(|e| io_err("list directory", e))?;
+        self.refuse_foreign_layout(&files)?;
         let mut out = RecoveredState {
-            stale_temps_removed: persist::clean_stale_temps(self.vfs.as_ref(), &self.dir)?,
+            stale_temps_removed: persist::clean_stale_temps(self.vfs.as_ref(), &files),
             ..RecoveredState::default()
         };
-        if has_snapshot {
-            out.migration_bytes = self.migrate_snapshot()?;
-            out.migrated_snapshot = true;
-        } else if self.vfs.exists(&self.dir.join(MIGRATING_FILE)) {
-            self.finish_migration()?;
-            out.migrated_snapshot = true;
-        }
-        self.has_base = false;
-        self.universe_blob = false;
-        self.meta = Meta { page_count: page::META_SLOTS, ..Meta::default() };
-        self.pager.reset(page::META_SLOTS, Vec::new());
         if !self.vfs.exists(&self.path) {
             return Ok(out);
         }
@@ -1032,76 +1032,32 @@ impl PagedStorage {
         self.pager.page_count()
     }
 
-    /// Steps 1–2 of the migration (see module docs), then 3–4; returns
-    /// the bytes the page-file commit wrote.
-    fn migrate_snapshot(&mut self) -> StorageResult<u64> {
-        let (universe, lsn, maintenance) = self.load_snapshot_era()?;
-        let side = self.dir.join(MIGRATING_FILE);
-        if self.vfs.exists(&side) {
-            // left by a migration that crashed before step 2 was durable
-            self.vfs.remove_file(&side).map_err(|e| io_err("remove unfinished migration", e))?;
-        }
-        let mut target = PagedStorage::at(
-            Arc::clone(&self.vfs),
-            self.dir.clone(),
-            MIGRATING_FILE,
-            self.pool_pages,
-        );
-        let info = target.commit_full(&universe, &CommitSeal { lsn, maintenance, sync: true })?;
-        self.vfs
-            .remove_file(&self.dir.join(SNAPSHOT_FILE))
-            .map_err(|e| io_err("remove migrated snapshot", e))?;
-        self.sync_dir()?;
-        self.finish_migration()?;
-        Ok(info.bytes_written)
-    }
-
-    /// Steps 3–4 of the migration: drop the delta files, then promote
-    /// the side file to the page file.
-    fn finish_migration(&self) -> StorageResult<()> {
-        let files = self.vfs.list_dir(&self.dir).map_err(|e| io_err("list directory", e))?;
+    /// Fails closed on the first file in `files` an older build left
+    /// (see module docs); reads nothing but `ops.idl`'s header.
+    fn refuse_foreign_layout(&self, files: &[PathBuf]) -> StorageResult<()> {
         for path in files {
             let name = path.file_name().map(|n| n.to_string_lossy()).unwrap_or_default();
-            if name.starts_with(DELTA_PREFIX) {
-                self.vfs.remove_file(&path).map_err(|e| io_err("remove migrated delta", e))?;
-            }
+            let what = match name.as_ref() {
+                "universe.json" => "an older build's snapshot checkpoint",
+                "pages.idb.migrating" => "an older build's unfinished snapshot migration",
+                n if n.starts_with("universe.delta.") => "an older build's delta checkpoint",
+                oplog::LOG_FILE => {
+                    let head = self.vfs.read_at(path, 0, oplog::HEADER_LEN as usize);
+                    if oplog::is_current_header(&head.map_err(|e| io_err("read log header", e))?) {
+                        continue;
+                    }
+                    "not a format-4 operation log"
+                }
+                _ => continue,
+            };
+            return Err(StorageError::Persist(format!(
+                "{}: {what}; this build reads only {PAGE_FILE} and a format-4 {}, and commit \
+                 {LAST_MIGRATING_COMMIT} is the last build that migrates such a directory",
+                path.display(),
+                oplog::LOG_FILE
+            )));
         }
-        self.sync_dir()?;
-        self.vfs
-            .rename(&self.dir.join(MIGRATING_FILE), &self.path)
-            .map_err(|e| io_err("promote migrated page file", e))?;
-        self.sync_dir()
-    }
-
-    fn sync_dir(&self) -> StorageResult<()> {
-        self.vfs.sync_dir(&self.dir).map_err(|e| io_err("sync directory", e))
-    }
-
-    /// The universe, covered LSN and maintenance blob of a snapshot-era
-    /// directory: its base snapshot extended by the longest valid prefix
-    /// of its delta chain. A member must carry the base's generation, the
-    /// next `seq`, and `prev_lsn` equal to the LSN covered so far; one
-    /// that does not is a leftover of a crashed compaction and ends the
-    /// chain.
-    fn load_snapshot_era(&self) -> StorageResult<(Value, u64, Option<String>)> {
-        let vfs = self.vfs.as_ref();
-        let (store, meta) = persist::load_snapshot_vfs_meta(vfs, &self.dir.join(SNAPSHOT_FILE))?;
-        let mut universe = store.universe().clone();
-        let (mut lsn, mut maintenance) = (meta.lsn, meta.maintenance);
-        for seq in 1.. {
-            let path = self.dir.join(format!("{DELTA_PREFIX}{seq}"));
-            if !vfs.exists(&path) {
-                break;
-            }
-            let Ok(delta) = persist::load_delta_vfs(vfs, &path) else { break };
-            if delta.gen != meta.gen || delta.seq != seq || delta.prev_lsn != lsn {
-                break;
-            }
-            codec::apply_delta(&mut universe, &delta)?;
-            lsn = delta.lsn;
-            maintenance = delta.maintenance;
-        }
-        Ok((universe, lsn, maintenance))
+        Ok(())
     }
 }
 

@@ -14,14 +14,17 @@
 //! * a coarse **change journal** driving incremental view refresh —
 //!   [`journal`];
 //! * **checkpoints** in a shadow-paged page file behind a buffer pool —
-//!   [`engine::PagedStorage`] — which also migrates directories written
-//!   as snapshot files by older builds ([`persist`] reads those formats
-//!   and owns the crash-safe write→fsync→rename→fsync(dir) protocol);
+//!   [`engine::PagedStorage`] — which refuses a directory laid out by an
+//!   older build instead of migrating it (one on-disk format);
+//! * the **snapshot export** — a bare JSON universe — and the crash-safe
+//!   write→fsync→rename→fsync(dir) protocol — [`persist`];
 //! * a **virtual file system** — [`vfs`] — routing all durability I/O so
 //!   it can run against the real disk or a deterministic fault-injecting
 //!   simulation ([`vfs::SimVfs`]);
 //! * checksummed **operation-log framing** — [`oplog`] — whose recovery
-//!   scan truncates torn tails instead of failing or replaying garbage.
+//!   scan truncates torn tails instead of failing or replaying garbage;
+//! * the binary **value codec** the page file and the server's binary
+//!   payloads share — [`codec`].
 //!
 //! Because IDL updates may restructure *any* part of the universe (delete
 //! an attribute of one tuple, drop a whole relation by deleting a database

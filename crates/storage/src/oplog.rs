@@ -1,32 +1,24 @@
 //! Operation-log record framing.
 //!
-//! The durable engine's `ops.idl` moved from bare statement lines (format
-//! 1, still readable via the migration path) to checksummed binary
-//! framing (format 2), grew a per-record flags byte (format 3), and a
-//! snapshot-codec hint in the header (format 4):
+//! The durable engine's `ops.idl` is a checksummed binary log in format 4,
+//! the only format this build reads or writes:
 //!
 //! ```text
-//! header:  "IDLOPLG2"  version:u32le  codec:u32le         (16 bytes; v≤3: 12)
+//! header:  "IDLOPLG2"  version:u32le=4  codec:u32le=1     (16 bytes)
 //! record:  len:u32le  crc:u32le  lsn:u64le  flags:u8  payload[len-9]
 //! ```
 //!
-//! The `codec` header field (v4+) records which snapshot encoding the
-//! directory's checkpoints pair with ([`CODEC_HINT_JSON`] /
-//! [`CODEC_HINT_BINARY`]). It is diagnostic — recovery reads the
-//! checkpoint files themselves — and every log this build writes says
-//! binary.
-//!
+//! * the `codec` header field records that the directory's checkpoints
+//!   are binary; it is written as 1 and not read;
 //! * `len` counts the LSN, flags and payload, so a record occupies
-//!   `8 + len` bytes on disk (format-2 records have no flags byte and
-//!   `len` counts LSN + payload; they decode with `flags = 0`);
-//! * `flags` is a byte this build writes as 0 and ignores on replay
-//!   (older builds set [`FLAG_MAINTENANCE`]), so logs from either build
-//!   replay;
+//!   `8 + len` bytes on disk;
+//! * `flags` is a byte written as 0 and ignored on replay (older builds
+//!   set it), so every format-4 log replays;
 //! * `crc` is CRC-32C over the body (everything after itself);
 //! * `lsn` is a log sequence number, strictly increasing across the log's
-//!   lifetime (checkpoints included) — snapshots record the LSN they
-//!   cover, so replay after a crash mid-checkpoint skips exactly the
-//!   records the snapshot already contains, and duplicated records are
+//!   lifetime (checkpoints included) — the page file records the LSN it
+//!   covers, so replay after a crash mid-checkpoint skips exactly the
+//!   records the checkpoint already contains, and duplicated records are
 //!   replayed at most once;
 //! * the payload is one request statement in canonical IDL surface
 //!   syntax, UTF-8.
@@ -34,56 +26,39 @@
 //! [`decode_log`] is the recovery-side reader: it stops at the first
 //! torn or checksum-failing record and reports the byte length of the
 //! valid prefix, so the caller can truncate the tail instead of failing
-//! recovery or replaying garbage. Legacy line-format logs (anything not
-//! starting with the magic) decode through the same entry point, with a
-//! trailing newline-less fragment treated as the torn tail.
+//! recovery or replaying garbage. An empty file or a prefix of the header
+//! is a torn create: an empty log that needs its header laid down again.
+//! Any other file — a line-per-statement log, a format-2 or -3 log, a
+//! newer format — is an error: older formats are refused, never migrated
+//! (see [`crate::engine`]).
 
 use crate::crc::crc32c;
 use crate::error::{StorageError, StorageResult};
 
-/// Magic bytes opening a framed log (format 2).
+/// The log's file name inside a durable directory.
+pub const LOG_FILE: &str = "ops.idl";
+
+/// Magic bytes opening a framed log.
 pub const MAGIC: &[u8; 8] = b"IDLOPLG2";
 
-/// Current framing format version.
+/// The framing format version, the only one this build reads.
 pub const FORMAT_VERSION: u32 = 4;
 
-/// The last framing version whose records carried no flags byte.
-const UNFLAGGED_VERSION: u32 = 2;
+/// The header's `codec` field: checkpoints are binary.
+const CODEC_BINARY: u32 = 1;
 
-/// The last framing version with the 12-byte header (no codec hint).
-const SHORT_HEADER_VERSION: u32 = 3;
+/// Bytes occupied by the file header.
+pub const HEADER_LEN: u64 = 16;
 
-/// Record flag older builds set on an update whose views they maintained
-/// inside the write; this build writes 0 and ignores the byte on replay.
-pub const FLAG_MAINTENANCE: u8 = 1;
-
-/// Bytes occupied by the file header in formats ≤ 3.
-pub const HEADER_LEN: u64 = 12;
-
-/// Bytes occupied by the file header in format 4 (adds the codec hint).
-pub const HEADER_LEN_V4: u64 = 16;
-
-/// Header codec hint: checkpoints in this directory are JSON.
-pub const CODEC_HINT_JSON: u32 = 0;
-
-/// Header codec hint: checkpoints in this directory are binary format 3.
-pub const CODEC_HINT_BINARY: u32 = 1;
-
-/// Header length for a given framing version.
-pub fn header_len(version: u32) -> u64 {
-    if version <= SHORT_HEADER_VERSION {
-        HEADER_LEN
-    } else {
-        HEADER_LEN_V4
-    }
-}
+/// Header bytes that must match exactly (magic and version; the codec
+/// field after them is not read).
+const CHECKED_HEADER: usize = 12;
 
 /// Per-record header bytes (`len` + `crc`).
 const RECORD_HEADER: usize = 8;
 
 /// The format this build writes logs in. It has one variant because
-/// `DurabilityOptions::format` and the benchmark package name it; the
-/// pre-framing line format is only read ([`RecoveredLog::legacy_lines`]).
+/// `DurabilityOptions::format` and the benchmark package name it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum LogFormat {
     /// Length-prefixed, CRC-32C-checksummed, LSN-stamped records.
@@ -93,15 +68,10 @@ pub enum LogFormat {
 /// One decoded log record.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Record {
-    /// Log sequence number (legacy lines are numbered 1..=n on read).
+    /// Log sequence number.
     pub lsn: u64,
-    /// Record flags (see [`FLAG_MAINTENANCE`]; 0 for pre-format-3 logs).
-    pub flags: u8,
     /// Canonical statement text.
     pub stmt: String,
-    /// 1-based line number in the source file (legacy format only; framed
-    /// records report their ordinal). For error messages.
-    pub line: usize,
 }
 
 /// The result of scanning a log file.
@@ -109,17 +79,7 @@ pub struct Record {
 pub struct RecoveredLog {
     /// Valid records, in log order.
     pub records: Vec<Record>,
-    /// Whether the file is in the pre-framing format: one statement per
-    /// line, `%` comments.
-    pub legacy_lines: bool,
-    /// Framing version found in the header (legacy line logs report 1).
-    /// The durable engine rewrites pre-current framed logs on open, so
-    /// appends always use the current record layout.
-    pub version: u32,
-    /// Snapshot-codec hint from a v4 header ([`CODEC_HINT_JSON`] for
-    /// every older format, which only had JSON snapshots).
-    pub codec_hint: u32,
-    /// Byte length of the valid prefix (framed logs; for tail truncation).
+    /// Byte length of the valid prefix (0 when the header itself is torn).
     pub valid_len: u64,
     /// Bytes past the valid prefix that must be truncated (torn tail).
     pub torn_bytes: u64,
@@ -142,8 +102,6 @@ pub struct DurabilityStats {
     pub records_skipped: u64,
     /// Torn-tail bytes truncated at the last open.
     pub torn_bytes_truncated: u64,
-    /// Whether the last open migrated a legacy line-format log.
-    pub migrated_legacy: bool,
     /// Stale snapshot temp files removed at the last open.
     pub stale_temps_removed: u64,
     /// Whether the last open adopted persisted maintenance state from
@@ -160,16 +118,11 @@ pub struct DurabilityStats {
     pub delta_checkpoints: u64,
     /// Full-rewrite checkpoints written since open.
     pub full_checkpoints: u64,
-    /// Length of the snapshot-era delta chain recovery replays: always 0,
-    /// since the page file has none. Kept because the benchmark package
-    /// reports it.
+    /// Length of the delta chain recovery replays: always 0, since the
+    /// page file has none. Kept because the benchmark package reports it.
     pub chain_len: u64,
-    /// Page-file bytes written by checkpoints since open (and by a
-    /// migration at open).
+    /// Page-file bytes written by checkpoints since open.
     pub snapshot_bytes_written: u64,
-    /// Whether the last open migrated a snapshot-era directory into the
-    /// page file.
-    pub migrated_snapshot: bool,
     /// Buffer-pool counters (always present; an `Option` because the
     /// benchmark package reads it as one).
     pub pool: Option<crate::buffer_pool::BufferPoolStats>,
@@ -177,26 +130,28 @@ pub struct DurabilityStats {
     pub storage_pages: u64,
 }
 
-/// The 16-byte v4 file header of a fresh framed log.
+/// The 16-byte file header of a fresh log.
 pub fn header_bytes() -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN_V4 as usize);
+    let mut out = Vec::with_capacity(HEADER_LEN as usize);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&CODEC_HINT_BINARY.to_le_bytes());
+    out.extend_from_slice(&CODEC_BINARY.to_le_bytes());
     out
 }
 
-/// Encodes one record with no flags set (`len | crc | lsn | flags=0 | payload`).
-pub fn encode_record(lsn: u64, stmt: &str) -> Vec<u8> {
-    encode_record_flagged(lsn, 0, stmt)
+/// Whether `bytes`, a log file or its first bytes, opens with this
+/// build's header or is a torn prefix of it (empty included).
+pub fn is_current_header(bytes: &[u8]) -> bool {
+    let n = bytes.len().min(CHECKED_HEADER);
+    bytes[..n] == header_bytes()[..n]
 }
 
-/// Encodes one record (`len | crc | lsn | flags | payload`).
-pub fn encode_record_flagged(lsn: u64, flags: u8, stmt: &str) -> Vec<u8> {
+/// Encodes one record (`len | crc | lsn | flags=0 | payload`).
+pub fn encode_record(lsn: u64, stmt: &str) -> Vec<u8> {
     let payload = stmt.as_bytes();
     let mut body = Vec::with_capacity(9 + payload.len());
     body.extend_from_slice(&lsn.to_le_bytes());
-    body.push(flags);
+    body.push(0);
     body.extend_from_slice(payload);
     let mut out = Vec::with_capacity(RECORD_HEADER + body.len());
     out.extend_from_slice(&(body.len() as u32).to_le_bytes());
@@ -205,18 +160,11 @@ pub fn encode_record_flagged(lsn: u64, flags: u8, stmt: &str) -> Vec<u8> {
     out
 }
 
-/// Encodes a whole log file (header plus records) — used by checkpoint
-/// rotation and legacy migration.
+/// Encodes a whole log file (header plus records).
 pub fn encode_log<'a>(records: impl IntoIterator<Item = (u64, &'a str)>) -> Vec<u8> {
-    encode_log_flagged(records.into_iter().map(|(lsn, stmt)| (lsn, 0, stmt)))
-}
-
-/// [`encode_log`] with per-record flags — used when migrating an existing
-/// log to the current framing without losing its tags.
-pub fn encode_log_flagged<'a>(records: impl IntoIterator<Item = (u64, u8, &'a str)>) -> Vec<u8> {
     let mut out = header_bytes();
-    for (lsn, flags, stmt) in records {
-        out.extend_from_slice(&encode_record_flagged(lsn, flags, stmt));
+    for (lsn, stmt) in records {
+        out.extend_from_slice(&encode_record(lsn, stmt));
     }
     out
 }
@@ -225,64 +173,25 @@ fn read_u32(bytes: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
 }
 
-/// Scans a log file's bytes, auto-detecting the format.
+/// Scans a log file's bytes.
 ///
-/// Torn tails (truncated record, checksum mismatch, or a final line with
-/// no newline) terminate the scan *successfully*: the valid prefix is
-/// returned together with how many tail bytes to truncate. Only
-/// structurally impossible files (an unknown future version) are errors.
+/// Torn tails (a truncated record or a checksum mismatch) terminate the
+/// scan *successfully*: the valid prefix is returned together with how
+/// many tail bytes to truncate, and a torn header reads as an empty log
+/// with a valid prefix of 0. A file that does not open with this build's
+/// header is an error.
 pub fn decode_log(bytes: &[u8]) -> StorageResult<RecoveredLog> {
-    if bytes.len() >= MAGIC.len() && &bytes[..MAGIC.len()] == MAGIC {
-        decode_framed(bytes)
-    } else if bytes.len() < MAGIC.len() && !bytes.is_empty() && MAGIC.starts_with(bytes) {
-        // a torn header write: treat as an empty framed log needing repair
-        Ok(RecoveredLog {
-            records: Vec::new(),
-            legacy_lines: false,
-            version: FORMAT_VERSION,
-            codec_hint: CODEC_HINT_JSON,
-            valid_len: 0,
-            torn_bytes: bytes.len() as u64,
-        })
-    } else {
-        Ok(decode_legacy(bytes))
-    }
-}
-
-fn decode_framed(bytes: &[u8]) -> StorageResult<RecoveredLog> {
-    let torn_header = |version| {
-        Ok(RecoveredLog {
-            records: Vec::new(),
-            legacy_lines: false,
-            version,
-            codec_hint: CODEC_HINT_JSON,
-            valid_len: 0,
-            torn_bytes: bytes.len() as u64,
-        })
-    };
-    if bytes.len() < HEADER_LEN as usize {
-        // magic present but the version bytes are torn
-        return torn_header(FORMAT_VERSION);
-    }
-    let version = read_u32(bytes, MAGIC.len());
-    if version > FORMAT_VERSION {
+    if !is_current_header(bytes) {
         return Err(StorageError::Persist(format!(
-            "operation log format v{version} is newer than this build understands (v{FORMAT_VERSION})"
+            "{LOG_FILE} is not a format-{FORMAT_VERSION} operation log"
         )));
     }
-    let header = header_len(version) as usize;
+    let header = HEADER_LEN as usize;
     if bytes.len() < header {
-        // a v4 header torn between the version and the codec hint
-        return torn_header(version);
+        // a torn create: an empty log whose header must be laid down again
+        let torn_bytes = bytes.len() as u64;
+        return Ok(RecoveredLog { records: Vec::new(), valid_len: 0, torn_bytes });
     }
-    let codec_hint = if version > SHORT_HEADER_VERSION {
-        read_u32(bytes, HEADER_LEN as usize)
-    } else {
-        CODEC_HINT_JSON
-    };
-    // Format-2 records have no flags byte between the LSN and payload.
-    let flagged = version > UNFLAGGED_VERSION;
-    let min_len = if flagged { 9 } else { 8 };
     let mut records = Vec::new();
     let mut at = header;
     loop {
@@ -291,7 +200,7 @@ fn decode_framed(bytes: &[u8]) -> StorageResult<RecoveredLog> {
         }
         let len = read_u32(bytes, at) as usize;
         let crc = read_u32(bytes, at + 4);
-        if len < min_len || at + RECORD_HEADER + len > bytes.len() {
+        if len < 9 || at + RECORD_HEADER + len > bytes.len() {
             break; // impossible length or torn body
         }
         let body = &bytes[at + RECORD_HEADER..at + RECORD_HEADER + len];
@@ -299,56 +208,14 @@ fn decode_framed(bytes: &[u8]) -> StorageResult<RecoveredLog> {
             break; // bit rot or torn rewrite
         }
         let lsn = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
-        let (flags, payload) = if flagged { (body[8], &body[9..]) } else { (0, &body[8..]) };
-        let Ok(stmt) = std::str::from_utf8(payload) else {
+        // body[8] is the flags byte, ignored
+        let Ok(stmt) = std::str::from_utf8(&body[9..]) else {
             break; // checksummed garbage cannot happen, but stay safe
         };
-        records.push(Record { lsn, flags, stmt: to_owned_trimmed(stmt), line: records.len() + 1 });
+        records.push(Record { lsn, stmt: stmt.trim().to_string() });
         at += RECORD_HEADER + len;
     }
-    Ok(RecoveredLog {
-        records,
-        legacy_lines: false,
-        version,
-        codec_hint,
-        valid_len: at as u64,
-        torn_bytes: (bytes.len() - at) as u64,
-    })
-}
-
-fn to_owned_trimmed(s: &str) -> String {
-    s.trim().to_string()
-}
-
-fn decode_legacy(bytes: &[u8]) -> RecoveredLog {
-    // Lossy decoding keeps a corrupt byte visible to the parser (which
-    // reports "corrupt log at line N") instead of failing the whole scan.
-    let text = String::from_utf8_lossy(bytes);
-    let mut records = Vec::new();
-    let mut valid = 0usize;
-    let mut lsn = 0u64;
-    let mut line_no = 0usize;
-    let mut rest = text.as_ref();
-    while let Some(nl) = rest.find('\n') {
-        let line = &rest[..nl];
-        line_no += 1;
-        let trimmed = line.trim();
-        if !trimmed.is_empty() && !trimmed.starts_with('%') {
-            lsn += 1;
-            records.push(Record { lsn, flags: 0, stmt: trimmed.to_string(), line: line_no });
-        }
-        valid += nl + 1;
-        rest = &rest[nl + 1..];
-    }
-    // anything after the last newline is a torn tail
-    RecoveredLog {
-        records,
-        legacy_lines: true,
-        version: 1,
-        codec_hint: CODEC_HINT_JSON,
-        valid_len: valid as u64,
-        torn_bytes: (bytes.len() - valid) as u64,
-    }
+    Ok(RecoveredLog { records, valid_len: at as u64, torn_bytes: (bytes.len() - at) as u64 })
 }
 
 #[cfg(test)]
@@ -360,7 +227,6 @@ mod tests {
         let stmts = ["?.db.r+(.a=1)", "?.db.r-(.a=1)", "?.dbU.ins(.k=x)"];
         let bytes = encode_log(stmts.iter().enumerate().map(|(i, s)| (i as u64 + 1, *s)));
         let log = decode_log(&bytes).unwrap();
-        assert!(!log.legacy_lines);
         assert_eq!(log.torn_bytes, 0);
         assert_eq!(log.valid_len, bytes.len() as u64);
         assert_eq!(log.records.len(), 3);
@@ -372,38 +238,16 @@ mod tests {
 
     #[test]
     fn flags_round_trip() {
-        let mut bytes = header_bytes();
-        bytes.extend_from_slice(&encode_record_flagged(1, 0, "?.db.r+(.a=1)"));
-        bytes.extend_from_slice(&encode_record_flagged(2, FLAG_MAINTENANCE, "?.db.r+(.a=2)"));
+        // older builds set the flags byte; it is ignored on replay
+        let mut flagged = encode_record(2, "?.db.r+(.a=2)");
+        flagged[RECORD_HEADER + 8] = 1;
+        let crc = crc32c(&flagged[RECORD_HEADER..]);
+        flagged[4..8].copy_from_slice(&crc.to_le_bytes());
+        let mut bytes = encode_log([(1, "?.db.r+(.a=1)")]);
+        bytes.extend_from_slice(&flagged);
         let log = decode_log(&bytes).unwrap();
-        assert_eq!(log.version, FORMAT_VERSION);
-        assert_eq!(log.records[0].flags, 0);
-        assert_eq!(log.records[1].flags, FLAG_MAINTENANCE);
-        assert_eq!(log.records[1].stmt, "?.db.r+(.a=2)");
-    }
-
-    #[test]
-    fn unflagged_v2_logs_still_decode() {
-        // hand-build a format-2 log: version 2 header, bodies without the
-        // flags byte (exactly what older builds wrote)
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&2u32.to_le_bytes());
-        for (lsn, stmt) in [(1u64, "?.db.r+(.a=1)"), (2, "?.db.r+(.a=2)")] {
-            let mut body = Vec::new();
-            body.extend_from_slice(&lsn.to_le_bytes());
-            body.extend_from_slice(stmt.as_bytes());
-            bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&crc32c(&body).to_le_bytes());
-            bytes.extend_from_slice(&body);
-        }
-        let log = decode_log(&bytes).unwrap();
-        assert_eq!(log.version, 2);
         assert_eq!(log.torn_bytes, 0);
-        assert_eq!(log.records.len(), 2);
-        assert_eq!(log.records[0].stmt, "?.db.r+(.a=1)");
-        assert_eq!(log.records[1].lsn, 2);
-        assert!(log.records.iter().all(|r| r.flags == 0));
+        assert_eq!(log.records[1], Record { lsn: 2, stmt: "?.db.r+(.a=2)".into() });
     }
 
     #[test]
@@ -433,17 +277,14 @@ mod tests {
 
     #[test]
     fn torn_header_is_an_empty_repairable_log() {
-        for cut in 1..header_bytes().len() {
+        for cut in 0..header_bytes().len() {
             let bytes = &header_bytes()[..cut];
+            assert!(is_current_header(bytes), "cut at {cut}");
             let log = decode_log(bytes).unwrap();
-            assert!(!log.legacy_lines, "cut at {cut}");
             assert!(log.records.is_empty());
             assert_eq!(log.valid_len, 0);
             assert_eq!(log.torn_bytes, cut as u64);
         }
-        let log = decode_log(&[]).unwrap();
-        assert!(log.records.is_empty());
-        assert!(log.legacy_lines, "empty file reads as empty legacy log");
     }
 
     #[test]
@@ -454,48 +295,26 @@ mod tests {
     }
 
     #[test]
-    fn v3_logs_without_the_codec_hint_still_decode() {
-        // hand-build a format-3 log: 12-byte header, flagged records
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&3u32.to_le_bytes());
-        bytes.extend_from_slice(&encode_record_flagged(1, FLAG_MAINTENANCE, "?.db.r+(.a=1)"));
-        bytes.extend_from_slice(&encode_record(2, "?.db.r+(.a=2)"));
-        let log = decode_log(&bytes).unwrap();
-        assert_eq!(log.version, 3);
-        assert_eq!(log.codec_hint, CODEC_HINT_JSON);
-        assert_eq!(log.torn_bytes, 0);
-        assert_eq!(log.records.len(), 2);
-        assert_eq!(log.records[0].flags, FLAG_MAINTENANCE);
-        assert_eq!(log.records[1].stmt, "?.db.r+(.a=2)");
+    fn older_formats_are_refused() {
+        let framed = |version: u32| {
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend_from_slice(&version.to_le_bytes());
+            bytes
+        };
+        for bytes in [b"?.db.r+(.a=1)\n".to_vec(), framed(2), framed(3)] {
+            assert!(!is_current_header(&bytes), "{bytes:?}");
+            assert!(decode_log(&bytes).is_err(), "{bytes:?}");
+        }
     }
 
     #[test]
     fn v4_header_carries_the_codec_hint() {
         let mut bytes = header_bytes();
+        assert_eq!(bytes[12..], CODEC_BINARY.to_le_bytes());
+        // the field is not read: any value opens
+        bytes[12] = 0;
         bytes.extend_from_slice(&encode_record(1, "?.db.r+(.a=1)"));
-        let log = decode_log(&bytes).unwrap();
-        assert_eq!(log.version, FORMAT_VERSION);
-        assert_eq!(log.codec_hint, CODEC_HINT_BINARY);
-        assert_eq!(log.records.len(), 1);
-    }
-
-    #[test]
-    fn legacy_lines_decode_with_torn_tail() {
-        let text = "?.db.r+(.a=1)\n% comment\n\n?.db.r+(.a=2)\n?.db.r+(.a=";
-        let log = decode_log(text.as_bytes()).unwrap();
-        assert!(log.legacy_lines);
-        assert_eq!(log.records.len(), 2);
-        assert_eq!(
-            log.records[0],
-            Record { lsn: 1, flags: 0, stmt: "?.db.r+(.a=1)".into(), line: 1 }
-        );
-        assert_eq!(
-            log.records[1],
-            Record { lsn: 2, flags: 0, stmt: "?.db.r+(.a=2)".into(), line: 4 }
-        );
-        assert_eq!(log.torn_bytes, "?.db.r+(.a=".len() as u64);
-        assert_eq!(log.valid_len, (text.len() - "?.db.r+(.a=".len()) as u64);
+        assert_eq!(decode_log(&bytes).unwrap().records.len(), 1);
     }
 
     #[test]

@@ -1,14 +1,10 @@
 //! [`Session`] — the operation-log file handle.
 //!
-//! Historically the durable engine manipulated `ops.idl` through loose
-//! [`crate::oplog`] framing functions plus its own file bookkeeping
-//! (recovery scan, legacy migration, torn-tail truncation, header
-//! rewrites, rotation). `Session` collapses that surface into one handle
-//! owning the log file's lifecycle:
+//! One handle owning the log file's lifecycle:
 //!
-//! * **open** — scan the existing log (any historical format), migrate
-//!   legacy line logs and pre-current framed layouts atomically, truncate
-//!   torn tails, or lay down a fresh header;
+//! * **open** — scan the existing log ([`crate::oplog`]; a log in another
+//!   format is an error), truncate a torn tail, lay the header down again
+//!   after a torn create, or create a fresh log;
 //! * **append** — frame a group of records, append them in one write,
 //!   and (under sync) fsync them before the caller acknowledges them;
 //! * **rotate** — reset to an empty log after a checkpoint;
@@ -29,12 +25,9 @@ use std::sync::Arc;
 /// What [`Session::open`] found on disk.
 #[derive(Clone, Debug, Default)]
 pub struct SessionOpen {
-    /// Valid records, in log order, LSN-numbered (legacy lines are
-    /// numbered after the base LSN the caller passed).
+    /// Valid records, in log order.
     pub records: Vec<Record>,
-    /// Whether a legacy line-format log was migrated to framing.
-    pub migrated_legacy: bool,
-    /// Torn-tail bytes truncated (or dropped by a migration rewrite).
+    /// Torn-tail (or torn-header) bytes truncated.
     pub torn_bytes_truncated: u64,
 }
 
@@ -50,9 +43,9 @@ pub struct Session {
 }
 
 impl Session {
-    /// Opens (or creates) the log at `path`. An existing legacy line log
-    /// is migrated to framing; `base_lsn` numbers its records (which
-    /// carry none).
+    /// Opens (or creates) the log at `path`. The session's LSN starts at
+    /// the last record's, or at `base_lsn` (what the checkpoint covers)
+    /// when that is larger.
     pub fn open(
         vfs: Arc<dyn Vfs>,
         path: PathBuf,
@@ -63,33 +56,16 @@ impl Session {
         let bytes_len;
         if vfs.exists(&path) {
             let bytes = vfs.read(&path).map_err(|e| io_err("read log", e))?;
-            let mut recovered = oplog::decode_log(&bytes)?;
-            if recovered.legacy_lines {
-                for (i, rec) in recovered.records.iter_mut().enumerate() {
-                    rec.lsn = base_lsn + 1 + i as u64;
-                }
-            }
-            if recovered.legacy_lines || recovered.version < oplog::FORMAT_VERSION {
-                // Rewrite the surviving records in the current framing,
-                // atomically, dropping any torn trailing fragment — mixing
-                // record layouts in one file cannot work.
-                let fresh = oplog::encode_log_flagged(
-                    recovered.records.iter().map(|r| (r.lsn, r.flags, r.stmt.as_str())),
-                );
-                write_atomic(vfs.as_ref(), &path, &fresh, sync)?;
-                info.migrated_legacy = recovered.legacy_lines && !recovered.records.is_empty();
-                info.torn_bytes_truncated = recovered.torn_bytes;
-                bytes_len = fresh.len() as u64;
-            } else if recovered.valid_len < oplog::HEADER_LEN {
+            let recovered = oplog::decode_log(&bytes)?;
+            info.torn_bytes_truncated = recovered.torn_bytes;
+            if recovered.valid_len == 0 {
                 // the header itself was torn — lay it down again
                 write_atomic(vfs.as_ref(), &path, &oplog::header_bytes(), sync)?;
-                info.torn_bytes_truncated = recovered.torn_bytes;
-                bytes_len = oplog::HEADER_LEN_V4;
+                bytes_len = oplog::HEADER_LEN;
             } else {
                 if recovered.torn_bytes > 0 {
                     vfs.set_len(&path, recovered.valid_len)
                         .map_err(|e| io_err("truncate torn log tail", e))?;
-                    info.torn_bytes_truncated = recovered.torn_bytes;
                 }
                 bytes_len = recovered.valid_len;
             }
@@ -189,7 +165,6 @@ mod tests {
 
         let (mut s, info) = open(&vfs, 0);
         assert_eq!(info.records.len(), 2);
-        assert_eq!(info.records[1].flags, 0);
         assert_eq!(s.lsn(), 2);
         s.rotate().unwrap();
         assert_eq!(s.len().unwrap(), 0);
@@ -214,21 +189,6 @@ mod tests {
         let (_, info) = open(&vfs, 0);
         assert_eq!(info.records.len(), 4);
         assert_eq!(info.records[3].lsn, 4);
-    }
-
-    #[test]
-    fn legacy_lines_migrate_with_base_numbering() {
-        let vfs = Arc::new(SimVfs::new(FaultPlan::none(3)));
-        vfs.create_dir_all(Path::new("/d")).unwrap();
-        vfs.write(Path::new("/d/ops.idl"), b"?.db.r+(.a=1)\n?.db.r+(.a=2)\n?.torn").unwrap();
-        let (s, info) = open(&vfs, 10);
-        assert!(info.migrated_legacy);
-        assert_eq!(info.torn_bytes_truncated, "?.torn".len() as u64);
-        assert_eq!(info.records.len(), 2);
-        assert_eq!((info.records[0].lsn, info.records[1].lsn), (11, 12));
-        assert_eq!(s.lsn(), 12);
-        let bytes = vfs.read(Path::new("/d/ops.idl")).unwrap();
-        assert!(bytes.starts_with(oplog::MAGIC));
     }
 
     #[test]

@@ -25,13 +25,10 @@
 //! `idl --durable` CLI replays it by hand. `IDL_CRASH_SEED` perturbs all
 //! seeds in this file (CI pins it).
 
-use idl::{DurabilityOptions, Engine, EngineError, FaultPlan, SimVfs, StorageSpec, Value, Vfs};
+use idl::{DurabilityOptions, Engine, EngineError, FaultPlan, SimVfs, StorageSpec, Vfs};
 use idl_repro as _;
-use idl_storage::codec::{self, DeltaBlob, DeltaEntry};
-use idl_storage::oplog;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// One step of the scripted workload.
@@ -530,138 +527,6 @@ fn paged_crash_at_every_fault_site() {
         vfs.power_cycle();
         assert_recovery_with(&vfs, &run, &plan, open_paged);
     }
-}
-
-/// The workload's updates in order, as indices into [`WORKLOAD`].
-fn update_indices() -> Vec<usize> {
-    (0..WORKLOAD.len()).filter(|&i| matches!(WORKLOAD[i], Step::Update(_))).collect()
-}
-
-/// The universe, views refreshed, after the given workload updates.
-fn universe_after(indices: &[usize]) -> Value {
-    let mut e = Engine::new();
-    idl::transparency::install_two_level_mapping(&mut e).unwrap();
-    for &i in indices {
-        let Step::Update(src) = WORKLOAD[i] else { continue };
-        e.update(src).unwrap();
-    }
-    e.refresh_views().unwrap();
-    e.store().universe().clone()
-}
-
-/// The delta entries taking `old` to `new`, database by database.
-fn delta_entries(old: &Value, new: &Value) -> Vec<DeltaEntry> {
-    let (old, new) = (old.as_tuple().unwrap(), new.as_tuple().unwrap());
-    let dropped = old.iter().filter(|(db, _)| new.get(db.as_str()).is_none());
-    let dropped = dropped.map(|(db, _)| DeltaEntry::DropDatabase { db: db.clone() });
-    let put =
-        new.iter().map(|(db, v)| DeltaEntry::PutDatabase { db: db.clone(), value: v.clone() });
-    dropped.chain(put).collect()
-}
-
-/// The files a snapshot-era build left after the whole workload: a
-/// binary base of the first five updates, a two-delta chain of two
-/// updates each, and the remaining updates as the log tail. LSNs count
-/// updates.
-fn mem_era_files() -> &'static [(String, Vec<u8>)] {
-    static FILES: OnceLock<Vec<(String, Vec<u8>)>> = OnceLock::new();
-    FILES.get_or_init(|| {
-        let ups = update_indices();
-        let base = 5;
-        let mut prev = universe_after(&ups[..base]);
-        let mut files = vec![(
-            "universe.json".to_string(),
-            codec::encode_snapshot(&prev, 1, base as u64, None),
-        )];
-        for (seq, end) in [(1u64, 7usize), (2, 9)] {
-            let next = universe_after(&ups[..end]);
-            let delta = DeltaBlob {
-                gen: 1,
-                seq,
-                prev_lsn: end as u64 - 2,
-                lsn: end as u64,
-                maintenance: None,
-                entries: delta_entries(&prev, &next),
-            };
-            files.push((format!("universe.delta.{seq}"), codec::encode_delta(&delta)));
-            prev = next;
-        }
-        let tail = ups.iter().enumerate().skip(9).map(|(k, &i)| {
-            let Step::Update(src) = WORKLOAD[i] else { unreachable!("update index") };
-            (k as u64 + 1, src)
-        });
-        files.push(("ops.idl".to_string(), oplog::encode_log(tail)));
-        files
-    })
-}
-
-/// Lays the snapshot-era files down durably.
-fn forge_mem_era(vfs: &SimVfs) {
-    let dir = Path::new("/crash");
-    vfs.create_dir_all(dir).unwrap();
-    for (name, bytes) in mem_era_files() {
-        let path = dir.join(name);
-        vfs.write(&path, bytes).unwrap();
-        vfs.sync_file(&path).unwrap();
-    }
-    vfs.sync_dir(dir).unwrap();
-}
-
-/// Power-cycle at every I/O op of the open that migrates a snapshot-era
-/// directory (base + delta chain + log tail) into the page file. The
-/// migration must be atomic: recovery lands on every update the
-/// directory held, keeps working, and the open after it is a plain
-/// page-file open.
-#[test]
-fn mem_era_migration_survives_crashes_at_every_site() {
-    let seed = 0x1093 ^ base_seed();
-    let (forged, total) = {
-        let probe = Arc::new(SimVfs::new(FaultPlan::none(seed)));
-        forge_mem_era(&probe);
-        let forged = probe.op_count();
-        let d = open(&probe, 1, true).expect("fault-free migration opens");
-        assert!(d.durability_stats().migrated_snapshot, "the open must migrate");
-        (forged, probe.op_count())
-    };
-    let everything = RunOutcome { acked: update_indices(), in_flight: None, completed: true };
-    for crash_at in forged + 1..=total {
-        let plan = FaultPlan::none(seed).with_crash_at(crash_at);
-        let vfs = Arc::new(SimVfs::new(plan));
-        forge_mem_era(&vfs);
-        let _ = open(&vfs, 1, true);
-        vfs.power_cycle();
-        assert_recovery_with(&vfs, &everything, &plan, |v| open(v, 1, true));
-        let d = open(&vfs, 1, true).unwrap();
-        assert!(!d.durability_stats().migrated_snapshot, "plan {plan}: migrated twice");
-        let mut names: Vec<String> = vfs
-            .list_dir(Path::new("/crash"))
-            .unwrap()
-            .iter()
-            .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
-            .collect();
-        names.sort();
-        assert_eq!(names, ["ops.idl", "pages.idb"], "plan {plan}: snapshot-era files left");
-    }
-}
-
-/// The migration is observable and one-shot: a directory whose base is
-/// a legacy JSON wrapper reports `migrated_snapshot` once, and the next
-/// open is a plain page-file open of the same universe.
-#[test]
-fn legacy_json_migration_is_one_shot() {
-    let vfs = Arc::new(SimVfs::new(FaultPlan::none(7 ^ base_seed())));
-    let ups = update_indices();
-    let json = Engine::from_universe(universe_after(&ups[..5])).unwrap().universe_json().unwrap();
-    let wrapper = format!(r#"{{"format":2,"lsn":5,"universe":{json},"maintenance":null}}"#);
-    vfs.create_dir_all(Path::new("/crash")).unwrap();
-    vfs.write(Path::new("/crash/universe.json"), wrapper.as_bytes()).unwrap();
-    let first = open(&vfs, 1, true).unwrap();
-    assert!(first.durability_stats().migrated_snapshot, "first open must migrate");
-    assert_eq!(first.universe_json().unwrap(), json);
-    drop(first);
-    let second = open(&vfs, 1, true).unwrap();
-    assert!(!second.durability_stats().migrated_snapshot, "migration must not repeat");
-    assert_eq!(second.universe_json().unwrap(), json);
 }
 
 #[test]

@@ -341,16 +341,4 @@ mod recovery_edges {
         assert!(!d.query("?.euter.r(.stkCode=hp)").unwrap().is_true());
         std::fs::remove_dir_all(&dir).ok();
     }
-
-    #[test]
-    fn legacy_line_log_accepted_and_migrated() {
-        let dir = fresh_dir("legacy");
-        std::fs::write(dir.join("ops.idl"), "?.db.r+(.a=1)\n?.db.r+(.a=2)\n").unwrap();
-        let mut d = open(&dir);
-        assert!(d.durability_stats().migrated_legacy);
-        assert_eq!(d.query("?.db.r(.a=X)").unwrap().column("X").len(), 2);
-        let bytes = std::fs::read(dir.join("ops.idl")).unwrap();
-        assert!(bytes.starts_with(oplog::MAGIC), "rewritten in the framed format");
-        std::fs::remove_dir_all(&dir).ok();
-    }
 }

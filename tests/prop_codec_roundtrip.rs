@@ -1,9 +1,9 @@
-//! Round-trip battery for the binary snapshot codec.
+//! Round-trip battery for the binary value codec.
 //!
 //! Three legs:
 //!
 //! 1. **Round-trip** — 256 random universes encode → decode back to the
-//!    identical [`Value`], and re-encoding the decoded value reproduces
+//!    identical value, and re-encoding the decoded value reproduces
 //!    the original bytes (the encoding is canonical: one universe, one
 //!    blob).
 //! 2. **Thread independence** — the bytes depend only on the universe,
@@ -14,7 +14,6 @@
 //!    a silently different universe.
 
 use idl::Engine;
-use idl_object::Value;
 use idl_repro as _;
 use idl_storage::codec;
 use idl_workload::random::{random_universe, RandomConfig};
@@ -33,33 +32,16 @@ fn shape() -> impl Strategy<Value = RandomConfig> {
     )
 }
 
-fn assert_roundtrip(u: &Value) {
-    let blob = codec::encode_value(u);
-    let back = codec::decode_value(&blob).expect("fresh blob decodes");
-    assert_eq!(&back, u, "decode returned a different universe");
-    assert_eq!(codec::encode_value(&back), blob, "re-encode is not byte-identical");
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn random_universes_roundtrip_byte_identical(seed in any::<u64>(), cfg in shape()) {
         let u = random_universe(seed, &cfg);
-        assert_roundtrip(&u);
-
-        // The snapshot container rides the same tree encoding plus a
-        // header; check it end to end too, maintenance blob included.
-        let blob = codec::encode_snapshot(&u, 3, 17, Some("{\"views\":[]}"));
-        let snap = codec::decode_snapshot(&blob).expect("fresh snapshot decodes");
-        prop_assert_eq!(&snap.universe, &u);
-        prop_assert_eq!(snap.gen, 3);
-        prop_assert_eq!(snap.lsn, 17);
-        prop_assert_eq!(snap.maintenance.as_deref(), Some("{\"views\":[]}"));
-        prop_assert_eq!(
-            codec::encode_snapshot(&snap.universe, snap.gen, snap.lsn, snap.maintenance.as_deref()),
-            blob
-        );
+        let blob = codec::encode_value(&u);
+        let back = codec::decode_value(&blob).expect("fresh blob decodes");
+        prop_assert_eq!(&back, &u);
+        prop_assert_eq!(codec::encode_value(&back), blob);
     }
 
     #[test]
@@ -99,7 +81,7 @@ fn encoding_is_identical_across_fixpoint_thread_counts() {
         e.set_options(e.options().rebuild().threads(threads).build());
         idl::transparency::install_two_level_mapping(&mut e).expect("mapping installs");
         e.refresh_views().expect("views refresh");
-        codec::encode_snapshot(e.store().universe(), 1, 0, None)
+        codec::encode_value(e.store().universe())
     };
     assert_eq!(encode_at(1), encode_at(4), "thread count leaked into the encoding");
 }
