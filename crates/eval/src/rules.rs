@@ -242,11 +242,13 @@ pub struct FixpointStats {
     /// Rule evaluations *avoided* by semi-naive scheduling: a rule in an
     /// iterating stratum whose body predicates saw no delta is skipped.
     pub rules_skipped: usize,
-    /// Task evaluations that ran a `(Δ ⋈ full)` delta variant instead of
-    /// the full body (counting shards — see `StratumStats::workers`).
+    /// Evaluations driven by Δ rows: task evaluations that ran a
+    /// `(Δ ⋈ full)` delta variant instead of the full body (counting
+    /// shards — see `StratumStats::workers`), and a view repair's victim
+    /// queries and seeded support checks.
     pub delta_evals: usize,
-    /// Task evaluations that ran a full body (first iterations, scalar
-    /// heads, coarse changes, and delta-ineligible plans).
+    /// Evaluations of a rule over its whole input (first iterations,
+    /// scalar heads, coarse changes, and delta-ineligible plans).
     pub full_evals: usize,
     /// Schematic deltas this run: data-dependent relations (or
     /// databases) that materialised for the *first time* (new stock in
@@ -291,8 +293,9 @@ pub struct MaintenanceStats {
     /// Distinct derived `(db, rel)` slots whose contents this pass
     /// changed (inserted into, deleted from, created or GC'd).
     pub views_maintained: usize,
-    /// Rule evaluations the pass ran: `(Δ ⋈ full)` insert variants plus
-    /// deletion-cascade victim queries and rederivation checks.
+    /// Rule evaluations the pass ran: `(Δ ⋈ full)` insert variants,
+    /// deletion-cascade victim queries and seeded support checks, and any
+    /// full re-run of a rule reading a shrunk relation under negation.
     pub delta_rules_run: usize,
     /// Data-dependent relations the pass materialised for the first time
     /// (schematic creates — a new stock defines a new relation).

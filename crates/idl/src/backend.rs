@@ -106,11 +106,13 @@ impl Backend for Engine {
 /// Obtained from [`Engine::snapshot`]; holds its own [`Store`] built
 /// from an O(1) copy-on-write clone of the universe tuple, so it is
 /// unaffected by — and does not block — subsequent engine mutation.
-/// Index/statistics caches are rebuilt lazily per snapshot and shared
-/// between concurrent readers of the same snapshot (the store's caches
-/// are internally synchronised, so `&EngineSnapshot` is `Sync`).
+/// Index/statistics caches are built lazily and shared between
+/// concurrent readers of the same snapshot (the store's caches are
+/// internally synchronised, so `&EngineSnapshot` is `Sync`); a snapshot
+/// starts with the indexes the readers of the one before it built,
+/// patched by what changed in between.
 pub struct EngineSnapshot {
-    store: Store,
+    pub(crate) store: Arc<Store>,
     version: Version,
     opts: idl_eval::EvalOptions,
     maintained: idl_eval::MaintainedViews,
@@ -120,10 +122,16 @@ pub struct EngineSnapshot {
 
 impl EngineSnapshot {
     /// Snapshots an engine's current universe (no refresh — callers that
-    /// need fresh views go through [`Engine::snapshot`]).
-    pub(crate) fn of(engine: &Engine) -> Result<Self, EngineError> {
+    /// need fresh views go through [`Engine::snapshot`]), adopting the
+    /// indexes the readers of `prev`, the snapshot published before it,
+    /// have built ([`Store::adopt_indexes`]).
+    pub(crate) fn of(engine: &Engine, prev: Option<&Store>) -> Result<Self, EngineError> {
+        let store = Store::from_universe(engine.store().universe().clone())?;
+        if let Some(prev) = prev {
+            store.adopt_indexes(prev);
+        }
         Ok(EngineSnapshot {
-            store: Store::from_universe(engine.store().universe().clone())?,
+            store: Arc::new(store),
             version: engine.store().version(),
             opts: engine.options().eval,
             maintained: engine.maintained_views().clone(),
@@ -196,6 +204,8 @@ impl EngineSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use idl_object::Name;
+    use idl_storage::IndexKind;
 
     fn stock() -> Engine {
         Engine::with_stock_universe(vec![("3/3/85", "hp", 50.0), ("3/3/85", "ibm", 210.0)])
@@ -229,6 +239,35 @@ mod tests {
         assert!(!e.query("?.euter.r(.stkCode=sun)").unwrap().is_true());
         // update runs the call as the update it is
         assert!(e.update(call).unwrap().stats().unwrap().total() > 0);
+    }
+
+    #[test]
+    fn a_republished_snapshot_starts_with_the_indexes_its_readers_built() {
+        let mut e = stock();
+        e.add_rules(".v.all(.s=S,.p=P) <- .euter.r(.stkCode=S,.clsPrice=P) ;").unwrap();
+        let probe = "?.v.all(.s=hp,.p=P), .euter.r(.stkCode=hp,.clsPrice=P)";
+        let first = e.snapshot().unwrap();
+        let p = first.query(probe).unwrap();
+        let euter = |s: &EngineSnapshot| s.store().index("euter", "r", "stkCode", IndexKind::Hash);
+        let built = euter(&first).unwrap();
+        // a write elsewhere: euter's index is shared as it is
+        e.update("?.chwab.r+(.date=3/9/85, .hp=1)").unwrap();
+        let second = e.snapshot().unwrap();
+        assert!(Arc::ptr_eq(&built, &euter(&second).unwrap()));
+        // a write to euter (and through the view to v.all): both indexes
+        // are patched, and answer as the engine does
+        e.update("?.euter.r-(.stkCode=hp), .euter.r+(.date=3/9/85,.stkCode=hp,.clsPrice=7)")
+            .unwrap();
+        let third = e.snapshot().unwrap();
+        let v_all = third.store().index("v", "all", "s", IndexKind::Hash).unwrap();
+        let rebuilt = idl_storage::index::Index::build(
+            IndexKind::Hash,
+            third.store().relation("v", "all").unwrap(),
+            &Name::new("s"),
+        );
+        assert_eq!(*v_all, rebuilt);
+        assert_eq!(third.query(probe).unwrap(), e.query(probe).unwrap());
+        assert_ne!(third.query(probe).unwrap(), p);
     }
 
     #[test]

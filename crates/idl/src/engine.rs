@@ -207,6 +207,9 @@ pub struct Engine {
     /// The page file and operation log of an engine opened on a
     /// directory; `None` in memory.
     pub(crate) durable: Option<Box<Durability>>,
+    /// The store of the snapshot last published, whose indexes the next
+    /// snapshot adopts.
+    published: Option<Arc<Store>>,
 }
 
 impl Default for Engine {
@@ -244,6 +247,7 @@ impl Engine {
             maintained: MaintainedViews::default(),
             maintenance_runs: 0,
             durable: None,
+            published: None,
         }
     }
 
@@ -451,7 +455,9 @@ impl Engine {
     pub fn snapshot(&mut self) -> Result<EngineSnapshot, EngineError> {
         self.check_poisoned()?;
         self.refresh_views_if_stale()?;
-        EngineSnapshot::of(self)
+        let snapshot = EngineSnapshot::of(self, self.published.as_deref())?;
+        self.published = Some(Arc::clone(&snapshot.store));
+        Ok(snapshot)
     }
 
     /// Refuses work on a durable engine after a log failure: its

@@ -128,6 +128,30 @@ impl SetObj {
         }
     }
 
+    /// The elements only in `self` and the elements only in `newer`, each
+    /// in `Ord` order: one merge walk over the two sorted sets.
+    pub fn diff(&self, newer: &SetObj) -> (Vec<Value>, Vec<Value>) {
+        let (mut gone, mut added) = (Vec::new(), Vec::new());
+        let (mut old_it, mut new_it) = (self.iter().peekable(), newer.iter().peekable());
+        loop {
+            match (old_it.peek(), new_it.peek()) {
+                (Some(a), Some(b)) => match a.cmp(b) {
+                    std::cmp::Ordering::Less => gone.extend(old_it.next().cloned()),
+                    std::cmp::Ordering::Greater => added.extend(new_it.next().cloned()),
+                    std::cmp::Ordering::Equal => {
+                        old_it.next();
+                        new_it.next();
+                    }
+                },
+                _ => {
+                    gone.extend(old_it.cloned());
+                    added.extend(new_it.cloned());
+                    return (gone, added);
+                }
+            }
+        }
+    }
+
     /// Whether `self` and `other` share one interior allocation (their
     /// equality is then decided without a structural walk). Test/telemetry
     /// introspection only — never affects semantics.
@@ -256,6 +280,21 @@ mod tests {
         assert_eq!(s.len(), 5);
         assert!(!s.contains(&Value::int(0)));
         assert!(s.contains(&Value::int(1)));
+    }
+
+    #[test]
+    fn diff_walks_both_sets_once() {
+        let old: SetObj = [1i64, 2, 4, 6].into_iter().map(Value::int).collect();
+        let new: SetObj = [2i64, 3, 6, 7, 8].into_iter().map(Value::int).collect();
+        let ints = |v: Vec<Value>| -> Vec<i64> {
+            v.iter().map(|x| x.as_atom().unwrap().as_int().unwrap()).collect()
+        };
+        let (gone, added) = old.diff(&new);
+        assert_eq!((ints(gone), ints(added)), (vec![1, 4], vec![3, 7, 8]));
+        let (gone, added) = old.diff(&old.clone());
+        assert!(gone.is_empty() && added.is_empty());
+        let (gone, added) = SetObj::new().diff(&old);
+        assert_eq!((gone.len(), added.len()), (0, 4));
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub enum IndexKind {
 }
 
 /// A built index over one attribute of one relation.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub enum Index {
     /// Hash-backed.
     Hash(HashMap<Value, Vec<Value>>),
@@ -60,6 +60,48 @@ impl Index {
                 Index::BTree(m)
             }
         }
+    }
+
+    /// This index after the `gone` tuples left its relation and the
+    /// `added` ones joined it, each in `Ord` order (as [`SetObj::diff`]
+    /// returns them): equal to a build over the new relation, at the cost
+    /// of a copy of the entries and a re-sort of the keys that changed,
+    /// not of hashing every tuple again.
+    pub fn patched(&self, attr: &Name, gone: &[Value], added: &[Value]) -> Index {
+        let key_of = |t: &Value| t.as_tuple().and_then(|t| t.get(attr.as_str())).cloned();
+        // changed key → (tuples that left it, tuples that joined it)
+        let mut changes: BTreeMap<Value, (Vec<&Value>, Vec<&Value>)> = BTreeMap::new();
+        for t in gone {
+            if let Some(k) = key_of(t) {
+                changes.entry(k).or_default().0.push(t);
+            }
+        }
+        for t in added {
+            if let Some(k) = key_of(t) {
+                changes.entry(k).or_default().1.push(t);
+            }
+        }
+        let mut out = match self {
+            Index::Hash(m) => Index::Hash(m.clone()),
+            Index::BTree(m) => Index::BTree(m.clone()),
+        };
+        for (key, (left, joined)) in changes {
+            let mut tuples: Vec<Value> = out
+                .lookup_eq(&key)
+                .iter()
+                .filter(|t| left.binary_search(t).is_err())
+                .chain(joined)
+                .cloned()
+                .collect();
+            tuples.sort();
+            match &mut out {
+                Index::Hash(m) if tuples.is_empty() => drop(m.remove(&key)),
+                Index::Hash(m) => drop(m.insert(key, tuples)),
+                Index::BTree(m) if tuples.is_empty() => drop(m.remove(&key)),
+                Index::BTree(m) => drop(m.insert(key, tuples)),
+            }
+        }
+        out
     }
 
     /// Tuples whose indexed attribute equals `key`.
@@ -130,6 +172,26 @@ mod tests {
         assert_eq!(idx.distinct_keys(), 2);
         assert_eq!(idx.entry_count(), 3, "tuple without attr is skipped");
         assert!(idx.lookup_range(Bound::Unbounded, Bound::Unbounded).is_none());
+    }
+
+    #[test]
+    fn patched_equals_a_build_over_the_new_relation() {
+        let old = rel();
+        let mut new = old.clone();
+        new.remove(&tuple! { stkCode: "hp", clsPrice: 50i64 });
+        new.remove(&tuple! { stkCode: "ibm", clsPrice: 160i64 });
+        new.insert(tuple! { stkCode: "sun", clsPrice: 50i64 });
+        new.insert(tuple! { stkCode: "dec", clsPrice: 7i64 });
+        new.insert(tuple! { stkCode: "hp", clsPrice: 50.0f64 });
+        new.insert(tuple! { other: 2i64 });
+        let (gone, added) = old.diff(&new);
+        for kind in [IndexKind::Hash, IndexKind::BTree] {
+            for attr in ["clsPrice", "stkCode", "other"] {
+                let attr = Name::new(attr);
+                let patched = Index::build(kind, &old, &attr).patched(&attr, &gone, &added);
+                assert_eq!(patched, Index::build(kind, &new, &attr), "{kind:?} on {attr}");
+            }
+        }
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! [`write_atomic`] is the crash-safe whole-file write, routed through a
 //! [`Vfs`]:
 //!
-//! 1. write a **uniquely named** temp file (`<name>.<pid>.<n>.tmp`, so
-//!    two writers sharing a directory cannot clobber each other's
-//!    in-flight file),
+//! 1. create a **uniquely named** temp file (`<name>.<n>.tmp` with the
+//!    lowest free `n`, created exclusively, so two writers sharing a
+//!    directory cannot clobber each other's in-flight file, and a replay
+//!    of the same writes stages through the same name),
 //! 2. `fsync` the temp file (content durable before it becomes visible),
 //! 3. `rename` over the target (atomic replacement),
 //! 4. `fsync` the directory (the rename itself durable).
@@ -24,7 +25,6 @@ use crate::store::Store;
 use crate::vfs::{RealVfs, Vfs};
 use idl_object::Value;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Serialises the universe to a JSON string.
 pub fn to_json(store: &Store) -> StorageResult<String> {
@@ -38,14 +38,22 @@ pub fn from_json(json: &str) -> StorageResult<Store> {
     Store::from_universe(universe)
 }
 
-/// Counter distinguishing concurrent temp files within one process.
-static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// The unique temp path a write will stage through.
-fn temp_path(path: &Path) -> PathBuf {
-    let n = TEMP_COUNTER.fetch_add(1, Ordering::Relaxed);
+/// Creates the temp file a write of `path` stages through and writes
+/// `bytes` to it: `<name>.<n>.tmp` beside `path`, with the lowest `n` no
+/// file holds. The name depends only on what the directory holds, so a
+/// replayed sequence of writes stages through the same names; the create
+/// is exclusive, so two writers never share one.
+fn stage_temp(vfs: &dyn Vfs, path: &Path, bytes: &[u8]) -> StorageResult<PathBuf> {
     let name = path.file_name().map(|s| s.to_string_lossy()).unwrap_or_default();
-    path.with_file_name(format!("{name}.{}.{n}.tmp", std::process::id()))
+    let mut n = 0u64;
+    loop {
+        let tmp = path.with_file_name(format!("{name}.{n}.tmp"));
+        match vfs.create_new(&tmp, bytes) {
+            Ok(()) => return Ok(tmp),
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => n += 1,
+            Err(e) => return Err(io_err("write snapshot temp", e)),
+        }
+    }
 }
 
 /// The directory whose entry for `path` a rename changes: `path`'s
@@ -65,8 +73,7 @@ pub(crate) fn io_err(ctx: &str, e: std::io::Error) -> StorageError {
 /// protocol (used by log rotation and by the snapshot export). `sync`
 /// off skips both fsyncs; crash safety is then up to the OS.
 pub fn write_atomic(vfs: &dyn Vfs, path: &Path, bytes: &[u8], sync: bool) -> StorageResult<()> {
-    let tmp = temp_path(path);
-    vfs.write(&tmp, bytes).map_err(|e| io_err("write snapshot temp", e))?;
+    let tmp = stage_temp(vfs, path, bytes)?;
     if sync {
         vfs.sync_file(&tmp).map_err(|e| io_err("sync snapshot temp", e))?;
     }
@@ -173,6 +180,25 @@ mod tests {
         write_atomic(&vfs, &dir.join("u.json"), b"{}", true).unwrap();
         let listing = vfs.list_dir(dir).unwrap();
         assert_eq!(listing, vec![dir.join("u.json")], "{listing:?}");
+    }
+
+    #[test]
+    fn temp_names_follow_the_directory_not_the_process() {
+        // Two replays of one write stage through the same name; a name
+        // another writer holds is skipped, never shared.
+        let stage = || {
+            let vfs = SimVfs::new(FaultPlan::none(4));
+            vfs.create_dir_all(Path::new("/d")).unwrap();
+            stage_temp(&vfs, Path::new("/d/ops.idl"), b"x").unwrap()
+        };
+        assert_eq!(stage(), Path::new("/d/ops.idl.0.tmp"));
+        assert_eq!(stage(), Path::new("/d/ops.idl.0.tmp"));
+        let vfs = SimVfs::new(FaultPlan::none(5));
+        vfs.create_dir_all(Path::new("/d")).unwrap();
+        let first = stage_temp(&vfs, Path::new("/d/ops.idl"), b"first").unwrap();
+        let second = stage_temp(&vfs, Path::new("/d/ops.idl"), b"second").unwrap();
+        assert_eq!(second, Path::new("/d/ops.idl.1.tmp"));
+        assert_eq!(vfs.read(&first).unwrap(), b"first", "the first writer's file is untouched");
     }
 
     #[test]

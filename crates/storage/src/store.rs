@@ -225,6 +225,27 @@ impl Store {
         Ok(removed)
     }
 
+    /// Removes the given tuples from `db.rel` by value (one lookup each,
+    /// no scan of the relation); returns how many were present.
+    pub fn remove_rows<'v>(
+        &mut self,
+        db: &str,
+        rel: &str,
+        rows: impl IntoIterator<Item = &'v Value>,
+    ) -> StorageResult<usize> {
+        let removed = {
+            let relv = Path::new([db, rel])
+                .get_mut(&mut self.universe)
+                .ok_or_else(|| StorageError::NoSuchRelation(Name::new(db), Name::new(rel)))?;
+            let rels = relv
+                .as_set_mut()
+                .ok_or_else(|| StorageError::ShapeViolation(format!("{db}.{rel} is not a set")))?;
+            rows.into_iter().filter(|row| rels.remove(row)).count()
+        };
+        self.record(ChangeScope::Relation { db: Name::new(db), rel: Name::new(rel) });
+        Ok(removed)
+    }
+
     /// General mutation hook used by the evaluator's update semantics: `f`
     /// gets the whole universe; `scope` declares what it may touch (used
     /// for cache invalidation, so over-approximate when unsure).
@@ -259,6 +280,52 @@ impl Store {
         let idx = Arc::new(Index::build(kind, relset, &Name::new(attr)));
         caches.indexes.insert(key, (self.version, Arc::clone(&idx)));
         Ok(idx)
+    }
+
+    /// Takes over the indexes `prev` has built, for a store holding a
+    /// later universe (the next snapshot of the same engine). An index
+    /// over a relation the two stores share unchanged is shared; one over
+    /// a relation that changed is patched by the rows that left and
+    /// joined it ([`Index::patched`]); one over a relation this store
+    /// lacks is dropped. Readers of this store then start warm instead of
+    /// rebuilding every index they probe.
+    pub fn adopt_indexes(&self, prev: &Store) {
+        let built: Vec<_> = {
+            let caches = prev.caches.lock();
+            caches
+                .indexes
+                .iter()
+                .filter(|((db, rel, ..), (built_at, _))| {
+                    !prev
+                        .journal
+                        .since(*built_at)
+                        .iter()
+                        .any(|c| c.scope.touches(db.as_str(), rel.as_str()))
+                })
+                .map(|(key, (_, idx))| (key.clone(), Arc::clone(idx)))
+                .collect()
+        };
+        let mut adopted = Vec::with_capacity(built.len());
+        for (key, idx) in built {
+            let (db, rel, attr, _) = &key;
+            let (Ok(old), Ok(new)) = (
+                prev.relation(db.as_str(), rel.as_str()),
+                self.relation(db.as_str(), rel.as_str()),
+            ) else {
+                continue;
+            };
+            let idx = if old.shares_with(new) {
+                idx
+            } else {
+                let (gone, added) = old.diff(new);
+                Arc::new(idx.patched(attr, &gone, &added))
+            };
+            adopted.push((key, idx));
+        }
+        let mut caches = self.caches.lock();
+        for (key, idx) in adopted {
+            caches.indexes.entry(key).or_insert((self.version, idx));
+        }
     }
 
     /// Statistics for `db.rel`, computed or reused as needed.
@@ -440,6 +507,21 @@ mod tests {
     }
 
     #[test]
+    fn remove_rows_removes_by_value_and_invalidates_indexes() {
+        let mut s = seeded();
+        let idx = s.index("euter", "r", "stkCode", IndexKind::Hash).unwrap();
+        let gone = [
+            tuple! { stkCode: "hp", clsPrice: 50i64 },
+            tuple! { stkCode: "hp", clsPrice: 50.0f64 }, // another value: not present
+        ];
+        assert_eq!(s.remove_rows("euter", "r", &gone).unwrap(), 1);
+        assert_eq!(s.relation("euter", "r").unwrap().len(), 1);
+        let fresh = s.index("euter", "r", "stkCode", IndexKind::Hash).unwrap();
+        assert!(!Arc::ptr_eq(&idx, &fresh), "the removal invalidates the cached index");
+        assert!(s.remove_rows("euter", "nope", &gone).is_err());
+    }
+
+    #[test]
     fn index_reuse_and_invalidation() {
         let mut s = seeded();
         let i1 = s.index("euter", "r", "stkCode", IndexKind::Hash).unwrap();
@@ -505,6 +587,31 @@ mod tests {
         });
         assert_eq!(r.unwrap(), 7);
         assert_eq!(s.relation("euter", "r").unwrap().len(), 3);
+    }
+
+    #[test]
+    fn a_later_store_adopts_shared_and_patched_indexes() {
+        let prev = seeded();
+        let hp = prev.index("euter", "r", "stkCode", IndexKind::Hash).unwrap();
+        let mut writer = Store::from_universe(prev.universe().clone()).unwrap();
+        writer.insert("chwab", "r", tuple! { date: "d1", hp: 1i64 }).unwrap();
+        let next = Store::from_universe(writer.universe().clone()).unwrap();
+        next.adopt_indexes(&prev);
+        let shared = next.index("euter", "r", "stkCode", IndexKind::Hash).unwrap();
+        assert!(Arc::ptr_eq(&hp, &shared), "an unchanged relation shares its index");
+
+        writer.insert("euter", "r", tuple! { stkCode: "sun", clsPrice: 7i64 }).unwrap();
+        writer.remove_rows("euter", "r", &[tuple! { stkCode: "hp", clsPrice: 50i64 }]).unwrap();
+        let later = Store::from_universe(writer.universe().clone()).unwrap();
+        later.adopt_indexes(&next);
+        let patched = later.index("euter", "r", "stkCode", IndexKind::Hash).unwrap();
+        let built = Index::build(
+            IndexKind::Hash,
+            later.relation("euter", "r").unwrap(),
+            &Name::new("stkCode"),
+        );
+        assert_eq!(*patched, built, "a changed relation's index is patched to a build's");
+        assert!(patched.lookup_eq(&Value::str("hp")).is_empty());
     }
 
     #[test]

@@ -78,6 +78,9 @@ pub trait Vfs: Send + Sync {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
     /// Creates or truncates `path` and writes `data`.
     fn write(&self, path: &Path, data: &[u8]) -> io::Result<()>;
+    /// Creates `path` exclusively and writes `data`, failing with
+    /// [`io::ErrorKind::AlreadyExists`] when a file of that name exists.
+    fn create_new(&self, path: &Path, data: &[u8]) -> io::Result<()>;
     /// Appends `data` to `path`, creating it if absent.
     fn append(&self, path: &Path, data: &[u8]) -> io::Result<()>;
     /// Reads up to `len` bytes at byte offset `off`. Returns fewer bytes
@@ -166,6 +169,14 @@ impl Vfs for RealVfs {
         self.writes.fetch_add(1, Ordering::Relaxed);
         self.bytes_written.fetch_add(data.len() as u64, Ordering::Relaxed);
         std::fs::write(path, data)
+    }
+
+    fn create_new(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+        use std::io::Write;
+        let mut f = std::fs::OpenOptions::new().write(true).create_new(true).open(path)?;
+        self.writes.fetch_add(1, Ordering::Relaxed);
+        self.bytes_written.fetch_add(data.len() as u64, Ordering::Relaxed);
+        f.write_all(data)
     }
 
     fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
@@ -714,6 +725,28 @@ impl SimVfs {
         Self::apply_write_at(s, path, off, &data[..keep]);
     }
 
+    /// A whole-file write under the state lock: one fault point.
+    fn write_locked(s: &mut SimState, path: &Path, data: &[u8]) -> io::Result<()> {
+        let tick = Self::tick(s, true, false, false)?;
+        match tick {
+            Tick::Crash => {
+                Self::partial_apply(s, path, data, false);
+                s.crashed = true;
+                Err(Self::crash_error(s))
+            }
+            Tick::Enospc => {
+                Self::partial_apply(s, path, data, false);
+                Err(io::Error::new(io::ErrorKind::StorageFull, "simulated ENOSPC"))
+            }
+            _ => {
+                s.stats.writes += 1;
+                s.stats.bytes_written += data.len() as u64;
+                Self::apply_write(s, path, data, false);
+                Ok(())
+            }
+        }
+    }
+
     fn not_found(path: &Path) -> io::Error {
         io::Error::new(io::ErrorKind::NotFound, format!("no such file: {}", path.display()))
     }
@@ -738,25 +771,17 @@ impl Vfs for SimVfs {
     }
 
     fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+        Self::write_locked(&mut self.state.lock(), path, data)
+    }
+
+    fn create_new(&self, path: &Path, data: &[u8]) -> io::Result<()> {
         let mut s = self.state.lock();
-        let tick = Self::tick(&mut s, true, false, false)?;
-        match tick {
-            Tick::Crash => {
-                Self::partial_apply(&mut s, path, data, false);
-                s.crashed = true;
-                Err(Self::crash_error(&s))
-            }
-            Tick::Enospc => {
-                Self::partial_apply(&mut s, path, data, false);
-                Err(io::Error::new(io::ErrorKind::StorageFull, "simulated ENOSPC"))
-            }
-            _ => {
-                s.stats.writes += 1;
-                s.stats.bytes_written += data.len() as u64;
-                Self::apply_write(&mut s, path, data, false);
-                Ok(())
-            }
+        // A refused create touches nothing, so it is not a fault point.
+        if !s.crashed && s.live.contains_key(path) {
+            let msg = format!("file exists: {}", path.display());
+            return Err(io::Error::new(io::ErrorKind::AlreadyExists, msg));
         }
+        Self::write_locked(&mut s, path, data)
     }
 
     fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
@@ -1005,6 +1030,25 @@ mod tests {
         let st = vfs.stats();
         assert_eq!((st.writes, st.appends, st.renames, st.removes), (1, 1, 1, 1));
         assert_eq!(st.bytes_written, 11);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn create_new_refuses_an_existing_file_on_both_backends() {
+        let dir = std::env::temp_dir().join(format!("idl-vfs-create-{}", std::process::id()));
+        let real = RealVfs::new();
+        real.create_dir_all(&dir).unwrap();
+        let sim = SimVfs::new(FaultPlan::none(6));
+        sim.create_dir_all(&dir).unwrap();
+        for vfs in [&real as &dyn Vfs, &sim] {
+            let f = dir.join("t.tmp");
+            vfs.create_new(&f, b"one").unwrap();
+            let err = vfs.create_new(&f, b"two").unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
+            assert_eq!(vfs.read(&f).unwrap(), b"one", "a refused create changes nothing");
+            vfs.remove_file(&f).unwrap();
+        }
+        assert_eq!(sim.op_count(), 3, "a refused create is not a fault point");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -545,6 +545,28 @@ fn same_plan_replays_identically() {
     assert_eq!(runs[0], runs[1], "plan {plan} must replay identically");
 }
 
+#[test]
+fn crash_inside_log_rotation_replays_identically() {
+    // The plan crashes in the first checkpoint's log rotation, after the
+    // rotation staged its temp file: both runs must leave that file under
+    // one name, whatever ran earlier in the process.
+    let plan = FaultPlan::none(20260845).with_crash_at(25);
+    let runs: Vec<_> = (0..2)
+        .map(|_| {
+            let vfs = Arc::new(SimVfs::new(plan));
+            let run = run_workload(&vfs, 4, true);
+            vfs.power_cycle();
+            (run, vfs.dump())
+        })
+        .collect();
+    assert!(
+        runs[0].1.keys().any(|p| p.extension().is_some_and(|e| e == "tmp")),
+        "plan {plan} must crash with a staged temp file: {:?}",
+        runs[0].1.keys().collect::<Vec<_>>()
+    );
+    assert_eq!(runs[0], runs[1], "plan {plan} must replay identically");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

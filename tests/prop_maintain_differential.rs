@@ -80,21 +80,41 @@ fn universe_json(e: &Engine) -> String {
     idl_storage::persist::to_json(e.store()).unwrap()
 }
 
+/// A base universe plus the rules whose views a battery leg repairs.
+struct Setup {
+    base: fn() -> Engine,
+    add_rules: fn(&mut Engine),
+}
+
+/// The main legs: the stock universe under [`RULES`].
+const STOCK: Setup = Setup {
+    base: base_engine,
+    add_rules: |e| {
+        e.add_rules(RULES).unwrap();
+    },
+};
+
 /// Applies the schedule update-by-update with maintenance on, then asks
 /// for freshness the way a published snapshot would: one repair over the
 /// whole schedule. Returns the engine for inspection.
 fn maintained_run(schedule: &[String], threads: usize, compile: bool) -> Engine {
-    repaired_every(schedule, threads, compile, usize::MAX)
+    repaired_every(&STOCK, schedule, threads, compile, usize::MAX)
 }
 
 /// [`maintained_run`] with a repair after every `every` writes as well as
 /// at the end.
-fn repaired_every(schedule: &[String], threads: usize, compile: bool, every: usize) -> Engine {
-    let mut e = base_engine();
+fn repaired_every(
+    setup: &Setup,
+    schedule: &[String],
+    threads: usize,
+    compile: bool,
+    every: usize,
+) -> Engine {
+    let mut e = (setup.base)();
     e.set_options(
         EngineOptions::builder().threads(threads).compile(compile).maintain(true).build(),
     );
-    e.add_rules(RULES).unwrap();
+    (setup.add_rules)(&mut e);
     e.refresh_views().unwrap();
     for (i, stmt) in schedule.iter().enumerate() {
         e.update(stmt).unwrap_or_else(|err| panic!("{stmt}: {err}"));
@@ -110,9 +130,14 @@ fn repaired_every(schedule: &[String], threads: usize, compile: bool, every: usi
 /// The refresh-the-world reference: same schedule with maintenance off,
 /// then one full rebuild.
 fn reference_run(schedule: &[String]) -> Engine {
-    let mut e = base_engine();
+    reference_with(&STOCK, schedule)
+}
+
+/// [`reference_run`] over another setup.
+fn reference_with(setup: &Setup, schedule: &[String]) -> Engine {
+    let mut e = (setup.base)();
     e.set_options(EngineOptions::builder().maintain(false).auto_refresh(false).build());
-    e.add_rules(RULES).unwrap();
+    (setup.add_rules)(&mut e);
     for stmt in schedule {
         e.update(stmt).unwrap_or_else(|err| panic!("{stmt}: {err}"));
     }
@@ -151,19 +176,207 @@ proptest! {
     fn every_repair_cadence_matches_rebuilt(
         schedule in prop::collection::vec(prop_oneof![op_strategy(), call_strategy()], 1..24)
     ) {
-        let expected = universe_json(&reference_run(&schedule));
-        for threads in [1usize, 4] {
-            for every in [1usize, 2, 3, 8, usize::MAX] {
-                let repaired = repaired_every(&schedule, threads, true, every);
-                prop_assert_eq!(
-                    &universe_json(&repaired),
-                    &expected,
-                    "repairing every {} writes diverged from rebuilt at {} threads\nschedule: {:?}",
-                    every,
-                    threads,
-                    &schedule
+        check_cadences(&STOCK, &schedule)?;
+    }
+
+    /// The recursive leg: transitive closure under random edge inserts
+    /// and retractions, at every repair cadence. A retraction's victims
+    /// may keep support only through other victims of the same round.
+    #[test]
+    fn recursive_closure_matches_rebuilt_at_every_cadence(
+        schedule in prop::collection::vec(edge_strategy(), 1..24)
+    ) {
+        check_cadences(&CLOSURE, &schedule)?;
+    }
+
+    /// The two-level-mapping leg: §6's unified, customised and reconciled
+    /// views (`pnew` reads `euter` through negation) under random §7.1
+    /// program calls and direct single-source writes, so a `dbI.p` fact
+    /// may keep its support from another source. Prices are drawn as
+    /// both `Int` and `Float`: `50` and `50.0` are distinct rows.
+    #[test]
+    fn two_level_mapping_matches_rebuilt_at_every_cadence(
+        schedule in prop::collection::vec(
+            prop_oneof![mixed_price_call_strategy(), single_source_strategy()],
+            1..24,
+        )
+    ) {
+        check_cadences(&TWO_LEVEL, &schedule)?;
+    }
+}
+
+/// Repairs `schedule` after every write, after every 2, 3 or 8 writes and
+/// once at the end, at {1, 4} threads, and compares every run with the
+/// reference's bytes.
+fn check_cadences(setup: &Setup, schedule: &[String]) -> Result<(), TestCaseError> {
+    let expected = universe_json(&reference_with(setup, schedule));
+    for threads in [1usize, 4] {
+        for every in [1usize, 2, 3, 8, usize::MAX] {
+            let repaired = repaired_every(setup, schedule, threads, true, every);
+            prop_assert_eq!(
+                &universe_json(&repaired),
+                &expected,
+                "repairing every {} writes diverged from rebuilt at {} threads\nschedule: {:?}",
+                every,
+                threads,
+                schedule
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Transitive closure over one edge relation: a recursive stratum.
+const CLOSURE_RULES: &str = "
+    .dbT.t(.src=X,.dst=Y) <- .g.e(.src=X,.dst=Y) ;
+    .dbT.t(.src=X,.dst=Z) <- .dbT.t(.src=X,.dst=Y), .g.e(.src=Y,.dst=Z) ;
+";
+
+const NODES: &[&str] = &["a", "b", "c", "d", "y"];
+
+fn closure_engine() -> Engine {
+    let mut e = Engine::new();
+    e.update(
+        "?.g.e+(.src=a,.dst=b), .g.e+(.src=b,.dst=c), .g.e+(.src=a,.dst=y), \
+              .g.e+(.src=b,.dst=y), .g.e+(.src=y,.dst=c)",
+    )
+    .unwrap();
+    e
+}
+
+const CLOSURE: Setup = Setup {
+    base: closure_engine,
+    add_rules: |e| {
+        e.add_rules(CLOSURE_RULES).unwrap();
+    },
+};
+
+/// One random edge insert or retraction (cycles included).
+fn edge_strategy() -> impl Strategy<Value = String> {
+    (any::<bool>(), 0usize..NODES.len(), 0usize..NODES.len()).prop_map(|(ins, x, y)| {
+        let sign = if ins { '+' } else { '-' };
+        format!("?.g.e{sign}(.src={}, .dst={})", NODES[x], NODES[y])
+    })
+}
+
+/// A price drawn from a small range, written as an `Int` or a `Float`,
+/// so equal-valued quotes of different atom kinds meet.
+fn price_strategy() -> impl Strategy<Value = String> {
+    (48i64..52, 0usize..3).prop_map(|(p, form)| match form {
+        0 => format!("{p}"),
+        1 => format!("{p}.0"),
+        _ => format!("{p}.5"),
+    })
+}
+
+/// A §7.1 program call with a mixed-kind price.
+fn mixed_price_call_strategy() -> impl Strategy<Value = String> {
+    (0usize..5, 0usize..DATES.len(), 0usize..STOCKS.len(), price_strategy()).prop_map(
+        |(kind, d, s, p)| {
+            let (date, stk) = (DATES[d], STOCKS[s]);
+            match kind {
+                0 | 1 => format!("?.dbU.insStk(.stk={stk}, .date={date}, .price={p})"),
+                2 | 3 => format!("?.dbU.delStk(.stk={stk}, .date={date})"),
+                _ => format!("?.dbU.rmStk(.stk={stk})"),
+            }
+        },
+    )
+}
+
+/// A direct write to one source only, so the three schemata disagree.
+fn single_source_strategy() -> impl Strategy<Value = String> {
+    (0usize..6, 0usize..DATES.len(), 0usize..STOCKS.len(), price_strategy()).prop_map(
+        |(kind, d, s, p)| {
+            let (date, stk) = (DATES[d], STOCKS[s]);
+            match kind {
+                0 => format!("?.euter.r+(.date={date}, .stkCode={stk}, .clsPrice={p})"),
+                1 => format!("?.euter.r-(.date={date}, .stkCode={stk})"),
+                2 => format!("?.chwab.r(.date={date}, +.{stk}={p})"),
+                3 => format!("?.chwab.r(.date={date}, .{stk}-=X)"),
+                4 => format!("?.ource.{stk}+(.date={date}, .clsPrice={p})"),
+                _ => format!("?.ource.{stk}-(.date={date})"),
+            }
+        },
+    )
+}
+
+/// The stock universe with a date-only `chwab` row, so `insStk` on that
+/// date edits all three schemata.
+fn two_level_engine() -> Engine {
+    let mut e = base_engine();
+    e.update("?.chwab.r+(.date=9/9/99)").unwrap();
+    e
+}
+
+/// Figure 1's two-level mapping plus §6's reconciled view.
+const TWO_LEVEL: Setup = Setup {
+    base: two_level_engine,
+    add_rules: |e| {
+        use idl::transparency::{customized_view_rules, reconciled_view_rules, unified_view_rules};
+        for rules in [unified_view_rules(), customized_view_rules(), reconciled_view_rules()] {
+            e.add_rules(rules).unwrap();
+        }
+    },
+};
+
+/// The pinned recursive case: retracting `e(b,c)` and `e(a,y)` in one
+/// request removes both one-step supports of `t(a,c)`; it keeps the path
+/// a→b→y→c, whose `t(a,y)` is itself a victim of the same round.
+#[test]
+fn closure_keeps_a_fact_supported_only_through_another_victim() {
+    let schedule = vec!["?.g.e-(.src=b, .dst=c), .g.e-(.src=a, .dst=y)".to_string()];
+    let expected = universe_json(&reference_with(&CLOSURE, &schedule));
+    for threads in [1usize, 4] {
+        for compile in [true, false] {
+            let mut e = repaired_every(&CLOSURE, &schedule, threads, compile, 1);
+            assert_eq!(e.maintenance_runs(), 1, "the retraction must be repaired, not rebuilt");
+            assert!(e.query("?.dbT.t(.src=a, .dst=c)").unwrap().is_true());
+            assert!(e.query("?.dbT.t(.src=a, .dst=y)").unwrap().is_true());
+            assert_eq!(universe_json(&e), expected);
+        }
+    }
+}
+
+/// The pinned numeric case: euter quotes hp at `Int 50`, chwab and ource
+/// at `Float 50.0`. Retracting euter's quote and then ource's must drop
+/// the `Int 50` row from `dbI.p`, `dbE.r` and `dbO.hp`, although a
+/// source still supports `50.0`, which a plan's `Bind` compares equal.
+#[test]
+fn int_row_is_dropped_though_an_equal_float_keeps_support() {
+    let schedule: Vec<String> = [
+        "?.euter.r+(.date=9/9/99, .stkCode=hp, .clsPrice=50)",
+        "?.chwab.r(.date=9/9/99, +.hp=50.0)",
+        "?.ource.hp+(.date=9/9/99, .clsPrice=50.0)",
+        "?.euter.r-(.date=9/9/99, .stkCode=hp)",
+        "?.ource.hp-(.date=9/9/99)",
+    ]
+    .map(String::from)
+    .to_vec();
+    let int_50 = idl::Value::int(50);
+    for threads in [1usize, 4] {
+        for compile in [true, false] {
+            let mut e = repaired_every(&TWO_LEVEL, &schedule[..3], threads, compile, 1);
+            let repairs = e.maintenance_runs();
+            for stmt in &schedule[3..] {
+                e.update(stmt).unwrap();
+                e.refresh_views_if_stale().unwrap();
+            }
+            assert_eq!(e.maintenance_runs(), repairs + 2, "both retractions are repaired");
+            for (db, rel) in [("dbI", "p"), ("dbE", "r"), ("dbO", "hp")] {
+                let rows = e.store().relation(db, rel).unwrap();
+                assert!(
+                    !rows.iter().any(|r| r.attr("clsPrice") == Some(&int_50)),
+                    "{db}.{rel} kept the Int 50 row"
+                );
+                // 3/3/85's base quote and 9/9/99's, which chwab supports
+                let float_50 = idl::Value::float(50.0);
+                assert_eq!(
+                    rows.iter().filter(|r| r.attr("clsPrice") == Some(&float_50)).count(),
+                    2,
+                    "{db}.{rel} lost the Float 50.0 row chwab supports"
                 );
             }
+            assert_eq!(universe_json(&e), universe_json(&reference_with(&TWO_LEVEL, &schedule)));
         }
     }
 }
