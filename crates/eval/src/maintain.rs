@@ -14,10 +14,12 @@
 //!   through negation, the one place a deletion can enable a derivation;
 //! * **retractions** run a DRed-style deletion cascade: for every rule
 //!   whose body reads a deleted row positively (or a freshly inserted row
-//!   through negation), a *victim query* — the rule body with that subgoal
-//!   replaced by a scan over a temporary delta relation — is evaluated
-//!   against the *pre-round* store to over-approximate the derived rows
-//!   that may have lost support. Victims are deleted, then each one's
+//!   through negation), a *victim query* over-approximates the derived
+//!   rows that may have lost support. It is the rule's own compiled
+//!   `(Δ ⋈ full)` variant, run against the *pre-round* store: the
+//!   positive occurrence's variant over the deleted rows, or the negated
+//!   occurrence's variant, whose negated scan becomes a positive scan over
+//!   the inserted rows. Victims are deleted, then each one's
 //!   support is **checked** exactly (the backward check of Motik et al.'s
 //!   B/F algorithm): every rule whose head overlaps the victim runs its
 //!   plan from a seed substitution taken from the victim row, and the row
@@ -35,37 +37,26 @@
 //!   the slot ([`MaintainOutcome::gcd`]) so the maintained store stays
 //!   byte-identical to a full rebuild.
 //!
-//! The pass is *sound but partial*: any shape it cannot maintain exactly
-//! (scalar heads, coarse writes, non-row base changes, unsupported
-//! subgoal shapes) makes it bail with `Ok(None)`, and the engine falls
+//! The pass runs compiled plans only, whatever [`EvalOptions::compile`]
+//! says. It is *sound but partial*: any shape it cannot maintain exactly
+//! (scalar heads, coarse writes, non-row base changes, a changed subgoal
+//! with no Δ variant) makes it bail with `Ok(None)`, and the engine falls
 //! back to a full rebuild. Bailing late is safe — a half-applied pass
 //! only ever leaves state the full rebuild recomputes from scratch.
 
 use crate::compile::PlanCache;
 use crate::delta::{DeltaLog, DeltaTable};
 use crate::error::{EvalError, EvalResult};
+use crate::physical::CompiledItems;
 use crate::query::{EvalOptions, Evaluator};
-use crate::rules::{FixpointStats, MaintenanceStats, PredPat, RuleEngine};
+use crate::rules::{FixpointStats, MaintenanceStats, PlanSet, PredPat, RuleEngine};
 use crate::subst::Subst;
 use crate::update::materialize;
-use idl_lang::{AttrTerm, Expr, Field, RelOp, Rule, Term};
+use idl_lang::{AttrTerm, Expr, RelOp, Rule, Term};
 use idl_object::{Atom, Name, Value};
 use idl_storage::Store;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Prefix for the temporary databases holding one round's delta rows
-/// during victim-query evaluation. Contains a control character no parsed
-/// IDL name can contain, so it never collides with user data.
-const DELTA_DB_MARKER: &str = "\u{1}delta:";
-
-/// The marker database for `db`'s rows a victim query scans: its deleted
-/// rows for a positive reference, its inserted rows for a negated one.
-/// One relation can have both in a round, so the two never share a name.
-fn marker_db(db: &Name, negated: bool) -> Name {
-    let sign = if negated { '+' } else { '-' };
-    Name::new(format!("{DELTA_DB_MARKER}{sign}{}", db.as_str()))
-}
 
 /// The row-level difference the writes since the views were last fresh
 /// made to *base* relations: the seed of a maintenance pass.
@@ -285,7 +276,14 @@ impl RuleEngine {
             return Ok(None);
         }
         let mut stats = FixpointStats::default();
-        let set = self.build_plan_set(opts, cache, &mut stats)?;
+        // The repair runs compiled plans and their Δ variants only;
+        // `compile` chooses how reads and rebuilds evaluate.
+        let set = self.build_plan_set(opts.with_compile(true), cache, &mut stats)?;
+        let plans: Vec<&CompiledItems> = set
+            .plans
+            .iter()
+            .map(|p| p.as_deref().expect("compile is on: every rule has a plan"))
+            .collect();
         // Stratum index per rule, for the rederive cross-stratum guard.
         let mut rule_stratum = vec![0usize; self.rules.len()];
         for (si, stratum) in self.strata.iter().enumerate() {
@@ -336,6 +334,7 @@ impl RuleEngine {
                     stratum,
                     &pend_plus,
                     &pend_minus,
+                    &set,
                     opts,
                     &mut stats,
                 )? {
@@ -368,15 +367,8 @@ impl RuleEngine {
                     }
                     present
                 } else {
-                    let Some(gone) = self.rederive(
-                        store,
-                        present,
-                        &rule_stratum,
-                        si,
-                        &set.plans,
-                        opts,
-                        &mut stats,
-                    )?
+                    let Some(gone) =
+                        self.rederive(store, present, &rule_stratum, si, &plans, opts, &mut stats)?
                     else {
                         return Ok(None);
                     };
@@ -390,15 +382,8 @@ impl RuleEngine {
                 pend_minus = next_minus;
             }
             if !overdeleted.is_empty() {
-                let Some(gone) = self.rederive(
-                    store,
-                    overdeleted,
-                    &rule_stratum,
-                    si,
-                    &set.plans,
-                    opts,
-                    &mut stats,
-                )?
+                let Some(gone) =
+                    self.rederive(store, overdeleted, &rule_stratum, si, &plans, opts, &mut stats)?
                 else {
                     return Ok(None);
                 };
@@ -429,7 +414,6 @@ impl RuleEngine {
                 opts,
                 &set.plans,
                 &set.variants,
-                &set.delta_ok,
                 &mut stats,
                 Some(seed),
                 Some(&mut accum),
@@ -513,10 +497,13 @@ impl RuleEngine {
         })
     }
 
-    /// One deletion-cascade round's victim over-approximation: evaluates
-    /// every triggered rule's victim queries against the *pre-round*
-    /// store and extracts candidate head facts. `Ok(None)` = a triggered
-    /// occurrence had a shape the rewriter cannot handle (bail).
+    /// One deletion-cascade round's victim over-approximation: runs the
+    /// `(Δ ⋈ full)` variant of every occurrence the round's rows trigger
+    /// against the *pre-round* store and extracts candidate head facts. A
+    /// positive occurrence's variant scans the deleted rows (Δ⁻); a
+    /// negated occurrence's variant scans the inserted rows (Δ⁺)
+    /// positively. `Ok(None)` = a triggered occurrence has no variant
+    /// (bail).
     #[allow(clippy::too_many_arguments)]
     fn find_victims(
         &self,
@@ -524,32 +511,39 @@ impl RuleEngine {
         woken: &[usize],
         pend_plus: &DeltaTable,
         pend_minus: &DeltaTable,
+        set: &PlanSet,
         opts: EvalOptions,
         stats: &mut FixpointStats,
     ) -> EvalResult<Option<DeltaTable>> {
-        // Collect (rule, changed rel, polarity) triggers first; if none,
+        // The variants to run, each with the Δ table it scans; if none,
         // skip the old-store restoration entirely.
-        let mut triggers: Vec<(usize, Name, Name, bool)> = Vec::new();
+        let mut runs: Vec<(usize, &CompiledItems, &DeltaTable)> = Vec::new();
         for &ri in woken {
-            for br in &self.body_refs[ri] {
-                let pend = if br.negated { pend_plus } else { pend_minus };
-                for (db, rel) in pend.keys() {
-                    let concrete = PredPat { db: Some(db.clone()), rel: Some(rel.clone()) };
-                    if br.pat.overlaps(&concrete) {
-                        triggers.push((ri, db.clone(), rel.clone(), br.negated));
+            for (negated, table, variants) in
+                [(false, pend_minus, &set.variants[ri]), (true, pend_plus, &set.negated[ri])]
+            {
+                let changed = |pat: &PredPat| table.keys().any(|(db, rel)| pat.matches(db, rel));
+                let triggered =
+                    self.body_refs[ri].iter().any(|br| br.negated == negated && changed(&br.pat));
+                if !triggered {
+                    continue;
+                }
+                if variants.is_empty() {
+                    return Ok(None);
+                }
+                for (pat, variant) in variants {
+                    if changed(pat) {
+                        runs.push((ri, variant, table));
                     }
                 }
             }
         }
-        triggers.sort();
-        triggers.dedup();
-        if triggers.is_empty() {
+        if runs.is_empty() {
             return Ok(Some(BTreeMap::new()));
         }
         // Pre-round store: O(1) universe clone with the pending frontier
         // restored (Δ⁺ removed, Δ⁻ re-added) so a derivation whose *other*
-        // premises also changed this round is still found, plus marker
-        // databases holding the delta rows the victim queries scan.
+        // premises also changed this round is still found.
         let mut old = Store::from_universe(store.universe().clone())
             .map_err(|e| EvalError::Storage(e.to_string()))?;
         for ((db, rel), rows) in pend_plus {
@@ -568,44 +562,17 @@ impl RuleEngine {
                     .map_err(|e| EvalError::Storage(e.to_string()))?;
             }
         }
-        let mut marker_filled: BTreeSet<(Name, Name, bool)> = BTreeSet::new();
-        for (_, db, rel, negated) in &triggers {
-            if !marker_filled.insert((db.clone(), rel.clone(), *negated)) {
-                continue;
-            }
-            let mdb = marker_db(db, *negated);
-            old.create_relation(mdb.clone(), rel.clone())
-                .map_err(|e| EvalError::Storage(e.to_string()))?;
-            let pend = if *negated { pend_plus } else { pend_minus };
-            for row in pend.get(&(db.clone(), rel.clone())).into_iter().flatten() {
-                old.insert(mdb.clone(), rel.clone(), row.clone())
-                    .map_err(|e| EvalError::Storage(e.to_string()))?;
-            }
-        }
         let mut victims: BTreeMap<(Name, Name), Vec<Value>> = BTreeMap::new();
-        let ev = Evaluator::new(&old, opts);
-        for (ri, db, rel, negated) in &triggers {
-            let rule = &self.rules[*ri];
-            let Some(bodies) = victim_bodies(rule, db, rel, *negated) else {
-                return Ok(None);
-            };
-            for body in bodies {
-                // Driven by the round's Δ rows: a delta evaluation.
-                stats.rule_evals += 1;
-                stats.delta_evals += 1;
-                // A moding break the placement heuristic missed is a shape
-                // the rewriter cannot handle: bail to the refresh path.
-                let substs = match ev.eval_items(&body, vec![Subst::new()]) {
-                    Ok(s) => s,
-                    Err(EvalError::Uninstantiated(_)) => return Ok(None),
-                    Err(e) => return Err(e),
+        for (ri, variant, table) in runs {
+            // Driven by the round's Δ rows: a delta evaluation.
+            stats.rule_evals += 1;
+            stats.delta_evals += 1;
+            let ev = Evaluator::with_delta(&old, opts, table, (0, 1));
+            for s in &ev.eval_compiled(variant, vec![Subst::new()])? {
+                let Some((vdb, vrel, row)) = head_fact(&self.rules[ri].head, s) else {
+                    return Ok(None);
                 };
-                for s in &substs {
-                    let Some((vdb, vrel, row)) = head_fact(&rule.head, s) else {
-                        return Ok(None);
-                    };
-                    victims.entry((vdb, vrel)).or_default().push(row);
-                }
+                victims.entry((vdb, vrel)).or_default().push(row);
             }
         }
         for rows in victims.values_mut() {
@@ -633,7 +600,7 @@ impl RuleEngine {
         present: DeltaTable,
         rule_stratum: &[usize],
         current_stratum: usize,
-        plans: &[Option<std::sync::Arc<crate::physical::CompiledItems>>],
+        plans: &[&CompiledItems],
         opts: EvalOptions,
         stats: &mut FixpointStats,
     ) -> EvalResult<Option<DeltaTable>> {
@@ -658,7 +625,7 @@ impl RuleEngine {
                     for row in group.rows.drain(..) {
                         let mut supported = Some(false);
                         for &ri in &group.deriving {
-                            supported = self.derives(&ev, ri, &plans[ri], db, rel, &row, stats)?;
+                            supported = self.derives(&ev, ri, plans[ri], db, rel, &row, stats)?;
                             if supported != Some(false) {
                                 break;
                             }
@@ -697,7 +664,7 @@ impl RuleEngine {
         &self,
         ev: &Evaluator<'_>,
         ri: usize,
-        plan: &Option<std::sync::Arc<crate::physical::CompiledItems>>,
+        plan: &CompiledItems,
         db: &Name,
         rel: &Name,
         row: &Value,
@@ -708,11 +675,7 @@ impl RuleEngine {
         // Driven by one Δ row: a delta evaluation.
         stats.rule_evals += 1;
         stats.delta_evals += 1;
-        let substs = match plan {
-            Some(plan) => ev.eval_compiled(plan, vec![seed])?,
-            None => ev.eval_items(&rule.body, vec![seed])?,
-        };
-        for s in &substs {
+        for s in &ev.eval_compiled(plan, vec![seed])? {
             let Some((hdb, hrel, hrow)) = head_fact(&rule.head, s) else { return Ok(None) };
             if hdb == *db && hrel == *rel && hrow == *row {
                 return Ok(Some(true));
@@ -809,168 +772,6 @@ fn attr_name(attr: &AttrTerm, subst: &Subst) -> Option<Name> {
             _ => None,
         },
     }
-}
-
-/// Whether a rewritten marker scan can ground itself when evaluated
-/// first: every atomic either unifies (`=` binds its variable from the
-/// scanned row) or compares against a fully-ground term. A non-equality
-/// comparison with a variable (or arithmetic) operand needs bindings
-/// from *other* subgoals, so the scan cannot lead the join.
-fn self_grounding(expr: &Expr) -> bool {
-    match expr {
-        Expr::Atomic(op, term) => match term {
-            Term::Const(_) => true,
-            Term::Var(_) => *op == RelOp::Eq,
-            Term::Arith(..) => false,
-        },
-        Expr::Tuple(fields) => fields.iter().all(|f| self_grounding(&f.expr)),
-        Expr::Not(inner) | Expr::Set(inner) => self_grounding(inner),
-        Expr::Constraint(..) => false,
-        Expr::Epsilon => true,
-        _ => false,
-    }
-}
-
-/// Builds the victim-query bodies for one `(rule, changed relation,
-/// polarity)` trigger: one body per matching subgoal occurrence, each
-/// being the rule body with that occurrence replaced by a *positive* scan
-/// over the marker database holding the round's delta rows (placed first,
-/// so the tiny Δ relation drives the join). `None` = an occurrence sits
-/// in a shape the rewriter cannot handle.
-fn victim_bodies(rule: &Rule, db: &Name, rel: &Name, negated: bool) -> Option<Vec<Vec<Expr>>> {
-    let mdb = marker_db(db, negated);
-    // (item index, field index, inner index or None for db-level `¬`)
-    let mut occurrences: Vec<(usize, usize, Option<usize>)> = Vec::new();
-    for (ii, item) in rule.body.iter().enumerate() {
-        match item {
-            Expr::Tuple(fields) => {
-                for (fi, f) in fields.iter().enumerate() {
-                    let fdb = match &f.attr {
-                        AttrTerm::Const(n) => Some(n),
-                        AttrTerm::Var(_) => None,
-                    };
-                    let db_overlaps = fdb.is_none_or(|d| d == db);
-                    match &f.expr {
-                        Expr::Tuple(inner) => {
-                            for (gi, g) in inner.iter().enumerate() {
-                                let grel = match &g.attr {
-                                    AttrTerm::Const(n) => Some(n),
-                                    AttrTerm::Var(_) => None,
-                                };
-                                let gneg = matches!(g.expr, Expr::Not(_));
-                                if gneg == negated && db_overlaps && grel.is_none_or(|r| r == rel) {
-                                    // bail on a variable db position
-                                    fdb?;
-                                    occurrences.push((ii, fi, Some(gi)));
-                                }
-                            }
-                        }
-                        Expr::Not(inner) => match inner.as_ref() {
-                            Expr::Tuple(inner_fields) => {
-                                for g in inner_fields {
-                                    let grel = match &g.attr {
-                                        AttrTerm::Const(n) => Some(n),
-                                        AttrTerm::Var(_) => None,
-                                    };
-                                    if negated && db_overlaps && grel.is_none_or(|r| r == rel) {
-                                        if fdb.is_none() || inner_fields.len() != 1 {
-                                            return None;
-                                        }
-                                        occurrences.push((ii, fi, None));
-                                    }
-                                }
-                            }
-                            _ => {
-                                if negated && db_overlaps {
-                                    return None;
-                                }
-                            }
-                        },
-                        _ => {
-                            // Fallback reference `{db, rel: None}` at the
-                            // outer polarity: a matching trigger cannot be
-                            // rewritten.
-                            if !negated && db_overlaps {
-                                return None;
-                            }
-                        }
-                    }
-                }
-            }
-            Expr::Not(_) | Expr::Set(_) => {
-                // References inside whole-item negation/set shapes: check
-                // whether the trigger could hide in here; if so, bail.
-                let mut refs = Vec::new();
-                crate::rules::collect_refs(item, false, &mut refs);
-                let concrete = PredPat { db: Some(db.clone()), rel: Some(rel.clone()) };
-                if refs.iter().any(|br| br.negated == negated && br.pat.overlaps(&concrete)) {
-                    return None;
-                }
-            }
-            _ => {}
-        }
-    }
-    let mut bodies = Vec::new();
-    for (ii, fi, gi) in occurrences {
-        let mut body = rule.body.clone();
-        let Expr::Tuple(fields) = &mut body[ii] else { unreachable!() };
-        let f = &fields[fi];
-        let marker_item = match gi {
-            Some(gi) => {
-                let Expr::Tuple(inner) = &f.expr else { unreachable!() };
-                let g = &inner[gi];
-                let rewritten = Field {
-                    sign: g.sign,
-                    attr: g.attr.clone(),
-                    expr: match &g.expr {
-                        Expr::Not(x) => (**x).clone(),
-                        other => other.clone(),
-                    },
-                };
-                let marker = Expr::Tuple(vec![Field {
-                    sign: None,
-                    attr: AttrTerm::Const(mdb.clone()),
-                    expr: Expr::Tuple(vec![rewritten]),
-                }]);
-                // Remove the replaced subgoal from the original field.
-                let mut rest = inner.clone();
-                rest.remove(gi);
-                if rest.is_empty() {
-                    fields.remove(fi);
-                } else {
-                    fields[fi].expr = Expr::Tuple(rest);
-                }
-                marker
-            }
-            None => {
-                let Expr::Not(inner) = &f.expr else { unreachable!() };
-                let Expr::Tuple(inner_fields) = inner.as_ref() else { unreachable!() };
-                let g = inner_fields[0].clone();
-                let marker = Expr::Tuple(vec![Field {
-                    sign: None,
-                    attr: AttrTerm::Const(mdb.clone()),
-                    expr: Expr::Tuple(vec![g]),
-                }]);
-                fields.remove(fi);
-                marker
-            }
-        };
-        if let Expr::Tuple(fields) = &body[ii] {
-            if fields.is_empty() {
-                body.remove(ii);
-            }
-        }
-        // The tiny Δ scan drives the join from the front — but only when
-        // it can ground itself. A subgoal like `.clsPrice>P` compares
-        // against a variable another subgoal binds, so hoisting it would
-        // break the rule's moding; keep it at its original position
-        // instead (anything it reads was bound before it in the source
-        // order).
-        let at = if self_grounding(&marker_item) { 0 } else { ii.min(body.len()) };
-        body.insert(at, marker_item);
-        bodies.push(body);
-    }
-    Some(bodies)
 }
 
 #[cfg(test)]
@@ -1113,8 +914,9 @@ mod tests {
     #[test]
     fn negated_comparison_against_body_variable_is_maintained() {
         // The negated subgoal compares against P, bound by the positive
-        // subgoal: the victim rewrite must not hoist the Δ scan above
-        // P's binding (it stays at its source position instead).
+        // subgoal. The victim query is the rule's negated Δ variant, which
+        // keeps the planner's conjunct order: its Δ scan runs where the
+        // negated scan ran, after P is bound.
         let rules = vec![
             rule(".dbU.q(.stk=S,.clsPrice=P) <- .euter.r(.stkCode=S,.clsPrice=P)"),
             rule(
@@ -1129,6 +931,43 @@ mod tests {
                 "?.euter.r-(.date=3/9/85,.stkCode=hp,.clsPrice=70)",
             ],
         );
+    }
+
+    #[test]
+    fn database_level_negation_is_maintained() {
+        // `.chwab¬.r(…)` negates at the database level: a chwab row for a
+        // date defeats `nochw` for every stock quoted on it, and deleting
+        // the row derives them again.
+        let rules = vec![
+            rule(".dbI.p(.stk=S,.date=D) <- .euter.r(.stkCode=S,.date=D)"),
+            rule(".dbI.nochw(.stk=S) <- .dbI.p(.stk=S,.date=D), .chwab¬.r(.date=D)"),
+        ];
+        check_maintain(
+            rules,
+            &[
+                "?.euter.r+(.date=3/9/85,.stkCode=sun,.clsPrice=7)",
+                "?.chwab.r+(.date=3/9/85, .sun=7)",
+                "?.chwab.r-(.date=3/9/85)",
+                "?.chwab.r-(.date=3/3/85)",
+                "?.chwab.r+(.date=3/3/85, .hp=50)",
+            ],
+        );
+    }
+
+    #[test]
+    fn negation_without_a_scan_bails_to_refresh() {
+        // `.ource¬.S` scans no relation, so the rule has no negated Δ
+        // variant: a row entering `ource` cannot be repaired.
+        let rules = vec![
+            rule(".dbI.p(.stk=S) <- .euter.r(.stkCode=S)"),
+            rule(".dbI.only(.stk=S) <- .dbI.p(.stk=S), .ource¬.S"),
+        ];
+        let engine = RuleEngine::new(rules).unwrap();
+        let mut store = base_store();
+        engine.materialize(&mut store, opts()).unwrap();
+        let delta = apply(&mut store, "?.ource.hp+(.date=9/9/99,.clsPrice=1)");
+        let out = engine.maintain_cached(&mut store, &delta, opts(), None).unwrap();
+        assert!(out.is_none(), "a triggered negation without a variant bails");
     }
 
     #[test]

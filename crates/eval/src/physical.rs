@@ -229,63 +229,110 @@ impl Lvl {
     }
 }
 
-/// Pre-order collection of the positive relation-level scans a delta can
-/// be anchored at. Scans under negation are excluded: the delta
-/// restriction is only sound for positive occurrences (and stratification
-/// guarantees negated subgoals never change within a stratum).
-fn collect_occurrences(op: &PhysOp, lvl: Lvl, out: &mut Vec<PredPat>) {
-    match op {
-        PhysOp::Tuple(fields) => {
-            for f in fields {
-                collect_occurrences(&f.inner, lvl.descend(&f.attr), out);
-            }
+/// Whether `op`, reached at level `lvl`, is a relation-scan occurrence of
+/// the given sign (positive, or under negation); if so, the pattern of the relation it scans and the
+/// operator its Δ variant puts in its place: a positive
+/// [`PhysOp::DeltaScan`] over the same inner operator.
+///
+/// A positive occurrence is a `Scan` at the relation level. A negated one
+/// is `.db.r¬(…)`, a `Not(Scan)` at the relation level, or `.db¬.r(…)`, a
+/// `Not` at the database level over a one-field tuple holding a `Scan`.
+/// Stratification guarantees negated subgoals never change within a
+/// stratum, so only a view repair's victim queries use negated ones.
+fn occurrence(op: &PhysOp, lvl: &Lvl, negated: bool) -> Option<(PredPat, PhysOp)> {
+    let delta = |inner: &PhysOp| PhysOp::DeltaScan { inner: Box::new(inner.clone()) };
+    match (negated, op, lvl) {
+        (false, PhysOp::Scan { inner, .. }, Lvl::Rel(db, rel)) => {
+            Some((PredPat { db: db.clone(), rel: rel.clone() }, delta(inner)))
         }
-        PhysOp::Scan { .. } => {
-            if let Lvl::Rel(db, rel) = lvl {
-                out.push(PredPat { db, rel });
+        (true, PhysOp::Not(under), _) => match (under.as_ref(), lvl) {
+            (PhysOp::Scan { inner, .. }, Lvl::Rel(db, rel)) => {
+                Some((PredPat { db: db.clone(), rel: rel.clone() }, delta(inner)))
             }
-        }
-        _ => {}
+            (PhysOp::Tuple(fields), Lvl::Db(_)) => {
+                let [f] = fields.as_slice() else { return None };
+                let PhysOp::Scan { inner, .. } = &f.inner else { return None };
+                let Lvl::Rel(db, rel) = lvl.descend(&f.attr) else { return None };
+                let field = PhysField { attr: f.attr.clone(), inner: delta(inner) };
+                Some((PredPat { db, rel }, PhysOp::Tuple(vec![field])))
+            }
+            _ => None,
+        },
+        _ => None,
     }
 }
 
-fn rewrite_occurrence(op: &PhysOp, lvl: Lvl, counter: &mut usize, target: usize) -> PhysOp {
+/// Pre-order collection of the relation-scan occurrences of one sign.
+fn collect_occurrences(op: &PhysOp, lvl: Lvl, negated: bool, out: &mut Vec<PredPat>) {
+    if let Some((pat, _)) = occurrence(op, &lvl, negated) {
+        out.push(pat);
+    } else if let PhysOp::Tuple(fields) = op {
+        for f in fields {
+            collect_occurrences(&f.inner, lvl.descend(&f.attr), negated, out);
+        }
+    }
+}
+
+/// Rewrites the `target`-th occurrence of one sign (numbered as
+/// [`collect_occurrences`] numbers them) into its Δ operator.
+fn rewrite_occurrence(
+    op: &PhysOp,
+    lvl: Lvl,
+    negated: bool,
+    counter: &mut usize,
+    target: usize,
+) -> PhysOp {
+    if let Some((_, variant)) = occurrence(op, &lvl, negated) {
+        let here = *counter;
+        *counter += 1;
+        return if here == target { variant } else { op.clone() };
+    }
     match op {
         PhysOp::Tuple(fields) => PhysOp::Tuple(
             fields
                 .iter()
                 .map(|f| PhysField {
                     attr: f.attr.clone(),
-                    inner: rewrite_occurrence(&f.inner, lvl.descend(&f.attr), counter, target),
+                    inner: rewrite_occurrence(
+                        &f.inner,
+                        lvl.descend(&f.attr),
+                        negated,
+                        counter,
+                        target,
+                    ),
                 })
                 .collect(),
         ),
-        PhysOp::Scan { inner, probes } => {
-            if matches!(lvl, Lvl::Rel(..)) {
-                let here = *counter;
-                *counter += 1;
-                if here == target {
-                    return PhysOp::DeltaScan { inner: inner.clone() };
-                }
-            }
-            PhysOp::Scan { inner: inner.clone(), probes: probes.clone() }
-        }
         other => other.clone(),
     }
 }
 
 impl CompiledItems {
+    fn occurrences(&self, negated: bool) -> Vec<PredPat> {
+        let mut out = Vec::new();
+        for item in &self.items {
+            collect_occurrences(item, Lvl::Root, negated, &mut out);
+        }
+        out
+    }
+
+    fn variant(&self, negated: bool, occ: usize) -> CompiledItems {
+        let mut counter = 0usize;
+        let items = self
+            .items
+            .iter()
+            .map(|item| rewrite_occurrence(item, Lvl::Root, negated, &mut counter, occ))
+            .collect();
+        CompiledItems::new(items)
+    }
+
     /// The stored-relation scan occurrences a semi-naive delta can be
     /// anchored at: every positive relation-level `Scan`, pre-order
     /// across conjuncts, with the statically-known pattern of the
     /// relation it scans. The index into the returned vector numbers the
     /// occurrence for [`CompiledItems::delta_variant`].
     pub fn delta_occurrences(&self) -> Vec<PredPat> {
-        let mut out = Vec::new();
-        for item in &self.items {
-            collect_occurrences(item, Lvl::Root, &mut out);
-        }
-        out
+        self.occurrences(false)
     }
 
     /// A copy of this plan with the `occ`-th delta occurrence (as
@@ -293,13 +340,23 @@ impl CompiledItems {
     /// full relation scan to a [`PhysOp::DeltaScan`] — the `(Δ ⋈ full)`
     /// plan for that occurrence.
     pub fn delta_variant(&self, occ: usize) -> CompiledItems {
-        let mut counter = 0usize;
-        let items = self
-            .items
-            .iter()
-            .map(|item| rewrite_occurrence(item, Lvl::Root, &mut counter, occ))
-            .collect();
-        CompiledItems::new(items)
+        self.variant(false, occ)
+    }
+
+    /// The relation scans under negation, `.db.r¬(…)` and `.db¬.r(…)`,
+    /// pre-order across conjuncts: where a row inserted into the scanned
+    /// relation can defeat a derivation. The index numbers the
+    /// occurrence for [`CompiledItems::negated_delta_variant`].
+    pub fn negated_occurrences(&self) -> Vec<PredPat> {
+        self.occurrences(true)
+    }
+
+    /// A copy of this plan with the `occ`-th negated occurrence (as
+    /// numbered by [`CompiledItems::negated_occurrences`]) rewritten from
+    /// a negated scan to a *positive* [`PhysOp::DeltaScan`]: the rule's
+    /// bindings that a Δ row matching the negated subgoal defeats.
+    pub fn negated_delta_variant(&self, occ: usize) -> CompiledItems {
+        self.variant(true, occ)
     }
 }
 
@@ -521,5 +578,81 @@ impl<'a> Evaluator<'a> {
             self.check_limit(out.len())?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::compile::compile_items;
+    use crate::query::EvalOptions;
+    use idl_lang::{parse_statement, Statement};
+
+    fn plan(src: &str) -> CompiledItems {
+        let Statement::Request(req) = parse_statement(src).unwrap() else { panic!("{src}") };
+        compile_items(&req.items, EvalOptions::default()).unwrap()
+    }
+
+    fn pat(db: &str, rel: &str) -> PredPat {
+        PredPat { db: Some(Name::new(db)), rel: Some(Name::new(rel)) }
+    }
+
+    /// The relation patterns a plan's Δ scans read, pre-order.
+    fn delta_scans(plan: &CompiledItems) -> Vec<PredPat> {
+        fn walk(op: &PhysOp, lvl: Lvl, out: &mut Vec<PredPat>) {
+            match op {
+                PhysOp::DeltaScan { .. } => {
+                    if let Lvl::Rel(db, rel) = lvl {
+                        out.push(PredPat { db, rel });
+                    }
+                }
+                PhysOp::Not(inner) => walk(inner, lvl, out),
+                PhysOp::Tuple(fields) => {
+                    for f in fields {
+                        walk(&f.inner, lvl.descend(&f.attr), out);
+                    }
+                }
+                _ => {}
+            }
+        }
+        let mut out = Vec::new();
+        for item in plan.items() {
+            walk(item, Lvl::Root, &mut out);
+        }
+        out
+    }
+
+    #[test]
+    fn negated_delta_variant_rewrites_exactly_the_kth_occurrence() {
+        // `.chwab¬.r(…)` negates at the database level, `.euter.r¬(…)` at
+        // the relation level: both are negated occurrences.
+        let p = plan("?.dbI.p(.stk=S,.date=D), .chwab¬.r(.date=D), .euter.r¬(.stkCode=S)");
+        let occs = p.negated_occurrences();
+        let mut sorted = occs.clone();
+        sorted.sort();
+        assert_eq!(sorted, vec![pat("chwab", "r"), pat("euter", "r")]);
+        assert_eq!(p.delta_occurrences(), vec![pat("dbI", "p")]);
+        assert!(delta_scans(&p).is_empty());
+        for (k, occ) in occs.iter().enumerate() {
+            let v = p.negated_delta_variant(k);
+            assert_eq!(delta_scans(&v), vec![occ.clone()], "variant {k} scans Δ at its occurrence");
+            let mut rest = occs.clone();
+            rest.remove(k);
+            assert_eq!(v.negated_occurrences(), rest, "variant {k} keeps the other negation");
+            assert_eq!(v.delta_occurrences(), p.delta_occurrences(), "positive scans untouched");
+        }
+        // The positive variant leaves both negations alone.
+        let v = p.delta_variant(0);
+        assert_eq!(delta_scans(&v), vec![pat("dbI", "p")]);
+        assert_eq!(v.negated_occurrences(), occs);
+    }
+
+    #[test]
+    fn negation_without_a_scan_is_no_occurrence() {
+        // `.ource¬.S` asks that no relation be named S: no relation scan
+        // sits under the `¬`, so no Δ row can be matched against it.
+        let p = plan("?.dbI.p(.stk=S), .ource¬.S");
+        assert!(p.negated_occurrences().is_empty());
+        assert_eq!(p.delta_occurrences(), vec![pat("dbI", "p")]);
     }
 }

@@ -92,6 +92,11 @@ impl PredPat {
         };
         db_ok && rel_ok
     }
+
+    /// Whether the pattern denotes the concrete predicate `db.rel`.
+    pub fn matches(&self, db: &Name, rel: &Name) -> bool {
+        self.db.as_ref().is_none_or(|x| x == db) && self.rel.as_ref().is_none_or(|x| x == rel)
+    }
 }
 
 /// A reference to a predicate from a rule body, with polarity.
@@ -245,7 +250,8 @@ pub struct FixpointStats {
     /// Evaluations driven by Δ rows: task evaluations that ran a
     /// `(Δ ⋈ full)` delta variant instead of the full body (counting
     /// shards — see `StratumStats::workers`), and a view repair's victim
-    /// queries and seeded support checks.
+    /// queries (the same variants, positive over Δ⁻ and negated over Δ⁺)
+    /// and seeded support checks.
     pub delta_evals: usize,
     /// Evaluations of a rule over its whole input (first iterations,
     /// scalar heads, coarse changes, and delta-ineligible plans).
@@ -294,8 +300,10 @@ pub struct MaintenanceStats {
     /// changed (inserted into, deleted from, created or GC'd).
     pub views_maintained: usize,
     /// Rule evaluations the pass ran: `(Δ ⋈ full)` insert variants,
-    /// deletion-cascade victim queries and seeded support checks, and any
-    /// full re-run of a rule reading a shrunk relation under negation.
+    /// deletion-cascade victim queries (the rule's positive or negated
+    /// `(Δ ⋈ full)` variants over the round's Δ⁻ or Δ⁺) and seeded support
+    /// checks, and any full re-run of a rule reading a shrunk relation
+    /// under negation.
     pub delta_rules_run: usize,
     /// Data-dependent relations the pass materialised for the first time
     /// (schematic creates — a new stock defines a new relation).
@@ -424,8 +432,7 @@ impl RuleEngine {
         let sharing_before = SharingCounters::snapshot();
         let mut stats = FixpointStats::default();
         let set = self.build_plan_set(opts, cache, &mut stats)?;
-        let mut stats =
-            self.run_fixpoint(store, opts, &set.plans, &set.variants, &set.delta_ok, stats)?;
+        let mut stats = self.run_fixpoint(store, opts, &set.plans, &set.variants, stats)?;
         stats.new_relations.sort();
         stats.new_relations.dedup();
         stats.sharing = SharingCounters::snapshot().delta_since(&sharing_before);
@@ -434,7 +441,8 @@ impl RuleEngine {
 
     /// Compiles the plan (and `(Δ ⋈ full)` variant) set for one run:
     /// shared by [`RuleEngine::materialize_cached`] and the repair pass
-    /// ([`crate::maintain`]).
+    /// ([`crate::maintain`]), which finds retraction victims with the
+    /// same variants, positive and negated.
     pub(crate) fn build_plan_set(
         &self,
         opts: EvalOptions,
@@ -465,47 +473,52 @@ impl RuleEngine {
                 });
             }
         }
-        // (Δ ⋈ full) plan variants for semi-naive delta scheduling: one
-        // variant per positive relation-scan occurrence of the body. A
-        // rule is delta-eligible only when those occurrences line up
-        // one-to-one with its positive body references (the conservative
-        // check — aggregate bindings and other shapes the occurrence
-        // analysis cannot account for fall back to full re-evaluation)
-        // and its head has no scalar (`=`) write, whose last-write-wins
-        // semantics a restricted evaluation could reorder.
-        let mut delta_ok = vec![false; self.rules.len()];
-        let mut variants: Vec<Vec<(PredPat, Arc<CompiledItems>)>> =
-            vec![Vec::new(); self.rules.len()];
+        // (Δ ⋈ full) plan variants: one per relation-scan occurrence of
+        // the body, positive and negated. A rule has variants of a sign
+        // only when its occurrences of that sign line up one-to-one with
+        // its body references of that sign (the conservative check —
+        // aggregate bindings and other shapes the occurrence analysis
+        // cannot account for fall back to full re-evaluation, or make a
+        // repair bail) and its head has no scalar (`=`) write, whose
+        // last-write-wins semantics a restricted evaluation could reorder.
+        let mut variants: Vec<Variants> = vec![Vec::new(); self.rules.len()];
+        let mut negated: Vec<Variants> = vec![Vec::new(); self.rules.len()];
         if opts.semi_naive {
             for (i, rule) in self.rules.iter().enumerate() {
                 let Some(plan) = &plans[i] else { continue };
                 if head_is_scalar(&rule.head) {
                     continue;
                 }
+                let lines_up = |occs: &[PredPat], negated: bool| {
+                    let mut occs = occs.to_vec();
+                    occs.sort();
+                    let mut refs: Vec<PredPat> = self.body_refs[i]
+                        .iter()
+                        .filter(|b| b.negated == negated)
+                        .map(|b| b.pat.clone())
+                        .collect();
+                    refs.sort();
+                    !occs.is_empty() && occs == refs
+                };
                 let occs = plan.delta_occurrences();
-                if occs.is_empty() {
-                    continue;
+                if lines_up(&occs, false) {
+                    variants[i] = occs
+                        .into_iter()
+                        .enumerate()
+                        .map(|(k, pat)| (pat, Arc::new(plan.delta_variant(k))))
+                        .collect();
                 }
-                let mut occ_pats = occs.clone();
-                occ_pats.sort();
-                let mut pos_refs: Vec<PredPat> = self.body_refs[i]
-                    .iter()
-                    .filter(|b| !b.negated)
-                    .map(|b| b.pat.clone())
-                    .collect();
-                pos_refs.sort();
-                if occ_pats != pos_refs {
-                    continue;
+                let occs = plan.negated_occurrences();
+                if lines_up(&occs, true) {
+                    negated[i] = occs
+                        .into_iter()
+                        .enumerate()
+                        .map(|(k, pat)| (pat, Arc::new(plan.negated_delta_variant(k))))
+                        .collect();
                 }
-                delta_ok[i] = true;
-                variants[i] = occs
-                    .into_iter()
-                    .enumerate()
-                    .map(|(k, pat)| (pat, Arc::new(plan.delta_variant(k))))
-                    .collect();
             }
         }
-        Ok(PlanSet { plans, variants, delta_ok })
+        Ok(PlanSet { plans, variants, negated })
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -514,8 +527,7 @@ impl RuleEngine {
         store: &mut Store,
         opts: EvalOptions,
         plans: &[Option<Arc<CompiledItems>>],
-        variants: &[Vec<(PredPat, Arc<CompiledItems>)>],
-        delta_ok: &[bool],
+        variants: &[Variants],
         mut stats: FixpointStats,
     ) -> EvalResult<FixpointStats> {
         // Views exist even when empty: create the skeleton of every head
@@ -537,9 +549,7 @@ impl RuleEngine {
             }
         }
         for stratum in &self.strata {
-            self.run_stratum(
-                store, stratum, opts, plans, variants, delta_ok, &mut stats, None, None,
-            )?;
+            self.run_stratum(store, stratum, opts, plans, variants, &mut stats, None, None)?;
         }
         Ok(stats)
     }
@@ -575,8 +585,7 @@ impl RuleEngine {
         stratum: &[usize],
         opts: EvalOptions,
         plans: &[Option<Arc<CompiledItems>>],
-        variants: &[Vec<(PredPat, Arc<CompiledItems>)>],
-        delta_ok: &[bool],
+        variants: &[Variants],
         stats: &mut FixpointStats,
         seed: Option<DeltaLog>,
         mut accum: Option<&mut DeltaLog>,
@@ -616,10 +625,7 @@ impl RuleEngine {
                     Some(d) if semi => self.body_refs[ri].iter().any(|br| {
                         d.coarse_overlaps(&br.pat)
                             || (!br.negated
-                                && d.rels.keys().any(|(db, rel)| {
-                                    br.pat.db.as_ref().is_none_or(|x| x == db)
-                                        && br.pat.rel.as_ref().is_none_or(|x| x == rel)
-                                }))
+                                && d.rels.keys().any(|(db, rel)| br.pat.matches(db, rel)))
                     }),
                     _ => true,
                 })
@@ -640,7 +646,7 @@ impl RuleEngine {
                 .iter()
                 .map(|&ri| {
                     let d = last_delta.as_ref()?;
-                    if !(semi && delta_ok[ri]) || d.rels.is_empty() {
+                    if !semi || variants[ri].is_empty() || d.rels.is_empty() {
                         return None;
                     }
                     // A coarse change overlapping *any* body reference —
@@ -651,15 +657,10 @@ impl RuleEngine {
                     if self.body_refs[ri].iter().any(|br| d.coarse_overlaps(&br.pat)) {
                         return None;
                     }
-                    let concrete: Vec<PredPat> = d
-                        .rels
-                        .keys()
-                        .map(|(db, rel)| PredPat { db: Some(db.clone()), rel: Some(rel.clone()) })
-                        .collect();
                     let occs: Vec<usize> = variants[ri]
                         .iter()
                         .enumerate()
-                        .filter(|(_, (pat, _))| concrete.iter().any(|c| pat.overlaps(c)))
+                        .filter(|(_, (pat, _))| d.rels.keys().any(|(db, rel)| pat.matches(db, rel)))
                         .map(|(k, _)| k)
                         .collect();
                     if occs.is_empty() {
@@ -673,9 +674,22 @@ impl RuleEngine {
             let full_count = slot_occs.iter().filter(|o| o.is_none()).count();
             // Shard delta occurrences across spare worker capacity: with
             // fewer tasks than workers, each occurrence's delta vector is
-            // tiled into `shards` slices so the pool still saturates.
+            // tiled into `shards` slices so the pool still saturates. No
+            // more shards than the longest delta vector an occurrence
+            // reads has rows: a further shard would be an empty slice.
             let shards = if thread_cap > 1 && occ_count > 0 && occ_count + full_count < thread_cap {
-                thread_cap.div_ceil(occ_count)
+                let d = last_delta.as_ref().expect("delta tasks have a delta");
+                let longest = runnable
+                    .iter()
+                    .zip(&slot_occs)
+                    .flat_map(|(&ri, occs)| occs.iter().flatten().map(move |&k| &variants[ri][k].0))
+                    .flat_map(|pat| {
+                        d.rels.iter().filter(move |((db, rel), _)| pat.matches(db, rel))
+                    })
+                    .map(|(_, rows)| rows.len())
+                    .max()
+                    .unwrap_or(1);
+                thread_cap.div_ceil(occ_count).min(longest).max(1)
             } else {
                 1
             };
@@ -796,7 +810,7 @@ impl RuleEngine {
         opts: EvalOptions,
         runnable: &[usize],
         plans: &[Option<Arc<CompiledItems>>],
-        variants: &[Vec<(PredPat, Arc<CompiledItems>)>],
+        variants: &[Variants],
         table: Option<&DeltaTable>,
         task: &Task,
     ) -> EvalResult<Vec<Subst>> {
@@ -834,7 +848,7 @@ impl RuleEngine {
         runnable: &[usize],
         opts: EvalOptions,
         plans: &[Option<Arc<CompiledItems>>],
-        variants: &[Vec<(PredPat, Arc<CompiledItems>)>],
+        variants: &[Variants],
         table: Option<&DeltaTable>,
         tasks: &[Task],
         workers: usize,
@@ -949,13 +963,19 @@ impl RuleEngine {
     }
 }
 
-/// The compiled artefacts of one run: a plan per rule plus its
-/// `(Δ ⋈ full)` variants and delta eligibility, indexed like
-/// [`RuleEngine::rules`].
+/// One rule's `(Δ ⋈ full)` variants, one per relation-scan occurrence,
+/// each with the pattern of the relation its Δ scan reads. Empty when the
+/// rule has none of that sign or is not eligible for them.
+pub(crate) type Variants = Vec<(PredPat, Arc<CompiledItems>)>;
+
+/// The compiled artefacts of one run, indexed like [`RuleEngine::rules`]:
+/// a plan per rule, its `(Δ ⋈ full)` variants over positive occurrences
+/// (what the fixpoint runs), and those over negated occurrences (what a
+/// repair's victim query runs for a row inserted under negation).
 pub(crate) struct PlanSet {
     pub(crate) plans: Vec<Option<Arc<CompiledItems>>>,
-    pub(crate) variants: Vec<Vec<(PredPat, Arc<CompiledItems>)>>,
-    pub(crate) delta_ok: Vec<bool>,
+    pub(crate) variants: Vec<Variants>,
+    pub(crate) negated: Vec<Variants>,
 }
 
 /// One unit of fixpoint work inside an iteration.
@@ -1457,6 +1477,40 @@ mod tests {
             !stats.new_relations.iter().any(|p| p.db.as_ref().is_some_and(|d| d.as_str() == "dbI")),
             "{stats:?}"
         );
+    }
+
+    #[test]
+    fn one_row_delta_runs_one_task_at_four_threads() {
+        // A repair of one inserted quote: its Δ has one row, so a second
+        // shard would be an empty slice that still costs a worker thread.
+        let rules = vec![rule(".dbI.p(.date=D,.stk=S) <- .euter.r(.date=D,.stkCode=S)")];
+        let engine = RuleEngine::new(rules).unwrap();
+        let repaired = |threads: usize| {
+            let opts = semi_opts().with_threads(threads);
+            let mut store = base_store();
+            engine.materialize(&mut store, opts).unwrap();
+            let (pre, v) = (store.universe().clone(), store.version());
+            let src = "?.euter.r+(.date=3/9/85,.stkCode=sun,.clsPrice=7)";
+            let Statement::Request(req) = parse_statement(src).unwrap() else { panic!() };
+            let programs = crate::program::ProgramRegistry::new();
+            crate::request::run_request(
+                &mut store,
+                &programs,
+                &DerivedCatalog::empty(),
+                &req,
+                opts,
+            )
+            .unwrap();
+            let scopes: Vec<_> = store.changes_since(v).iter().map(|c| c.scope.clone()).collect();
+            let delta = crate::maintain::diff_update(&pre, store.universe(), &scopes).unwrap();
+            let out = engine.maintain_cached(&mut store, &delta, opts, None).unwrap().unwrap();
+            (out.stats, idl_storage::persist::to_json(&store).unwrap())
+        };
+        let (stats, at_four) = repaired(4);
+        assert_eq!(stats.strata.len(), 1, "{stats:?}");
+        assert_eq!(stats.strata[0].delta_evals, 1, "{stats:?}");
+        assert_eq!(stats.strata[0].workers, 1, "{stats:?}");
+        assert_eq!(at_four, repaired(1).1, "the result does not depend on the thread count");
     }
 
     #[test]

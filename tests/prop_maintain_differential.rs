@@ -156,6 +156,7 @@ proptest! {
         schedule in prop::collection::vec(op_strategy(), 1..12)
     ) {
         check_schedule(&schedule)?;
+        check_every_repair_absorbed(&schedule)?;
     }
 
     /// The program-call leg: the same comparison over schedules of §7.1
@@ -407,6 +408,42 @@ fn check_schedule(schedule: &[String]) -> Result<(), TestCaseError> {
                     compile
                 );
             }
+        }
+    }
+    Ok(())
+}
+
+/// Repairs `schedule` after every write at {1, 4} threads × {compiled,
+/// tree-walk} and asserts that the delta pass absorbed every repair whose
+/// row delta is non-empty: a direct row write under [`RULES`] never falls
+/// back to the rebuild. A write that left the base rows as they were
+/// repairs nothing and is not counted.
+fn check_every_repair_absorbed(schedule: &[String]) -> Result<(), TestCaseError> {
+    let base_rows =
+        |e: &Engine| ["euter", "chwab"].map(|db| e.store().universe().attr(db).cloned());
+    for threads in [1usize, 4] {
+        for compile in [true, false] {
+            let mut e = base_engine();
+            e.set_options(
+                EngineOptions::builder().threads(threads).compile(compile).maintain(true).build(),
+            );
+            (STOCK.add_rules)(&mut e);
+            e.refresh_views().unwrap();
+            let mut changed = 0u64;
+            for stmt in schedule {
+                let before = base_rows(&e);
+                e.update(stmt).unwrap_or_else(|err| panic!("{stmt}: {err}"));
+                changed += u64::from(base_rows(&e) != before);
+                e.refresh_views_if_stale().unwrap();
+            }
+            prop_assert_eq!(
+                e.maintenance_runs(),
+                changed,
+                "a repair fell back to the rebuild at {} threads, compile={}\nschedule: {:?}",
+                threads,
+                compile,
+                schedule
+            );
         }
     }
     Ok(())
