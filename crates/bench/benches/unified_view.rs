@@ -21,31 +21,22 @@ const FROM_OURCE: &str = ".dbI.p(.date=D,.stk=S,.clsPrice=P) <- .ource.S(.date=D
 
 const THREADS: &[usize] = &[1, 4];
 
-/// One-off report of the memoized plan cache's behaviour on this
-/// workload: the first refresh misses once per rule body, every later
-/// refresh hits — printed so bench runs record the hit rate alongside
-/// the timings.
-fn report_plan_cache(rules: &str) {
+/// One-off report of rule-plan compilation on this workload: the first
+/// refresh compiles each rule body once, every later refresh compiles
+/// nothing — printed so bench runs record it alongside the timings.
+fn report_plans_compiled(rules: &str) {
     let mut e = Engine::from_store(stock_store(10, 50));
     e.add_rules(rules).unwrap();
     let cold = e.refresh_views().unwrap();
     let warm = e.refresh_views().unwrap();
-    let cache = e.plan_cache();
-    let total = cache.hits() + cache.misses();
     println!(
-        "B3 plan cache: cold refresh compiled {} plans ({} misses), warm refresh {} hits; \
-         engine hit rate {}/{} ({:.0}%)",
-        cold.plans_compiled,
-        cold.plan_cache_misses,
-        warm.plan_cache_hits,
-        cache.hits(),
-        total,
-        100.0 * cache.hits() as f64 / total.max(1) as f64
+        "B3 rule plans: cold refresh compiled {}, warm refresh compiled {}",
+        cold.plans_compiled, warm.plans_compiled
     );
 }
 
 fn bench(c: &mut Criterion) {
-    report_plan_cache(&format!("{FROM_EUTER}{FROM_CHWAB}{FROM_OURCE}"));
+    report_plans_compiled(&format!("{FROM_EUTER}{FROM_CHWAB}{FROM_OURCE}"));
     let mut group = c.benchmark_group("B3_unified_view");
     for &(stocks, days) in SIZES {
         let variants: &[(&str, String)] = &[

@@ -6,17 +6,23 @@
 //! scan. The result is reusable across substitutions, fixpoint iterations
 //! and worker threads — compile once, run many.
 //!
-//! [`PlanCache`] memoizes compiled bodies across *calls*: keys are the
-//! canonical (process-stable) expression hash from `idl_lang::hash`, plus
-//! the option bits that change plan shape. Hash collisions are benign —
-//! each bucket stores the source items and an entry only hits on full
-//! structural equality.
+//! A plan is a function of its text and the plan-shaping options alone
+//! (`reorder`, `use_indexes`): compilation never reads a store. A
+//! relation name is data that a higher-order variable ranges over at run
+//! time (§4.3), so a plan with a variable relation position (`?.dbO.Y(…)`)
+//! enumerates whatever relations exist when it runs — one that a view
+//! creates or garbage-collects later changes nothing about the plan. A
+//! compiled plan therefore never needs invalidating: a rule set compiles
+//! its bodies once ([`crate::rules::RuleEngine`]), and [`PlanCache`]
+//! memoizes request bodies across *calls*, keyed by the canonical
+//! (process-stable) expression hash from `idl_lang::hash` plus the
+//! plan-shaping bits. Hash collisions are benign — each bucket stores the
+//! source items and an entry only hits on full structural equality.
 
 use crate::error::{EvalError, EvalResult};
 use crate::physical::{CompiledItems, PhysAttr, PhysField, PhysOp, ProbeKind, ProbePlan};
 use crate::plan;
 use crate::query::EvalOptions;
-use crate::rules::{read_patterns, PredPat};
 use idl_lang::{canonical_hash_items, AttrTerm, Expr, Field, RelOp, Term};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -114,12 +120,10 @@ fn eligible(f: &Field, op_ok: impl Fn(RelOp) -> bool) -> Option<(idl_object::Nam
 }
 
 /// One cached plan: the source expressions (checked for structural
-/// equality on lookup), the relation patterns the plan reads (its
-/// *read set*, for schematic-delta invalidation), and the compiled plan.
+/// equality on lookup) and the compiled plan.
 #[derive(Debug)]
 struct CacheEntry {
     src: Vec<Expr>,
-    reads: Vec<PredPat>,
     plan: Arc<CompiledItems>,
 }
 
@@ -128,8 +132,8 @@ type Bucket = Vec<CacheEntry>;
 
 /// A memoized plan cache: canonical expression hash (+ plan-shaping option
 /// bits) → compiled plan. Shared plans are `Arc`-held, so hits are a
-/// pointer clone; hit/miss counters feed `FixpointStats` and the bench
-/// reports.
+/// pointer clone; the hit/miss counters feed the server's stats and the
+/// bench reports.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     buckets: HashMap<(u64, u8), Bucket>,
@@ -137,10 +141,10 @@ pub struct PlanCache {
     misses: u64,
 }
 
-/// The option bits that change compiled-plan shape. `threads` and
-/// `max_results` are execution knobs, not plan knobs, so they do not key
-/// the cache.
-fn plan_flags(opts: EvalOptions) -> u8 {
+/// The option bits that change compiled-plan shape. `threads`,
+/// `max_results` and the rest are execution knobs, not plan knobs, so they
+/// key neither the cache nor a rule set's plans.
+pub(crate) fn plan_flags(opts: EvalOptions) -> u8 {
     (opts.reorder as u8) | ((opts.use_indexes as u8) << 1)
 }
 
@@ -165,28 +169,9 @@ impl PlanCache {
             return Ok(Arc::clone(&e.plan));
         }
         let plan = Arc::new(compile_items(items, opts)?);
-        bucket.push(CacheEntry {
-            src: items.to_vec(),
-            reads: read_patterns(items),
-            plan: Arc::clone(&plan),
-        });
+        bucket.push(CacheEntry { src: items.to_vec(), plan: Arc::clone(&plan) });
         self.misses += 1;
         Ok(plan)
-    }
-
-    /// Schematic-delta invalidation: drops exactly the cached plans whose
-    /// read set overlaps one of `pats` (e.g. a data-dependent relation
-    /// that materialised for the first time — a plan scanning `.dbO.S`
-    /// with a variable relation position must be recompiled, a plan
-    /// reading only `.dbO.hp` need not). Returns the number of plans
-    /// dropped.
-    pub fn invalidate_overlapping(&mut self, pats: &[PredPat]) -> usize {
-        let before = self.len();
-        self.buckets.retain(|_, bucket| {
-            bucket.retain(|e| !e.reads.iter().any(|r| pats.iter().any(|p| r.overlaps(p))));
-            !bucket.is_empty()
-        });
-        before - self.len()
     }
 
     /// Cache hits so far.
@@ -207,13 +192,6 @@ impl PlanCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.buckets.is_empty()
-    }
-
-    /// Drops all cached plans and zeroes the counters.
-    pub fn clear(&mut self) {
-        self.buckets.clear();
-        self.hits = 0;
-        self.misses = 0;
     }
 }
 

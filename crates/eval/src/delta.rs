@@ -16,9 +16,11 @@
 //!
 //! A relation (or database) slot that did not exist before a fact
 //! materialised it is a **schematic delta** — the paper's "new stock in
-//! `euter` defines a new relation" wrinkle. Those are reported so the
-//! engine can invalidate exactly the plan-cache entries whose read sets
-//! overlap the new relations.
+//! `euter` defines a new relation" wrinkle. Those are reported as
+//! `new_rels` and counted (`FixpointStats::new_relations`,
+//! `MaintenanceStats::schematic_creates`); no plan depends on them, since a
+//! plan with a variable relation position enumerates relations when it
+//! runs ([`crate::compile`]).
 
 use crate::rules::PredPat;
 use idl_object::{Name, Value};

@@ -22,8 +22,8 @@
 //!   the ablation benchmarks ([`plan`], [`query::EvalOptions`]);
 //! * a **physical plan IR** compiled once per expression and executed many
 //!   times — across substitutions, fixpoint iterations and worker threads —
-//!   with a memoized plan cache keyed by canonical expression hash
-//!   ([`physical`], [`compile`]);
+//!   with each rule set's plans compiled once and request plans memoized by
+//!   canonical expression hash ([`physical`], [`compile`]);
 //! * **static binding analysis** approximating the paper's "compile time
 //!   analysis … to check the validity of the call" ([`analyze`]).
 
@@ -47,7 +47,7 @@ pub mod update;
 pub use compile::{compile_expr, compile_items, PlanCache};
 pub use delta::{DeltaLog, DeltaSink};
 pub use error::{EvalError, EvalResult};
-pub use maintain::{diff_update, MaintainOutcome, MaintainedViews, UpdateDelta, ViewSupport};
+pub use maintain::{diff_update, MaintainedViews, UpdateDelta};
 pub use physical::{CompiledItems, PhysOp};
 pub use program::{ProgramKey, ProgramRegistry};
 pub use query::{default_threads, EvalOptions, Evaluator};

@@ -2,7 +2,7 @@
 //!
 //! When the views are next read after one or more writes, the engine
 //! diffs the universe against its freshness point ([`diff_update`]) and
-//! hands the row-level delta to [`RuleEngine::maintain_cached`], which
+//! hands the row-level delta to [`RuleEngine::maintain`], which
 //! drives it through the stratified rule set *bottom-up* instead of
 //! re-deriving the world:
 //!
@@ -32,24 +32,25 @@
 //!   relations they live in;
 //! * **schematic deltas** are first-class: a delta that materialises a
 //!   data-dependent relation is reported through
-//!   [`FixpointStats::new_relations`] so the engine can register it with
-//!   the plan cache, and a retraction that empties one garbage-collects
-//!   the slot ([`MaintainOutcome::gcd`]) so the maintained store stays
-//!   byte-identical to a full rebuild.
+//!   [`FixpointStats::new_relations`] and counted as a schematic create,
+//!   and a retraction that empties one garbage-collects the slot (a
+//!   schematic GC) so the maintained store stays byte-identical to a full
+//!   rebuild. No plan needs to hear of either: a plan with a variable
+//!   relation position enumerates the relations there are when it runs.
 //!
-//! The pass runs compiled plans only, whatever [`EvalOptions::compile`]
+//! The pass runs the rule set's compiled plans and `(Δ ⋈ full)` variants
+//! (`RuleEngine::plan_set`) only, whatever [`EvalOptions::compile`]
 //! says. It is *sound but partial*: any shape it cannot maintain exactly
 //! (scalar heads, coarse writes, non-row base changes, a changed subgoal
 //! with no Δ variant) makes it bail with `Ok(None)`, and the engine falls
 //! back to a full rebuild. Bailing late is safe — a half-applied pass
 //! only ever leaves state the full rebuild recomputes from scratch.
 
-use crate::compile::PlanCache;
 use crate::delta::{DeltaLog, DeltaTable};
 use crate::error::{EvalError, EvalResult};
 use crate::physical::CompiledItems;
 use crate::query::{EvalOptions, Evaluator};
-use crate::rules::{FixpointStats, MaintenanceStats, PlanSet, PredPat, RuleEngine};
+use crate::rules::{FixpointStats, PlanSet, PredPat, RuleEngine};
 use crate::subst::Subst;
 use crate::update::materialize;
 use idl_lang::{AttrTerm, Expr, RelOp, Rule, Term};
@@ -73,19 +74,6 @@ impl UpdateDelta {
     pub fn is_empty(&self) -> bool {
         self.plus.values().all(Vec::is_empty) && self.minus.values().all(Vec::is_empty)
     }
-}
-
-/// What a successful maintenance pass did to the derived state.
-#[derive(Clone, Debug, Default)]
-pub struct MaintainOutcome {
-    /// Run telemetry, including [`FixpointStats::maintenance`] counters.
-    pub stats: FixpointStats,
-    /// Derived relations the pass emptied and garbage-collected.
-    pub gcd: Vec<PredPat>,
-    /// Net derived-row inserts, grouped by `(db, rel)`.
-    pub plus: DeltaTable,
-    /// Net derived-row deletions, grouped by `(db, rel)`.
-    pub minus: DeltaTable,
 }
 
 /// Extracts the row-level [`UpdateDelta`] of an update from the pre/post
@@ -156,63 +144,24 @@ fn diff_relation(
     Some(())
 }
 
-/// Per-view support bookkeeping carried by the engine (and persisted by
-/// the durable layer) so a restart can resume incremental maintenance
-/// instead of silently falling back to a full rebuild.
+/// The view state a durable checkpoint persists beside the universe when
+/// the views match it, so a restart resumes repairing instead of
+/// rebuilding: the fingerprint of the rule set the views were derived
+/// under. A mismatch with the installed rules discards the state, and the
+/// first read rebuilds.
 ///
-/// The counts are *coarse* — row counts per maintained view, not
-/// per-derivation multiplicities. Retraction correctness never depends on
-/// them: the deletion cascade rederives exactly. They exist so state
-/// handoff (snapshot → restart) is checkable: a fingerprint mismatch with
-/// the installed rules discards the state and rebuilds.
+/// Blobs written before the state was cut to its fingerprint also carry a
+/// `views` list of per-view row counts; decoding ignores it.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct MaintainedViews {
-    /// Fingerprint of the rule set the state was computed under (each
-    /// rule's canonical display form, in installation order).
+    /// Each rule's canonical display form, in installation order.
     pub rules: Vec<String>,
-    /// One entry per maintained derived relation.
-    pub views: Vec<ViewSupport>,
-}
-
-/// Support entry for one maintained derived relation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ViewSupport {
-    /// Database name.
-    pub db: String,
-    /// Relation name.
-    pub rel: String,
-    /// Rows currently derived into the relation.
-    pub rows: usize,
 }
 
 impl MaintainedViews {
-    /// Recomputes the state from a freshly materialised store: one entry
-    /// per derived relation the catalog covers.
-    pub fn recompute(
-        store: &Store,
-        catalog: &crate::rules::DerivedCatalog,
-        rules: &[Rule],
-    ) -> MaintainedViews {
-        let mut views = Vec::new();
-        for db in store.database_names() {
-            if !catalog.touches_db(db.as_str()) {
-                continue;
-            }
-            let Ok(rels) = store.relation_names(db.as_str()) else { continue };
-            for rel in rels {
-                if !catalog.covers_relation(db.as_str(), rel.as_str()) {
-                    continue;
-                }
-                if let Ok(set) = store.relation(db.as_str(), rel.as_str()) {
-                    views.push(ViewSupport {
-                        db: db.as_str().to_string(),
-                        rel: rel.as_str().to_string(),
-                        rows: set.len(),
-                    });
-                }
-            }
-        }
-        MaintainedViews { rules: rules.iter().map(|r| r.to_string()).collect(), views }
+    /// The state of views derived under `rules`.
+    pub fn for_rules(rules: &[Rule]) -> MaintainedViews {
+        MaintainedViews { rules: rules.iter().map(|r| r.to_string()).collect() }
     }
 
     /// Whether this state was computed under exactly these rules.
@@ -220,70 +169,28 @@ impl MaintainedViews {
         self.rules.len() == rules.len()
             && self.rules.iter().zip(rules).all(|(s, r)| *s == r.to_string())
     }
-
-    /// Applies one maintenance pass's net row changes and GCs.
-    pub fn apply(&mut self, outcome: &MaintainOutcome) {
-        let mut index: BTreeMap<(String, String), usize> = self
-            .views
-            .iter()
-            .enumerate()
-            .map(|(i, v)| ((v.db.clone(), v.rel.clone()), i))
-            .collect();
-        for ((db, rel), rows) in &outcome.plus {
-            let key = (db.as_str().to_string(), rel.as_str().to_string());
-            match index.get(&key) {
-                Some(&i) => self.views[i].rows += rows.len(),
-                None => {
-                    index.insert(key.clone(), self.views.len());
-                    self.views.push(ViewSupport { db: key.0, rel: key.1, rows: rows.len() });
-                }
-            }
-        }
-        for ((db, rel), rows) in &outcome.minus {
-            let key = (db.as_str().to_string(), rel.as_str().to_string());
-            if let Some(&i) = index.get(&key) {
-                self.views[i].rows = self.views[i].rows.saturating_sub(rows.len());
-            }
-        }
-        for pat in &outcome.gcd {
-            if let (Some(db), Some(rel)) = (&pat.db, &pat.rel) {
-                self.views.retain(|v| !(v.db == db.as_str() && v.rel == rel.as_str()));
-            }
-        }
-        self.views.sort_by(|a, b| (&a.db, &a.rel).cmp(&(&b.db, &b.rel)));
-    }
-
-    /// Number of support entries currently tracked.
-    pub fn entry_count(&self) -> usize {
-        self.views.len()
-    }
 }
 
 impl RuleEngine {
     /// Incrementally maintains the derived views after base writes, given
     /// the update's row-level [`UpdateDelta`]. Returns `Ok(None)` when
     /// the pass cannot maintain exactly (the caller must fall back to a
-    /// full refresh) and `Ok(Some(outcome))` when the store now matches
+    /// full refresh) and the pass's statistics when the store now matches
     /// what a full rebuild would produce.
-    pub fn maintain_cached(
+    pub fn maintain(
         &self,
         store: &mut Store,
         delta: &UpdateDelta,
         opts: EvalOptions,
-        cache: Option<&mut PlanCache>,
-    ) -> EvalResult<Option<MaintainOutcome>> {
+    ) -> EvalResult<Option<FixpointStats>> {
         if !opts.semi_naive {
             return Ok(None);
         }
-        let mut stats = FixpointStats::default();
         // The repair runs compiled plans and their Δ variants only;
         // `compile` chooses how reads and rebuilds evaluate.
-        let set = self.build_plan_set(opts.with_compile(true), cache, &mut stats)?;
-        let plans: Vec<&CompiledItems> = set
-            .plans
-            .iter()
-            .map(|p| p.as_deref().expect("compile is on: every rule has a plan"))
-            .collect();
+        let opts = opts.with_compile(true);
+        let mut stats = FixpointStats::default();
+        let set = self.plan_set(opts, &mut stats)?;
         // Stratum index per rule, for the rederive cross-stratum guard.
         let mut rule_stratum = vec![0usize; self.rules.len()];
         for (si, stratum) in self.strata.iter().enumerate() {
@@ -295,8 +202,9 @@ impl RuleEngine {
         // every derived change made by the strata already maintained.
         let mut carry_plus: DeltaTable = delta.plus.clone();
         let mut carry_minus: DeltaTable = delta.minus.clone();
-        let mut out = MaintainOutcome::default();
-        let mut m = MaintenanceStats::default();
+        // The derived relations the pass inserted into, deleted from or
+        // garbage-collected.
+        let mut touched: BTreeSet<(Name, Name)> = BTreeSet::new();
         for (si, stratum) in self.strata.iter().enumerate() {
             let carry_pats: Vec<PredPat> = carry_plus
                 .keys()
@@ -334,7 +242,7 @@ impl RuleEngine {
                     stratum,
                     &pend_plus,
                     &pend_minus,
-                    &set,
+                    set,
                     opts,
                     &mut stats,
                 )? {
@@ -368,11 +276,11 @@ impl RuleEngine {
                     present
                 } else {
                     let Some(gone) =
-                        self.rederive(store, present, &rule_stratum, si, &plans, opts, &mut stats)?
+                        self.rederive(store, present, &rule_stratum, si, set, opts, &mut stats)?
                     else {
                         return Ok(None);
                     };
-                    record_minus(&gone, &mut carry_minus, &mut out.minus);
+                    record_minus(&gone, &mut carry_minus, &mut touched);
                     gone
                 };
                 if next_minus.is_empty() {
@@ -383,11 +291,11 @@ impl RuleEngine {
             }
             if !overdeleted.is_empty() {
                 let Some(gone) =
-                    self.rederive(store, overdeleted, &rule_stratum, si, &plans, opts, &mut stats)?
+                    self.rederive(store, overdeleted, &rule_stratum, si, set, opts, &mut stats)?
                 else {
                     return Ok(None);
                 };
-                record_minus(&gone, &mut carry_minus, &mut out.minus);
+                record_minus(&gone, &mut carry_minus, &mut touched);
             }
             // --- insert pass: seeded semi-naive fixpoint -------------
             // A shrunk relation is seeded as a *coarse* pattern only where
@@ -412,8 +320,7 @@ impl RuleEngine {
                 store,
                 stratum,
                 opts,
-                &set.plans,
-                &set.variants,
+                Some(set),
                 &mut stats,
                 Some(seed),
                 Some(&mut accum),
@@ -423,12 +330,9 @@ impl RuleEngine {
                 // (nested sets, whole-db effects): hand over to repair.
                 return Ok(None);
             }
-            for ((db, rel), rows) in accum.rels {
-                carry_plus
-                    .entry((db.clone(), rel.clone()))
-                    .or_default()
-                    .extend(rows.iter().cloned());
-                out.plus.entry((db, rel)).or_default().extend(rows);
+            for (key, rows) in accum.rels {
+                touched.insert(key.clone());
+                carry_plus.entry(key).or_default().extend(rows);
             }
             // --- schematic GC: deleted-from, now-empty, data-dependent -
             let catalog = self.derived_catalog();
@@ -448,28 +352,16 @@ impl RuleEngine {
                 store
                     .drop_relation(db.as_str(), rel.as_str())
                     .map_err(|e| EvalError::Storage(e.to_string()))?;
-                out.gcd.push(PredPat { db: Some(db.clone()), rel: Some(rel.clone()) });
-                m.schematic_gcs += 1;
+                stats.maintenance.schematic_gcs += 1;
+                touched.insert((db, rel));
             }
         }
-        out.gcd.sort();
-        out.gcd.dedup();
         stats.new_relations.sort();
         stats.new_relations.dedup();
-        m.delta_rules_run = stats.rule_evals;
-        let touched: BTreeSet<&(Name, Name)> = out.plus.keys().chain(out.minus.keys()).collect();
-        m.views_maintained = touched.len()
-            + out
-                .gcd
-                .iter()
-                .filter(|p| match (&p.db, &p.rel) {
-                    (Some(db), Some(rel)) => !touched.contains(&(db.clone(), rel.clone())),
-                    _ => true,
-                })
-                .count();
-        stats.maintenance = m;
-        out.stats = stats;
-        Ok(Some(out))
+        stats.maintenance.schematic_creates = stats.new_relations.len();
+        stats.maintenance.delta_rules_run = stats.rule_evals;
+        stats.maintenance.views_maintained = touched.len();
+        Ok(Some(stats))
     }
 
     /// Whether some rule of `stratum` reads, through a chain of positive
@@ -600,7 +492,7 @@ impl RuleEngine {
         present: DeltaTable,
         rule_stratum: &[usize],
         current_stratum: usize,
-        plans: &[&CompiledItems],
+        set: &PlanSet,
         opts: EvalOptions,
         stats: &mut FixpointStats,
     ) -> EvalResult<Option<DeltaTable>> {
@@ -625,7 +517,8 @@ impl RuleEngine {
                     for row in group.rows.drain(..) {
                         let mut supported = Some(false);
                         for &ri in &group.deriving {
-                            supported = self.derives(&ev, ri, plans[ri], db, rel, &row, stats)?;
+                            supported =
+                                self.derives(&ev, ri, &set.plans[ri], db, rel, &row, stats)?;
                             if supported != Some(false) {
                                 break;
                             }
@@ -724,12 +617,16 @@ fn support_seed(head: &Expr, row: &Value) -> Option<Subst> {
     Some(seed)
 }
 
-/// Records rows that stay deleted: they feed the later strata and the
-/// pass's net result.
-fn record_minus(gone: &DeltaTable, carry_minus: &mut DeltaTable, out_minus: &mut DeltaTable) {
+/// Records rows that stay deleted: they feed the later strata, and their
+/// relations count as maintained.
+fn record_minus(
+    gone: &DeltaTable,
+    carry_minus: &mut DeltaTable,
+    touched: &mut BTreeSet<(Name, Name)>,
+) {
     for (key, rows) in gone {
+        touched.insert(key.clone());
         carry_minus.entry(key.clone()).or_default().extend(rows.iter().cloned());
-        out_minus.entry(key.clone()).or_default().extend(rows.iter().cloned());
     }
 }
 
@@ -777,7 +674,7 @@ fn attr_name(attr: &AttrTerm, subst: &Subst) -> Option<Name> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::RuleEngine;
+    use crate::rules::{MaintenanceStats, RuleEngine};
     use idl_lang::{parse_statement, Statement};
     use idl_object::universe::stock_universe;
 
@@ -843,11 +740,9 @@ mod tests {
         let mut last = MaintenanceStats::default();
         for update in updates {
             let delta = apply(&mut maintained, update);
-            let outcome = engine
-                .maintain_cached(&mut maintained, &delta, opts(), None)
-                .unwrap()
-                .expect("maintainable");
-            last = outcome.stats.maintenance.clone();
+            let stats =
+                engine.maintain(&mut maintained, &delta, opts()).unwrap().expect("maintainable");
+            last = stats.maintenance;
 
             // Reference: rebuild from the same base data.
             let mut reference = base_store();
@@ -966,7 +861,7 @@ mod tests {
         let mut store = base_store();
         engine.materialize(&mut store, opts()).unwrap();
         let delta = apply(&mut store, "?.ource.hp+(.date=9/9/99,.clsPrice=1)");
-        let out = engine.maintain_cached(&mut store, &delta, opts(), None).unwrap();
+        let out = engine.maintain(&mut store, &delta, opts()).unwrap();
         assert!(out.is_none(), "a triggered negation without a variant bails");
     }
 
@@ -1050,11 +945,12 @@ mod tests {
                 "?.dbU.insStk(.stk=ibm,.date=3/10/85,.price=6)",
             ],
         );
-        let out =
-            engine.maintain_cached(&mut store, &delta, opts(), None).unwrap().expect("maintains");
-        assert_eq!(out.stats.full_evals, 0, "{:?}", out.stats);
-        assert!(out.stats.maintenance.delta_rules_run > 0, "{:?}", out.stats);
-        assert!(!out.minus.is_empty(), "the delete cascaded: {:?}", out.minus);
+        let stats = engine.maintain(&mut store, &delta, opts()).unwrap().expect("maintains");
+        assert_eq!(stats.full_evals, 0, "{stats:?}");
+        assert!(stats.maintenance.delta_rules_run > 0, "{stats:?}");
+        // the delete cascaded out of the customised view
+        let on_3_9 = |row: &Value| row.attr("date").is_some_and(|d| d.to_string() == "3/9/85");
+        assert!(!store.relation("dbO", "hp").unwrap().iter().any(on_3_9), "{stats:?}");
 
         let mut fresh = Store::from_universe(store.universe().clone()).unwrap();
         for db in engine.derived_databases() {
@@ -1071,7 +967,7 @@ mod tests {
         let mut store = base_store();
         engine.materialize(&mut store, opts()).unwrap();
         let delta = apply(&mut store, "?.euter.r+(.date=3/9/85,.stkCode=hp,.clsPrice=99)");
-        let out = engine.maintain_cached(&mut store, &delta, opts(), None).unwrap();
+        let out = engine.maintain(&mut store, &delta, opts()).unwrap();
         assert!(out.is_none(), "scalar heads cannot be maintained");
     }
 
@@ -1085,29 +981,50 @@ mod tests {
         let mut store = base_store();
         engine.materialize(&mut store, opts()).unwrap();
         let delta = apply(&mut store, "?.euter.r+(.date=3/9/85,.stkCode=sun,.clsPrice=7)");
-        let out =
-            engine.maintain_cached(&mut store, &delta, opts(), None).unwrap().expect("maintains");
+        let stats = engine.maintain(&mut store, &delta, opts()).unwrap().expect("maintains");
         // Only the euter-reading rule ran; the chwab rule was skipped.
-        assert!(out.stats.rules_skipped >= 1, "{:?}", out.stats);
-        assert_eq!(out.stats.maintenance.views_maintained, 1, "{:?}", out.stats);
+        assert!(stats.rules_skipped >= 1, "{stats:?}");
+        assert_eq!(stats.maintenance.views_maintained, 1, "{stats:?}");
     }
 
     #[test]
-    fn maintained_views_bookkeeping_applies_deltas() {
+    fn maintained_views_fingerprint_the_rule_set() {
         let rules = vec![rule(".dbI.p(.stk=S) <- .euter.r(.stkCode=S)")];
-        let engine = RuleEngine::new(rules).unwrap();
-        let mut store = base_store();
-        engine.materialize(&mut store, opts()).unwrap();
-        let mut mv = MaintainedViews::recompute(&store, &engine.derived_catalog(), engine.rules());
-        assert_eq!(mv.entry_count(), 1);
-        assert_eq!(mv.views[0].rows, 2, "hp, ibm");
-        assert!(mv.matches_rules(engine.rules()));
-        let delta = apply(&mut store, "?.euter.r+(.date=3/9/85,.stkCode=sun,.clsPrice=7)");
-        let out =
-            engine.maintain_cached(&mut store, &delta, opts(), None).unwrap().expect("maintains");
-        mv.apply(&out);
-        assert_eq!(mv.views[0].rows, 3);
-        assert!(!mv.matches_rules(&[rule(".x.y(.a=A) <- .euter.r(.stkCode=A)")]));
+        let state = MaintainedViews::for_rules(&rules);
+        assert!(state.matches_rules(&rules));
+        assert!(!state.matches_rules(&[rule(".x.y(.a=A) <- .euter.r(.stkCode=A)")]));
+        assert!(!state.matches_rules(&[]));
+        let back = MaintainedViews::from_content(&serde::Serialize::to_content(&state)).unwrap();
+        assert_eq!(back, state);
+    }
+
+    /// A blob checkpointed before the state was cut to its fingerprint,
+    /// `{"rules":[…],"views":[{"db":…,"rel":…,"rows":…}]}`, also carries
+    /// per-view row counts. It still decodes and matches, so a directory
+    /// written then reopens without a rebuild.
+    #[test]
+    fn a_blob_with_per_view_row_counts_still_adopts() {
+        use serde::content::Content;
+        let rules = vec![
+            rule(".dbI.p(.stk=S) <- .euter.r(.stkCode=S)"),
+            rule(".dbO.S(.date=D) <- .euter.r(.date=D,.stkCode=S)"),
+        ];
+        let view = |rel: &str, rows: i64| {
+            Content::Map(vec![
+                ("db".into(), Content::Str(if rel == "p" { "dbI" } else { "dbO" }.into())),
+                ("rel".into(), Content::Str(rel.into())),
+                ("rows".into(), Content::I64(rows)),
+            ])
+        };
+        let blob = Content::Map(vec![
+            (
+                "rules".into(),
+                Content::Seq(rules.iter().map(|r| Content::Str(r.to_string())).collect()),
+            ),
+            ("views".into(), Content::Seq(vec![view("p", 2), view("hp", 2)])),
+        ]);
+        let state = MaintainedViews::from_content(&blob).unwrap();
+        assert!(state.matches_rules(&rules), "{blob:?}");
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! [`EvalOptions::semi_naive`] as the reference for the differential
 //! battery and the B8/B11 ablation benches.
 
-use crate::compile::{compile_items, PlanCache};
+use crate::compile::{compile_items, plan_flags};
 use crate::delta::{DeltaLog, DeltaSink, DeltaTable};
 use crate::error::{EvalError, EvalResult};
 use crate::physical::CompiledItems;
@@ -41,7 +41,7 @@ use idl_object::{Atom, Name, SharingCounters, Value};
 use idl_storage::{ChangeScope, Store};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 /// Errors detected when a rule set is installed.
 #[derive(Clone, PartialEq, Debug)]
@@ -234,16 +234,11 @@ pub struct FixpointStats {
     pub rule_evals: usize,
     /// New facts (make-true operations that changed the universe).
     pub facts_added: usize,
-    /// Rule bodies compiled to the physical plan IR this run. At most one
-    /// compile per rule per refresh — plans are shared across
-    /// fixpoint iterations and worker threads.
+    /// Rule bodies compiled to the physical plan IR this run: the rule
+    /// count on the first run of a rule set under a plan shape, 0 on every
+    /// later run — plans live with the rule set and are shared across
+    /// runs, fixpoint iterations and worker threads.
     pub plans_compiled: usize,
-    /// Rule bodies served from the caller's memoized [`PlanCache`]
-    /// ([`RuleEngine::materialize_cached`]).
-    pub plan_cache_hits: usize,
-    /// Rule bodies the memoized cache had to compile (equals
-    /// `plans_compiled` when a cache was supplied).
-    pub plan_cache_misses: usize,
     /// Rule evaluations *avoided* by semi-naive scheduling: a rule in an
     /// iterating stratum whose body predicates saw no delta is skipped.
     pub rules_skipped: usize,
@@ -256,17 +251,10 @@ pub struct FixpointStats {
     /// Evaluations of a rule over its whole input (first iterations,
     /// scalar heads, coarse changes, and delta-ineligible plans).
     pub full_evals: usize,
-    /// Schematic deltas this run: data-dependent relations (or
-    /// databases) that materialised for the *first time* (new stock in
-    /// `euter` → new `dbO` relation). Derived by the engine from
-    /// `new_relations` against what earlier refreshes already created.
-    pub schematic_deltas: usize,
-    /// Memoized plans dropped because their read set overlaps a
-    /// schematic delta (set by the engine after the run).
-    pub plan_invalidations: usize,
     /// Every relation/database slot this run created as a side effect of
     /// deriving facts (data-dependent heads only — constant-head
-    /// skeletons are pre-created and never listed). Sorted, deduplicated.
+    /// skeletons are pre-created and never listed): a new stock in
+    /// `euter` creates a new `dbO` relation. Sorted, deduplicated.
     pub new_relations: Vec<PredPat>,
     /// Per-stratum telemetry, in evaluation (bottom-up) order. A repair
     /// pass lists only the strata it ran.
@@ -305,15 +293,12 @@ pub struct MaintenanceStats {
     /// checks, and any full re-run of a rule reading a shrunk relation
     /// under negation.
     pub delta_rules_run: usize,
-    /// Data-dependent relations the pass materialised for the first time
-    /// (schematic creates — a new stock defines a new relation).
+    /// Data-dependent relations the pass created (schematic creates — a
+    /// new stock defines a new relation): its `new_relations` count.
     pub schematic_creates: usize,
     /// Data-dependent relations the pass emptied and garbage-collected
     /// (schematic GCs — the last quote for a stock was retracted).
     pub schematic_gcs: usize,
-    /// Entries in the engine's `MaintainedViews` support bookkeeping
-    /// after the pass (filled by the engine layer).
-    pub support_entries: usize,
 }
 
 impl MaintenanceStats {
@@ -356,6 +341,12 @@ pub struct RuleEngine {
     pub(crate) strata: Vec<Vec<usize>>,
     /// Iteration safety bound.
     pub max_iterations: usize,
+    /// The rule bodies' plans and `(Δ ⋈ full)` variants, one set per plan
+    /// shape ([`plan_flags`]), each compiled on first use. A plan reads
+    /// only its body and the plan-shaping options, never a store, so a
+    /// relation that a run creates or drops leaves every plan valid: a
+    /// variable relation position simply enumerates one more or one less.
+    plan_sets: [OnceLock<EvalResult<PlanSet>>; 4],
 }
 
 impl RuleEngine {
@@ -385,7 +376,14 @@ impl RuleEngine {
             })
             .collect();
         let strata = stratify(&head_pats, &body_refs)?;
-        Ok(RuleEngine { rules, head_pats, body_refs, strata, max_iterations: 10_000 })
+        Ok(RuleEngine {
+            rules,
+            head_pats,
+            body_refs,
+            strata,
+            max_iterations: 10_000,
+            plan_sets: Default::default(),
+        })
     }
 
     /// The rules, in installation order.
@@ -412,67 +410,51 @@ impl RuleEngine {
     /// Materialises all views into the store (which also holds the base
     /// data). Derived databases are *not* cleared here — the caller decides
     /// whether this is a fresh build or a re-derivation.
-    pub fn materialize(&self, store: &mut Store, opts: EvalOptions) -> EvalResult<FixpointStats> {
-        self.materialize_cached(store, opts, None)
-    }
-
-    /// [`RuleEngine::materialize`] with a memoized plan cache.
     ///
-    /// When [`EvalOptions::compile`] is on, every rule body is compiled
-    /// (or fetched from `cache`) *once, up front*; the resulting plans are
-    /// shared by every fixpoint iteration and worker thread of the run.
-    /// The cache outlives refreshes, so a warm engine compiles nothing at
-    /// all — `FixpointStats::plan_cache_hits` accounts for it.
-    pub fn materialize_cached(
-        &self,
-        store: &mut Store,
-        opts: EvalOptions,
-        cache: Option<&mut PlanCache>,
-    ) -> EvalResult<FixpointStats> {
+    /// With [`EvalOptions::compile`] on, every rule body runs from the rule
+    /// set's own plan set, compiled on the first run and shared by every
+    /// later run, fixpoint iteration and worker thread. Off, bodies run
+    /// through the tree walk and nothing compiles.
+    pub fn materialize(&self, store: &mut Store, opts: EvalOptions) -> EvalResult<FixpointStats> {
         let sharing_before = SharingCounters::snapshot();
         let mut stats = FixpointStats::default();
-        let set = self.build_plan_set(opts, cache, &mut stats)?;
-        let mut stats = self.run_fixpoint(store, opts, &set.plans, &set.variants, stats)?;
+        let set = if opts.compile { Some(self.plan_set(opts, &mut stats)?) } else { None };
+        self.run_fixpoint(store, opts, set, &mut stats)?;
         stats.new_relations.sort();
         stats.new_relations.dedup();
         stats.sharing = SharingCounters::snapshot().delta_since(&sharing_before);
         Ok(stats)
     }
 
-    /// Compiles the plan (and `(Δ ⋈ full)` variant) set for one run:
-    /// shared by [`RuleEngine::materialize_cached`] and the repair pass
-    /// ([`crate::maintain`]), which finds retraction victims with the
-    /// same variants, positive and negated.
-    pub(crate) fn build_plan_set(
+    /// The plan set for `opts`' plan shape, compiled on first use; the run
+    /// that compiles it counts its rule bodies in
+    /// [`FixpointStats::plans_compiled`]. Shared by [`RuleEngine::materialize`]
+    /// and the repair pass ([`crate::maintain`]), which finds retraction
+    /// victims with the same variants, positive and negated.
+    pub(crate) fn plan_set(
         &self,
         opts: EvalOptions,
-        mut cache: Option<&mut PlanCache>,
         stats: &mut FixpointStats,
-    ) -> EvalResult<PlanSet> {
-        // Compile once per refresh: one plan per rule body, indexed like
-        // `rules`.
-        let mut plans: Vec<Option<Arc<CompiledItems>>> = vec![None; self.rules.len()];
-        if opts.compile {
-            for (i, rule) in self.rules.iter().enumerate() {
-                plans[i] = Some(match cache.as_deref_mut() {
-                    Some(cache) => {
-                        let misses = cache.misses();
-                        let plan = cache.get_or_compile(&rule.body, opts)?;
-                        if cache.misses() > misses {
-                            stats.plan_cache_misses += 1;
-                            stats.plans_compiled += 1;
-                        } else {
-                            stats.plan_cache_hits += 1;
-                        }
-                        plan
-                    }
-                    None => {
-                        stats.plans_compiled += 1;
-                        Arc::new(compile_items(&rule.body, opts)?)
-                    }
-                });
-            }
+    ) -> EvalResult<&PlanSet> {
+        let mut compiled = false;
+        let set = self.plan_sets[usize::from(plan_flags(opts))].get_or_init(|| {
+            compiled = true;
+            self.compile_plan_set(opts)
+        });
+        if compiled {
+            stats.plans_compiled += self.rules.len();
         }
+        set.as_ref().map_err(Clone::clone)
+    }
+
+    /// Compiles one plan per rule body, indexed like `rules`, and the
+    /// bodies' `(Δ ⋈ full)` variants.
+    fn compile_plan_set(&self, opts: EvalOptions) -> EvalResult<PlanSet> {
+        let plans = self
+            .rules
+            .iter()
+            .map(|rule| compile_items(&rule.body, opts))
+            .collect::<EvalResult<Vec<_>>>()?;
         // (Δ ⋈ full) plan variants: one per relation-scan occurrence of
         // the body, positive and negated. A rule has variants of a sign
         // only when its occurrences of that sign line up one-to-one with
@@ -483,53 +465,48 @@ impl RuleEngine {
         // last-write-wins semantics a restricted evaluation could reorder.
         let mut variants: Vec<Variants> = vec![Vec::new(); self.rules.len()];
         let mut negated: Vec<Variants> = vec![Vec::new(); self.rules.len()];
-        if opts.semi_naive {
-            for (i, rule) in self.rules.iter().enumerate() {
-                let Some(plan) = &plans[i] else { continue };
-                if head_is_scalar(&rule.head) {
-                    continue;
-                }
-                let lines_up = |occs: &[PredPat], negated: bool| {
-                    let mut occs = occs.to_vec();
-                    occs.sort();
-                    let mut refs: Vec<PredPat> = self.body_refs[i]
-                        .iter()
-                        .filter(|b| b.negated == negated)
-                        .map(|b| b.pat.clone())
-                        .collect();
-                    refs.sort();
-                    !occs.is_empty() && occs == refs
-                };
-                let occs = plan.delta_occurrences();
-                if lines_up(&occs, false) {
-                    variants[i] = occs
-                        .into_iter()
-                        .enumerate()
-                        .map(|(k, pat)| (pat, Arc::new(plan.delta_variant(k))))
-                        .collect();
-                }
-                let occs = plan.negated_occurrences();
-                if lines_up(&occs, true) {
-                    negated[i] = occs
-                        .into_iter()
-                        .enumerate()
-                        .map(|(k, pat)| (pat, Arc::new(plan.negated_delta_variant(k))))
-                        .collect();
-                }
+        for (i, (rule, plan)) in self.rules.iter().zip(&plans).enumerate() {
+            if head_is_scalar(&rule.head) {
+                continue;
+            }
+            let lines_up = |occs: &[PredPat], negated: bool| {
+                let mut occs = occs.to_vec();
+                occs.sort();
+                let mut refs: Vec<PredPat> = self.body_refs[i]
+                    .iter()
+                    .filter(|b| b.negated == negated)
+                    .map(|b| b.pat.clone())
+                    .collect();
+                refs.sort();
+                !occs.is_empty() && occs == refs
+            };
+            let occs = plan.delta_occurrences();
+            if lines_up(&occs, false) {
+                variants[i] = occs
+                    .into_iter()
+                    .enumerate()
+                    .map(|(k, pat)| (pat, plan.delta_variant(k)))
+                    .collect();
+            }
+            let occs = plan.negated_occurrences();
+            if lines_up(&occs, true) {
+                negated[i] = occs
+                    .into_iter()
+                    .enumerate()
+                    .map(|(k, pat)| (pat, plan.negated_delta_variant(k)))
+                    .collect();
             }
         }
         Ok(PlanSet { plans, variants, negated })
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_fixpoint(
         &self,
         store: &mut Store,
         opts: EvalOptions,
-        plans: &[Option<Arc<CompiledItems>>],
-        variants: &[Variants],
-        mut stats: FixpointStats,
-    ) -> EvalResult<FixpointStats> {
+        set: Option<&PlanSet>,
+        stats: &mut FixpointStats,
+    ) -> EvalResult<()> {
         // Views exist even when empty: create the skeleton of every head
         // whose (db, rel) is fully constant. (Data-dependent heads create
         // their relations as facts arrive.)
@@ -549,9 +526,9 @@ impl RuleEngine {
             }
         }
         for stratum in &self.strata {
-            self.run_stratum(store, stratum, opts, plans, variants, &mut stats, None, None)?;
+            self.run_stratum(store, stratum, opts, set, stats, None, None)?;
         }
-        Ok(stats)
+        Ok(())
     }
 
     /// Runs one stratum to quiescence with semi-naive, delta-driven task
@@ -561,7 +538,8 @@ impl RuleEngine {
     /// delta are skipped; an eligible rule with concrete row deltas
     /// contributes one `(Δ ⋈ full)` task per overlapping body occurrence
     /// (sharded across spare workers); everything else contributes one
-    /// full-evaluation task. With `opts.threads <= 1` tasks run in slot
+    /// full-evaluation task (every rule, without a plan set: the tree walk
+    /// has no variants). With `opts.threads <= 1` tasks run in slot
     /// order and each rule's merge lands before the next rule evaluates
     /// (the classic chaotic / Gauss-Seidel schedule — a derivation that
     /// misses the delta window is caught next iteration, since its
@@ -584,8 +562,7 @@ impl RuleEngine {
         store: &mut Store,
         stratum: &[usize],
         opts: EvalOptions,
-        plans: &[Option<Arc<CompiledItems>>],
-        variants: &[Variants],
+        set: Option<&PlanSet>,
         stats: &mut FixpointStats,
         seed: Option<DeltaLog>,
         mut accum: Option<&mut DeltaLog>,
@@ -593,6 +570,7 @@ impl RuleEngine {
         let started = std::time::Instant::now();
         let sharing_before = SharingCounters::snapshot();
         let semi = opts.semi_naive;
+        let variants: &[Variants] = set.map_or(&[], |set| &set.variants);
         let thread_cap = opts.threads.max(1);
         let mut sstats = StratumStats {
             rules: stratum.len(),
@@ -646,7 +624,7 @@ impl RuleEngine {
                 .iter()
                 .map(|&ri| {
                     let d = last_delta.as_ref()?;
-                    if !semi || variants[ri].is_empty() || d.rels.is_empty() {
+                    if !semi || variants.get(ri).is_none_or(Vec::is_empty) || d.rels.is_empty() {
                         return None;
                     }
                     // A coarse change overlapping *any* body reference —
@@ -732,8 +710,7 @@ impl RuleEngine {
                             store,
                             opts,
                             &runnable,
-                            plans,
-                            variants,
+                            set,
                             last_delta.as_ref().map(|d| &d.rels),
                             &tasks[i],
                         )?;
@@ -760,8 +737,7 @@ impl RuleEngine {
                     store,
                     &runnable,
                     opts,
-                    plans,
-                    variants,
+                    set,
                     last_delta.as_ref().map(|d| &d.rels),
                     &tasks,
                     workers,
@@ -803,14 +779,12 @@ impl RuleEngine {
     /// Evaluates one fixpoint task — a full body, or one shard of one
     /// `(Δ ⋈ full)` variant — returning the sorted, deduplicated
     /// substitution set.
-    #[allow(clippy::too_many_arguments)]
     fn eval_task(
         &self,
         store: &Store,
         opts: EvalOptions,
         runnable: &[usize],
-        plans: &[Option<Arc<CompiledItems>>],
-        variants: &[Variants],
+        set: Option<&PlanSet>,
         table: Option<&DeltaTable>,
         task: &Task,
     ) -> EvalResult<Vec<Subst>> {
@@ -818,15 +792,16 @@ impl RuleEngine {
         let mut out = match &task.kind {
             TaskKind::Full => {
                 let ev = Evaluator::new(store, opts);
-                match &plans[ri] {
-                    Some(plan) => ev.eval_compiled(plan, vec![Subst::new()])?,
+                match set {
+                    Some(set) => ev.eval_compiled(&set.plans[ri], vec![Subst::new()])?,
                     None => ev.eval_items(&self.rules[ri].body, vec![Subst::new()])?,
                 }
             }
             TaskKind::Delta { occ, shard, shards } => {
                 let table = table.expect("delta tasks require a previous iteration's delta");
+                let set = set.expect("delta tasks run compiled variants");
                 let ev = Evaluator::with_delta(store, opts, table, (*shard, *shards));
-                ev.eval_compiled(&variants[ri][*occ].1, vec![Subst::new()])?
+                ev.eval_compiled(&set.variants[ri][*occ].1, vec![Subst::new()])?
             }
         };
         out.sort();
@@ -847,8 +822,7 @@ impl RuleEngine {
         store: &Store,
         runnable: &[usize],
         opts: EvalOptions,
-        plans: &[Option<Arc<CompiledItems>>],
-        variants: &[Variants],
+        set: Option<&PlanSet>,
         table: Option<&DeltaTable>,
         tasks: &[Task],
         workers: usize,
@@ -882,8 +856,7 @@ impl RuleEngine {
                                 break;
                             }
                             let task = &tasks[i];
-                            let result =
-                                self.eval_task(store, opts, runnable, plans, variants, table, task);
+                            let result = self.eval_task(store, opts, runnable, set, table, task);
                             *outputs[task.slot][task.pos].lock().expect("output slot") =
                                 Some(result);
                             n += 1;
@@ -966,14 +939,16 @@ impl RuleEngine {
 /// One rule's `(Δ ⋈ full)` variants, one per relation-scan occurrence,
 /// each with the pattern of the relation its Δ scan reads. Empty when the
 /// rule has none of that sign or is not eligible for them.
-pub(crate) type Variants = Vec<(PredPat, Arc<CompiledItems>)>;
+pub(crate) type Variants = Vec<(PredPat, CompiledItems)>;
 
-/// The compiled artefacts of one run, indexed like [`RuleEngine::rules`]:
-/// a plan per rule, its `(Δ ⋈ full)` variants over positive occurrences
-/// (what the fixpoint runs), and those over negated occurrences (what a
-/// repair's victim query runs for a row inserted under negation).
+/// The compiled artefacts of a rule set under one plan shape, indexed like
+/// [`RuleEngine::rules`]: a plan per rule, its `(Δ ⋈ full)` variants over
+/// positive occurrences (what the fixpoint runs), and those over negated
+/// occurrences (what a repair's victim query runs for a row inserted
+/// under negation).
+#[derive(Debug)]
 pub(crate) struct PlanSet {
-    pub(crate) plans: Vec<Option<Arc<CompiledItems>>>,
+    pub(crate) plans: Vec<CompiledItems>,
     pub(crate) variants: Vec<Variants>,
     pub(crate) negated: Vec<Variants>,
 }
@@ -1232,9 +1207,8 @@ fn head_is_scalar(head: &Expr) -> bool {
     }
 }
 
-/// The `(db, rel)` patterns a body reads — positive *and* negated (a read
-/// is a read for schematic invalidation). Used by the plan cache to track
-/// per-plan read sets.
+/// The `(db, rel)` patterns a body reads, positive *and* negated: the
+/// static read set of a request ([`crate::program::ProgramRegistry::read_set`]).
 pub(crate) fn read_patterns(items: &[Expr]) -> Vec<PredPat> {
     let mut refs = Vec::new();
     for item in items {
@@ -1453,10 +1427,9 @@ mod tests {
 
     #[test]
     fn schematic_delta_reports_data_dependent_relations() {
-        // A higher-order head materialises one relation per stock — each
-        // is a schematic event the engine layer filters against its
-        // seen-set. The constant `dbO` database skeleton is pre-created,
-        // so only genuine relation creations are logged.
+        // A higher-order head materialises one relation per stock, each a
+        // schematic event. The constant `dbO` database skeleton is
+        // pre-created, so only genuine relation creations are logged.
         let mut rules = unified_rules();
         rules.push(rule(
             ".dbO.S(.date=D,.clsPrice=P) <- .dbI.p(.date=D,.stk=S,.clsPrice=P), S != date",
@@ -1503,8 +1476,8 @@ mod tests {
             .unwrap();
             let scopes: Vec<_> = store.changes_since(v).iter().map(|c| c.scope.clone()).collect();
             let delta = crate::maintain::diff_update(&pre, store.universe(), &scopes).unwrap();
-            let out = engine.maintain_cached(&mut store, &delta, opts, None).unwrap().unwrap();
-            (out.stats, idl_storage::persist::to_json(&store).unwrap())
+            let stats = engine.maintain(&mut store, &delta, opts).unwrap().unwrap();
+            (stats, idl_storage::persist::to_json(&store).unwrap())
         };
         let (stats, at_four) = repaired(4);
         assert_eq!(stats.strata.len(), 1, "{stats:?}");

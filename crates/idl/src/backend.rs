@@ -115,7 +115,6 @@ pub struct EngineSnapshot {
     pub(crate) store: Arc<Store>,
     version: Version,
     opts: idl_eval::EvalOptions,
-    maintained: idl_eval::MaintainedViews,
     /// The engine's update programs, so a call to one is refused.
     programs: Arc<ProgramRegistry>,
 }
@@ -134,7 +133,6 @@ impl EngineSnapshot {
             store: Arc::new(store),
             version: engine.store().version(),
             opts: engine.options().eval,
-            maintained: engine.maintained_views().clone(),
             programs: engine.programs_shared(),
         })
     }
@@ -142,13 +140,6 @@ impl EngineSnapshot {
     /// The store version this snapshot was taken at.
     pub fn version(&self) -> Version {
         self.version
-    }
-
-    /// Per-view support bookkeeping carried from the engine's repair
-    /// state — the views this snapshot serves were repaired (or rebuilt)
-    /// up to [`EngineSnapshot::version`].
-    pub fn maintained(&self) -> &idl_eval::MaintainedViews {
-        &self.maintained
     }
 
     /// The snapshotted store (read-only by construction).

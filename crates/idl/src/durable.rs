@@ -988,6 +988,50 @@ mod tests {
         );
     }
 
+    /// Setup for the `sys`-adoption test: one view over `euter.r`, the
+    /// `sys` catalog, and, when `keyed`, a declared key on `euter.r`.
+    fn stock_view_with_sys(e: &mut Engine, keyed: bool) -> Result<(), EngineError> {
+        e.execute(".dbI.p(.stk=S) <- .euter.r(.stkCode=S) ;")?;
+        e.enable_sys_catalog()?;
+        if keyed {
+            let key = vec!["date".into(), "stkCode".into()];
+            let schema = idl_storage::schema::RelationSchema { key, ..Default::default() };
+            e.declare_schema("euter", "r", schema)?;
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn adopted_views_carry_the_sys_catalog_of_the_reopening_setup() {
+        let vfs = Arc::new(SimVfs::new(FaultPlan::none(40)));
+        let open = |keyed: bool| {
+            let v: Arc<dyn Vfs> = Arc::clone(&vfs) as Arc<dyn Vfs>;
+            Engine::open_with_vfs("/d", v, DurabilityOptions::default(), |e| {
+                stock_view_with_sys(e, keyed)
+            })
+        };
+        const QUOTES: &str = "?.euter.r+(.date=3/3/85,.stkCode=hp,.clsPrice=50), \
+                              .euter.r+(.date=3/3/85,.stkCode=ibm,.clsPrice=160)";
+        const KEYS: &str = "?.sys.keys(.db=D,.rel=R,.attr=A)";
+        {
+            let mut d = open(false).unwrap();
+            d.update(QUOTES).unwrap();
+            assert_eq!(d.query("?.dbI.p(.stk=S)").unwrap().len(), 2);
+            assert_eq!(d.query(KEYS).unwrap().len(), 0);
+            d.checkpoint().unwrap(); // views fresh: the fingerprint rides it
+        }
+        // Reopened with a key declared: the views are adopted, and `sys`
+        // lists the key as an in-memory engine with the same setup does.
+        let mut d = open(true).unwrap();
+        assert!(d.durability_stats().maintenance_state_adopted);
+        let mut mem = Engine::new();
+        stock_view_with_sys(&mut mem, true).unwrap();
+        mem.update(QUOTES).unwrap();
+        assert_eq!(mem.query(KEYS).unwrap().len(), 2);
+        assert_eq!(d.query(KEYS).unwrap(), mem.query(KEYS).unwrap());
+        assert_eq!(d.maintenance_runs(), 0, "adopted views need no repair");
+    }
+
     #[test]
     fn execute_logs_requests_and_installs_rules() {
         let dir = fresh_dir("script");

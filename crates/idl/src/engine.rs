@@ -16,7 +16,6 @@ use idl_lang::{parse_program, Request, Rule, Statement};
 use idl_object::Value;
 use idl_storage::schema::{self, RelationSchema, SchemaSet, Violation};
 use idl_storage::{ChangeScope, Store, Version};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Engine configuration.
@@ -185,22 +184,12 @@ pub struct Engine {
     schemas: SchemaSet,
     /// Maintain the queryable `sys` catalog database.
     sys_enabled: bool,
-    /// Memoized physical plans, keyed by canonical expression hash; shared
-    /// by request execution and view refreshes.
+    /// Memoized physical plans of request bodies, keyed by canonical
+    /// expression hash. Rule bodies compile once inside `compiled`.
     plan_cache: PlanCache,
     /// Statistics of the most recent view materialisation (the `--stats`
     /// CLI output); default until the first refresh actually runs rules.
     last_stats: FixpointStats,
-    /// Data-dependent derived relations known from earlier refreshes.
-    /// A refresh whose fixpoint materialises a relation *not* in this set
-    /// saw a *schematic delta* (§6: a new stock in `euter` data creates a
-    /// new `ource`-style relation) — those plans in [`PlanCache`] whose
-    /// read set overlaps the newcomer are invalidated.
-    seen_derived_rels: BTreeSet<PredPat>,
-    /// Per-view support bookkeeping for incremental repair, carried into
-    /// [`crate::backend::EngineSnapshot`] and persisted by the durable
-    /// layer so a restart resumes repairing instead of rebuilding.
-    maintained: MaintainedViews,
     /// How many repairs the delta pass absorbed (vs falling back to a
     /// full rebuild) since startup.
     maintenance_runs: u64,
@@ -243,8 +232,6 @@ impl Engine {
             sys_enabled: false,
             plan_cache: PlanCache::new(),
             last_stats: FixpointStats::default(),
-            seen_derived_rels: BTreeSet::new(),
-            maintained: MaintainedViews::default(),
             maintenance_runs: 0,
             durable: None,
             published: None,
@@ -441,12 +428,12 @@ impl Engine {
     }
 
     fn commit_checkpoint(&mut self, full: bool) -> Result<Outcome, EngineError> {
-        // Persist the maintenance state only when the views actually
-        // match the universe being committed — adopting stale support
-        // counts at the next open would claim freshness the data lacks.
-        let fresh = self.views_fresh_now();
+        // Persist the rule fingerprint only when the views actually match
+        // the universe being committed — adopting it at the next open
+        // would otherwise claim freshness the data lacks.
+        let state = self.views_fresh_now().then(|| MaintainedViews::for_rules(&self.rules));
         let d = self.durable.as_deref_mut().ok_or_else(|| not_durable("checkpoint"))?;
-        d.checkpoint(&mut self.store, fresh.then_some(&self.maintained), full)
+        d.checkpoint(&mut self.store, state.as_ref(), full)
     }
 
     /// A point-in-time read-only snapshot with views freshly
@@ -588,13 +575,8 @@ impl Engine {
             return Ok(Some(FixpointStats::default()));
         }
         let Some(compiled) = &self.compiled else { return Ok(None) };
-        let maintained = match compiled.maintain_cached(
-            &mut self.store,
-            &delta,
-            self.options.eval,
-            Some(&mut self.plan_cache),
-        ) {
-            Ok(Some(outcome)) => outcome,
+        let stats = match compiled.maintain(&mut self.store, &delta, self.options.eval) {
+            Ok(Some(stats)) => stats,
             Ok(None) => return Ok(None),
             Err(e) => {
                 // A failed pass may leave derived state half-applied.
@@ -602,44 +584,29 @@ impl Engine {
                 return Err(e.into());
             }
         };
-        let mut stats = maintained.stats.clone();
-        // Incrementally created relations are schematic deltas exactly
-        // like in a rebuild: register them with the seen-set and
-        // invalidate overlapping plans; GCd ones leave the seen-set so a
-        // reappearance counts as schematic again.
-        self.apply_schematic_deltas(&mut stats, false);
-        stats.maintenance.schematic_creates = stats.schematic_deltas;
-        if !maintained.gcd.is_empty() {
-            for pat in &maintained.gcd {
-                self.seen_derived_rels.remove(pat);
-            }
-            stats.plan_invalidations += self.plan_cache.invalidate_overlapping(&maintained.gcd);
-        }
         if self.sys_enabled {
             schema::install_sys_catalog(&mut self.store, &self.schemas)?;
         }
-        self.maintained.apply(&maintained);
-        stats.maintenance.support_entries = self.maintained.entry_count();
         self.mark_fresh();
         self.maintenance_runs += 1;
         self.last_stats = stats.clone();
         Ok(Some(stats))
     }
 
-    /// Per-view support bookkeeping for incremental repair.
-    pub fn maintained_views(&self) -> &MaintainedViews {
-        &self.maintained
-    }
-
-    /// Installs maintenance state recovered by a durable backend. Returns
-    /// `false` (and leaves the views stale) when the state's rule
-    /// fingerprint does not match the installed rules — the refresh path
-    /// then rebuilds and recomputes it.
+    /// Adopts the view state a durable checkpoint recovered: when its rule
+    /// fingerprint matches the installed rules, the recovered views are
+    /// fresh. Returns `false` (and leaves the views stale, so the first
+    /// read rebuilds them) otherwise. The `sys` catalog, when enabled, is
+    /// rebuilt first: the schemas `setup` declared may differ from those
+    /// the checkpoint's catalog describes.
     pub fn adopt_maintained_views(&mut self, state: MaintainedViews) -> bool {
         if !state.matches_rules(&self.rules) {
             return false;
         }
-        self.maintained = state;
+        if self.sys_enabled && schema::install_sys_catalog(&mut self.store, &self.schemas).is_err()
+        {
+            return false;
+        }
         self.mark_fresh();
         true
     }
@@ -762,47 +729,13 @@ impl Engine {
                 }
             }
         }
-        let mut stats = compiled.materialize_cached(
-            &mut self.store,
-            self.options.eval,
-            Some(&mut self.plan_cache),
-        )?;
-        // A full rebuild re-creates every data-dependent relation, so the
-        // seen-set is *replaced*, not unioned: relations that vanished
-        // (e.g. the last row of a stock deleted) drop out and would count
-        // as schematic again if they come back.
-        self.apply_schematic_deltas(&mut stats, true);
+        let stats = compiled.materialize(&mut self.store, self.options.eval)?;
         if self.sys_enabled {
             schema::install_sys_catalog(&mut self.store, &self.schemas)?;
         }
-        self.maintained = MaintainedViews::recompute(&self.store, &self.derived, &self.rules);
-        stats.maintenance.support_entries = self.maintained.entry_count();
         self.mark_fresh();
         self.last_stats = stats.clone();
         Ok(stats)
-    }
-
-    /// Filters the fixpoint's raw created-relation log against the
-    /// seen-set: what survives is a *schematic delta* — a relation (or
-    /// whole database) that exists now but did not after the previous
-    /// refresh. Fresh ones invalidate exactly the overlapping plan-cache
-    /// entries (a plan scanning `.dbO.S` with a variable relation position
-    /// must see the newcomer; a plan reading only `.dbO.hp` keeps its
-    /// compiled form). The first refresh reports all of its data-dependent
-    /// relations as schematic — there was no schema before it.
-    fn apply_schematic_deltas(&mut self, stats: &mut FixpointStats, replace_seen: bool) {
-        let created: BTreeSet<PredPat> = stats.new_relations.iter().cloned().collect();
-        let fresh: Vec<PredPat> =
-            created.iter().filter(|p| !self.seen_derived_rels.contains(*p)).cloned().collect();
-        stats.schematic_deltas = fresh.len();
-        if !fresh.is_empty() {
-            stats.plan_invalidations = self.plan_cache.invalidate_overlapping(&fresh);
-        }
-        if replace_seen {
-            self.seen_derived_rels = created;
-        } else {
-            self.seen_derived_rels.extend(created);
-        }
     }
 
     /// Statistics of the most recent view materialisation that actually
@@ -902,8 +835,8 @@ impl Engine {
         Ok(out)
     }
 
-    /// The memoized plan cache's counters (hits, misses, resident plans) —
-    /// what the B3/B4 benches report as the warm-refresh hit rate.
+    /// The memoized request-plan cache's counters (hits, misses, resident
+    /// plans).
     pub fn plan_cache(&self) -> &PlanCache {
         &self.plan_cache
     }
@@ -1154,31 +1087,44 @@ mod tests {
     }
 
     #[test]
-    fn rule_bodies_compile_once_per_refresh() {
+    fn rule_bodies_compile_once_per_rule_set() {
         let mut e = engine();
-        // Plan counters only move on the compiled path.
-        e.set_options(EngineOptions::builder().compile(true).build());
         e.add_rules(UNIFIED).unwrap();
         e.add_rules(".dbO.S(.date=D,.clsPrice=P) <- .dbI.p(.date=D,.stk=S,.clsPrice=P) ;").unwrap();
-        // Cold refresh: each of the four bodies is compiled exactly once,
-        // even though the fixpoint runs more evaluations than that.
+        // The first rebuild after an install compiles each of the four
+        // bodies exactly once, even though the fixpoint runs more
+        // evaluations than that.
         let cold = e.refresh_views().unwrap();
         assert_eq!(cold.plans_compiled, 4, "{cold:?}");
-        assert_eq!(cold.plan_cache_misses, 4, "{cold:?}");
-        assert_eq!(cold.plan_cache_hits, 0, "{cold:?}");
         assert!(cold.rule_evals >= cold.plans_compiled, "{cold:?}");
-        // Warm refresh: every body comes from the engine's memoized cache.
+        // Later rebuilds and repairs compile nothing.
         let warm = e.refresh_views().unwrap();
         assert_eq!(warm.plans_compiled, 0, "{warm:?}");
-        assert_eq!(warm.plan_cache_hits, 4, "{warm:?}");
-        assert!(e.plan_cache().hits() >= 4);
+        e.update("?.euter.r+(.date=3/9/85,.stkCode=sun,.clsPrice=30)").unwrap();
+        let runs = e.maintenance_runs();
+        let repair = e.refresh_views_if_stale().unwrap();
+        assert_eq!(e.maintenance_runs(), runs + 1, "{repair:?}");
+        assert_eq!(repair.plans_compiled, 0, "{repair:?}");
+        // Another plan shape compiles its own plans once; coming back to
+        // the first shape finds its plans still there.
+        let production = e.options();
+        let mut unordered = production;
+        unordered.eval.reorder = false;
+        e.set_options(unordered);
+        assert_eq!(e.refresh_views().unwrap().plans_compiled, 4);
+        e.set_options(production);
+        assert_eq!(e.refresh_views().unwrap().plans_compiled, 0);
+        // Installing a rule makes a new rule set, compiled once again.
+        e.add_rules(".dbX.all(.stk=S) <- .dbI.p(.stk=S) ;").unwrap();
+        assert_eq!(e.refresh_views().unwrap().plans_compiled, 5);
+        assert_eq!(e.refresh_views().unwrap().plans_compiled, 0);
         // The tree-walk reference mode compiles nothing and derives the
         // same views.
         let mut interp = engine();
         interp.set_options(EngineOptions::builder().compile(false).build());
         interp.add_rules(UNIFIED).unwrap();
-        let stats = interp.refresh_views().unwrap();
-        assert_eq!(stats.plans_compiled, 0, "{stats:?}");
+        assert_eq!(interp.refresh_views().unwrap().plans_compiled, 0);
+        interp.update("?.euter.r+(.date=3/9/85,.stkCode=sun,.clsPrice=30)").unwrap();
         assert_eq!(
             e.query("?.dbI.p(.date=D,.stk=S,.clsPrice=P)").unwrap(),
             interp.query("?.dbI.p(.date=D,.stk=S,.clsPrice=P)").unwrap()
@@ -1238,46 +1184,53 @@ mod tests {
         assert!(issues.iter().any(|m| m.contains(".stk")), "{issues:?}");
     }
 
+    /// Whether the answers of `?.dbO.Y(.clsPrice=P)` range over exactly
+    /// these stocks' relations.
+    fn dbo_stocks_are(answers: AnswerSet, stocks: &[&str]) -> bool {
+        let got: std::collections::BTreeSet<Value> = answers.column("Y").into_iter().collect();
+        got == stocks.iter().map(|s| Value::str(*s)).collect()
+    }
+
     #[test]
-    fn schematic_delta_invalidates_only_overlapping_plans() {
-        let mut e = engine();
-        // Compiled semi-naive with maintenance off: this test exercises
-        // the refresh path's schematic-delta accounting.
-        e.set_options(
-            EngineOptions::builder().compile(true).semi_naive(true).maintain(false).build(),
-        );
-        e.add_rules(UNIFIED).unwrap();
-        e.add_rules(
-            ".dbO.S(.date=D,.clsPrice=P) <- .dbI.p(.date=D,.stk=S,.clsPrice=P), S != date ;",
-        )
-        .unwrap();
-        // First build: there was no schema before it, so every
-        // data-dependent relation is schematic.
-        let first = e.refresh_views().unwrap();
-        assert_eq!(first.schematic_deltas, 2, "dbO.hp and dbO.ibm: {first:?}");
-        // Warm two query plans: one with a higher-order (variable)
-        // relation position over dbO, one pinned to dbO.hp.
-        e.query("?.dbO.Y(.clsPrice=P)").unwrap();
-        e.query("?.dbO.hp(.clsPrice=P)").unwrap();
-        let resident = e.plan_cache().len();
-        // A price update for an existing stock re-materialises the same
-        // relations: nothing is schematic, nothing is invalidated.
-        e.update("?.euter.r+(.date=3/9/85,.stkCode=hp,.clsPrice=70)").unwrap();
-        let s = e.refresh_views_if_stale().unwrap();
-        assert_eq!(s.schematic_deltas, 0, "{s:?}");
-        assert_eq!(s.plan_invalidations, 0, "{s:?}");
-        assert_eq!(e.plan_cache().len(), resident);
-        // A brand-new stock materialises dbO.sun for the first time: the
-        // variable-relation plan must be recompiled (it now has one more
-        // relation to scan), the dbO.hp-only plan keeps its compiled form.
-        e.update("?.euter.r+(.date=3/9/85,.stkCode=sun,.clsPrice=30)").unwrap();
-        let s = e.refresh_views_if_stale().unwrap();
-        assert_eq!(s.schematic_deltas, 1, "only dbO.sun is new: {s:?}");
-        assert_eq!(s.plan_invalidations, 1, "only the .dbO.Y plan: {s:?}");
-        assert_eq!(e.plan_cache().len(), resident - 1);
-        // And the recompiled plan sees the newcomer.
-        let rels = e.query("?.dbO.Y(.clsPrice=P)").unwrap();
-        assert!(rels.column("Y").contains(&Value::str("sun")), "{rels}");
+    fn a_cached_higher_order_plan_follows_schematic_create_and_gc() {
+        // `?.dbO.Y(…)` ranges over relation names: a view creating or
+        // garbage-collecting a `dbO` relation changes the data it
+        // enumerates, not its plan. So the plan stays cached across both,
+        // in the repair and in the rebuild mode.
+        const Q: &str = "?.dbO.Y(.clsPrice=P)";
+        const ADD: &str = "?.euter.r+(.date=3/9/85,.stkCode=sun,.clsPrice=30)";
+        const DEL: &str = "?.euter.r-(.stkCode=sun)";
+        for maintain in [true, false] {
+            let mut e = engine();
+            e.set_options(EngineOptions::builder().maintain(maintain).build());
+            e.add_rules(UNIFIED).unwrap();
+            e.add_rules(
+                ".dbO.S(.date=D,.clsPrice=P) <- .dbI.p(.date=D,.stk=S,.clsPrice=P), S != date ;",
+            )
+            .unwrap();
+            assert!(dbo_stocks_are(e.query(Q).unwrap(), &["hp", "ibm"]));
+            for (write, stocks) in [(ADD, &["hp", "ibm", "sun"][..]), (DEL, &["hp", "ibm"][..])] {
+                e.update(write).unwrap();
+                let (hits, misses) = (e.plan_cache().hits(), e.plan_cache().misses());
+                assert!(dbo_stocks_are(e.query(Q).unwrap(), stocks), "maintain {maintain}");
+                assert_eq!(e.plan_cache().misses(), misses, "maintain {maintain}: {write}");
+                assert_eq!(e.plan_cache().hits(), hits + 1, "maintain {maintain}: {write}");
+            }
+            assert_eq!(e.maintenance_runs(), if maintain { 2 } else { 0 });
+
+            // The server's path: one cache shared by republished snapshots.
+            let cache = std::sync::Mutex::new(PlanCache::new());
+            let snap = e.snapshot().unwrap();
+            assert!(dbo_stocks_are(snap.query_cached(Q, Some(&cache)).unwrap(), &["hp", "ibm"]));
+            for (write, stocks) in [(ADD, &["hp", "ibm", "sun"][..]), (DEL, &["hp", "ibm"][..])] {
+                e.update(write).unwrap();
+                let snap = e.snapshot().unwrap();
+                let answers = snap.query_cached(Q, Some(&cache)).unwrap();
+                assert!(dbo_stocks_are(answers, stocks), "maintain {maintain}: {write}");
+                let cache = cache.lock().unwrap();
+                assert_eq!((cache.misses(), cache.len()), (1, 1), "maintain {maintain}: {write}");
+            }
+        }
     }
 
     #[test]
@@ -1295,7 +1248,6 @@ mod tests {
         let m = &e.last_fixpoint_stats().maintenance;
         assert_eq!(m.views_maintained, 1, "{m:?}");
         assert!(m.delta_rules_run >= 1, "{m:?}");
-        assert_eq!(m.support_entries, 1, "{m:?}");
         // A second read finds the views fresh: nothing re-materialises.
         let v = e.store().version();
         assert!(e.query("?.dbI.p(.stk=sun)").unwrap().is_true());
@@ -1345,7 +1297,6 @@ mod tests {
         e.set_options(EngineOptions::builder().maintain(true).build());
         e.add_rules(UNIFIED).unwrap();
         e.add_rules(".dbO.S(.date=D,.clsPrice=P) <- .dbI.p(.date=D,.stk=S,.clsPrice=P) ;").unwrap();
-        // Warm a higher-order plan so create/GC invalidation is visible.
         e.query("?.dbO.Y(.clsPrice=P)").unwrap();
         // New stock: the repair materialises dbO.sun incrementally.
         e.update("?.euter.r+(.date=3/9/85,.stkCode=sun,.clsPrice=30)").unwrap();

@@ -40,9 +40,10 @@
 //!   (default: available parallelism; `1` forces the sequential path).
 //! * `--stats` — after all scripts ran, print the statistics of the last
 //!   view materialisation: iterations, rule evaluations, facts added,
-//!   plan-cache traffic, per-stratum telemetry, and the structural-sharing
-//!   counters (O(1) clones, copy-on-write breaks, pointer-equality hits,
-//!   sharing hit rate). Under `--durable` the durability counters
+//!   relations created, plans compiled, the maintenance counters,
+//!   per-stratum telemetry, and the structural-sharing counters (O(1)
+//!   clones, copy-on-write breaks, pointer-equality hits, sharing hit
+//!   rate). Under `--durable` the durability counters
 //!   follow: log appends/syncs, checkpoints, recovery work, and the
 //!   buffer-pool hit/miss/eviction telemetry.
 //! * `-e STMT` — execute one statement from the command line.
@@ -576,29 +577,23 @@ fn run_client(addr: &str, cli: &Cli) -> Result<(), String> {
         );
         let e = &reply.engine;
         println!(
-            "-- engine: {} iterations, {} rule evals, {} facts added, plan cache {}h/{}m, \
+            "-- engine: {} iterations, {} rule evals, {} facts added, {} plans compiled, \
              sharing hit-rate {:.1}%",
             e.iterations,
             e.rule_evals,
             e.facts_added,
-            e.plan_cache_hits,
-            e.plan_cache_misses,
+            e.plans_compiled,
             e.sharing_hit_rate * 100.0
         );
         println!(
-            "-- engine semi-naive: {} delta evals, {} full evals, {} rules skipped, \
-             {} schematic deltas, {} plan invalidations",
-            e.delta_evals, e.full_evals, e.rules_skipped, e.schematic_deltas, e.plan_invalidations
+            "-- engine semi-naive: {} delta evals, {} full evals, {} rules skipped",
+            e.delta_evals, e.full_evals, e.rules_skipped
         );
         if let Some(m) = &e.maintenance {
             println!(
                 "-- engine maintenance: {} views maintained, {} delta rules run, \
-                 {} schematic creates, {} schematic GCs, {} support entries",
-                m.views_maintained,
-                m.delta_rules_run,
-                m.schematic_creates,
-                m.schematic_gcs,
-                m.support_entries
+                 {} schematic creates, {} schematic GCs",
+                m.views_maintained, m.delta_rules_run, m.schematic_creates, m.schematic_gcs
             );
         }
         if let Some(st) = &reply.storage {
@@ -664,23 +659,13 @@ fn print_stats(stats: &idl::FixpointStats) {
         "   semi-naive:     {} delta evals, {} full evals, {} rules skipped",
         stats.delta_evals, stats.full_evals, stats.rules_skipped
     );
-    println!(
-        "   schematic:      {} new relations, {} plan invalidations",
-        stats.schematic_deltas, stats.plan_invalidations
-    );
-    println!(
-        "   plans compiled: {} (plan cache: {} hits, {} misses)",
-        stats.plans_compiled, stats.plan_cache_hits, stats.plan_cache_misses
-    );
+    println!("   new relations:  {}", stats.new_relations.len());
+    println!("   plans compiled: {}", stats.plans_compiled);
     let m = &stats.maintenance;
     println!(
         "   maintenance:    {} views maintained, {} delta rules run, \
-         {} schematic creates, {} schematic GCs, {} support entries",
-        m.views_maintained,
-        m.delta_rules_run,
-        m.schematic_creates,
-        m.schematic_gcs,
-        m.support_entries
+         {} schematic creates, {} schematic GCs",
+        m.views_maintained, m.delta_rules_run, m.schematic_creates, m.schematic_gcs
     );
     for (i, s) in stats.strata.iter().enumerate() {
         println!(

@@ -170,19 +170,9 @@ pub struct EngineStatsWire {
     /// Task evaluations over full inputs.
     #[serde(default)]
     pub full_evals: u64,
-    /// Data-dependent relations that materialised for the first time
-    /// (schematic deltas).
-    #[serde(default)]
-    pub schematic_deltas: u64,
-    /// Cached plans invalidated by those schematic deltas.
-    #[serde(default)]
-    pub plan_invalidations: u64,
-    /// Rule bodies compiled to the plan IR.
+    /// Rule bodies compiled to the plan IR (0 unless the run was the
+    /// first under its rule set and plan shape).
     pub plans_compiled: u64,
-    /// Rule plans served from the memoized cache.
-    pub plan_cache_hits: u64,
-    /// Rule plans the memoized cache had to compile.
-    pub plan_cache_misses: u64,
     /// Fraction of O(1) handle clones whose sharing survived the run.
     pub sharing_hit_rate: f64,
     /// Incremental view-repair counters. Optional for wire
@@ -205,8 +195,6 @@ pub struct MaintenanceStatsWire {
     pub schematic_creates: u64,
     /// Emptied data-dependent relations garbage-collected.
     pub schematic_gcs: u64,
-    /// Support entries in the engine's maintained-view bookkeeping.
-    pub support_entries: u64,
 }
 
 impl From<&FixpointStats> for EngineStatsWire {
@@ -219,18 +207,13 @@ impl From<&FixpointStats> for EngineStatsWire {
             rules_skipped: s.rules_skipped as u64,
             delta_evals: s.delta_evals as u64,
             full_evals: s.full_evals as u64,
-            schematic_deltas: s.schematic_deltas as u64,
-            plan_invalidations: s.plan_invalidations as u64,
             plans_compiled: s.plans_compiled as u64,
-            plan_cache_hits: s.plan_cache_hits as u64,
-            plan_cache_misses: s.plan_cache_misses as u64,
             sharing_hit_rate: s.sharing_hit_rate(),
             maintenance: Some(MaintenanceStatsWire {
                 views_maintained: m.views_maintained as u64,
                 delta_rules_run: m.delta_rules_run as u64,
                 schematic_creates: m.schematic_creates as u64,
                 schematic_gcs: m.schematic_gcs as u64,
-                support_entries: m.support_entries as u64,
             }),
         }
     }
@@ -541,14 +524,16 @@ mod tests {
     fn engine_stats_without_maintenance_field_still_parse() {
         // Pin wire compatibility: a stats payload from a build predating
         // write-path maintenance (no `maintenance` key at all) must
-        // decode, with the new field reading as None.
+        // decode, with the new field reading as None. It also carries
+        // counters later builds dropped (the rule-plan cache's hits and
+        // misses); decoding ignores them.
         let old = r#"{"iterations":3,"rule_evals":7,"facts_added":11,
             "rules_skipped":0,"delta_evals":2,"full_evals":5,
-            "schematic_deltas":1,"plan_invalidations":0,
             "plans_compiled":4,"plan_cache_hits":9,"plan_cache_misses":4,
             "sharing_hit_rate":0.5}"#;
         let got: EngineStatsWire = serde_json::from_str(old).unwrap();
         assert_eq!(got.iterations, 3);
+        assert_eq!(got.plans_compiled, 4);
         assert_eq!(got.maintenance, None);
 
         // and the new shape round-trips
@@ -558,7 +543,6 @@ mod tests {
             delta_rules_run: 6,
             schematic_creates: 1,
             schematic_gcs: 1,
-            support_entries: 40,
         });
         let back: EngineStatsWire =
             serde_json::from_str(&serde_json::to_string(&full).unwrap()).unwrap();
