@@ -59,6 +59,9 @@ pub enum EvalError {
     Malformed(String),
     /// Underlying storage failure.
     Storage(String),
+    /// A request that wrote broke a declared key, type or foreign key; it
+    /// was rolled back.
+    Schema(Vec<idl_storage::schema::Violation>),
 }
 
 impl fmt::Display for EvalError {
@@ -94,6 +97,13 @@ impl fmt::Display for EvalError {
             EvalError::TooManyResults(n) => write!(f, "query exceeded result limit of {n}"),
             EvalError::Malformed(m) => write!(f, "malformed expression: {m}"),
             EvalError::Storage(m) => write!(f, "storage error: {m}"),
+            EvalError::Schema(violations) => {
+                write!(f, "schema violation(s), request rolled back:")?;
+                for v in violations {
+                    write!(f, "\n  {v}")?;
+                }
+                Ok(())
+            }
         }
     }
 }

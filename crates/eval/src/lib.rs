@@ -16,7 +16,8 @@
 //! * **§7 update programs** — named parameterised collections of update and
 //!   query expressions with top-down parameter passing, binding-signature
 //!   checking, a static non-recursion check, and view-update dispatch
-//!   ([`program`]);
+//!   ([`program`]); a clause body runs through the same item loop, and the
+//!   same transaction, as the request that calls it ([`request`]);
 //! * a **planner** that reorders conjuncts and exploits the storage layer's
 //!   indexes, with a naive reference mode kept for differential testing and
 //!   the ablation benchmarks ([`plan`], [`query::EvalOptions`]);
@@ -51,6 +52,6 @@ pub use maintain::{diff_update, MaintainedViews, UpdateDelta};
 pub use physical::{CompiledItems, PhysOp};
 pub use program::{ProgramKey, ProgramRegistry};
 pub use query::{default_threads, EvalOptions, Evaluator};
-pub use request::{run_request, run_request_cached, RequestOutcome};
+pub use request::{run_request, RequestOutcome};
 pub use rules::{FixpointStats, MaintenanceStats, PredPat, RuleEngine, RuleSetError, StratumStats};
 pub use subst::{AnswerSet, Subst};

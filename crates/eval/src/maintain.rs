@@ -722,8 +722,10 @@ mod tests {
                 store,
                 programs,
                 &crate::rules::DerivedCatalog::empty(),
+                &idl_storage::SchemaSet::new(),
                 &req,
                 opts(),
+                None,
             )
             .unwrap();
         }

@@ -22,16 +22,22 @@
 //! * **no recursion** (§7.1): the static call graph must be acyclic;
 //!   programs may call other programs non-recursively (reuse);
 //! * programs return **success or failure only** — no bindings escape.
+//!
+//! The registry stores and binds programs; it does not execute them. A
+//! clause body is a request body, and [`crate::request::run_request`] runs
+//! it through the request's own item loop and transaction: body queries
+//! compile through the request's plan cache, and a body update that
+//! touches derived state is refused with [`EvalError::UpdateOnDerived`]
+//! exactly as a direct one is (§7.2 lets a view change only through the
+//! base writes a program makes).
 
 use crate::arith::eval_term;
 use crate::error::{EvalError, EvalResult};
-use crate::query::{EvalOptions, Evaluator};
 use crate::rules::{read_patterns, PredPat};
 use crate::subst::Subst;
-use crate::update::{apply_update, UpdateStats};
 use idl_lang::{AttrTerm, Expr, Field, ProgramClause, RelOp, Sign, Term, Var};
 use idl_object::{Name, Value};
-use idl_storage::{ChangeScope, Store};
+use idl_storage::ChangeScope;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -165,29 +171,20 @@ impl ProgramRegistry {
         Some(())
     }
 
-    /// Executes a program call: binds arguments to each clause's
-    /// parameters, checks binding signatures, then runs every clause's
-    /// body top-down. No bindings escape; mutation counters do.
-    pub fn call(
+    /// Binds a program call (§7.1): evaluates the supplied arguments under
+    /// the caller's bindings, checks argument names and every clause's
+    /// binding signature, and returns each clause's body with the
+    /// substitution its parameters seed it with, in definition order.
+    /// Nothing runs here: the request runner executes the bodies, so every
+    /// check fails before any clause writes. `depth` is the caller's call
+    /// nesting; past 64 the call is refused as recursive.
+    pub fn bind_call(
         &self,
-        store: &mut Store,
         key: &ProgramKey,
         args: &[Field],
         caller_subst: &Subst,
-        opts: EvalOptions,
-    ) -> EvalResult<UpdateStats> {
-        self.call_depth(store, key, args, caller_subst, opts, 0)
-    }
-
-    fn call_depth(
-        &self,
-        store: &mut Store,
-        key: &ProgramKey,
-        args: &[Field],
-        caller_subst: &Subst,
-        opts: EvalOptions,
         depth: usize,
-    ) -> EvalResult<UpdateStats> {
+    ) -> EvalResult<Vec<(&[Expr], Subst)>> {
         if depth > 64 {
             return Err(EvalError::RecursiveProgram(key.to_string()));
         }
@@ -240,53 +237,17 @@ impl ProgramRegistry {
             }
         }
 
-        let mut stats = UpdateStats::default();
-        for clause in clauses {
-            // Top-down parameter passing.
+        // Top-down parameter passing.
+        let seeded = clauses.iter().map(|clause| {
             let mut subst = Subst::new();
             for (pname, var) in &clause.params {
                 if let Some(val) = supplied.get(pname) {
                     subst.insert(var.clone(), val.clone());
                 }
             }
-            stats.merge(self.run_body(store, &clause.body, subst, opts, depth)?);
-        }
-        Ok(stats)
-    }
-
-    /// Executes a clause body: query items thread bindings, update items
-    /// apply per binding, nested program calls recurse.
-    fn run_body(
-        &self,
-        store: &mut Store,
-        body: &[Expr],
-        seed: Subst,
-        opts: EvalOptions,
-        depth: usize,
-    ) -> EvalResult<UpdateStats> {
-        let mut stats = UpdateStats::default();
-        let mut substs = vec![seed];
-        for item in body {
-            if let Some((key, args)) = self.match_call(item) {
-                for s in &substs {
-                    stats.merge(self.call_depth(store, &key, args, s, opts, depth + 1)?);
-                }
-            } else if item.is_query() {
-                let ev = Evaluator::new(store, opts);
-                substs = ev.eval_items(std::slice::from_ref(item), substs)?;
-                if substs.is_empty() {
-                    break; // clause conditions unmet: clause fails quietly
-                }
-            } else {
-                let scope = update_scope(item);
-                for s in &substs {
-                    let st =
-                        store.mutate(scope.clone(), |universe| apply_update(universe, item, s))?;
-                    stats.merge(st);
-                }
-            }
-        }
-        Ok(stats)
+            (clause.body.as_slice(), subst)
+        });
+        Ok(seeded.collect())
     }
 
     /// Static validation of a call site without executing anything — the
@@ -536,8 +497,13 @@ fn collect_plus_vars(e: &Expr, out: &mut BTreeSet<Var>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::{EvalOptions, Evaluator};
+    use crate::request::run_request;
+    use crate::rules::DerivedCatalog;
+    use crate::update::UpdateStats;
     use idl_lang::{parse_program, parse_statement, Statement};
     use idl_object::universe::stock_universe;
+    use idl_storage::{SchemaSet, Store};
 
     fn base_store() -> Store {
         Store::from_universe(stock_universe(vec![
@@ -584,8 +550,10 @@ mod tests {
 
     fn call(reg: &ProgramRegistry, store: &mut Store, src: &str) -> EvalResult<UpdateStats> {
         let Statement::Request(req) = parse_statement(src).unwrap() else { panic!() };
-        let (key, args) = reg.match_call(&req.items[0]).expect("call should match");
-        reg.call(store, &key, args, &Subst::new(), EvalOptions::default())
+        assert!(reg.match_call(&req.items[0]).is_some(), "call should match");
+        let (derived, schemas) = (DerivedCatalog::empty(), SchemaSet::new());
+        run_request(store, reg, &derived, &schemas, &req, EvalOptions::default(), None)
+            .map(|outcome| outcome.stats)
     }
 
     #[test]

@@ -1,12 +1,20 @@
-//! Request execution: queries, update requests and program calls, unified.
+//! Request execution: queries, update requests and program calls, in one
+//! item loop.
 //!
 //! A request `?e₁, …, eₖ` is evaluated left to right under shared bindings
 //! (§5.1): query items filter and extend the current substitutions, update
 //! items apply once per current substitution, and items that name a
-//! registered update program dispatch to it (§7.1). The whole request is
-//! atomic — wrapped in a storage transaction that rolls back on any error,
-//! so a failed binding-signature check or kind mismatch leaves the universe
-//! untouched.
+//! registered update program dispatch to it (§7.1). A program clause body
+//! is a request body: the call binds its parameters
+//! ([`ProgramRegistry::bind_call`]) and each clause body runs through the
+//! same loop, so its query items compile through the request's plan cache
+//! and its update items pass the same derived-state guard.
+//!
+//! The whole request is atomic: it runs in the store's one transaction,
+//! which rolls back on any error, including a declared-schema violation
+//! found before the commit. A failed binding-signature check, kind
+//! mismatch or refused write anywhere in the request, program bodies
+//! included, leaves the universe untouched.
 //!
 //! Updates targeting *derived* databases are rejected unless a view-update
 //! program is registered for that exact path and sign (§7.2); base updates
@@ -19,8 +27,8 @@ use crate::query::{EvalOptions, Evaluator};
 use crate::rules::DerivedCatalog;
 use crate::subst::{AnswerSet, Subst};
 use crate::update::{apply_update, UpdateStats};
-use idl_lang::Request;
-use idl_storage::Store;
+use idl_lang::{Expr, Request};
+use idl_storage::{SchemaSet, Store};
 use std::collections::BTreeSet;
 
 /// What a request produced.
@@ -42,93 +50,105 @@ impl RequestOutcome {
     }
 }
 
-/// Runs a request atomically against the store.
+/// Runs a request atomically against the store, in one transaction.
 ///
 /// `derived` is the relation-granular catalog of view-materialised state:
-/// direct updates touching it are rejected
-/// ([`EvalError::UpdateOnDerived`]) unless the item matches a registered
-/// (view-)update program.
+/// direct updates touching it, in the request or in a program body, are
+/// rejected ([`EvalError::UpdateOnDerived`]) unless the item matches a
+/// registered (view-)update program. When the request wrote, `schemas`
+/// is checked before the commit, and a violation rolls the request back
+/// ([`EvalError::Schema`]). Query items compile through `cache` when one
+/// is given and [`EvalOptions::compile`] is on, so a repeated request or
+/// program body re-uses its plans instead of re-compiling.
 pub fn run_request(
     store: &mut Store,
-    registry: &ProgramRegistry,
+    programs: &ProgramRegistry,
     derived: &DerivedCatalog,
-    request: &Request,
-    opts: EvalOptions,
-) -> EvalResult<RequestOutcome> {
-    run_request_cached(store, registry, derived, request, opts, None)
-}
-
-/// [`run_request`] with a memoized plan cache: query items are compiled
-/// through `cache` (when [`EvalOptions::compile`] is on), so a repeated
-/// request re-uses its plans instead of re-compiling.
-pub fn run_request_cached(
-    store: &mut Store,
-    registry: &ProgramRegistry,
-    derived: &DerivedCatalog,
+    schemas: &SchemaSet,
     request: &Request,
     opts: EvalOptions,
     cache: Option<&mut PlanCache>,
 ) -> EvalResult<RequestOutcome> {
     store.begin();
-    match run_inner(store, registry, derived, request, opts, cache) {
-        Ok(outcome) => {
-            store.commit().expect("transaction opened above");
-            Ok(outcome)
+    let mut runner =
+        Runner { store, programs, derived, opts, cache, stats: UpdateStats::default() };
+    let outcome = runner.run_items(&request.items, Subst::new(), 0).and_then(|substs| {
+        let Runner { store, stats, .. } = &runner;
+        if stats.total() > 0 {
+            let violations = schemas.check(store);
+            if !violations.is_empty() {
+                return Err(EvalError::Schema(violations));
+            }
         }
-        Err(e) => {
-            store.rollback().expect("transaction opened above");
-            Err(e)
-        }
+        // Project answers onto named variables.
+        let named: BTreeSet<_> = request.vars().into_iter().filter(|v| !v.is_gensym()).collect();
+        let answers = substs.into_iter().map(|s| s.project(&named)).collect();
+        Ok(RequestOutcome { answers, stats: *stats })
+    });
+    match outcome {
+        Ok(_) => runner.store.commit(),
+        Err(_) => runner.store.rollback(),
     }
+    .expect("the request's transaction is open");
+    outcome
 }
 
-fn run_inner(
-    store: &mut Store,
-    registry: &ProgramRegistry,
-    derived: &DerivedCatalog,
-    request: &Request,
+/// The item loop's state: the store the request writes, what guards and
+/// compiles its items, and the mutation counters they accumulate.
+struct Runner<'a> {
+    store: &'a mut Store,
+    programs: &'a ProgramRegistry,
+    derived: &'a DerivedCatalog,
     opts: EvalOptions,
-    mut cache: Option<&mut PlanCache>,
-) -> EvalResult<RequestOutcome> {
-    let mut substs = vec![Subst::new()];
-    let mut stats = UpdateStats::default();
-    for item in &request.items {
-        // Program call? (takes precedence over the relation-scan reading)
-        if let Some((key, args)) = registry.match_call(item) {
-            for s in &substs {
-                stats.merge(registry.call(store, &key, args, s, opts)?);
-            }
-            continue;
-        }
-        if item.is_query() {
-            let ev = Evaluator::new(store, opts);
-            substs = match cache.as_deref_mut() {
-                Some(cache) if opts.compile => {
-                    let plan = cache.get_or_compile(std::slice::from_ref(item), opts)?;
-                    ev.eval_compiled(&plan, substs)?
+    cache: Option<&'a mut PlanCache>,
+    stats: UpdateStats,
+}
+
+impl Runner<'_> {
+    /// Runs `items` top-down from `seed` and returns the substitutions that
+    /// survive them. A program call runs every clause body through this
+    /// same loop, seeded with the clause's bound parameters; no bindings
+    /// escape a call. `depth` is the call nesting, bounded by
+    /// [`ProgramRegistry::bind_call`].
+    fn run_items(&mut self, items: &[Expr], seed: Subst, depth: usize) -> EvalResult<Vec<Subst>> {
+        let programs = self.programs;
+        let mut substs = vec![seed];
+        for item in items {
+            // Program call? (takes precedence over the relation-scan reading)
+            if let Some((key, args)) = programs.match_call(item) {
+                for s in &substs {
+                    for (body, seed) in programs.bind_call(&key, args, s, depth)? {
+                        self.run_items(body, seed, depth + 1)?;
+                    }
                 }
-                _ => ev.eval_items(std::slice::from_ref(item), substs)?,
-            };
-            if substs.is_empty() {
-                break;
+                continue;
             }
-            continue;
+            if item.is_query() {
+                let ev = Evaluator::new(self.store, self.opts);
+                substs = match self.cache.as_deref_mut() {
+                    Some(cache) if self.opts.compile => {
+                        let plan = cache.get_or_compile(std::slice::from_ref(item), self.opts)?;
+                        ev.eval_compiled(&plan, substs)?
+                    }
+                    _ => ev.eval_items(std::slice::from_ref(item), substs)?,
+                };
+                if substs.is_empty() {
+                    break;
+                }
+                continue;
+            }
+            // Plain update item: guard derived state (relation-granular).
+            let scope = update_scope(item);
+            if self.derived.guards_update(&scope) {
+                return Err(EvalError::UpdateOnDerived(format!("{scope:?}")));
+            }
+            for s in &substs {
+                let st = self.store.mutate(scope.clone(), |u| apply_update(u, item, s))?;
+                self.stats.merge(st);
+            }
         }
-        // Plain update item: guard derived state (relation-granular).
-        let scope = update_scope(item);
-        if derived.guards_update(&scope) {
-            return Err(EvalError::UpdateOnDerived(format!("{scope:?}")));
-        }
-        for s in &substs {
-            let st = store.mutate(scope.clone(), |u| apply_update(u, item, s))?;
-            stats.merge(st);
-        }
+        Ok(substs)
     }
-    // Project answers onto named variables.
-    let vars = request.vars();
-    let named: BTreeSet<_> = vars.into_iter().filter(|v| !v.is_gensym()).collect();
-    let answers: AnswerSet = substs.into_iter().map(|s| s.project(&named)).collect();
-    Ok(RequestOutcome { answers, stats })
 }
 
 #[cfg(test)]
@@ -160,7 +180,7 @@ mod tests {
         src: &str,
     ) -> EvalResult<RequestOutcome> {
         let Statement::Request(req) = parse_statement(src).unwrap() else { panic!() };
-        run_request(store, registry, derived, &req, EvalOptions::default())
+        run_request(store, registry, derived, &SchemaSet::new(), &req, EvalOptions::default(), None)
     }
 
     #[test]

@@ -1470,8 +1470,10 @@ mod tests {
                 &mut store,
                 &programs,
                 &DerivedCatalog::empty(),
+                &idl_storage::SchemaSet::new(),
                 &req,
                 opts,
+                None,
             )
             .unwrap();
             let scopes: Vec<_> = store.changes_since(v).iter().map(|c| c.scope.clone()).collect();

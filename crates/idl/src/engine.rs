@@ -9,9 +9,7 @@ use idl_eval::analyze::BindingIssue;
 use idl_eval::rules::{DerivedCatalog, DerivedScope, FixpointStats};
 use idl_eval::update::UpdateStats;
 use idl_eval::{diff_update, MaintainedViews, PredPat};
-use idl_eval::{
-    run_request_cached, AnswerSet, EvalOptions, PlanCache, ProgramRegistry, RuleEngine,
-};
+use idl_eval::{run_request, AnswerSet, EvalOptions, PlanCache, ProgramRegistry, RuleEngine};
 use idl_lang::{parse_program, Request, Rule, Statement};
 use idl_object::Value;
 use idl_storage::schema::{self, RelationSchema, SchemaSet, Violation};
@@ -454,8 +452,11 @@ impl Engine {
         self.durable.as_ref().map_or(Ok(()), |d| d.check_poisoned())
     }
 
-    /// Runs one request. Whether it wrote is read from its outcome, never
-    /// from its syntax: a §7.1 program call carries no sign but writes.
+    /// Runs one request, in the store's one transaction: an error, a
+    /// refused write or a declared-schema violation anywhere in it, program
+    /// bodies included, rolls the whole request back. Whether it wrote is
+    /// read from its outcome, never from its syntax: a §7.1 program call
+    /// carries no sign but writes.
     /// Its base changes stay in the store journal until a request that
     /// may read a view, or [`Engine::snapshot`], repairs the views: one
     /// repair covers every write since they were last fresh.
@@ -468,41 +469,15 @@ impl Engine {
             // per scope they touched is all the repair needs.
             self.store.compact_journal();
         }
-        // Outer transaction so declared-schema enforcement can undo the
-        // whole request (run_request's own transaction nests inside).
-        let check_schemas = !self.schemas.is_empty();
-        if check_schemas {
-            self.store.begin();
-        }
-        let outcome = match run_request_cached(
+        let outcome = run_request(
             &mut self.store,
             &self.programs,
             &self.derived,
+            &self.schemas,
             req,
             self.options.eval,
             Some(&mut self.plan_cache),
-        ) {
-            Ok(o) => o,
-            Err(e) => {
-                if check_schemas {
-                    self.store.rollback().expect("outer transaction open");
-                }
-                return Err(e.into());
-            }
-        };
-        if check_schemas {
-            let violations = if outcome.stats.total() > 0 {
-                self.schemas.check(&self.store)
-            } else {
-                Vec::new()
-            };
-            if violations.is_empty() {
-                self.store.commit().expect("outer transaction open");
-            } else {
-                self.store.rollback().expect("outer transaction open");
-                return Err(EngineError::Schema(violations));
-            }
-        }
+        )?;
         Ok((outcome.answers, outcome.stats))
     }
 
@@ -584,9 +559,7 @@ impl Engine {
                 return Err(e.into());
             }
         };
-        if self.sys_enabled {
-            schema::install_sys_catalog(&mut self.store, &self.schemas)?;
-        }
+        self.install_sys_if_enabled()?;
         self.mark_fresh();
         self.maintenance_runs += 1;
         self.last_stats = stats.clone();
@@ -603,8 +576,7 @@ impl Engine {
         if !state.matches_rules(&self.rules) {
             return false;
         }
-        if self.sys_enabled && schema::install_sys_catalog(&mut self.store, &self.schemas).is_err()
-        {
+        if self.install_sys_if_enabled().is_err() {
             return false;
         }
         self.mark_fresh();
@@ -638,7 +610,16 @@ impl Engine {
             return Err(EngineError::Schema(violations));
         }
         self.schemas = candidate;
-        self.fresh = None; // sys catalog must reflect the declaration
+        self.install_sys_if_enabled()
+    }
+
+    /// Reinstalls the `sys` catalog when it is enabled. A declaration
+    /// changes no data, so the views keep their freshness point: writes
+    /// into `sys` are not base changes.
+    fn install_sys_if_enabled(&mut self) -> Result<(), EngineError> {
+        if self.sys_enabled {
+            schema::install_sys_catalog(&mut self.store, &self.schemas)?;
+        }
         Ok(())
     }
 
@@ -652,13 +633,13 @@ impl Engine {
         self.schemas.check(&self.store)
     }
 
-    /// Turns on the queryable `sys` catalog database (refreshed together
-    /// with the views): `sys.databases`, `sys.relations`, `sys.attributes`,
-    /// `sys.keys`, `sys.types`.
+    /// Turns on the queryable `sys` catalog database, installed now and
+    /// refreshed together with the views: `sys.databases`,
+    /// `sys.relations`, `sys.attributes`, `sys.keys`, `sys.types`. The
+    /// views keep their freshness point.
     pub fn enable_sys_catalog(&mut self) -> Result<(), EngineError> {
         self.sys_enabled = true;
-        self.fresh = None;
-        Ok(())
+        self.install_sys_if_enabled()
     }
 
     // ---- rules / views ---------------------------------------------------
@@ -699,9 +680,7 @@ impl Engine {
     /// runs the stratified fixpoint. Returns the fixpoint statistics.
     pub fn refresh_views(&mut self) -> Result<FixpointStats, EngineError> {
         let Some(compiled) = &self.compiled else {
-            if self.sys_enabled {
-                schema::install_sys_catalog(&mut self.store, &self.schemas)?;
-            }
+            self.install_sys_if_enabled()?;
             self.mark_fresh();
             return Ok(FixpointStats::default());
         };
@@ -730,9 +709,7 @@ impl Engine {
             }
         }
         let stats = compiled.materialize(&mut self.store, self.options.eval)?;
-        if self.sys_enabled {
-            schema::install_sys_catalog(&mut self.store, &self.schemas)?;
-        }
+        self.install_sys_if_enabled()?;
         self.mark_fresh();
         self.last_stats = stats.clone();
         Ok(stats)
@@ -1374,6 +1351,73 @@ mod tests {
         let stats = e.refresh_views_if_stale().unwrap();
         assert_eq!(stats.rule_evals, 0, "{stats:?}");
         assert!(e.views_fresh_now());
+    }
+
+    #[test]
+    fn a_program_body_writing_a_view_is_refused_like_a_direct_write() {
+        let mut e = mapped();
+        let direct = e.update("?.dbI.p+(.stk=zzz, .date=3/9/85, .clsPrice=1)").unwrap_err();
+        assert_eq!(direct.code(), "E-DERIVED", "{direct}");
+        e.execute(".dbX.hack(.s=S) -> .dbI.p+(.stk=S, .date=3/9/85, .clsPrice=1) ;").unwrap();
+        let before = e.universe_json().unwrap();
+        let err = e.update("?.dbX.hack(.s=zzz)").unwrap_err();
+        assert_eq!(err.code(), "E-DERIVED", "{err}");
+        assert_eq!(e.universe_json().unwrap(), before);
+        assert!(!e.query("?.dbI.p(.stk=zzz)").unwrap().is_true());
+        let repaired = e.universe_json().unwrap();
+        e.refresh_views().unwrap();
+        assert_eq!(e.universe_json().unwrap(), repaired, "the views equal a rebuild");
+    }
+
+    #[test]
+    fn a_program_refused_in_a_later_clause_keeps_nothing_an_earlier_clause_wrote() {
+        let mut e = mapped();
+        e.execute(
+            ".dbX.two(.s=S) -> .euter.r+(.stkCode=S, .date=3/9/85, .clsPrice=1) ;
+             .dbX.two(.s=S) -> .dbI.p+(.stk=S, .date=3/9/85, .clsPrice=1) ;",
+        )
+        .unwrap();
+        let before = e.universe_json().unwrap();
+        let err = e.update("?.dbX.two(.s=zzz)").unwrap_err();
+        assert_eq!(err.code(), "E-DERIVED", "{err}");
+        assert_eq!(e.universe_json().unwrap(), before, "the first clause's write rolled back");
+        let stats = e.refresh_views_if_stale().unwrap();
+        assert_eq!((stats.full_evals, stats.rule_evals), (0, 0), "{stats:?}");
+        assert!(e.views_fresh_now());
+    }
+
+    #[test]
+    fn a_program_body_query_compiles_through_the_plan_cache() {
+        let mut e = engine();
+        e.execute(
+            ".dbU.bump(.stk=S) -> .euter.r(.stkCode=S, .date=D, .clsPrice=C),
+                .euter.r-(.stkCode=S, .date=D, .clsPrice=C),
+                .euter.r+(.stkCode=S, .date=D, .clsPrice=C+1) ;",
+        )
+        .unwrap();
+        e.update("?.dbU.bump(.stk=hp)").unwrap();
+        let (hits, misses) = (e.plan_cache().hits(), e.plan_cache().misses());
+        e.update("?.dbU.bump(.stk=hp)").unwrap();
+        assert_eq!(e.plan_cache().hits(), hits + 1, "the second call re-uses the body's plan");
+        assert_eq!(e.plan_cache().misses(), misses, "and compiles nothing");
+        assert!(e.query("?.euter.r(.stkCode=hp, .date=3/3/85, .clsPrice=52)").unwrap().is_true());
+    }
+
+    #[test]
+    fn declaring_a_schema_or_enabling_sys_keeps_the_views_fresh() {
+        let mut e = engine();
+        e.add_rules(UNIFIED).unwrap();
+        e.refresh_views().unwrap();
+        e.enable_sys_catalog().unwrap();
+        let stats = e.refresh_views_if_stale().unwrap();
+        assert_eq!((stats.full_evals, stats.rule_evals), (0, 0), "{stats:?}");
+        let key = vec![idl_object::Name::new("date"), idl_object::Name::new("stkCode")];
+        e.declare_schema("euter", "r", RelationSchema { key, ..Default::default() }).unwrap();
+        let stats = e.refresh_views_if_stale().unwrap();
+        assert_eq!((stats.full_evals, stats.rule_evals), (0, 0), "{stats:?}");
+        assert!(e.views_fresh_now());
+        let keys = e.query("?.sys.keys(.db=euter, .rel=r, .attr=A)").unwrap();
+        assert_eq!(keys.column("A"), vec![Value::str("date"), Value::str("stkCode")]);
     }
 
     /// The engine with the unified view materialised and a quote for a

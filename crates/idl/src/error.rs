@@ -75,6 +75,7 @@ fn eval_code(e: &idl_eval::EvalError) -> &'static str {
         E::TooManyResults(_) => "E-LIMIT",
         E::Malformed(_) => "E-MALFORMED",
         E::Storage(_) => "E-STORAGE",
+        E::Schema(_) => "E-SCHEMA",
     }
 }
 
@@ -149,7 +150,10 @@ impl From<idl_lang::ParseError> for EngineError {
 
 impl From<idl_eval::EvalError> for EngineError {
     fn from(e: idl_eval::EvalError) -> Self {
-        EngineError::Eval(e)
+        match e {
+            idl_eval::EvalError::Schema(violations) => EngineError::Schema(violations),
+            e => EngineError::Eval(e),
+        }
     }
 }
 

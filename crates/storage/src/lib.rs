@@ -10,7 +10,8 @@
 //! * **secondary indexes** on relation attributes, maintained lazily across
 //!   arbitrary universe mutations — [`index`];
 //! * per-attribute **statistics** for the evaluator's planner — [`stats`];
-//! * **transactions** with snapshot-based rollback — [`txn`];
+//! * one **transaction** per request, with snapshot-based rollback —
+//!   [`store::Store::begin`];
 //! * a coarse **change journal** driving incremental view refresh —
 //!   [`journal`];
 //! * **checkpoints** in a shadow-paged page file behind a buffer pool —
@@ -50,7 +51,6 @@ pub mod schema;
 pub mod session;
 pub mod stats;
 pub mod store;
-pub mod txn;
 pub mod vfs;
 
 pub use buffer_pool::BufferPoolStats;

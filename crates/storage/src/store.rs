@@ -41,7 +41,8 @@ pub struct Store {
     /// [`Store::checkpoint`] keeps the records newer than this version.
     journal_pin: Option<Version>,
     caches: Mutex<Caches>,
-    txns: Vec<TxnFrame>,
+    /// The open transaction's snapshot; a request opens at most one.
+    txn: Option<TxnFrame>,
 }
 
 impl Default for Store {
@@ -59,7 +60,7 @@ impl Store {
             journal: Journal::new(),
             journal_pin: None,
             caches: Mutex::new(Caches::default()),
-            txns: Vec::new(),
+            txn: None,
         }
     }
 
@@ -348,26 +349,29 @@ impl Store {
 
     // ---- transactions ---------------------------------------------------
 
-    /// Opens a (nestable) transaction: snapshots the universe. The
-    /// snapshot is an O(1) copy-on-write handle (Arc-backed interiors);
-    /// later mutations deep-copy only the spine they touch.
+    /// Opens the transaction: snapshots the universe. The snapshot is an
+    /// O(1) copy-on-write handle (Arc-backed interiors); later mutations
+    /// deep-copy only the spine they touch. Transactions do not nest: a
+    /// request runs in exactly one, so a `begin` while one is open is a
+    /// programming error and panics.
     pub fn begin(&mut self) {
-        self.txns
-            .push(TxnFrame { saved_universe: self.universe.clone(), saved_version: self.version });
+        assert!(self.txn.is_none(), "a transaction is already open");
+        self.txn =
+            Some(TxnFrame { saved_universe: self.universe.clone(), saved_version: self.version });
     }
 
-    /// Commits the innermost transaction (keeps changes).
+    /// Commits the open transaction (keeps changes).
     pub fn commit(&mut self) -> StorageResult<()> {
-        self.txns.pop().map(|_| ()).ok_or(StorageError::NoOpenTransaction)
+        self.txn.take().map(|_| ()).ok_or(StorageError::NoOpenTransaction)
     }
 
-    /// Rolls the innermost transaction back, restoring the snapshot. The
+    /// Rolls the open transaction back, restoring the snapshot. The
     /// restore re-journals each scope the transaction recorded, once, so
     /// readers of the journal see exactly where the universe moved; only
     /// when the journal no longer holds the whole frame is it recorded as
     /// [`ChangeScope::Universe`]. The version stays monotonic.
     pub fn rollback(&mut self) -> StorageResult<()> {
-        let frame = self.txns.pop().ok_or(StorageError::NoOpenTransaction)?;
+        let frame = self.txn.take().ok_or(StorageError::NoOpenTransaction)?;
         self.universe = frame.saved_universe;
         let undone = self.journal.since(frame.saved_version);
         let mut scopes: Vec<ChangeScope> = Vec::new();
@@ -384,26 +388,6 @@ impl Store {
             self.record(scope);
         }
         Ok(())
-    }
-
-    /// Whether a transaction is open.
-    pub fn in_txn(&self) -> bool {
-        !self.txns.is_empty()
-    }
-
-    /// Runs `f` inside a transaction; rolls back if it returns `Err`.
-    pub fn transact<R, E>(&mut self, f: impl FnOnce(&mut Store) -> Result<R, E>) -> Result<R, E> {
-        self.begin();
-        match f(self) {
-            Ok(r) => {
-                self.commit().expect("frame pushed above");
-                Ok(r)
-            }
-            Err(e) => {
-                self.rollback().expect("frame pushed above");
-                Err(e)
-            }
-        }
     }
 
     fn record(&mut self, scope: ChangeScope) {
@@ -449,7 +433,7 @@ impl Store {
     /// written rather than the number of writes. Call it outside any
     /// transaction: a rollback counts its frame's records.
     pub fn compact_journal(&mut self) {
-        debug_assert!(self.txns.is_empty(), "compacting inside a transaction");
+        debug_assert!(self.txn.is_none(), "compacting inside a transaction");
         self.journal.compact();
     }
 
@@ -551,7 +535,7 @@ mod tests {
     }
 
     #[test]
-    fn transactions_roll_back() {
+    fn a_transaction_rolls_back_or_commits() {
         let mut s = seeded();
         s.begin();
         s.insert("euter", "r", tuple! { stkCode: "sun", clsPrice: 30i64 }).unwrap();
@@ -560,33 +544,22 @@ mod tests {
         assert_eq!(s.relation("euter", "r").unwrap().len(), 2);
         assert!(s.rollback().is_err());
 
-        // nested
         s.begin();
-        s.insert("euter", "r", tuple! { stkCode: "a", clsPrice: 1i64 }).unwrap();
-        s.begin();
-        s.insert("euter", "r", tuple! { stkCode: "b", clsPrice: 2i64 }).unwrap();
-        s.rollback().unwrap();
-        assert_eq!(s.relation("euter", "r").unwrap().len(), 3);
+        s.insert("euter", "r", tuple! { stkCode: "y", clsPrice: 2i64 }).unwrap();
         s.commit().unwrap();
+        assert_eq!(s.relation("euter", "r").unwrap().len(), 3, "a commit keeps the changes");
+        assert!(s.commit().is_err(), "the commit closed the transaction");
+        s.begin();
+        s.rollback().unwrap();
         assert_eq!(s.relation("euter", "r").unwrap().len(), 3);
     }
 
     #[test]
-    fn transact_helper() {
+    #[should_panic(expected = "a transaction is already open")]
+    fn a_nested_begin_panics() {
         let mut s = seeded();
-        let r: Result<(), &str> = s.transact(|s| {
-            s.insert("euter", "r", tuple! { stkCode: "x", clsPrice: 1i64 }).unwrap();
-            Err("boom")
-        });
-        assert!(r.is_err());
-        assert_eq!(s.relation("euter", "r").unwrap().len(), 2);
-
-        let r: Result<u32, ()> = s.transact(|s| {
-            s.insert("euter", "r", tuple! { stkCode: "y", clsPrice: 2i64 }).unwrap();
-            Ok(7)
-        });
-        assert_eq!(r.unwrap(), 7);
-        assert_eq!(s.relation("euter", "r").unwrap().len(), 3);
+        s.begin();
+        s.begin();
     }
 
     #[test]

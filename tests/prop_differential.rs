@@ -67,11 +67,12 @@ proptest! {
         store.create_relation("db", "r").unwrap();
         let registry = idl_eval::ProgramRegistry::new();
         let derived = idl_eval::rules::DerivedCatalog::empty();
+        let schemas = idl_storage::SchemaSet::new();
 
         let run = |store: &mut Store, src: &str| {
             let Statement::Request(req) = parse_statement(src).unwrap() else { panic!() };
-            idl_eval::run_request(store, &registry, &derived, &req, EvalOptions::default())
-                .unwrap()
+            let opts = EvalOptions::default();
+            idl_eval::run_request(store, &registry, &derived, &schemas, &req, opts, None).unwrap()
         };
 
         // +e then ?e is true (decree of truth henceforth)
@@ -107,8 +108,10 @@ proptest! {
             &mut store,
             &registry,
             &derived,
+            &idl_storage::SchemaSet::new(),
             &req,
             EvalOptions::default(),
+            None,
         );
         prop_assert!(err.is_err());
         prop_assert_eq!(store.universe(), &before);
